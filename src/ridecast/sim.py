@@ -275,15 +275,12 @@ class Simulation:
             in_radius = (
                 (fleet.status == int(DriverStatus.IDLE)) & ~bid & (dist <= self.radii[o.grid])
             )
-            accepters = [
-                int(i)
-                for i in np.flatnonzero(in_radius)
-                if sample_accept(cfg.acceptance, float(dist[i]), o.fare, self.rng)
-            ]
-            if not accepters:
+            cand = np.flatnonzero(in_radius)
+            accepters = cand[sample_accepts(cfg.acceptance, dist[cand], o.fare, self.rng)]
+            if len(accepters) == 0:
                 continue
             bid[accepters] = True
-            winner = accepters[int(self.rng.integers(len(accepters)))]
+            winner = int(accepters[int(self.rng.integers(len(accepters)))])
             self._match(o, winner, float(dist[winner]), t0)
 
         # 4. move pickup / in-service drivers toward their targets

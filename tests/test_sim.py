@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -41,6 +42,19 @@ def mkorder(oid, t, lon, lat, dlon=None, dlat=None, fare=5.0):
                  dest_lon=dlon if dlon is not None else lon,
                  dest_lat=dlat if dlat is not None else lat,
                  fare=fare, grid=grid_index(lon, lat, BOX))
+
+
+def random_stream(seed, n, t_max):
+    """n orders with uniform creation times, in-box trips and fares; ids in time order."""
+    rng = np.random.default_rng(seed)
+    draws = sorted(((float(rng.uniform(0, t_max)), *rng.uniform(0.01, 0.09, 4), float(rng.uniform(3, 20)))
+                    for _ in range(n)), key=lambda d: d[0])
+    return [mkorder(i, *d) for i, d in enumerate(draws)]
+
+
+def trace_digest(res):
+    rows = [dataclasses.astuple(m) for m in res.matches] + [dataclasses.astuple(w) for w in res.windows]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def place(sim, positions):
@@ -208,6 +222,17 @@ class TestDeterminism:
         r1 = run(mkconfig(radius=2.0, drivers=8, accept=AcceptanceModel(), seed=11), self._stream(), 1500.0)
         r2 = run(mkconfig(radius=2.0, drivers=8, accept=AcceptanceModel(), seed=12), self._stream(), 1500.0)
         assert r1.matches != r2.matches
+
+    def test_golden_trace(self):
+        # pinned match and window log of one fixed-seed episode; a refactor
+        # that is meant to keep behaviour must keep this digest
+        cfg = dataclasses.replace(
+            mkconfig(drivers=30, accept=AcceptanceModel(), seed=21, idle_walk_kmh=5.0),
+            radius_source=RandomRadius([0.5, 1.0, 2.0], BOX.n_cells, seed=4),
+        )
+        res = run(cfg, random_stream(9, 150, 1750.0), horizon_s=1800.0)
+        assert 0 < res.summary.matched < res.summary.created
+        assert trace_digest(res) == "f1430f4f44211be439eb43c77a4ceab69d7c8c27c5d9d825c1fcd89489871904"
 
     def test_unsorted_stream_rejected(self):
         stream = [mkorder(0, 100.0, 0.05, 0.05), mkorder(1, 50.0, 0.05, 0.05)]
