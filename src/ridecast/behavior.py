@@ -54,20 +54,13 @@ def accept_probability(model: AcceptanceModel, pickup_km, fare, eps=0.0):
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def sample_accept(model: AcceptanceModel, pickup_km: float, fare: float, rng: np.random.Generator) -> bool:
-    """One grab decision: draw eps, then compare a uniform draw against p."""
-    eps = rng.normal(0.0, model.sigma) if model.sigma > 0 else 0.0
-    p = accept_probability(model, pickup_km, fare, eps)
-    return bool(rng.random() < p)
-
-
 def sample_accepts(
     model: AcceptanceModel, pickup_kms: np.ndarray, fare: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Independent grab decisions for one broadcast round, one per driver.
 
-    Same model as sample_accept with eps drawn fresh per decision, but the
-    draws are batched (all eps, then all uniforms) so big rounds stay cheap.
+    Each decision draws its own eps and compares a uniform draw against p;
+    the draws are batched (all eps, then all uniforms) so big rounds stay cheap.
     """
     pickup_kms = np.asarray(pickup_kms, dtype=float)
     n = pickup_kms.shape[0]
@@ -77,13 +70,12 @@ def sample_accepts(
     p = accept_probability(model, pickup_kms, fare, eps)
     return rng.random(n) < p
 
+
 def acceptance_rate(
     model: AcceptanceModel, pickup_km: float, fare: float, rng: np.random.Generator, n: int
 ) -> float:
     """Monte Carlo marginal accept rate over n independent decisions."""
-    eps = rng.normal(0.0, model.sigma, size=n) if model.sigma > 0 else np.zeros(n)
-    p = accept_probability(model, pickup_km, fare, eps)
-    return float(np.mean(rng.random(n) < p))
+    return float(np.mean(sample_accepts(model, np.full(n, pickup_km), fare, rng)))
 
 
 def log_loss(y, y_hat) -> float:

@@ -168,21 +168,17 @@ class LocalProjection:
         return row * n + col
 
 
-class OrderStatus(IntEnum):
-    OPEN = 0
-    MATCHED = 1
-    EXPIRED = 2
-
-
 class DriverStatus(IntEnum):
     IDLE = 0
     PICKUP = 1
     IN_SERVICE = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class Order:
-    """A trip request.  Status only ever moves open->matched or open->expired."""
+    """A trip request.  Immutable: what happens to it during a run is recorded
+    by the run (a MatchRecord, or an expiry count), so one stream can be
+    replayed under several radius policies."""
 
     id: int
     t_create: float
@@ -192,25 +188,23 @@ class Order:
     dest_lat: float
     fare: float
     grid: int
-    status: OrderStatus = OrderStatus.OPEN
-    t_match: Optional[float] = None
-    pickup_km: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.fare < 0:
             raise ValueError("fare must be >= 0")
 
-    def mark_matched(self, t: float, pickup_km: float) -> None:
-        if self.status != OrderStatus.OPEN:
-            raise ValueError(f"order {self.id} already {self.status.name}")
-        self.status = OrderStatus.MATCHED
-        self.t_match = t
-        self.pickup_km = pickup_km
 
-    def mark_expired(self) -> None:
-        if self.status != OrderStatus.OPEN:
-            raise ValueError(f"order {self.id} already {self.status.name}")
-        self.status = OrderStatus.EXPIRED
+@dataclass(frozen=True)
+class MatchRecord:
+    """One order won by one driver; the only record of a match."""
+
+    order_id: int
+    driver_id: int
+    grid: int
+    t_match: float
+    pickup_km: float
+    fare: float
+    radius_km: float
 
 
 @dataclass
@@ -297,6 +291,7 @@ def metrics_from_tallies(
 
 def compute_window_metrics(
     orders: Iterable[Order],
+    matches: Iterable[MatchRecord],
     window_start: float,
     window_end: float,
     occupied_s: float,
@@ -304,24 +299,17 @@ def compute_window_metrics(
 ) -> WindowMetrics:
     """Windowed (ofr, apd, dur, revenue) over a fully elapsed window.
 
-    Creation and match events are counted by their timestamps falling inside
-    [window_start, window_end); revenue is recognized at match time.
+    Creations are read from ``orders`` (ids unique) and match events from
+    ``matches``; each counts when its timestamp falls inside
+    [window_start, window_end).  Revenue is recognized at match time.
     """
-    created = 0
+    created = {o.id for o in orders if window_start <= o.t_create < window_end}
     cohort = 0
     dists: list[float] = []
     fares: list[float] = []
-    for o in orders:
-        in_create = window_start <= o.t_create < window_end
-        if in_create:
-            created += 1
-        if (
-            o.status == OrderStatus.MATCHED
-            and o.t_match is not None
-            and window_start <= o.t_match < window_end
-        ):
-            if in_create:
-                cohort += 1
-            dists.append(o.pickup_km if o.pickup_km is not None else 0.0)
-            fares.append(o.fare)
-    return metrics_from_tallies(created, cohort, dists, fares, occupied_s, online_s)
+    for m in matches:
+        if window_start <= m.t_match < window_end:
+            cohort += m.order_id in created
+            dists.append(m.pickup_km)
+            fares.append(m.fare)
+    return metrics_from_tallies(len(created), cohort, dists, fares, occupied_s, online_s)

@@ -158,18 +158,6 @@ class ModelPredictor:
         return invert_norm(self.model.predict(features), self.label_stats)
 
 
-class PinnedRadiusPredictor:
-    """Test stub: always scores one radius highest regardless of features."""
-
-    def __init__(self, preferred_radius: float):
-        self.preferred_radius = preferred_radius
-
-    def predict_for(self, features: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        pred = np.zeros((len(candidates), 4))
-        pred[:, 3] = np.where(np.isclose(candidates, self.preferred_radius), 1.0, 0.0)
-        return pred
-
-
 @dataclass(frozen=True)
 class RadiusDecision:
     grid: int

@@ -21,8 +21,8 @@ from .market import (
     GridSpec,
     LocalProjection,
     MarketWindow,
+    MatchRecord,
     Order,
-    OrderStatus,
     TimeOfDayBounds,
     metrics_from_tallies,
     time_of_day,
@@ -49,7 +49,7 @@ class RadiusSource(Protocol):
 
 class FixedRadius:
     def __init__(self, radius_km: float, n_cells: int):
-        if radius_km <= 0:
+        if not (radius_km > 0):
             raise ValueError("radius must be > 0")
         self._radii = np.full(n_cells, float(radius_km))
 
@@ -62,7 +62,7 @@ class ScheduleRadius:
 
     def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=float)
-        if table.ndim != 2 or np.any(table <= 0):
+        if table.ndim != 2 or not np.all(table > 0):
             raise ValueError("schedule must be a positive (n_windows, n_cells) table")
         self._table = table
 
@@ -75,7 +75,7 @@ class RandomRadius:
     """Uniform draw from a candidate set, per grid per window (exploration)."""
 
     def __init__(self, candidates: Sequence[float], n_cells: int, seed: int):
-        if not candidates or any(c <= 0 for c in candidates):
+        if not candidates or not all(c > 0 for c in candidates):
             raise ValueError("candidates must be positive")
         self._candidates = np.asarray(candidates, dtype=float)
         self._n_cells = n_cells
@@ -99,7 +99,6 @@ class SimConfig:
     tod_bounds: TimeOfDayBounds = field(default_factory=TimeOfDayBounds)
     seed: int = 0
     idle_walk_kmh: float = 0.0
-    validate: bool = True
 
     def __post_init__(self) -> None:
         if self.n_drivers < 1:
@@ -115,17 +114,6 @@ class SimConfig:
     @property
     def ticks_per_window(self) -> int:
         return int(round(self.window_s / self.tick_s))
-
-
-@dataclass(frozen=True)
-class MatchRecord:
-    order_id: int
-    driver_id: int
-    grid: int
-    t_match: float
-    pickup_km: float
-    fare: float
-    radius_km: float
 
 
 @dataclass(frozen=True)
@@ -169,17 +157,28 @@ class DriverFleet:
 
 
 class Simulation:
-    """Mutable world state plus the tick loop; deterministic given (config, stream)."""
+    """Mutable world state plus the tick loop; deterministic given (config, stream).
+
+    The orders are never modified: every per-run fact about them (open,
+    matched, expired) lives here, so one stream can be run any number of times.
+    """
 
     def __init__(self, config: SimConfig, stream: Sequence[Order]):
-        times = [o.t_create for o in stream]
+        self.stream = tuple(stream)
+        times = [o.t_create for o in self.stream]
         if any(a > b for a, b in zip(times, times[1:])):
             raise ValueError("order stream must be sorted by creation time")
         self.config = config
         self.proj = LocalProjection(config.grid)
         self.rng = np.random.default_rng(config.seed)
-        self.stream = list(stream)
         self._stream_pos = 0
+        ox, oy = self.proj.to_xy([o.origin_lon for o in self.stream], [o.origin_lat for o in self.stream])
+        dx, dy = self.proj.to_xy([o.dest_lon for o in self.stream], [o.dest_lat for o in self.stream])
+        self._order_km = {
+            o.id: km for o, km in zip(self.stream, zip(ox.tolist(), oy.tolist(), dx.tolist(), dy.tolist()))
+        }
+        if len(self._order_km) != len(self.stream):
+            raise ValueError("order ids must be unique")
         g = config.grid.n_cells
 
         lon = self.rng.uniform(config.grid.lon_min, config.grid.lon_max, size=config.n_drivers)
@@ -189,9 +188,7 @@ class Simulation:
 
         self.clock = 0.0
         self.tick_count = 0
-        self.orders: dict[int, Order] = {}
         self.open: dict[int, Order] = {}      # insertion order == injection order
-        self._order_km: dict[int, tuple[float, float, float, float]] = {}
         self.windows: list[MarketWindow] = []
         self.matches: list[MatchRecord] = []
         self.injected = 0
@@ -237,8 +234,8 @@ class Simulation:
 
     def _query_radii(self) -> np.ndarray:
         radii = np.asarray(self.config.radius_source.radii(self.snapshot, self.windows), dtype=float)
-        if radii.shape != (self.config.grid.n_cells,) or np.any(radii <= 0):
-            raise ValueError("radius source must return positive per-grid radii")
+        if radii.shape != (self.config.grid.n_cells,) or not np.all(np.isfinite(radii) & (radii > 0)):
+            raise ValueError("radius source must return finite positive per-grid radii")
         return radii
 
     # -- one tick -------------------------------------------------------------
@@ -252,17 +249,13 @@ class Simulation:
         while self._stream_pos < len(self.stream) and self.stream[self._stream_pos].t_create < t0 + tick:
             o = self.stream[self._stream_pos]
             self._stream_pos += 1
-            self.orders[o.id] = o
             self.open[o.id] = o
-            ox, oy = self.proj.to_xy(o.origin_lon, o.origin_lat)
-            dx, dy = self.proj.to_xy(o.dest_lon, o.dest_lat)
-            self._order_km[o.id] = (float(ox), float(oy), float(dx), float(dy))
             self.injected += 1
             self._win_created[o.grid] += 1
 
         # 2. expire orders past their patience
         for oid in [oid for oid, o in self.open.items() if t0 - o.t_create >= cfg.patience_s]:
-            self.open.pop(oid).mark_expired()
+            self._close(oid)
             self.expired += 1
 
         # 3. broadcast rounds, oldest order first; a driver gets one bid per tick
@@ -299,14 +292,17 @@ class Simulation:
         # 6. advance the clock; close the window on a boundary
         self.tick_count += 1
         self.clock = self.tick_count * tick
-        if cfg.validate:
-            self._check_conservation()
+        self._check_conservation()
         if self.tick_count % cfg.ticks_per_window == 0:
             self._close_window()
 
+    def _close(self, order_id: int) -> None:
+        """Take an order out of the open set; an order leaves it exactly once."""
+        if self.open.pop(order_id, None) is None:
+            raise ValueError(f"order {order_id} is not open")
+
     def _match(self, order: Order, driver: int, pickup_km: float, t: float) -> None:
-        order.mark_matched(t=t, pickup_km=pickup_km)
-        del self.open[order.id]
+        self._close(order.id)
         self.matched += 1
         fleet = self.fleet
         ox, oy, _, _ = self._order_km[order.id]

@@ -10,7 +10,7 @@ from ridecast.behavior import (
     acceptance_rate,
     fit_logistic,
     log_loss,
-    sample_accept,
+    sample_accepts,
 )
 
 
@@ -87,13 +87,13 @@ class TestSampleAccept:
 
     def test_deterministic_given_rng_state(self):
         m = AcceptanceModel()
-        a = [sample_accept(m, 1.0, 8.0, np.random.default_rng(123)) for _ in range(5)]
-        b = [sample_accept(m, 1.0, 8.0, np.random.default_rng(123)) for _ in range(5)]
+        a = [sample_accepts(m, np.array([1.0]), 8.0, np.random.default_rng(123)).tolist() for _ in range(5)]
+        b = [sample_accepts(m, np.array([1.0]), 8.0, np.random.default_rng(123)).tolist() for _ in range(5)]
         assert a == b
 
     def test_sigma_zero_is_noise_free(self):
         m = AcceptanceModel(beta0=50.0, beta1=0.0, beta2=0.0, sigma=0.0)
-        assert sample_accept(m, 0.0, 0.0, np.random.default_rng(0)) is True
+        assert sample_accepts(m, np.array([0.0]), 0.0, np.random.default_rng(0)).tolist() == [True]
 
 
 class TestLogLoss:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from ridecast.market import (
     GridSpec,
     LocalProjection,
     MarketWindow,
+    MatchRecord,
     Order,
-    OrderStatus,
     TimeOfDay,
     TimeOfDayBounds,
     compute_window_metrics,
@@ -123,10 +124,12 @@ class TestWindowMetrics:
             Order(0, t_create=10.0, origin_lon=0.5, origin_lat=0.5, dest_lon=1.5, dest_lat=1.5, fare=4.0, grid=0),
             Order(1, t_create=20.0, origin_lon=0.5, origin_lat=0.5, dest_lon=1.5, dest_lat=1.5, fare=6.0, grid=0),
         ]
-        orders[0].mark_matched(t=50.0, pickup_km=1.0)
-        # order 1 matches in the *next* window: its fare is not counted here
-        orders[1].mark_matched(t=310.0, pickup_km=2.0)
-        m = compute_window_metrics(orders, 0.0, 300.0, occupied_s=0.0, online_s=600.0)
+        matches = [
+            MatchRecord(order_id=0, driver_id=0, grid=0, t_match=50.0, pickup_km=1.0, fare=4.0, radius_km=2.0),
+            # order 1 matches in the *next* window: its fare is not counted here
+            MatchRecord(order_id=1, driver_id=1, grid=0, t_match=310.0, pickup_km=2.0, fare=6.0, radius_km=2.0),
+        ]
+        m = compute_window_metrics(orders, matches, 0.0, 300.0, occupied_s=0.0, online_s=600.0)
         assert m.revenue == 4.0
         assert m.ofr == 0.5
         assert m.apd_km == 1.0
@@ -147,18 +150,10 @@ class TestWindowMetrics:
 
 
 class TestOrderDriverInvariants:
-    def test_order_transitions(self):
+    def test_order_is_frozen(self):
         o = Order(0, 0.0, 0.5, 0.5, 1.5, 1.5, fare=3.0, grid=0)
-        o.mark_matched(t=12.0, pickup_km=0.4)
-        assert o.status == OrderStatus.MATCHED and o.pickup_km == 0.4
-        with pytest.raises(ValueError):
-            o.mark_expired()
-
-    def test_expired_order_is_terminal(self):
-        o = Order(0, 0.0, 0.5, 0.5, 1.5, 1.5, fare=3.0, grid=0)
-        o.mark_expired()
-        with pytest.raises(ValueError):
-            o.mark_matched(t=1.0, pickup_km=0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            o.id = 1
 
     def test_negative_fare_rejected(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,12 @@ import pytest
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import NormStats, fit_norm_stats
-from ridecast.market import GridSpec, MarketWindow, TimeOfDay, compute_window_metrics
+from ridecast.market import GridSpec, MarketWindow, Order, TimeOfDay, compute_window_metrics, grid_index
 from ridecast.optimizer import (
     COL_RADIUS,
     CandidateSet,
     FeatureLayout,
     ModelPredictor,
-    PinnedRadiusPredictor,
     PredictorRadiusSource,
     RadiusDecision,
     TrainingData,
@@ -24,6 +23,18 @@ from ridecast.sim import RandomRadius, SimConfig, Simulation, run
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=0.1, lat_max=0.1, side_count=4)
 LAYOUT = FeatureLayout(seq_len=4, side_count=4)
 IDENT = NormStats.identity(4)
+
+
+class PinnedRadiusPredictor:
+    """Stub predictor: always scores one radius highest regardless of features."""
+
+    def __init__(self, preferred_radius: float):
+        self.preferred_radius = preferred_radius
+
+    def predict_for(self, features: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        pred = np.zeros((len(candidates), 4))
+        pred[:, 3] = np.where(np.isclose(candidates, self.preferred_radius), 1.0, 0.0)
+        return pred
 
 
 def mkwindow(grid=2, window=0, ofr=0.5, apd=1.2, dur=0.4, rev=30.0, radius=2.0,
@@ -223,19 +234,15 @@ def small_scenario_config(radius_seed, sim_seed, candidates):
 
 def small_stream(seed):
     rng = np.random.default_rng(seed)
-    from ridecast.market import Order, grid_index
-
-    orders = []
-    for i in range(60):
+    draws = []
+    for _ in range(60):
         lon, lat = rng.uniform(0.01, 0.09, size=2)
         dlon, dlat = rng.uniform(0.01, 0.09, size=2)
-        orders.append(Order(id=0, t_create=float(rng.uniform(0, 1700)), origin_lon=lon,
-                            origin_lat=lat, dest_lon=dlon, dest_lat=dlat, fare=6.0,
-                            grid=grid_index(lon, lat, BOX)))
-    orders.sort(key=lambda o: o.t_create)
-    for i, o in enumerate(orders):
-        o.id = i
-    return orders
+        draws.append((float(rng.uniform(0, 1700)), lon, lat, dlon, dlat))
+    draws.sort(key=lambda d: d[0])
+    return [Order(id=i, t_create=t, origin_lon=lon, origin_lat=lat, dest_lon=dlon, dest_lat=dlat,
+                  fare=6.0, grid=grid_index(lon, lat, BOX))
+            for i, (t, lon, lat, dlon, dlat) in enumerate(draws)]
 
 
 class TestCollect:
@@ -257,21 +264,35 @@ class TestCollect:
             assert data.features[k][-1, COL_RADIUS] == row.radius_km
 
     def test_label_matches_metric_recomputation(self):
+        streams = []
+
+        def make_stream(i, ds):
+            streams.append(small_stream(ds))
+            return streams[-1]
+
         data, results = collect_training_data(
             make_config=lambda i, s, rs: small_scenario_config(rs, s, [1.0, 3.0]),
-            make_stream=lambda i, ds: small_stream(ds),
+            make_stream=make_stream,
             episodes=1,
-            horizon_s=900.0,
+            horizon_s=1800.0,
             layout=LAYOUT,
             base_seed=1,
         )
-        # recompute one grid-window's metrics from the episode match log
-        res = results[0]
-        w = [x for x in res.windows if x.window == 1 and x.ofr > 0]
-        if w:  # depends on traffic; verify when a busy window exists
-            target = w[0]
-            labeled = data.labels[(data.grids == target.grid) & (data.windows == 1)][0]
-            assert labeled[0] == target.ofr
+        # recompute every grid-window's ofr, apd and revenue from the stream and
+        # the match log; the same values are summed in the same order, so the
+        # logged row and the label must match exactly
+        res, stream = results[0], streams[0]
+        assert len(res.windows) == 16 * 6
+        for row in res.windows:
+            m = compute_window_metrics(
+                [o for o in stream if o.grid == row.grid],
+                [x for x in res.matches if x.grid == row.grid],
+                row.start_s, row.start_s + 300.0, occupied_s=0.0, online_s=0.0,
+            )
+            assert (m.ofr, m.apd_km, m.revenue) == (row.ofr, row.apd_km, row.revenue)
+            labeled = data.labels[(data.grids == row.grid) & (data.windows == row.window)][0]
+            np.testing.assert_array_equal(labeled[[0, 1, 3]], [m.ofr, m.apd_km, m.revenue])
+        assert any(row.ofr > 0 for row in res.windows)
 
     def test_different_base_seeds_use_disjoint_streams(self):
         kw = dict(

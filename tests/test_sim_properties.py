@@ -1,0 +1,89 @@
+"""Property tests: the simulator's stated invariants over random small scenarios."""
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ridecast.behavior import AcceptanceModel
+from ridecast.market import GridSpec, Order, grid_index
+from ridecast.sim import FixedRadius, RandomRadius, SimConfig, run
+
+WINDOW_S = 300.0
+BOX_DEG = 0.03  # a ~3 km square, so drivers finish trips and win again within an episode
+
+
+@st.composite
+def scenarios(draw):
+    side = draw(st.integers(1, 4))
+    radii = draw(st.lists(st.sampled_from([0.3, 0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=3, unique=True))
+    return dict(
+        grid=GridSpec(lon_min=0.0, lat_min=0.0, lon_max=BOX_DEG, lat_max=BOX_DEG, side_count=side),
+        n_drivers=draw(st.integers(1, 20)),
+        n_orders=draw(st.integers(0, 100)),
+        windows=draw(st.integers(1, 2)),
+        radii=sorted(radii),
+        fixed=draw(st.booleans()),
+        acceptance=AcceptanceModel(beta0=draw(st.floats(-2.0, 4.0)), sigma=draw(st.sampled_from([0.0, 1.0]))),
+        patience_s=10.0 * draw(st.integers(1, 40)),
+        idle_walk_kmh=draw(st.sampled_from([0.0, 5.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def build_stream(sc):
+    """Orders over the whole horizon plus a little beyond it, ids in creation order."""
+    rng = np.random.default_rng(sc["seed"])
+    horizon = sc["windows"] * WINDOW_S
+    t = np.sort(rng.uniform(0.0, 1.1 * horizon, sc["n_orders"]))
+    pts = rng.uniform(0.0, BOX_DEG, size=(sc["n_orders"], 4))
+    fares = rng.uniform(0.0, 30.0, sc["n_orders"])
+    return [
+        Order(id=i, t_create=float(t[i]), origin_lon=float(p[0]), origin_lat=float(p[1]),
+              dest_lon=float(p[2]), dest_lat=float(p[3]), fare=float(fares[i]),
+              grid=grid_index(float(p[0]), float(p[1]), sc["grid"]))
+        for i, p in enumerate(pts)
+    ]
+
+
+def build_config(sc):
+    n_cells = sc["grid"].n_cells
+    source = FixedRadius(sc["radii"][0], n_cells) if sc["fixed"] else RandomRadius(sc["radii"], n_cells, sc["seed"])
+    return SimConfig(grid=sc["grid"], n_drivers=sc["n_drivers"], speed_kmh=25.0, radius_source=source,
+                     acceptance=sc["acceptance"], window_s=WINDOW_S, patience_s=sc["patience_s"],
+                     seed=sc["seed"], idle_walk_kmh=sc["idle_walk_kmh"])
+
+
+# derandomized so that the tier-1 suite gives the same verdict on every run
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+def test_episode_invariants(sc):
+    horizon = sc["windows"] * WINDOW_S
+    stream = build_stream(sc)
+    res = run(build_config(sc), stream, horizon)
+    s = res.summary
+
+    # order conservation: every injected order is matched, expired or still open
+    assert s.created == sum(o.t_create < horizon for o in stream)
+    assert s.created == s.matched + s.expired + s.open_at_end
+    assert s.matched == len(res.matches)
+
+    # pickup within the radius the order's grid had in that window
+    radius = {(w.grid, w.window): w.radius_km for w in res.windows}
+    for m in res.matches:
+        assert m.radius_km == radius[(m.grid, int(m.t_match // WINDOW_S))]
+        assert 0.0 <= m.pickup_km <= m.radius_km
+
+    # at most one win per driver per tick, and no order matched twice
+    assert max(Counter((m.t_match, m.driver_id) for m in res.matches).values(), default=0) <= 1
+    assert len({m.order_id for m in res.matches}) == len(res.matches)
+
+    # rates in [0, 1]
+    assert len(res.windows) == sc["windows"] * sc["grid"].n_cells
+    for w in res.windows:
+        assert 0.0 <= w.ofr <= 1.0 and 0.0 <= w.dur <= 1.0
+    assert 0.0 <= s.ofr <= 1.0 and 0.0 <= s.dur <= 1.0
+
+    # deterministic per seed, and the same stream object can be run again
+    assert run(build_config(sc), stream, horizon) == res
+    assert run(build_config(sc), build_stream(sc), horizon) == res
