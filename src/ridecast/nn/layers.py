@@ -1,5 +1,8 @@
 """Differentiable building blocks: two-layer perceptron, per-row layer
 normalization, and single-head scaled dot-product self-attention.
+
+Blocks rebind one name step by step, so without a graph (inference) each
+intermediate is freed as soon as the next step has used it.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ def mlp_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         h = h.relu()
     elif activation != "linear":
         raise ValueError(f"unknown activation {activation!r}")
-    return h @ w2 + b2
+    h = h @ w2
+    return h + b2
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -26,11 +30,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     The denominator is sqrt(var + eps), i.e. eps sits under the root.
     """
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    sigma = (var + eps).sqrt()
-    return gamma * (centered / sigma) + beta
+    y = x - x.mean(axis=-1, keepdims=True)
+    sigma = ((y * y).mean(axis=-1, keepdims=True) + eps).sqrt()
+    y = y / sigma
+    y = gamma * y
+    return y + beta
 
 
 def self_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
@@ -39,9 +43,6 @@ def self_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
     Works on (T, d) inputs or batched (B, T, d); the key width d_k is taken
     from w_k's output dimension.
     """
-    q = x @ w_q
-    k = x @ w_k
-    v = x @ w_v
     d_k = w_k.shape[-1]
-    scores = (q @ k.swap_last_axes()) * (1.0 / math.sqrt(d_k))
-    return scores.softmax(axis=-1) @ v
+    scores = ((x @ w_q) @ (x @ w_k).swap_last_axes()) * (1.0 / math.sqrt(d_k))
+    return scores.softmax(axis=-1) @ (x @ w_v)

@@ -98,10 +98,11 @@ class TransformerRegressor:
 
     # -- forward -------------------------------------------------------------
 
-    def _encode(self, x: Tensor) -> Tensor:
+    def _forward(self, x: np.ndarray, p: dict[str, Tensor]) -> list[Tensor]:
+        """Per-task outputs, each (B, 1), for a (B, T, D) batch under parameters p."""
+        self._check_input(x)
         c = self.config
-        p = self.params
-        o = mlp_forward(x, p["embed.w1"], p["embed.b1"], p["embed.w2"], p["embed.b2"])
+        o = mlp_forward(Tensor(x), p["embed.w1"], p["embed.b1"], p["embed.w2"], p["embed.b2"])
         if c.positional:
             o = o + p["pos"]
         for b in range(c.n_blocks):
@@ -112,32 +113,29 @@ class TransformerRegressor:
             block_mlp = lambda t: mlp_forward(t, p[pre + "mlp.w1"], p[pre + "mlp.b1"],
                                               p[pre + "mlp.w2"], p[pre + "mlp.b2"])
             if c.residual_mode == "literal":
-                h1 = attn(o + ln1(o))
-                h2 = block_mlp(h1 + ln2(h1))
+                o = o + ln1(o)
+                o = attn(o)
+                o = o + ln2(o)
+                o = block_mlp(o)
             else:
-                h1 = o + attn(ln1(o))
-                h2 = h1 + block_mlp(ln2(h1))
-            o = h2
-        return o.mean(axis=-2)  # pool over the sequence axis
+                o = o + attn(ln1(o))
+                o = o + block_mlp(ln2(o))
+        pooled = o.mean(axis=-2)  # pool over the sequence axis
+        return [mlp_forward(pooled, p[f"head{i}.w1"], p[f"head{i}.b1"], p[f"head{i}.w2"], p[f"head{i}.b2"])
+                for i in range(c.n_tasks)]
 
     def forward_heads(self, x: np.ndarray) -> list[Tensor]:
         """Per-task output tensors for a (B, T, D) batch, each (B, 1)."""
-        self._check_input(x)
-        pooled = self._encode(Tensor(x))
-        outs = []
-        for i in range(self.config.n_tasks):
-            pre = f"head{i}."
-            outs.append(mlp_forward(pooled, self.params[pre + "w1"], self.params[pre + "b1"],
-                                    self.params[pre + "w2"], self.params[pre + "b2"]))
-        return outs
+        return self._forward(x, self.params)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Pure inference: (T, D) -> (m,) or (B, T, D) -> (B, m)."""
+        """Pure inference on detached parameters, so no graph is recorded:
+        (T, D) -> (m,) or (B, T, D) -> (B, m)."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 2
         if single:
             x = x[None, :, :]
-        outs = self.forward_heads(x)
+        outs = self._forward(x, {k: Tensor(v.data) for k, v in self.params.items()})
         y = np.concatenate([o.data for o in outs], axis=1)
         return y[0] if single else y
 
@@ -180,6 +178,8 @@ class TransformerRegressor:
         for k, arr in arrays.items():
             if self.params[k].data.shape != arr.shape:
                 raise CheckpointError(f"shape mismatch for {k}")
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"non-finite values in {k}")
             self.params[k].data = np.asarray(arr, dtype=np.float64).copy()
 
 
@@ -219,19 +219,22 @@ def load_checkpoint(path: str | Path, expect: Optional[dict] = None) -> Checkpoi
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {payload.get('format_version')}")
-    config = ModelConfig(**payload["config"])
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    try:
+        config = ModelConfig(**payload["config"])
+        arrays = {k: np.array(v, dtype=np.float64) for k, v in payload["params"].items()}
+        feature_stats = NormStats.from_dict(payload["feature_stats"])
+        label_stats = NormStats.from_dict(payload["label_stats"])
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"malformed checkpoint {path}: {e!r}") from e
     if expect:
         for key, want in expect.items():
             got = getattr(config, key)
             if got != want:
                 raise CheckpointError(f"architecture mismatch: {key}={got}, scenario needs {want}")
     model = TransformerRegressor(config)
-    model.load_state_arrays({k: np.array(v) for k, v in payload["params"].items()})
-    return Checkpoint(
-        model=model,
-        feature_stats=NormStats.from_dict(payload["feature_stats"]),
-        label_stats=NormStats.from_dict(payload["label_stats"]),
-        meta=payload.get("meta", {}),
-    )
+    model.load_state_arrays(arrays)
+    return Checkpoint(model=model, feature_stats=feature_stats, label_stats=label_stats,
+                      meta=payload.get("meta", {}))

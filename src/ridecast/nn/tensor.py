@@ -143,6 +143,20 @@ class Tensor:
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
         a, b = self, other
+        if a.data.ndim > 2 and b.data.ndim == 2:
+            # stacked rows times a weight: one 2-D GEMM over the flattened
+            # leading axes, so the weight gradient needs no broadcast sum
+            a2d = a.data.reshape(-1, a.shape[-1])
+
+            def back_2d(g):
+                g2d = g.reshape(-1, g.shape[-1])
+                if a.requires_grad:
+                    a._accumulate((g2d @ b.data.T).reshape(a.shape))
+                if b.requires_grad:
+                    b._accumulate(a2d.T @ g2d)
+
+            out = (a2d @ b.data).reshape(*a.shape[:-1], b.shape[-1])
+            return self._result(out, (a, b), back_2d)
 
         def back(g):
             if a.requires_grad:

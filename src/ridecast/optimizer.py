@@ -5,7 +5,7 @@ that turns simulator window logs into supervised training examples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
@@ -142,7 +142,9 @@ def composite_score(
 
 
 class Predictor(Protocol):
-    """Maps normalized feature sequences to raw-unit metric predictions."""
+    """Maps normalized feature sequences to raw-unit metric predictions.
+
+    ``candidates`` holds one radius (km) per row of ``features``."""
 
     def predict_for(self, features: np.ndarray, candidates: np.ndarray) -> np.ndarray: ...
 
@@ -158,7 +160,7 @@ class ModelPredictor:
         return invert_norm(self.model.predict(features), self.label_stats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RadiusDecision:
     grid: int
     window: int
@@ -168,48 +170,39 @@ class RadiusDecision:
     scores: np.ndarray        # (K,)
 
     def __post_init__(self) -> None:
-        best = np.max(self.scores)
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError("scores must be finite")
         if self.chosen_radius not in self.candidates:
             raise ValueError("chosen radius must come from the candidate set")
-        if self.scores[self.candidates.index(self.chosen_radius)] < best:
+        if self.scores[self.candidates.index(self.chosen_radius)] < np.max(self.scores):
             raise ValueError("chosen radius must attain the maximal score")
 
 
-def choose_radius(
-    grid: int,
-    window: int,
-    predictor: Predictor,
-    candidates: CandidateSet,
-    history: Sequence[MarketWindow],
-    n_idle: int,
-    n_open: int,
-    n_total: int,
-    tod: int,
-    layout: FeatureLayout,
-    feature_stats: Optional[NormStats],
-    label_stats: NormStats,
-    weights: Sequence[float] = (1.0, 1.0, 1.0, 1.0),
-) -> RadiusDecision:
-    """Evaluate every candidate and pick the argmax score (ties: smallest)."""
-    feats = np.stack([
-        build_features(history, n_idle, n_open, n_total, tod, grid, r, layout, feature_stats)[0]
-        for r in candidates.radii
-    ])
-    preds = predictor.predict_for(feats, candidates.as_array())
-    scores = np.asarray(composite_score(preds, label_stats, weights), dtype=float)
-    best = int(np.argmax(scores))  # first max wins: candidates ascend, so ties pick the smallest
-    return RadiusDecision(
-        grid=grid,
-        window=window,
-        chosen_radius=candidates.radii[best],
-        candidates=candidates.radii,
-        predictions=preds,
-        scores=scores,
-    )
+def _real_row_mask(pad_rows: np.ndarray, seq_len: int) -> np.ndarray:
+    """(N, T) mask of the non-padding rows of N sequences."""
+    return np.arange(seq_len) >= np.asarray(pad_rows)[:, None]
+
+
+def _recent_by_grid(history: Sequence[MarketWindow], n_grids: int, depth: int) -> list[list[MarketWindow]]:
+    """Each grid's last ``depth`` windows, oldest first, from a backward scan
+    that stops once every grid has them."""
+    recent: list[list[MarketWindow]] = [[] for _ in range(n_grids)]
+    missing = n_grids * depth
+    for w in reversed(history):
+        if missing == 0:
+            break
+        if not 0 <= w.grid < n_grids:
+            raise ValueError(f"history row for grid {w.grid} outside 0..{n_grids - 1}")
+        rows = recent[w.grid]
+        if len(rows) < depth:
+            rows.append(w)
+            missing -= 1
+    return [rows[::-1] for rows in recent]
 
 
 class PredictorRadiusSource:
-    """Radius source driven by a predictor; keeps a full decision audit log."""
+    """Radius source driven by a predictor, one batched prediction per
+    window; keeps a full decision audit log."""
 
     def __init__(
         self,
@@ -228,30 +221,41 @@ class PredictorRadiusSource:
         self.weights = tuple(weights)
         self.decisions: list[RadiusDecision] = []
 
+    def _batch(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
+        """(G*K, T, D) normalized batch, grid-major (row g*K + j: grid g, candidate j
+        in its final row); built apart from ``radii`` so it is freed once predicted."""
+        n_grids, t = self.layout.n_cells, self.layout.seq_len
+        recent = _recent_by_grid(history, n_grids, t - 1)
+        base, pads = zip(*(
+            build_features(recent[g], int(snapshot.n_idle[g]), int(snapshot.n_open[g]),
+                           int(snapshot.n_total[g]), snapshot.tod, g, 0.0, self.layout)
+            for g in range(n_grids)
+        ))
+        base, final_radii, stats = np.stack(base), self.candidates.as_array(), self.feature_stats
+        if stats is not None:
+            real = _real_row_mask(pads, t)
+            base[real] = apply_norm(base[real], stats)
+            # apply_norm's arithmetic on the radius column alone
+            final_radii = (final_radii - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
+        x = np.repeat(base, len(final_radii), axis=0)
+        x[:, -1, COL_RADIUS] = np.tile(final_radii, n_grids)
+        return x
+
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
-        by_grid: dict[int, list[MarketWindow]] = {g: [] for g in range(self.layout.n_cells)}
-        for w in history:
-            by_grid[w.grid].append(w)
-        out = np.zeros(self.layout.n_cells)
-        for g in range(self.layout.n_cells):
-            decision = choose_radius(
-                grid=g,
-                window=snapshot.window,
-                predictor=self.predictor,
-                candidates=self.candidates,
-                history=by_grid[g],
-                n_idle=int(snapshot.n_idle[g]),
-                n_open=int(snapshot.n_open[g]),
-                n_total=int(snapshot.n_total[g]),
-                tod=snapshot.tod,
-                layout=self.layout,
-                feature_stats=self.feature_stats,
-                label_stats=self.label_stats,
-                weights=self.weights,
-            )
-            self.decisions.append(decision)
-            out[g] = decision.chosen_radius
-        return out
+        n_grids, k, radii = self.layout.n_cells, len(self.candidates), self.candidates.as_array()
+        preds = self.predictor.predict_for(self._batch(snapshot, history), np.tile(radii, n_grids))
+        scores = np.asarray(composite_score(preds, self.label_stats, self.weights), dtype=float)
+        preds, scores = preds.reshape(n_grids, k, -1), scores.reshape(n_grids, k)
+        bad = ~(np.isfinite(preds).all(axis=2) & np.isfinite(scores)).all(axis=1)
+        if np.any(bad):
+            raise ValueError(f"non-finite predictions or scores for grids {np.flatnonzero(bad).tolist()}")
+        best = np.argmax(scores, axis=1)  # first max wins: candidates ascend, so ties pick the smallest
+        cands = self.candidates.radii
+        self.decisions.extend(
+            RadiusDecision(grid=g, window=snapshot.window, chosen_radius=cands[b], candidates=cands,
+                           predictions=preds[g], scores=scores[g])
+            for g, b in enumerate(best))
+        return radii[best]
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +280,11 @@ class TrainingData:
 
     def real_rows(self) -> np.ndarray:
         """All non-padding rows stacked to (M, D), for fitting stats."""
-        rows = [self.features[i, self.pad_rows[i]:] for i in range(len(self))]
-        return np.concatenate(rows, axis=0)
+        return self.features[_real_row_mask(self.pad_rows, self.layout.seq_len)]
 
     def normalized_features(self, stats: NormStats) -> np.ndarray:
-        out = np.zeros_like(self.features)
-        for i in range(len(self)):
-            p = self.pad_rows[i]
-            out[i, p:] = apply_norm(self.features[i, p:], stats)
+        out = apply_norm(self.features, stats)
+        out[~_real_row_mask(self.pad_rows, self.layout.seq_len)] = 0.0
         return out
 
     def split_by_episode(self, test_fraction: float = 0.2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

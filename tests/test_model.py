@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from ridecast.nn.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from ridecast.nn.layers import mlp_forward
 from ridecast.nn.tensor import Tensor
 from ridecast.demand import NormStats
 
@@ -101,6 +104,23 @@ class TestForward:
         pooled = o.mean(axis=0)
         want = np.array([np_mlp(pooled[None, :], f"head{i}.")[0, 0] for i in range(cfg.n_tasks)])
         np.testing.assert_allclose(model.predict(x), want, atol=1e-10)
+
+    def test_predict_records_no_graph(self, monkeypatch):
+        import ridecast.nn.model as model_mod
+
+        outputs = []
+
+        def spy_mlp(*args, **kwargs):
+            outputs.append(mlp_forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(model_mod, "mlp_forward", spy_mlp)
+        model = TransformerRegressor(TINY, seed=2)
+        model.predict(np.random.default_rng(2).normal(size=(2, 3, 5)))
+        # embed, one block MLP and four heads
+        assert len(outputs) == 6
+        assert all(o._parents == () and o._backward is None and not o.requires_grad for o in outputs)
+        assert all(p.grad is None and p.requires_grad for p in model.params.values())
 
     def test_rejects_wrong_shape(self):
         model = TransformerRegressor(TINY)
@@ -242,4 +262,37 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         path.write_text("not json")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", ["[]", "null", '"model"'])
+    def test_refuses_json_that_is_not_an_object(self, tmp_path, blob):
+        path = tmp_path / "model.json"
+        path.write_text(blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def _edited(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, TransformerRegressor(TINY, seed=12), NormStats.identity(5), NormStats.identity(4))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_refuses_unknown_config_key(self, tmp_path):
+        path = self._edited(tmp_path, lambda p: p["config"].update(n_heads=2))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_refuses_missing_params(self, tmp_path):
+        path = self._edited(tmp_path, lambda p: p.pop("params"))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_refuses_non_finite_params(self, tmp_path):
+        def poison(p):
+            p["params"]["embed.b1"][0] = float("nan")
+
+        path = self._edited(tmp_path, poison)
+        with pytest.raises(CheckpointError, match="embed.b1"):
             load_checkpoint(path)

@@ -13,12 +13,12 @@ from ridecast.optimizer import (
     RadiusDecision,
     TrainingData,
     build_features,
-    choose_radius,
     collect_training_data,
     composite_score,
     dataset_from_windows,
 )
-from ridecast.sim import RandomRadius, SimConfig, Simulation, run
+from ridecast.nn.model import ModelConfig, TransformerRegressor
+from ridecast.sim import RandomRadius, SimConfig, Simulation, WindowSnapshot, run
 
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=0.1, lat_max=0.1, side_count=4)
 LAYOUT = FeatureLayout(seq_len=4, side_count=4)
@@ -35,6 +35,12 @@ class PinnedRadiusPredictor:
         pred = np.zeros((len(candidates), 4))
         pred[:, 3] = np.where(np.isclose(candidates, self.preferred_radius), 1.0, 0.0)
         return pred
+
+
+def mksnapshot(window=0, tod=0, n_idle=1, n_open=1, n_total=1, n_cells=16):
+    full = lambda v: np.broadcast_to(np.asarray(v), (n_cells,)).copy()
+    return WindowSnapshot(window=window, start_s=window * 300.0, tod=tod, n_idle=full(n_idle),
+                          n_open=full(n_open), n_total=full(n_total))
 
 
 def mkwindow(grid=2, window=0, ofr=0.5, apd=1.2, dur=0.4, rev=30.0, radius=2.0,
@@ -119,10 +125,14 @@ class TestCompositeScore:
 
 
 class TestChooseRadius:
+    """Argmax rules of the batched ``radii`` call, read off grid 2's decision."""
+
     def _choose(self, predictor, cands):
-        return choose_radius(grid=2, window=0, predictor=predictor, candidates=cands,
-                             history=[], n_idle=1, n_open=1, n_total=1, tod=0,
-                             layout=LAYOUT, feature_stats=None, label_stats=IDENT)
+        src = PredictorRadiusSource(predictor, cands, LAYOUT, None, IDENT)
+        radii = src.radii(mksnapshot(), [])
+        assert len(src.decisions) == 16
+        assert np.all(radii == radii[0])  # empty history: every grid sees the same rows
+        return src.decisions[2]
 
     def test_single_candidate(self):
         d = self._choose(PinnedRadiusPredictor(9.0), CandidateSet((2.0,)))
@@ -158,6 +168,12 @@ class TestChooseRadius:
         with pytest.raises(ValueError):
             RadiusDecision(grid=0, window=0, chosen_radius=1.0, candidates=(1.0, 2.0),
                            predictions=np.zeros((2, 4)), scores=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            RadiusDecision(grid=0, window=0, chosen_radius=2.0, candidates=(1.0, 2.0),
+                           predictions=np.zeros((2, 4)), scores=np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError):
+            RadiusDecision(grid=0, window=0, chosen_radius=1.0, candidates=(1.0, 2.0),
+                           predictions=np.zeros((2, 4)), scores=np.array([np.inf, 1.0]))
 
     def test_candidate_set_validation(self):
         with pytest.raises(ValueError):
@@ -175,15 +191,105 @@ class TestChooseRadius:
                 return rng.normal(size=(len(candidates), 4))
 
         cands = CandidateSet((1.0, 2.0, 3.0, 4.0))
-        d = self._choose(RandomPred(), cands)
-        # any strictly increasing transform of the scores keeps the argmax
-        transformed = np.exp(2.0 * d.scores) + 5.0
-        assert cands.radii[int(np.argmax(transformed))] == d.chosen_radius
+        src = PredictorRadiusSource(RandomPred(), cands, LAYOUT, None, IDENT)
+        radii = src.radii(mksnapshot(), [])
+        assert len({d.chosen_radius for d in src.decisions}) > 1  # the draws differ per grid
+        for d, r in zip(src.decisions, radii):
+            # any strictly increasing transform of the scores keeps the argmax
+            transformed = np.exp(2.0 * d.scores) + 5.0
+            assert cands.radii[int(np.argmax(transformed))] == d.chosen_radius == r
+
+    def test_non_finite_prediction_names_the_grids(self):
+        class NanForSomeGrids:
+            def predict_for(self, features, candidates):
+                pred = np.zeros((len(candidates), 4))
+                pred[3 * 2 + 1, 0] = np.nan   # grid 3, second candidate
+                pred[11 * 2, 2] = np.inf      # grid 11, first candidate
+                return pred
+
+        src = PredictorRadiusSource(NanForSomeGrids(), CandidateSet((1.0, 2.0)), LAYOUT, None, IDENT)
+        with pytest.raises(ValueError, match=r"grids \[3, 11\]"):
+            src.radii(mksnapshot(), [])
+        assert src.decisions == []
+
+    @pytest.mark.parametrize("grid", [-1, 16])
+    def test_history_row_outside_the_layout_rejected(self, grid):
+        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0,)), LAYOUT, None, IDENT)
+        with pytest.raises(ValueError, match="outside"):
+            src.radii(mksnapshot(), [mkwindow(grid=3), mkwindow(grid=grid)])
+
+
+def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapshot, history):
+    """Per-grid decisions: one build_features row per candidate, one predict_for per grid."""
+    chosen, preds = [], []
+    for g in range(layout.n_cells):
+        own = [w for w in history if w.grid == g]
+        feats = np.stack([
+            build_features(own, int(snapshot.n_idle[g]), int(snapshot.n_open[g]), int(snapshot.n_total[g]),
+                           snapshot.tod, g, r, layout, feature_stats)[0]
+            for r in cands.radii
+        ])
+        p = predictor.predict_for(feats, cands.as_array())
+        chosen.append(cands.radii[int(np.argmax(composite_score(p, label_stats)))])
+        preds.append(p)
+    return np.array(chosen), np.array(preds)
 
 
 class TestPredictorRadiusSource:
+    # short: grid g has min(g, 5) past windows, so some grids have none and
+    # several fewer than T-1; gappy: every grid has T-1 or more, but grids skip
+    # different windows, so they fill their last T-1 at different scan depths
+    HISTORIES = {
+        "short": lambda w, g: w >= 8 - min(g, 5),
+        "gappy": lambda w, g: (w + g) % 3 != 0 and not (g % 5 == 1 and w >= 5),
+    }
+
+    @pytest.mark.parametrize("with_stats", [False, True])
+    @pytest.mark.parametrize("shape", sorted(HISTORIES))
+    def test_batched_matches_per_grid_reference(self, shape, with_stats):
+        rng = np.random.default_rng(7)
+        history = []
+        for w in range(8):
+            grids = [g for g in range(16) if self.HISTORIES[shape](w, g)]
+            for g in rng.permutation(grids):  # grids interleaved out of order within a window
+                history.append(mkwindow(grid=int(g), window=w, ofr=rng.uniform(), apd=rng.uniform(0, 3),
+                                        dur=rng.uniform(), rev=rng.uniform(0, 50),
+                                        radius=float(rng.choice([1.0, 2.0, 3.0])),
+                                        n_idle=int(rng.integers(0, 5)), n_open=int(rng.integers(0, 5)),
+                                        n_total=int(rng.integers(5, 10))))
+        snapshot = WindowSnapshot(window=8, start_s=2400.0, tod=2, n_idle=rng.integers(0, 5, 16),
+                                  n_open=rng.integers(0, 5, 16), n_total=rng.integers(5, 10, 16))
+        rows = np.array([[w.n_idle, w.n_open, w.n_total, w.ofr, w.apd_km, w.dur, w.revenue, w.radius_km]
+                         for w in history])
+        feature_stats = None
+        if with_stats:
+            mean = np.concatenate([rows.mean(axis=0), np.full(LAYOUT.dim - 8, 0.1)])
+            std = np.concatenate([rows.std(axis=0), np.full(LAYOUT.dim - 8, 0.5)])
+            feature_stats = NormStats(mean=mean, std=std)
+        label_stats = NormStats(mean=np.array([0.5, 1.5, 0.5, 25.0]), std=np.array([0.2, 0.8, 0.3, 12.0]))
+        model = TransformerRegressor(ModelConfig(seq_len=LAYOUT.seq_len, input_dim=LAYOUT.dim, d_model=8,
+                                                 embed_hidden=8, block_hidden=8, head_hidden=4), seed=3)
+        predictor = ModelPredictor(model, label_stats)
+        cands = CandidateSet((0.5, 1.0, 2.0, 3.0))
+
+        src = PredictorRadiusSource(predictor, cands, LAYOUT, feature_stats, label_stats)
+        got = src.radii(snapshot, history)
+        want, want_preds = reference_radii(predictor, cands, LAYOUT, feature_stats, label_stats, snapshot, history)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(np.array([d.predictions for d in src.decisions]), want_preds,
+                                   rtol=0, atol=1e-12)
+        assert [d.grid for d in src.decisions] == list(range(16))
+        assert len({p.tobytes() for p in want_preds}) == 16  # every grid's rows predict differently
+
     def test_locality_and_audit(self):
-        src = PredictorRadiusSource(PinnedRadiusPredictor(2.0), CandidateSet((1.0, 2.0, 3.0)),
+        calls = []
+
+        class CountingPinned(PinnedRadiusPredictor):
+            def predict_for(self, features, candidates):
+                calls.append(len(features))
+                return super().predict_for(features, candidates)
+
+        src = PredictorRadiusSource(CountingPinned(2.0), CandidateSet((1.0, 2.0, 3.0)),
                                     LAYOUT, None, IDENT)
         cfg = SimConfig(grid=BOX, n_drivers=5, speed_kmh=20.0, radius_source=src,
                         acceptance=AcceptanceModel(), seed=0)
@@ -196,6 +302,7 @@ class TestPredictorRadiusSource:
         assert np.all(sim.radii == 2.0)
         per = {(d.window, d.grid) for d in src.decisions}
         assert len(per) == len(src.decisions)
+        assert calls == [16 * 3] * 3  # one batched prediction per boundary
 
     def test_decision_depends_only_on_own_grid_history(self):
         captured = {}
@@ -212,13 +319,16 @@ class TestPredictorRadiusSource:
                       radius_source=src, acceptance=AcceptanceModel(), seed=1),
             [],
         ).snapshot
+        captured.clear()  # drop the Simulation's own first call
         src.radii(snap_like, hist)
-        base = [f.copy() for f in captured["feats"][-16:]]
-        # perturb every other grid's history; grid 5's features must not move
+        (base,) = captured["feats"]
+        # perturb every other grid's history; grid 5's rows of the batch must not move
         hist2 = [mkwindow(grid=g, window=0, rev=99.0 if g != 5 else float(g)) for g in range(16)]
         captured["feats"].clear()
         src.radii(snap_like, hist2)
-        np.testing.assert_array_equal(captured["feats"][5], base[5])
+        (moved,) = captured["feats"]
+        np.testing.assert_array_equal(moved[5:6], base[5:6])  # K = 1: grid g is row g
+        assert not np.array_equal(np.delete(moved, 5, axis=0), np.delete(base, 5, axis=0))
 
 
 def small_scenario_config(radius_seed, sim_seed, candidates):
@@ -351,3 +461,23 @@ class TestCollect:
             np.testing.assert_array_equal(normed[i, : data.pad_rows[i]], 0.0)
         flat = np.concatenate([normed[i, data.pad_rows[i]:] for i in range(len(data))])
         assert np.max(np.abs(flat.mean(axis=0))) < 1e-9
+
+    def test_dataset_helpers_match_per_example_loop(self):
+        data, _ = collect_training_data(
+            make_config=lambda i, s, rs: small_scenario_config(rs, s, [1.0, 2.0]),
+            make_stream=lambda i, ds: small_stream(ds),
+            episodes=1,
+            horizon_s=1800.0,
+            layout=LAYOUT,
+            base_seed=5,
+        )
+        assert set(data.pad_rows.tolist()) == {0, 1, 2, 3}
+        rows = np.concatenate([data.features[i, data.pad_rows[i]:] for i in range(len(data))])
+        np.testing.assert_array_equal(data.real_rows(), rows)
+        stats = NormStats(mean=np.full(LAYOUT.dim, 0.25), std=np.full(LAYOUT.dim, 3.0))
+        want = np.zeros_like(data.features)
+        for i in range(len(data)):
+            p = data.pad_rows[i]
+            want[i, p:] = (data.features[i, p:] - stats.mean) / stats.std
+        got = data.normalized_features(stats)
+        assert got.tobytes() == want.tobytes()  # bit-identical, padding rows exactly +0.0

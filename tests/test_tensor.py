@@ -78,6 +78,35 @@ class TestGradients:
         check_op(lambda a, w: (a @ w).sum(),
                  rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)))
 
+    def test_matmul_3d_weight_nonuniform_upstream(self):
+        rng = np.random.default_rng(41)
+        c = rng.normal(size=(2, 3, 5))
+        check_op(lambda a, w: ((a @ w) * c).sum(),
+                 rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)))
+
+    def test_matmul_4d_weight_nonuniform_upstream(self):
+        rng = np.random.default_rng(42)
+        c = rng.normal(size=(2, 3, 4, 2))
+        check_op(lambda a, w: ((a @ w) * c).sum(),
+                 rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(5, 2)))
+
+    def test_matmul_non_contiguous_left_operand(self):
+        rng = np.random.default_rng(43)
+        c = rng.normal(size=(2, 4, 5))
+
+        def build(a, w):
+            swapped = a.swap_last_axes()
+            assert not swapped.data.flags.c_contiguous
+            return ((swapped @ w) * c).sum()
+
+        check_op(build, rng.normal(size=(2, 3, 4)), rng.normal(size=(3, 5)))
+
+    def test_matmul_weight_path_matches_stacked_matmul(self):
+        rng = np.random.default_rng(44)
+        a = rng.normal(size=(3, 4, 5))
+        w = rng.normal(size=(5, 2))
+        np.testing.assert_allclose((Tensor(a) @ Tensor(w)).data, np.matmul(a, w), rtol=1e-13, atol=1e-13)
+
     def test_matmul_both_batched(self):
         rng = np.random.default_rng(5)
         check_op(lambda a, b: (a @ b).sum(),
