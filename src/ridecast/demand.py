@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -95,8 +96,8 @@ def load_trips(
                 dlat = float(row["dropoff_lat"])
                 fare_raw = (row.get("fare_amount") or "").strip()
                 fare = float(fare_raw) if fare_raw else None
-                if fare is not None and fare < 0:
-                    raise ValueError("negative fare")
+                if fare is not None and not (math.isfinite(fare) and fare >= 0):
+                    raise ValueError("fare must be finite and >= 0")
             except (ValueError, TypeError):
                 malformed += 1
                 continue
@@ -283,8 +284,10 @@ class NormStats:
         std = np.asarray(self.std, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
-        if mean.shape != std.shape or np.any(std <= 0):
-            raise ValueError("stats shapes must match and std must be positive")
+        if mean.shape != std.shape:
+            raise ValueError("stats shapes must match")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
+            raise ValueError("mean must be finite and std finite and positive")
 
     @classmethod
     def identity(cls, dim: int) -> "NormStats":

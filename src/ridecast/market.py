@@ -190,8 +190,8 @@ class Order:
     grid: int
 
     def __post_init__(self) -> None:
-        if self.fare < 0:
-            raise ValueError("fare must be >= 0")
+        if not (math.isfinite(self.fare) and self.fare >= 0):
+            raise ValueError("fare must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,10 @@ import numpy as np
 from .tensor import Tensor
 
 
-def mlp_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                activation: str = "relu") -> Tensor:
-    """y = f(x @ w1 + b1) @ w2 + b2 with f applied elementwise."""
+def mlp_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """y = relu(x @ w1 + b1) @ w2 + b2."""
     h = x @ w1 + b1
-    if activation == "relu":
-        h = h.relu()
-    elif activation != "linear":
-        raise ValueError(f"unknown activation {activation!r}")
+    h = h.relu()
     h = h @ w2
     return h + b2
 

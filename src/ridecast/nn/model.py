@@ -1,13 +1,15 @@
 """Multi-task transformer-encoder forecaster.
 
-Input is a normalized (T, D) market feature sequence; an embedding MLP lifts
-rows to model width, n encoder blocks transform them, the sequence is
-mean-pooled, and one small MLP head per task emits a scalar prediction.
+Input is a normalized (T, D) market feature sequence.  An embedding MLP lifts
+rows to model width and adds a learned positional table, n encoder blocks
+transform them and the sequence is mean-pooled.  One stacked head emits all
+m task predictions as a single (B, m) tensor: a (d, m*h) matmul gives each
+task its own h relu units (task i in columns i*h..(i+1)*h), and task i's
+output is the dot product of its units with row i of an (m, h) weight.
 
-The default block wiring feeds SelfAtten(o + LayerNorm(o)) and then
-MLP(h1 + LayerNorm(h1)): the normalized branch is added to the raw input
-*before* the sublayer, not after it.  ``residual_mode="prenorm"`` switches
-to the conventional pre-norm residual for comparison.
+Each block feeds SelfAtten(o + LayerNorm(o)) and then MLP(h1 + LayerNorm(h1)):
+the normalized branch is added to the raw input *before* the sublayer, not
+after it.
 """
 from __future__ import annotations
 
@@ -22,13 +24,11 @@ from ..demand import NormStats
 from .layers import layer_norm, mlp_forward, self_attention
 from .tensor import Tensor, parameter
 
-CHECKPOINT_VERSION = 1
-
-RESIDUAL_MODES = ("literal", "prenorm")
+CHECKPOINT_VERSION = 2
 
 # Small constant bias init keeps relu units active at step 0.  With the
-# default block wiring the MLP output *replaces* the block input, so a fully
-# dead hidden row would zero the whole sequence position.
+# block wiring the MLP output *replaces* the block input, so a fully dead
+# hidden row would zero the whole sequence position.
 BIAS_INIT = 0.01
 
 
@@ -46,17 +46,10 @@ class ModelConfig:
     block_hidden: int = 64
     head_hidden: int = 32
     n_tasks: int = 4
-    residual_mode: str = "literal"
-    positional: bool = True
-    ln_eps: float = 1e-5
 
     def __post_init__(self) -> None:
-        dims = (self.seq_len, self.input_dim, self.d_model, self.n_blocks,
-                self.embed_hidden, self.block_hidden, self.head_hidden, self.n_tasks)
-        if min(dims) < 1:
+        if min(asdict(self).values()) < 1:
             raise ValueError("all model dimensions must be >= 1")
-        if self.residual_mode not in RESIDUAL_MODES:
-            raise ValueError(f"residual_mode must be one of {RESIDUAL_MODES}")
 
 
 class TransformerRegressor:
@@ -71,8 +64,7 @@ class TransformerRegressor:
         p["embed.b1"] = parameter(np.full(c.embed_hidden, BIAS_INIT))
         p["embed.w2"] = parameter((c.embed_hidden, c.d_model), rng, np.sqrt(2.0 / c.embed_hidden))
         p["embed.b2"] = parameter(np.zeros(c.d_model))
-        if c.positional:
-            p["pos"] = parameter(rng.normal(0.0, 0.02, size=(c.seq_len, c.d_model)))
+        p["pos"] = parameter(rng.normal(0.0, 0.02, size=(c.seq_len, c.d_model)))
         for b in range(c.n_blocks):
             pre = f"block{b}."
             p[pre + "ln1.gamma"] = parameter(np.ones(c.d_model))
@@ -86,47 +78,38 @@ class TransformerRegressor:
             p[pre + "mlp.b1"] = parameter(np.full(c.block_hidden, BIAS_INIT))
             p[pre + "mlp.w2"] = parameter((c.block_hidden, c.d_model), rng, np.sqrt(2.0 / c.block_hidden))
             p[pre + "mlp.b2"] = parameter(np.full(c.d_model, BIAS_INIT))
-        for i in range(c.n_tasks):
-            pre = f"head{i}."
-            p[pre + "w1"] = parameter((c.d_model, c.head_hidden), rng, np.sqrt(2.0 / c.d_model))
-            p[pre + "b1"] = parameter(np.full(c.head_hidden, BIAS_INIT))
-            # small output layer keeps initial predictions near zero, so the
+        # draws go task by task, hidden weights before the output row; the
+        # stacked head keeps each task's draws as its own slice
+        w1, w2 = [], []
+        for _ in range(c.n_tasks):
+            w1.append(rng.normal(0.0, np.sqrt(2.0 / c.d_model), size=(c.d_model, c.head_hidden)))
+            # small output weights keep initial predictions near zero, so the
             # first losses reflect target variance rather than random offsets
-            p[pre + "w2"] = parameter((c.head_hidden, 1), rng, 0.01)
-            p[pre + "b2"] = parameter(np.zeros(1))
+            w2.append(rng.normal(0.0, 0.01, size=c.head_hidden))
+        p["head.w1"] = parameter(np.concatenate(w1, axis=1))
+        p["head.b1"] = parameter(np.full(c.n_tasks * c.head_hidden, BIAS_INIT))
+        p["head.w2"] = parameter(np.stack(w2))
+        p["head.b2"] = parameter(np.zeros(c.n_tasks))
         self.params = p
 
     # -- forward -------------------------------------------------------------
 
-    def _forward(self, x: np.ndarray, p: dict[str, Tensor]) -> list[Tensor]:
-        """Per-task outputs, each (B, 1), for a (B, T, D) batch under parameters p."""
+    def _forward(self, x: np.ndarray, p: dict[str, Tensor]) -> Tensor:
+        """(B, m) task outputs for a (B, T, D) batch under parameters p."""
         self._check_input(x)
         c = self.config
         o = mlp_forward(Tensor(x), p["embed.w1"], p["embed.b1"], p["embed.w2"], p["embed.b2"])
-        if c.positional:
-            o = o + p["pos"]
+        o = o + p["pos"]
         for b in range(c.n_blocks):
             pre = f"block{b}."
-            ln1 = lambda t: layer_norm(t, p[pre + "ln1.gamma"], p[pre + "ln1.beta"], c.ln_eps)
-            ln2 = lambda t: layer_norm(t, p[pre + "ln2.gamma"], p[pre + "ln2.beta"], c.ln_eps)
-            attn = lambda t: self_attention(t, p[pre + "wq"], p[pre + "wk"], p[pre + "wv"])
-            block_mlp = lambda t: mlp_forward(t, p[pre + "mlp.w1"], p[pre + "mlp.b1"],
-                                              p[pre + "mlp.w2"], p[pre + "mlp.b2"])
-            if c.residual_mode == "literal":
-                o = o + ln1(o)
-                o = attn(o)
-                o = o + ln2(o)
-                o = block_mlp(o)
-            else:
-                o = o + attn(ln1(o))
-                o = o + block_mlp(ln2(o))
-        pooled = o.mean(axis=-2)  # pool over the sequence axis
-        return [mlp_forward(pooled, p[f"head{i}.w1"], p[f"head{i}.b1"], p[f"head{i}.w2"], p[f"head{i}.b2"])
-                for i in range(c.n_tasks)]
-
-    def forward_heads(self, x: np.ndarray) -> list[Tensor]:
-        """Per-task output tensors for a (B, T, D) batch, each (B, 1)."""
-        return self._forward(x, self.params)
+            o = o + layer_norm(o, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
+            o = self_attention(o, p[pre + "wq"], p[pre + "wk"], p[pre + "wv"])
+            o = o + layer_norm(o, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
+            o = mlp_forward(o, p[pre + "mlp.w1"], p[pre + "mlp.b1"], p[pre + "mlp.w2"], p[pre + "mlp.b2"])
+        o = o.mean(axis=-2)  # pool over the sequence axis
+        o = o @ p["head.w1"] + p["head.b1"]
+        o = o.relu().reshape(-1, c.n_tasks, c.head_hidden)
+        return (o * p["head.w2"]).sum(axis=-1) + p["head.b2"]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Pure inference on detached parameters, so no graph is recorded:
@@ -135,26 +118,17 @@ class TransformerRegressor:
         single = x.ndim == 2
         if single:
             x = x[None, :, :]
-        outs = self._forward(x, {k: Tensor(v.data) for k, v in self.params.items()})
-        y = np.concatenate([o.data for o in outs], axis=1)
+        y = self._forward(x, {k: Tensor(v.data) for k, v in self.params.items()}).data
         return y[0] if single else y
 
-    def task_losses(self, x: np.ndarray, y: np.ndarray) -> list[Tensor]:
-        """Per-task mean squared errors over the batch, as scalar tensors."""
-        y = np.asarray(y, dtype=float)
-        outs = self.forward_heads(x)
-        losses = []
-        for i, out in enumerate(outs):
-            err = out - Tensor(y[:, i : i + 1])
-            losses.append((err * err).mean())
-        return losses
+    def task_losses(self, x: np.ndarray, y: np.ndarray) -> Tensor:
+        """Per-task mean squared errors over the batch, as one (m,) tensor."""
+        err = self._forward(x, self.params) - Tensor(np.asarray(y, dtype=float))
+        return (err * err).mean(axis=0)
 
-    def backward_weighted(self, losses: list[Tensor], weights: np.ndarray) -> Tensor:
+    def backward_weighted(self, losses: Tensor, weights: np.ndarray) -> Tensor:
         """Backpropagate sum_i w_i * l_i; returns the objective tensor."""
-        total = None
-        for w, l in zip(weights, losses):
-            term = l * float(w)
-            total = term if total is None else total + term
+        total = (losses * np.asarray(weights, dtype=float)).sum()
         total.backward()
         return total
 
@@ -227,13 +201,14 @@ def load_checkpoint(path: str | Path, expect: Optional[dict] = None) -> Checkpoi
         arrays = {k: np.array(v, dtype=np.float64) for k, v in payload["params"].items()}
         feature_stats = NormStats.from_dict(payload["feature_stats"])
         label_stats = NormStats.from_dict(payload["label_stats"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint {path}: {e!r}") from e
-    if expect:
-        for key, want in expect.items():
-            got = getattr(config, key)
-            if got != want:
-                raise CheckpointError(f"architecture mismatch: {key}={got}, scenario needs {want}")
+    have = asdict(config)
+    for key, want in (expect or {}).items():
+        if key not in have:
+            raise CheckpointError(f"unknown architecture key {key!r}")
+        if have[key] != want:
+            raise CheckpointError(f"architecture mismatch: {key}={have[key]}, scenario needs {want}")
     model = TransformerRegressor(config)
     model.load_state_arrays(arrays)
     return Checkpoint(model=model, feature_stats=feature_stats, label_stats=label_stats,

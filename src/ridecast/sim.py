@@ -62,8 +62,8 @@ class ScheduleRadius:
 
     def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=float)
-        if table.ndim != 2 or not np.all(table > 0):
-            raise ValueError("schedule must be a positive (n_windows, n_cells) table")
+        if table.ndim != 2 or table.size == 0 or not np.all(table > 0):
+            raise ValueError("schedule must be a nonempty, positive (n_windows, n_cells) table")
         self._table = table
 
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:

@@ -155,14 +155,13 @@ class TrainConfig:
     lr: float = 1e-3
     epochs: int = 10
     seed: int = 0
-    eval_every: int = 1     # steps between test-loss evaluations
 
 
 @dataclass
 class TrainResult:
     steps: np.ndarray          # (S,)
     train_losses: np.ndarray   # (S, m)
-    test_losses: np.ndarray    # (S, m)
+    test_losses: np.ndarray    # (epochs, m) after each epoch
     weights: np.ndarray        # (S, m) weight in force at each step
     refresh_steps: list[int] = field(default_factory=list)
 
@@ -193,7 +192,8 @@ def train(
     Per step: batch losses are computed and recorded in the history; every
     ``refresh_every`` steps the weights are recomputed from that history and
     held constant in between; the weighted loss sum is backpropagated and an
-    adaptive-moment step applied.  Non-finite losses abort.
+    adaptive-moment step applied.  Non-finite losses abort.  The test set
+    is evaluated once after each epoch.
     """
     if len(train_x) == 0 or len(test_x) == 0:
         raise ValueError("train and test sets must be nonempty")
@@ -208,7 +208,6 @@ def train(
     curve_test: list[np.ndarray] = []
     curve_w: list[np.ndarray] = []
     refresh_steps: list[int] = []
-    test_cache = _test_losses(model, test_x, test_y)
 
     step = 0
     for _ in range(cfg.epochs):
@@ -216,8 +215,8 @@ def train(
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             model.zero_grad()
-            loss_tensors = model.task_losses(train_x[idx], train_y[idx])
-            losses = np.array([t.item() for t in loss_tensors])
+            loss_tensor = model.task_losses(train_x[idx], train_y[idx])
+            losses = loss_tensor.data
             if not np.all(np.isfinite(losses)):
                 raise TrainingDiverged(step, last_finite)
             last_finite = losses
@@ -225,15 +224,13 @@ def train(
                 weights = refresh_weights(strategy, history, losses)
                 refresh_steps.append(step)
             history.push(losses)
-            model.backward_weighted(loss_tensors, weights)
+            model.backward_weighted(loss_tensor, weights)
             optimizer.step()
-            if step % cfg.eval_every == 0:
-                test_cache = _test_losses(model, test_x, test_y)
             steps.append(step)
             curve_train.append(losses)
-            curve_test.append(test_cache.copy())
             curve_w.append(weights.copy())
             step += 1
+        curve_test.append(_test_losses(model, test_x, test_y))
 
     return TrainResult(
         steps=np.array(steps),

@@ -69,6 +69,13 @@ class TestLoadTrips:
         assert report.malformed == 1
         assert len(orders) == 19
 
+    def test_non_finite_fares_are_malformed(self, tmp_path):
+        good = "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"
+        rows = [f"2015-05-01 10:00:00,0.5,0.5,1.5,1.5,{fare}\n" for fare in ("nan", "inf", "-inf")] + [good] * 37
+        orders, report = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
+        assert report.malformed == 3 and report.emitted == 37
+        assert all(o.fare == 7.5 for o in orders)
+
     def test_too_many_malformed_rows_fails(self, tmp_path):
         rows = ["2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"] * 5 + ["garbage,x,y,z,w,v\n"]
         with pytest.raises(IngestError):
@@ -192,6 +199,12 @@ class TestNormStats:
     def test_requires_two_rows(self):
         with pytest.raises(ValueError):
             fit_norm_stats(np.ones((1, 3)))
+
+    def test_rejects_non_finite_or_non_positive(self):
+        for mean, std in (([np.nan], [1.0]), ([0.0], [np.nan]), ([np.inf], [1.0]), ([0.0], [np.inf]),
+                          ([0.0], [0.0]), ([0.0], [-1.0])):
+            with pytest.raises(ValueError):
+                NormStats(mean=np.array(mean), std=np.array(std))
 
     def test_dict_roundtrip(self):
         stats = NormStats(mean=np.array([1.0, 2.0]), std=np.array([3.0, 4.0]))

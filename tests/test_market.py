@@ -159,6 +159,11 @@ class TestOrderDriverInvariants:
         with pytest.raises(ValueError):
             Order(0, 0.0, 0.5, 0.5, 1.5, 1.5, fare=-1.0, grid=0)
 
+    def test_non_finite_fare_rejected(self):
+        for fare in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Order(0, 0.0, 0.5, 0.5, 1.5, 1.5, fare=fare, grid=0)
+
     def test_driver_assignment_consistency(self):
         with pytest.raises(ValueError):
             Driver(0, 0.5, 0.5, status=DriverStatus.PICKUP, order_id=None)

@@ -6,6 +6,7 @@ import pytest
 from conftest import finite_difference_gradcheck, weighted_loss_value
 from ridecast.nn.adam import Adam
 from ridecast.nn.model import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     ModelConfig,
     TransformerRegressor,
@@ -21,16 +22,16 @@ TINY = ModelConfig(seq_len=3, input_dim=5, d_model=4, n_blocks=1, embed_hidden=5
 
 
 def reference_forward(x: np.ndarray, p: dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
-    """Step-by-step numpy trace of the forward pass, independent of Tensor."""
+    """Step-by-step numpy trace of the forward pass, independent of Tensor,
+    with each task's head sliced out of the stacked head parameters."""
 
-    def np_mlp(a, pre):
-        h = np.maximum(a @ p[pre + "w1"] + p[pre + "b1"], 0.0)
-        return h @ p[pre + "w2"] + p[pre + "b2"]
+    def np_mlp(a, w1, b1, w2, b2):
+        return np.maximum(a @ w1 + b1, 0.0) @ w2 + b2
 
     def np_ln(a, pre):
         mu = a.mean(axis=-1, keepdims=True)
         var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
-        return p[pre + "gamma"] * (a - mu) / np.sqrt(var + cfg.ln_eps) + p[pre + "beta"]
+        return p[pre + "gamma"] * (a - mu) / np.sqrt(var + 1e-5) + p[pre + "beta"]
 
     def np_attn(a, pre):
         q, k, v = a @ p[pre + "wq"], a @ p[pre + "wk"], a @ p[pre + "wv"]
@@ -38,16 +39,19 @@ def reference_forward(x: np.ndarray, p: dict[str, np.ndarray], cfg: ModelConfig)
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         return (e / e.sum(axis=-1, keepdims=True)) @ v
 
-    o = np_mlp(x, "embed.")
-    if cfg.positional:
-        o = o + p["pos"]
+    def mlp_params(pre):
+        return [p[pre + k] for k in ("w1", "b1", "w2", "b2")]
+
+    o = np_mlp(x, *mlp_params("embed.")) + p["pos"]
     for b in range(cfg.n_blocks):
         pre = f"block{b}."
         h1 = np_attn(o + np_ln(o, pre + "ln1."), pre)
-        h2 = np_mlp(h1 + np_ln(h1, pre + "ln2."), pre + "mlp.")
-        o = h2
+        o = np_mlp(h1 + np_ln(h1, pre + "ln2."), *mlp_params(pre + "mlp."))
     pooled = o.mean(axis=0)
-    return np.array([np_mlp(pooled[None, :], f"head{i}.")[0, 0] for i in range(cfg.n_tasks)])
+    h = cfg.head_hidden
+    return np.array([np_mlp(pooled, p["head.w1"][:, i * h:(i + 1) * h], p["head.b1"][i * h:(i + 1) * h],
+                            p["head.w2"][i], p["head.b2"][i])
+                     for i in range(cfg.n_tasks)])
 
 
 class TestForward:
@@ -74,36 +78,36 @@ class TestForward:
             want = reference_forward(x, {k: t.data for k, t in model.params.items()}, TINY)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_prenorm_variant_matches_reference(self):
-        cfg = ModelConfig(seq_len=3, input_dim=5, d_model=4, n_blocks=2, embed_hidden=5,
-                          block_hidden=6, head_hidden=3, n_tasks=2, residual_mode="prenorm")
-        model = TransformerRegressor(cfg, seed=3)
-        p = {k: t.data for k, t in model.params.items()}
-        x = np.random.default_rng(3).normal(size=(3, 5))
-
-        def np_mlp(a, pre):
-            h = np.maximum(a @ p[pre + "w1"] + p[pre + "b1"], 0.0)
-            return h @ p[pre + "w2"] + p[pre + "b2"]
-
-        def np_ln(a, pre):
-            mu = a.mean(axis=-1, keepdims=True)
-            var = ((a - mu) ** 2).mean(axis=-1, keepdims=True)
-            return p[pre + "gamma"] * (a - mu) / np.sqrt(var + cfg.ln_eps) + p[pre + "beta"]
-
-        def np_attn(a, pre):
-            q, k, v = a @ p[pre + "wq"], a @ p[pre + "wk"], a @ p[pre + "wv"]
-            s = q @ k.T / np.sqrt(cfg.d_model)
-            e = np.exp(s - s.max(axis=-1, keepdims=True))
-            return (e / e.sum(axis=-1, keepdims=True)) @ v
-
-        o = np_mlp(x, "embed.") + p["pos"]
-        for b in range(cfg.n_blocks):
-            pre = f"block{b}."
-            h1 = o + np_attn(np_ln(o, pre + "ln1."), pre)
-            o = h1 + np_mlp(np_ln(h1, pre + "ln2."), pre + "mlp.")
-        pooled = o.mean(axis=0)
-        want = np.array([np_mlp(pooled[None, :], f"head{i}.")[0, 0] for i in range(cfg.n_tasks)])
-        np.testing.assert_allclose(model.predict(x), want, atol=1e-10)
+    def test_stacked_head_replays_per_task_init_draws(self):
+        # draws in the order of one (w1, w2) pair per task after the backbone;
+        # the stacked head holds them bit for bit
+        c, h = TINY, TINY.head_hidden
+        for seed in (0, 1, 2):
+            model = TransformerRegressor(TINY, seed=seed)
+            got = {k: t.data for k, t in model.params.items()}
+            rng = np.random.default_rng(seed)
+            want = {
+                "embed.w1": rng.normal(0.0, np.sqrt(2.0 / c.input_dim), size=(c.input_dim, c.embed_hidden)),
+                "embed.w2": rng.normal(0.0, np.sqrt(2.0 / c.embed_hidden), size=(c.embed_hidden, c.d_model)),
+                "pos": rng.normal(0.0, 0.02, size=(c.seq_len, c.d_model)),
+            }
+            for b in range(c.n_blocks):
+                for k in ("wq", "wk", "wv"):
+                    want[f"block{b}.{k}"] = rng.normal(0.0, np.sqrt(1.0 / c.d_model), size=(c.d_model, c.d_model))
+                want[f"block{b}.mlp.w1"] = rng.normal(0.0, np.sqrt(2.0 / c.d_model), size=(c.d_model, c.block_hidden))
+                want[f"block{b}.mlp.w2"] = rng.normal(0.0, np.sqrt(2.0 / c.block_hidden),
+                                                      size=(c.block_hidden, c.d_model))
+            for k, v in want.items():
+                np.testing.assert_array_equal(got[k], v, err_msg=k)
+            for i in range(c.n_tasks):
+                w1 = rng.normal(0.0, np.sqrt(2.0 / c.d_model), size=(c.d_model, h))
+                w2 = rng.normal(0.0, 0.01, size=(h, 1))
+                np.testing.assert_array_equal(got["head.w1"][:, i * h:(i + 1) * h], w1)
+                np.testing.assert_array_equal(got["head.w2"][i], w2[:, 0])
+            assert got["head.w1"].shape == (c.d_model, c.n_tasks * h)
+            assert got["head.w2"].shape == (c.n_tasks, h)
+            np.testing.assert_array_equal(got["head.b1"], np.full(c.n_tasks * h, 0.01))
+            np.testing.assert_array_equal(got["head.b2"], np.zeros(c.n_tasks))
 
     def test_predict_records_no_graph(self, monkeypatch):
         import ridecast.nn.model as model_mod
@@ -116,9 +120,16 @@ class TestForward:
 
         monkeypatch.setattr(model_mod, "mlp_forward", spy_mlp)
         model = TransformerRegressor(TINY, seed=2)
+        forward = model._forward
+
+        def spy_forward(x, p):
+            outputs.append(forward(x, p))
+            return outputs[-1]
+
+        monkeypatch.setattr(model, "_forward", spy_forward)
         model.predict(np.random.default_rng(2).normal(size=(2, 3, 5)))
-        # embed, one block MLP and four heads
-        assert len(outputs) == 6
+        # embed, one block MLP and the stacked head's (B, m) output
+        assert len(outputs) == 3 and outputs[-1].shape == (2, 4)
         assert all(o._parents == () and o._backward is None and not o.requires_grad for o in outputs)
         assert all(p.grad is None and p.requires_grad for p in model.params.values())
 
@@ -136,7 +147,7 @@ class TestBackward:
         x = np.random.default_rng(4).normal(size=(2, 3, 5))
         y = model.predict(x)
         losses = model.task_losses(x, y)
-        assert all(l.item() == 0.0 for l in losses)
+        np.testing.assert_array_equal(losses.data, np.zeros(4))
         model.backward_weighted(losses, np.full(4, 0.25))
         assert all(np.all(p.grad == 0) for p in model.params.values() if p.grad is not None)
 
@@ -146,23 +157,28 @@ class TestBackward:
         x = rng.normal(size=(3, 3, 5))
         y = rng.normal(size=(3, 4))
         w = np.array([0.0, 0.0, 1.0, 0.0])
+        h = TINY.head_hidden
 
         model.zero_grad()
         model.backward_weighted(model.task_losses(x, y), w)
-        onehot_grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                        for k, p in model.params.items()}
+        grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+                 for k, p in model.params.items()}
         for i in (0, 1, 3):
-            for suffix in ("w1", "b1", "w2", "b2"):
-                assert np.all(onehot_grads[f"head{i}.{suffix}"] == 0)
-        assert np.any(onehot_grads["head2.w1"] != 0)
+            cols = slice(i * h, (i + 1) * h)
+            assert np.all(grads["head.w1"][:, cols] == 0)
+            assert np.all(grads["head.b1"][cols] == 0)
+            assert np.all(grads["head.w2"][i] == 0)
+            assert grads["head.b2"][i] == 0
+        assert np.any(grads["head.w1"][:, 2 * h:3 * h] != 0)
 
-        # backbone gradient equals the task-2-only gradient
+        # every gradient equals the one from task 2 alone: the other tasks'
+        # targets are the model's own predictions, so their errors are zero
         solo = TransformerRegressor(TINY, seed=5)
-        solo.backward_weighted([solo.task_losses(x, y)[2]], np.array([1.0]))
-        for k, g in onehot_grads.items():
-            if k.startswith("head"):
-                continue
-            np.testing.assert_allclose(g, solo.params[k].grad, atol=1e-12)
+        y_solo = solo.predict(x)
+        y_solo[:, 2] = y[:, 2]
+        solo.backward_weighted(solo.task_losses(x, y_solo), np.ones(4))
+        for k, g in grads.items():
+            np.testing.assert_allclose(g, solo.params[k].grad, atol=1e-12, err_msg=k)
 
     def test_gradients_match_finite_differences(self):
         for seed in (0, 1, 2):
@@ -181,16 +197,17 @@ class TestBackward:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 3, 5))
         y = rng.normal(size=(4, 4))
-        losses = np.array([l.item() for l in model.task_losses(x, y)])
+        losses = model.task_losses(x, y)
+        assert losses.shape == (4,)
         want = ((y - model.predict(x)) ** 2).mean(axis=0)
-        np.testing.assert_allclose(losses, want, atol=1e-12)
+        np.testing.assert_allclose(losses.data, want, atol=1e-12)
 
     def test_non_finite_loss_detectable(self):
         model = TransformerRegressor(TINY, seed=7)
         x = np.random.default_rng(7).normal(size=(1, 3, 5))
         y = np.array([[0.0, np.nan, 0.0, 0.0]])
         losses = model.task_losses(x, y)
-        assert not all(np.isfinite(l.item()) for l in losses)
+        assert np.isfinite(losses.data).tolist() == [True, False, True, True]
 
 
 class TestAdam:
@@ -253,7 +270,8 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         model = TransformerRegressor(TINY, seed=11)
         save_checkpoint(path, model, NormStats.identity(5), NormStats.identity(4))
-        blob = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        blob = path.read_text().replace(f'"format_version": {CHECKPOINT_VERSION}', '"format_version": 99')
+        assert '"format_version": 99' in blob
         path.write_text(blob)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
@@ -278,6 +296,30 @@ class TestCheckpoint:
         edit(payload)
         path.write_text(json.dumps(payload))
         return path
+
+    def test_refuses_v1_checkpoint(self, tmp_path):
+        def downgrade(p):
+            p["format_version"] = 1
+            p["config"].update(residual_mode="literal", positional=True, ln_eps=1e-5)
+
+        path = self._edited(tmp_path, downgrade)
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
+
+    def test_refuses_zero_std_stats(self, tmp_path):
+        path = self._edited(tmp_path, lambda p: p["label_stats"]["std"].__setitem__(0, 0.0))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_refuses_non_finite_stats(self, tmp_path):
+        path = self._edited(tmp_path, lambda p: p["feature_stats"]["mean"].__setitem__(1, float("nan")))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_refuses_unknown_expect_key(self, tmp_path):
+        path = self._edited(tmp_path, lambda p: None)
+        with pytest.raises(CheckpointError, match="n_heads"):
+            load_checkpoint(path, expect={"n_heads": 2})
 
     def test_refuses_unknown_config_key(self, tmp_path):
         path = self._edited(tmp_path, lambda p: p["config"].update(n_heads=2))

@@ -265,6 +265,8 @@ class TestRadiusSources:
         with pytest.raises(ValueError):
             ScheduleRadius(np.full((2, 16), nan))
         with pytest.raises(ValueError):
+            ScheduleRadius(np.zeros((0, 16)))
+        with pytest.raises(ValueError):
             RandomRadius([1.0, nan], 16, seed=0)
 
         class ConstantRadius:

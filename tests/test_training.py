@@ -12,6 +12,7 @@ from ridecast.training import (
     normalization_factor,
     refresh_weights,
     strategy_weights,
+    _test_losses,
     train,
 )
 
@@ -227,6 +228,15 @@ class TestTrainLoop:
                     StrategyConfig(kind="WESM"),
                     TrainConfig(batch_size=64, epochs=40, seed=4, lr=3e-3))
         assert res.final_test_losses().mean() < 0.3 * before
+
+    def test_test_losses_evaluated_once_per_epoch(self):
+        x, y = _synthetic_tasks(8, 256)
+        model = _small_model(8)
+        res = train(model, x[:192], y[:192], x[192:], y[192:],
+                    StrategyConfig(kind="WESM"), TrainConfig(batch_size=64, epochs=3, seed=8))
+        assert res.train_losses.shape == (9, 4)
+        assert res.test_losses.shape == (3, 4)
+        np.testing.assert_array_equal(res.final_test_losses(), _test_losses(model, x[192:], y[192:]))
 
     def test_divergence_aborts_with_diagnostics(self):
         x, y = _synthetic_tasks(5, 128)
