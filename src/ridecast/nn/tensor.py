@@ -1,15 +1,25 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A Tensor wraps an ndarray plus an optional gradient buffer; operations
-record backward closures and ``backward()`` replays them in reverse
-topological order.  The op set is exactly what the forecaster graph needs:
-broadcast arithmetic, matmul, relu, softmax, reductions and reshapes.
+A Tensor wraps an ndarray plus an optional gradient; operations record
+backward closures and ``backward()`` replays them in reverse topological
+order, dropping each interior node's gradient once its closure has run.
+Gradients are never written in place, so one array may be handed to several
+parents.  The ops are what the graph needs around the fused layers of
+``layers.py``: broadcast add, subtract and multiply, matmul, relu, sum, mean
+and reshape.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
+
+
+def _send(*pairs) -> None:
+    """Give each parent of a (parent, gradient thunk) pair that requires grad its gradient."""
+    for parent, grad in pairs:
+        if parent.requires_grad:
+            parent._accumulate(grad())
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -40,13 +50,10 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     @staticmethod
-    def _result(data: np.ndarray, parents: Iterable["Tensor"], backward) -> "Tensor":
-        parents = tuple(parents)
+    def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -71,10 +78,11 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        self._accumulate(np.asarray(grad, dtype=np.float64))
+        self._accumulate(np.array(grad, dtype=np.float64))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -86,83 +94,30 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def __add__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._coerce(other)
 
         def back(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
+            _send((a, lambda: _unbroadcast(g, a.shape)), (b, lambda: _unbroadcast(g, b.shape)))
 
         return self._result(a.data + b.data, (a, b), back)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        a = self
-
-        def back(g):
-            if a.requires_grad:
-                a._accumulate(-g)
-
-        return self._result(-a.data, (a,), back)
-
     def __sub__(self, other) -> "Tensor":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other) + (-self)
+        return self + self._coerce(other) * -1.0
 
     def __mul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._coerce(other)
 
         def back(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+            _send((a, lambda: _unbroadcast(g * b.data, a.shape)), (b, lambda: _unbroadcast(g * a.data, b.shape)))
 
         return self._result(a.data * b.data, (a, b), back)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
-
-        def back(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-        return self._result(a.data / b.data, (a, b), back)
-
     def __matmul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self, other
-        if a.data.ndim > 2 and b.data.ndim == 2:
-            # stacked rows times a weight: one 2-D GEMM over the flattened
-            # leading axes, so the weight gradient needs no broadcast sum
-            a2d = a.data.reshape(-1, a.shape[-1])
-
-            def back_2d(g):
-                g2d = g.reshape(-1, g.shape[-1])
-                if a.requires_grad:
-                    a._accumulate((g2d @ b.data.T).reshape(a.shape))
-                if b.requires_grad:
-                    b._accumulate(a2d.T @ g2d)
-
-            out = (a2d @ b.data).reshape(*a.shape[:-1], b.shape[-1])
-            return self._result(out, (a, b), back_2d)
+        a, b = self, self._coerce(other)
 
         def back(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape))
+            _send((a, lambda: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
+                  (b, lambda: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
 
         return self._result(np.matmul(a.data, b.data), (a, b), back)
 
@@ -173,40 +128,14 @@ class Tensor:
         mask = a.data > 0
 
         def back(g):
-            if a.requires_grad:
-                a._accumulate(g * mask)
+            a._accumulate(g * mask)
 
         return self._result(np.where(mask, a.data, 0.0), (a,), back)
-
-    def sqrt(self) -> "Tensor":
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def back(g):
-            if a.requires_grad:
-                a._accumulate(g * 0.5 / out_data)
-
-        return self._result(out_data, (a,), back)
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        a = self
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        s = e / e.sum(axis=axis, keepdims=True)
-
-        def back(g):
-            if a.requires_grad:
-                inner = (g * s).sum(axis=axis, keepdims=True)
-                a._accumulate(s * (g - inner))
-
-        return self._result(s, (a,), back)
 
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         a = self
 
         def back(g):
-            if not a.requires_grad:
-                return
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.shape).copy())
@@ -217,29 +146,16 @@ class Tensor:
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    def swap_last_axes(self) -> "Tensor":
-        a = self
-
-        def back(g):
-            if a.requires_grad:
-                a._accumulate(np.swapaxes(g, -1, -2))
-
-        return self._result(np.swapaxes(a.data, -1, -2), (a,), back)
-
     def reshape(self, *shape: int) -> "Tensor":
         a = self
 
         def back(g):
-            if a.requires_grad:
-                a._accumulate(g.reshape(a.shape))
+            a._accumulate(g.reshape(a.shape))
 
         return self._result(a.data.reshape(*shape), (a,), back)
 
     def item(self) -> float:
         return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def parameter(data, rng: Optional[np.random.Generator] = None, scale: Optional[float] = None) -> Tensor:

@@ -156,6 +156,12 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.batch_size < 1 or self.epochs < 1:
+            raise ValueError("batch_size and epochs must be >= 1")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+
 
 @dataclass
 class TrainResult:

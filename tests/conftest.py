@@ -3,6 +3,20 @@ import numpy as np
 from ridecast.nn.model import TransformerRegressor
 
 
+def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central differences of scalar f() in every element of x, perturbed in place."""
+    g = np.zeros(x.shape)
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + h
+        up = f()
+        x[i] = orig - h
+        down = f()
+        x[i] = orig
+        g[i] = (up - down) / (2 * h)
+    return g
+
+
 def weighted_loss_value(model: TransformerRegressor, x: np.ndarray, y: np.ndarray,
                         weights: np.ndarray) -> float:
     """Objective value only (no graph): sum_i w_i * mean((y_i - yhat_i)^2)."""

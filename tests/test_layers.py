@@ -1,7 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
+from conftest import numeric_grad
 from ridecast.nn.layers import layer_norm, mlp_forward, self_attention
 from ridecast.nn.tensor import Tensor
 
@@ -123,8 +125,9 @@ class TestSelfAttention:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 5))
         wq, wk, wv = (rng.normal(size=(5, 5)) for _ in range(3))
-        z = self_attention(Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv))
-        np.testing.assert_allclose(z.data, brute_attention(x, wq, wk, wv), atol=1e-12)
+        for grad in (False, True):  # the graph-free and the recording path
+            z = self_attention(Tensor(x, requires_grad=grad), Tensor(wq), Tensor(wk), Tensor(wv))
+            np.testing.assert_allclose(z.data, brute_attention(x, wq, wk, wv), atol=1e-12)
 
     def test_output_is_convex_combination_of_values(self):
         rng = np.random.default_rng(8)
@@ -144,3 +147,87 @@ class TestSelfAttention:
         for b in range(2):
             zb = self_attention(Tensor(xs[b]), Tensor(wq), Tensor(wk), Tensor(wv)).data
             np.testing.assert_allclose(z[b], zb, atol=1e-12)
+
+    def test_softmax_weights_sum_to_one_at_large_scores(self):
+        # rows differ only along the first feature, which w_v ignores, so every
+        # value row is the same and any convex combination of them equals it;
+        # large query/key weights push the scores far past exp's range
+        rng = np.random.default_rng(10)
+        x = np.tile(rng.normal(size=4), (5, 1))
+        x[:, 0] += np.arange(5.0)
+        wq, wk = (rng.normal(size=(4, 4)) * 300 for _ in range(2))
+        wv = rng.normal(size=(4, 3))
+        wv[0] = 0.0
+        scores = (x @ wq) @ (x @ wk).T / 2.0
+        assert scores.max() > 1e3  # exp would overflow without the row shift
+        for grad in (False, True):
+            z = self_attention(Tensor(x, requires_grad=grad), Tensor(wq), Tensor(wk), Tensor(wv)).data
+            np.testing.assert_allclose(z, np.tile(x[0] @ wv, (5, 1)), rtol=1e-12, atol=1e-12)
+
+
+def layer_inputs(layer: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """A batched (B, T, d) input and the parameters of one layer, by name."""
+    d = 4
+    x = rng.normal(size=(2, 3, d))
+    if layer == "mlp":
+        return {"x": x, "w1": rng.normal(size=(d, 5)), "b1": rng.normal(size=5),
+                "w2": rng.normal(size=(5, 3)), "b2": rng.normal(size=3)}
+    if layer == "layer_norm":
+        return {"x": x * 3, "gamma": rng.normal(size=d), "beta": rng.normal(size=d)}
+    return {"x": x, "w_q": rng.normal(size=(d, 3)), "w_k": rng.normal(size=(d, 3)),
+            "w_v": rng.normal(size=(d, 5))}
+
+
+LAYERS = {"mlp": mlp_forward, "layer_norm": layer_norm, "attention": self_attention}
+
+
+def check_layer_grads(layer: str, constant: tuple[str, ...] = (), seed: int = 0) -> None:
+    """Gradients of (layer(...) * R).sum() under a non-uniform R against
+    central differences; names in ``constant`` must receive no gradient."""
+    rng = np.random.default_rng(seed)
+    arrays = layer_inputs(layer, rng)
+    fn = LAYERS[layer]
+    r = rng.normal(size=fn(*[Tensor(a) for a in arrays.values()]).shape)
+    tensors = {k: Tensor(a, requires_grad=k not in constant) for k, a in arrays.items()}
+    (fn(*tensors.values()) * r).sum().backward()
+
+    def value() -> float:
+        return float((fn(*[Tensor(a) for a in arrays.values()]).data * r).sum())
+
+    for name, t in tensors.items():
+        if name in constant:
+            assert t.grad is None, name
+        else:
+            np.testing.assert_allclose(t.grad, numeric_grad(value, arrays[name]),
+                                       rtol=1e-6, atol=1e-8, err_msg=name)
+
+
+class TestFusedGradients:
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_matches_finite_differences(self, layer):
+        for seed in (0, 1):
+            check_layer_grads(layer, seed=seed)
+
+    @pytest.mark.parametrize("layer, constant", [
+        ("mlp", ("x",)), ("mlp", ("w1", "b2")), ("mlp", ("x", "w1", "b1")),
+        ("layer_norm", ("x",)), ("layer_norm", ("gamma",)),
+        ("attention", ("x",)), ("attention", ("w_k",)), ("attention", ("w_q", "w_k", "w_v")),
+    ])
+    def test_constants_get_no_gradient(self, layer, constant):
+        check_layer_grads(layer, constant=constant, seed=2)
+
+    def test_residual_and_norm_paths_sum(self):
+        # one tensor feeds both layer_norm and the residual add, as in a block
+        rng = np.random.default_rng(3)
+        x, gamma, beta = rng.normal(size=(2, 3, 4)) * 2, rng.normal(size=4), rng.normal(size=4)
+        r = rng.normal(size=(2, 3, 4))
+        xt = Tensor(x, requires_grad=True)
+        ((xt + layer_norm(xt, Tensor(gamma), Tensor(beta))) * r).sum().backward()
+
+        def value() -> float:
+            return float(((x + layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data) * r).sum())
+
+        norm_only = Tensor(x, requires_grad=True)
+        (layer_norm(norm_only, Tensor(gamma), Tensor(beta)) * r).sum().backward()
+        np.testing.assert_allclose(xt.grad, numeric_grad(value, x), rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(xt.grad, norm_only.grad + r, rtol=1e-12, atol=1e-12)

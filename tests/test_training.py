@@ -156,6 +156,15 @@ class TestLossHistory:
         with pytest.raises(ValueError):
             StrategyConfig(refresh_every=0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"batch_size": 0}, "batch_size"), ({"batch_size": -4}, "batch_size"),
+        ({"epochs": 0}, "epochs"), ({"lr": 0.0}, "lr"), ({"lr": -1e-3}, "lr"),
+        ({"lr": float("nan")}, "lr"), ({"lr": float("inf")}, "lr"),
+    ])
+    def test_train_config_validation(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**kwargs)
+
     def test_table_defaults(self):
         cfg = StrategyConfig()
         assert cfg.gamma == 0.1
