@@ -4,7 +4,6 @@ and feature normalization statistics.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -22,16 +21,6 @@ CSV_REQUIRED_COLUMNS = ("pickup_datetime", "pickup_lon", "pickup_lat", "dropoff_
 
 class IngestError(ValueError):
     """Unusable demand file: bad header, or too many malformed rows."""
-
-
-@dataclass(frozen=True)
-class TripRecord:
-    pickup_dt: datetime
-    pickup_lon: float
-    pickup_lat: float
-    dropoff_lon: float
-    dropoff_lat: float
-    fare: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -72,8 +61,9 @@ def load_trips(
     """Read trip rows into a time-ordered order stream.
 
     Creation times are seconds since ``start``.  Rows outside the box or the
-    [start, end) range are dropped and counted; rows that fail to parse are
-    skipped unless they exceed 10% of the file, which aborts the load.
+    [start, end) range are dropped and counted; rows that fail to parse or
+    carry a non-finite coordinate or fare are malformed, and are skipped
+    unless they exceed 10% of the file, which aborts the load.
     Missing fares are filled from the fare model.
     """
     proj = LocalProjection(grid)
@@ -94,6 +84,8 @@ def load_trips(
                 plat = float(row["pickup_lat"])
                 dlon = float(row["dropoff_lon"])
                 dlat = float(row["dropoff_lat"])
+                if not all(map(math.isfinite, (plon, plat, dlon, dlat))):
+                    raise ValueError("coordinates must be finite")
                 fare_raw = (row.get("fare_amount") or "").strip()
                 fare = float(fare_raw) if fare_raw else None
                 if fare is not None and not (math.isfinite(fare) and fare >= 0):
@@ -174,24 +166,6 @@ class DemandProfile:
             raise ValueError("dest_probs must be (n_cells, n_cells)")
         if np.any(dest < 0) or not np.allclose(dest.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("destination rows must be distributions")
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "rates": self.rates.tolist(),
-            "dest_probs": self.dest_probs.tolist(),
-            "fare_base": self.fare_model.base,
-            "fare_per_km": self.fare_model.per_km,
-        }
-        Path(path).write_text(json.dumps(payload))
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "DemandProfile":
-        d = json.loads(Path(path).read_text())
-        return cls(
-            rates=np.array(d["rates"]),
-            dest_probs=np.array(d["dest_probs"]),
-            fare_model=FareModel(base=d["fare_base"], per_km=d["fare_per_km"]),
-        )
 
 
 def default_profile(

@@ -1,15 +1,15 @@
-"""Core market domain types: grids, time-of-day codes, orders, drivers and
-per-window performance metrics.
+"""Core market domain types: grids, time-of-day codes, driver status codes,
+orders, matches and per-window performance metrics.
 
 Everything here is a plain value type or a pure function; nothing holds
-simulator state.
+simulator state: the simulator keeps its fleet column-wise (``sim.DriverFleet``).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,51 +28,17 @@ class TimeOfDay(IntEnum):
     OTHER = 3
 
 
-@dataclass(frozen=True)
-class TimeOfDayBounds:
-    """Clock-hour intervals for the four day segments.
-
-    Each interval is half-open [start, end) in hours; ``midnight`` may wrap
-    past 24:00.  The three named intervals must not overlap; everything not
-    covered is OTHER, so the four segments always partition the day.
-    """
-
-    morning: tuple[float, float] = (7.0, 10.0)
-    evening: tuple[float, float] = (17.0, 20.0)
-    midnight: tuple[float, float] = (23.0, 5.0)
-
-    def __post_init__(self) -> None:
-        spans = [self._span(self.morning), self._span(self.evening), self._span(self.midnight)]
-        for a, b in zip(spans, spans[1:] + spans[:1]):
-            for lo1, hi1 in a:
-                for lo2, hi2 in b:
-                    if lo1 < hi2 and lo2 < hi1:
-                        raise ValueError("time-of-day intervals overlap")
-
-    @staticmethod
-    def _span(interval: tuple[float, float]) -> list[tuple[float, float]]:
-        lo, hi = interval
-        if lo <= hi:
-            return [(lo, hi)]
-        return [(lo, 24.0), (0.0, hi)]  # wraps midnight
-
-    def _contains(self, interval: tuple[float, float], hour: float) -> bool:
-        return any(lo <= hour < hi for lo, hi in self._span(interval))
-
-    def code_for_hour(self, hour: float) -> TimeOfDay:
-        if self._contains(self.morning, hour):
-            return TimeOfDay.MORNING
-        if self._contains(self.evening, hour):
-            return TimeOfDay.EVENING
-        if self._contains(self.midnight, hour):
-            return TimeOfDay.MIDNIGHT
-        return TimeOfDay.OTHER
+# Segment of each clock hour 0..23: midnight [23:00, 05:00), morning
+# [07:00, 10:00), evening [17:00, 20:00) and other for the rest of the day.
+TOD_BY_HOUR = (
+    (TimeOfDay.MIDNIGHT,) * 5 + (TimeOfDay.OTHER,) * 2 + (TimeOfDay.MORNING,) * 3
+    + (TimeOfDay.OTHER,) * 7 + (TimeOfDay.EVENING,) * 3 + (TimeOfDay.OTHER,) * 3 + (TimeOfDay.MIDNIGHT,)
+)
 
 
-def time_of_day(clock_s: float, bounds: TimeOfDayBounds | None = None) -> TimeOfDay:
+def time_of_day(clock_s: float) -> TimeOfDay:
     """Map seconds-of-day to the four-segment day code."""
-    bounds = bounds or TimeOfDayBounds()
-    return bounds.code_for_hour((clock_s % 86400.0) / 3600.0)
+    return TOD_BY_HOUR[int((clock_s % 86400.0) / 3600.0)]
 
 
 @dataclass(frozen=True)
@@ -149,23 +115,10 @@ class LocalProjection:
         y = (np.asarray(lat) - self.spec.lat_min) * self.km_per_deg_lat
         return x, y
 
-    def to_lonlat(self, x, y):
-        lon = self.spec.lon_min + np.asarray(x) / self.km_per_deg_lon
-        lat = self.spec.lat_min + np.asarray(y) / self.km_per_deg_lat
-        return lon, lat
-
     def distance_km(self, lon1: float, lat1: float, lon2: float, lat2: float) -> float:
         dx = (lon2 - lon1) * self.km_per_deg_lon
         dy = (lat2 - lat1) * self.km_per_deg_lat
         return math.hypot(dx, dy)
-
-    def cell_index_xy(self, x: float, y: float) -> int:
-        n = self.spec.side_count
-        if not (0.0 <= x < self.x_max and 0.0 <= y < self.y_max):
-            return OUT_OF_AREA
-        col = min(int(x / (self.x_max / n)), n - 1)
-        row = min(int(y / (self.y_max / n)), n - 1)
-        return row * n + col
 
 
 class DriverStatus(IntEnum):
@@ -205,25 +158,6 @@ class MatchRecord:
     pickup_km: float
     fare: float
     radius_km: float
-
-
-@dataclass
-class Driver:
-    """Driver snapshot view; the simulator stores fleets column-wise."""
-
-    id: int
-    lon: float
-    lat: float
-    status: DriverStatus = DriverStatus.IDLE
-    occupied_s: float = 0.0
-    online_s: float = 0.0
-    order_id: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if (self.order_id is not None) != (self.status != DriverStatus.IDLE):
-            raise ValueError("assignment present iff driver is not idle")
-        if not (0.0 <= self.occupied_s <= self.online_s or self.online_s == 0.0):
-            raise ValueError("occupied time must lie within online time")
 
 
 @dataclass(frozen=True)
@@ -287,29 +221,3 @@ def metrics_from_tallies(
     dur = occupied_s / online_s if online_s > 0 else 0.0
     revenue = float(sum(matched_fares))
     return WindowMetrics(ofr=ofr, apd_km=apd, dur=dur, revenue=revenue)
-
-
-def compute_window_metrics(
-    orders: Iterable[Order],
-    matches: Iterable[MatchRecord],
-    window_start: float,
-    window_end: float,
-    occupied_s: float,
-    online_s: float,
-) -> WindowMetrics:
-    """Windowed (ofr, apd, dur, revenue) over a fully elapsed window.
-
-    Creations are read from ``orders`` (ids unique) and match events from
-    ``matches``; each counts when its timestamp falls inside
-    [window_start, window_end).  Revenue is recognized at match time.
-    """
-    created = {o.id for o in orders if window_start <= o.t_create < window_end}
-    cohort = 0
-    dists: list[float] = []
-    fares: list[float] = []
-    for m in matches:
-        if window_start <= m.t_match < window_end:
-            cohort += m.order_id in created
-            dists.append(m.pickup_km)
-            fares.append(m.fare)
-    return metrics_from_tallies(len(created), cohort, dists, fares, occupied_s, online_s)

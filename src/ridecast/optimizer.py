@@ -6,7 +6,6 @@ that turns simulator window logs into supervised training examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -94,7 +93,6 @@ def build_features(
     grid: int,
     candidate_radius: float,
     layout: FeatureLayout,
-    stats: Optional[NormStats] = None,
 ) -> tuple[np.ndarray, int]:
     """Assemble one (seq_len, dim) sequence for a candidate radius.
 
@@ -102,8 +100,7 @@ def build_features(
     realized metrics and radii (older first); the final row carries the
     current counts, zeroed metrics and the candidate radius.  The grid
     one-hot and the decision window's time-of-day one-hot are appended to
-    every row.  With stats given, real rows are normalized; padding rows
-    stay exactly zero.  Returns the matrix and the number of padding rows.
+    every row.  Returns the raw matrix and the number of padding rows.
     """
     t = layout.seq_len
     x = np.zeros((t, layout.dim))
@@ -119,8 +116,6 @@ def build_features(
     x[-1, COL_RADIUS] = candidate_radius
     x[n_pad:, N_BASE_FEATURES + grid] = 1.0
     x[n_pad:, N_BASE_FEATURES + layout.n_cells + tod] = 1.0
-    if stats is not None:
-        x[n_pad:] = apply_norm(x[n_pad:], stats)
     return x, n_pad
 
 
@@ -297,31 +292,6 @@ class TrainingData:
         test_mask = np.array([e in test_ids for e in self.episodes])
         return ~test_mask, test_mask
 
-    def save(self, path: str | Path) -> None:
-        np.savez_compressed(
-            path,
-            features=self.features,
-            labels=self.labels,
-            pad_rows=self.pad_rows,
-            grids=self.grids,
-            windows=self.windows,
-            episodes=self.episodes,
-            layout=np.array([self.layout.seq_len, self.layout.side_count]),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TrainingData":
-        z = np.load(path)
-        return cls(
-            features=z["features"],
-            labels=z["labels"],
-            pad_rows=z["pad_rows"],
-            grids=z["grids"],
-            windows=z["windows"],
-            episodes=z["episodes"],
-            layout=FeatureLayout(seq_len=int(z["layout"][0]), side_count=int(z["layout"][1])),
-        )
-
 
 def dataset_from_windows(
     windows: Sequence[MarketWindow],
@@ -350,7 +320,6 @@ def dataset_from_windows(
                 grid=g,
                 candidate_radius=w.radius_km,
                 layout=layout,
-                stats=None,
             )
             feats.append(x)
             labels.append([w.ofr, w.apd_km, w.dur, w.revenue])

@@ -10,20 +10,18 @@ for the next window's radii.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from .behavior import AcceptanceModel, sample_accepts
 from .market import (
-    Driver,
     DriverStatus,
     GridSpec,
     LocalProjection,
     MarketWindow,
     MatchRecord,
     Order,
-    TimeOfDayBounds,
     metrics_from_tallies,
     time_of_day,
 )
@@ -96,7 +94,6 @@ class SimConfig:
     window_s: float = 300.0
     patience_s: float = 300.0
     day_start_s: float = 0.0
-    tod_bounds: TimeOfDayBounds = field(default_factory=TimeOfDayBounds)
     seed: int = 0
     idle_walk_kmh: float = 0.0
 
@@ -129,7 +126,11 @@ class EpisodeSummary:
 
 
 class DriverFleet:
-    """Column-wise driver state in projected km coordinates."""
+    """Column-wise driver state in projected km coordinates.
+
+    A driver holds an order (``order_id >= 0``) exactly when it is not idle,
+    and ``0 <= occupied_s <= online_s``.
+    """
 
     def __init__(self, n: int, x: np.ndarray, y: np.ndarray):
         self.n = n
@@ -141,19 +142,6 @@ class DriverFleet:
         self.order_id = np.full(n, -1, dtype=np.int64)
         self.occupied_s = np.zeros(n)
         self.online_s = np.zeros(n)
-
-    def as_driver(self, i: int, proj: LocalProjection) -> Driver:
-        lon, lat = proj.to_lonlat(self.x[i], self.y[i])
-        oid = int(self.order_id[i])
-        return Driver(
-            id=i,
-            lon=float(lon),
-            lat=float(lat),
-            status=DriverStatus(int(self.status[i])),
-            occupied_s=float(self.occupied_s[i]),
-            online_s=float(self.online_s[i]),
-            order_id=oid if oid >= 0 else None,
-        )
 
 
 class Simulation:
@@ -226,7 +214,7 @@ class Simulation:
         return WindowSnapshot(
             window=self.window_index,
             start_s=self.clock,
-            tod=int(time_of_day(self.config.day_start_s + self.clock, self.config.tod_bounds)),
+            tod=int(time_of_day(self.config.day_start_s + self.clock)),
             n_idle=n_idle,
             n_open=n_open,
             n_total=n_total,
@@ -371,7 +359,7 @@ class Simulation:
     def _close_window(self) -> None:
         cfg = self.config
         start = self.window_index * cfg.window_s
-        tod = time_of_day(cfg.day_start_s + start, cfg.tod_bounds)
+        tod = time_of_day(cfg.day_start_s + start)
         for g in range(cfg.grid.n_cells):
             m = metrics_from_tallies(
                 int(self._win_created[g]),

@@ -1,5 +1,8 @@
+from typing import Iterable
+
 import numpy as np
 
+from ridecast.market import MatchRecord, Order, WindowMetrics, metrics_from_tallies
 from ridecast.nn.model import TransformerRegressor
 
 
@@ -48,3 +51,30 @@ def finite_difference_gradcheck(model: TransformerRegressor, x: np.ndarray, y: n
             err = abs(a - numeric) / max(1e-6, abs(a) + abs(numeric))
             worst = max(worst, err)
     return worst
+
+
+def compute_window_metrics(
+    orders: Iterable[Order],
+    matches: Iterable[MatchRecord],
+    window_start: float,
+    window_end: float,
+    occupied_s: float,
+    online_s: float,
+) -> WindowMetrics:
+    """Oracle: windowed (ofr, apd, dur, revenue) recomputed from a stream and
+    a match log over a fully elapsed window.
+
+    Creations are read from ``orders`` (ids unique) and match events from
+    ``matches``; each counts when its timestamp falls inside
+    [window_start, window_end).  Revenue is recognized at match time.
+    """
+    created = {o.id for o in orders if window_start <= o.t_create < window_end}
+    cohort = 0
+    dists: list[float] = []
+    fares: list[float] = []
+    for m in matches:
+        if window_start <= m.t_match < window_end:
+            cohort += m.order_id in created
+            dists.append(m.pickup_km)
+            fares.append(m.fare)
+    return metrics_from_tallies(len(created), cohort, dists, fares, occupied_s, online_s)

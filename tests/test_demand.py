@@ -76,6 +76,16 @@ class TestLoadTrips:
         assert report.malformed == 3 and report.emitted == 37
         assert all(o.fare == 7.5 for o in orders)
 
+    def test_non_finite_coordinates_are_malformed(self, tmp_path):
+        good = "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"
+        bad = [f"2015-05-01 10:00:00,{coords},7.5\n"
+               for coords in ("nan,0.5,1.5,1.5", "0.5,inf,1.5,1.5", "0.5,0.5,-inf,1.5", "0.5,0.5,1.5,nan")]
+        orders, report = load_trips(write_csv(tmp_path / "t.csv", bad + [good] * 36), BOX, T0, T1)
+        assert (report.malformed, report.out_of_area, report.emitted) == (4, 0, 36)
+        # a file of mostly non-finite coordinates fails instead of loading as a short stream
+        with pytest.raises(IngestError):
+            load_trips(write_csv(tmp_path / "u.csv", bad[:3] + [good]), BOX, T0, T1)
+
     def test_too_many_malformed_rows_fails(self, tmp_path):
         rows = ["2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"] * 5 + ["garbage,x,y,z,w,v\n"]
         with pytest.raises(IngestError):
@@ -163,14 +173,6 @@ class TestSynthDemand:
             DemandProfile(rates=-np.ones((16, 24)), dest_probs=np.full((16, 16), 1 / 16))
         with pytest.raises(ValueError):
             DemandProfile(rates=np.ones((16, 24)), dest_probs=np.full((16, 16), 0.5))
-
-    def test_profile_json_roundtrip(self, tmp_path):
-        profile = default_profile(BOX, daily_orders=300)
-        path = tmp_path / "profile.json"
-        profile.to_json(path)
-        loaded = DemandProfile.from_json(path)
-        np.testing.assert_array_equal(loaded.rates, profile.rates)
-        assert loaded.fare_model == profile.fare_model
 
 
 class TestNormStats:

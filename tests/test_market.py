@@ -3,23 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from conftest import compute_window_metrics
 
 from ridecast.market import (
     OUT_OF_AREA,
-    Driver,
-    DriverStatus,
+    TOD_BY_HOUR,
     GridSpec,
     LocalProjection,
     MarketWindow,
     MatchRecord,
     Order,
     TimeOfDay,
-    TimeOfDayBounds,
-    compute_window_metrics,
     grid_index,
     metrics_from_tallies,
     time_of_day,
 )
+from ridecast.sim import FixedRadius, SimConfig, Simulation
 
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=4.0, lat_max=4.0, side_count=4)
 
@@ -95,11 +94,14 @@ class TestTimeOfDay:
     def test_wraps_day_boundary(self):
         assert time_of_day(86400 + 8 * 3600) == TimeOfDay.MORNING
 
-    def test_overlapping_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            TimeOfDayBounds(morning=(7, 11), evening=(10, 13))
-        with pytest.raises(ValueError):
-            TimeOfDayBounds(midnight=(22, 8))
+    def test_table_matches_segment_bounds(self):
+        # morning [7, 10), evening [17, 20) and midnight [23, 5) in clock hours
+        for hour, code in enumerate(TOD_BY_HOUR):
+            want = (TimeOfDay.MORNING if 7 <= hour < 10 else TimeOfDay.EVENING if 17 <= hour < 20
+                    else TimeOfDay.MIDNIGHT if hour >= 23 or hour < 5 else TimeOfDay.OTHER)
+            assert code is want
+            assert time_of_day(hour * 3600.0) is time_of_day(hour * 3600.0 + 3599.5) is want
+        assert len(TOD_BY_HOUR) == 24
 
 
 class TestWindowMetrics:
@@ -164,14 +166,6 @@ class TestOrderDriverInvariants:
             with pytest.raises(ValueError):
                 Order(0, 0.0, 0.5, 0.5, 1.5, 1.5, fare=fare, grid=0)
 
-    def test_driver_assignment_consistency(self):
-        with pytest.raises(ValueError):
-            Driver(0, 0.5, 0.5, status=DriverStatus.PICKUP, order_id=None)
-        with pytest.raises(ValueError):
-            Driver(0, 0.5, 0.5, status=DriverStatus.IDLE, order_id=3)
-        d = Driver(0, 0.5, 0.5, status=DriverStatus.IN_SERVICE, order_id=3, occupied_s=10, online_s=20)
-        assert d.occupied_s <= d.online_s
-
     def test_market_window_invariants(self):
         with pytest.raises(ValueError):
             MarketWindow(0, 0, 0.0, n_idle=5, n_open=0, n_total=3, ofr=0.5,
@@ -183,11 +177,11 @@ class TestOrderDriverInvariants:
 
 class TestProjection:
     def test_roundtrip(self):
+        # the projection is affine in each axis, so its own scales invert it
         proj = LocalProjection(BOX)
         x, y = proj.to_xy(2.3, 1.7)
-        lon, lat = proj.to_lonlat(x, y)
-        assert math.isclose(lon, 2.3, abs_tol=1e-12)
-        assert math.isclose(lat, 1.7, abs_tol=1e-12)
+        assert math.isclose(BOX.lon_min + x / proj.km_per_deg_lon, 2.3, abs_tol=1e-12)
+        assert math.isclose(BOX.lat_min + y / proj.km_per_deg_lat, 1.7, abs_tol=1e-12)
 
     def test_northward_km(self):
         # a pure latitude displacement of 1/110.574 degrees is exactly 1 km
@@ -196,9 +190,13 @@ class TestProjection:
         assert math.isclose(d, 1.0, rel_tol=1e-12)
 
     def test_cell_index_matches_degree_space(self):
-        proj = LocalProjection(BOX)
+        # the simulator bins drivers in km space; that must agree with grid_index in degrees
         rng = np.random.default_rng(11)
-        pts = rng.uniform(0.0, 4.0, size=(500, 2))
-        for lon, lat in pts:
-            x, y = proj.to_xy(lon, lat)
-            assert proj.cell_index_xy(float(x), float(y)) == grid_index(lon, lat, BOX)
+        for box in (BOX, GridSpec(0.0, 0.0, 0.1, 0.1, side_count=4),
+                    GridSpec(-74.02, 40.70, -73.93, 40.80, side_count=10)):
+            lon = rng.uniform(box.lon_min, box.lon_max, 2000)
+            lat = rng.uniform(box.lat_min, box.lat_max, 2000)
+            sim = Simulation(SimConfig(grid=box, n_drivers=2000, speed_kmh=20.0,
+                                       radius_source=FixedRadius(1.0, box.n_cells)), [])
+            sim.fleet.x, sim.fleet.y = sim.proj.to_xy(lon, lat)
+            assert sim._driver_cells().tolist() == [grid_index(a, b, box) for a, b in zip(lon, lat)]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import compute_window_metrics
+
 from ridecast.behavior import AcceptanceModel
-from ridecast.demand import NormStats, fit_norm_stats
-from ridecast.market import GridSpec, MarketWindow, Order, TimeOfDay, compute_window_metrics, grid_index
+from ridecast.demand import NormStats, apply_norm, fit_norm_stats
+from ridecast.market import GridSpec, MarketWindow, Order, TimeOfDay, grid_index
 from ridecast.optimizer import (
     COL_RADIUS,
     CandidateSet,
@@ -11,7 +13,6 @@ from ridecast.optimizer import (
     ModelPredictor,
     PredictorRadiusSource,
     RadiusDecision,
-    TrainingData,
     build_features,
     collect_training_data,
     composite_score,
@@ -52,8 +53,7 @@ def mkwindow(grid=2, window=0, ofr=0.5, apd=1.2, dur=0.4, rev=30.0, radius=2.0,
 
 class TestBuildFeatures:
     def test_cold_start_pads_with_zeros(self):
-        x, n_pad = build_features([], 5, 7, 9, tod=3, grid=2, candidate_radius=1.5,
-                                  layout=LAYOUT, stats=None)
+        x, n_pad = build_features([], 5, 7, 9, tod=3, grid=2, candidate_radius=1.5, layout=LAYOUT)
         assert x.shape == (4, LAYOUT.dim)
         assert n_pad == 3
         np.testing.assert_array_equal(x[:3], 0.0)
@@ -63,12 +63,18 @@ class TestBuildFeatures:
         assert x[-1, 8 + 16 + 3] == 1.0            # time-of-day one-hot
 
     def test_padding_stays_zero_after_normalization(self):
+        # the decision batch normalizes real rows only; grid 2 has one past
+        # window (2 padding rows), every other grid none (3 padding rows)
         stats = NormStats(mean=np.full(LAYOUT.dim, 7.5), std=np.full(LAYOUT.dim, 2.0))
-        x, n_pad = build_features([mkwindow(window=0)], 1, 1, 1, tod=0, grid=2,
-                                  candidate_radius=2.0, layout=LAYOUT, stats=stats)
-        assert n_pad == 2
-        np.testing.assert_array_equal(x[:2], 0.0)
-        assert np.all(x[2:] != 0.0)  # centered away from zero by the stats
+        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), LAYOUT, stats, IDENT)
+        x = src._batch(mksnapshot(window=1), [mkwindow(grid=2, window=0)])
+        assert x.shape == (16 * 2, 4, LAYOUT.dim)
+        grid2 = x[2 * 2: 3 * 2]  # grid-major: row g*K + j
+        np.testing.assert_array_equal(grid2[:, :2], 0.0)
+        assert np.all(grid2[:, 2:] != 0.0)  # centered away from zero by the stats
+        others = np.delete(x, [4, 5], axis=0)
+        np.testing.assert_array_equal(others[:, :3], 0.0)
+        assert np.all(others[:, 3] != 0.0)
 
     def test_candidate_isolated_to_final_row_radius(self):
         hist = [mkwindow(window=w) for w in range(3)]
@@ -220,15 +226,19 @@ class TestChooseRadius:
 
 
 def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapshot, history):
-    """Per-grid decisions: one build_features row per candidate, one predict_for per grid."""
+    """Per-grid decisions: one build_features row per candidate, its real rows
+    normalized, and one predict_for per grid."""
     chosen, preds = [], []
     for g in range(layout.n_cells):
         own = [w for w in history if w.grid == g]
-        feats = np.stack([
-            build_features(own, int(snapshot.n_idle[g]), int(snapshot.n_open[g]), int(snapshot.n_total[g]),
-                           snapshot.tod, g, r, layout, feature_stats)[0]
-            for r in cands.radii
-        ])
+        feats = []
+        for r in cands.radii:
+            x, n_pad = build_features(own, int(snapshot.n_idle[g]), int(snapshot.n_open[g]),
+                                      int(snapshot.n_total[g]), snapshot.tod, g, r, layout)
+            if feature_stats is not None:
+                x[n_pad:] = apply_norm(x[n_pad:], feature_stats)
+            feats.append(x)
+        feats = np.stack(feats)
         p = predictor.predict_for(feats, cands.as_array())
         chosen.append(cands.radii[int(np.argmax(composite_score(p, label_stats)))])
         preds.append(p)
@@ -429,22 +439,6 @@ class TestCollect:
         assert not np.any(train_mask & test_mask)
         assert np.all(train_mask | test_mask)
         assert set(data.episodes[test_mask]).isdisjoint(set(data.episodes[train_mask]))
-
-    def test_save_load_roundtrip(self, tmp_path):
-        data, _ = collect_training_data(
-            make_config=lambda i, s, rs: small_scenario_config(rs, s, [1.0, 2.0]),
-            make_stream=lambda i, ds: small_stream(ds),
-            episodes=1,
-            horizon_s=600.0,
-            layout=LAYOUT,
-            base_seed=3,
-        )
-        path = tmp_path / "data.npz"
-        data.save(path)
-        loaded = TrainingData.load(path)
-        np.testing.assert_array_equal(loaded.features, data.features)
-        np.testing.assert_array_equal(loaded.pad_rows, data.pad_rows)
-        assert loaded.layout == data.layout
 
     def test_normalized_features_zero_padding(self):
         data, _ = collect_training_data(

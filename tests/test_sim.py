@@ -173,9 +173,8 @@ class TestLifecycleAndConservation:
             sim.step()
         assert sim.fleet.status[0] == int(DriverStatus.IDLE)
         assert sim.fleet.order_id[0] == -1
-        d = sim.fleet.as_driver(0, sim.proj)
-        assert d.lat == pytest.approx(0.05 + KM_LAT, abs=1e-9)
-        assert 0 < d.occupied_s <= d.online_s
+        assert sim.fleet.y[0] == pytest.approx(sim.proj.to_xy(0.05, 0.05 + KM_LAT)[1], abs=1e-9)
+        assert 0 < sim.fleet.occupied_s[0] <= sim.fleet.online_s[0]
 
     def test_conservation_every_tick(self):
         rng = np.random.default_rng(1)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridecast.behavior import AcceptanceModel
-from ridecast.market import GridSpec, Order, grid_index
-from ridecast.sim import FixedRadius, RandomRadius, SimConfig, run
+from ridecast.market import DriverStatus, GridSpec, Order, grid_index
+from ridecast.sim import EpisodeResult, FixedRadius, RandomRadius, SimConfig, Simulation, run
 
 WINDOW_S = 300.0
 BOX_DEG = 0.03  # a ~3 km square, so drivers finish trips and win again within an episode
@@ -60,7 +60,15 @@ def build_config(sc):
 def test_episode_invariants(sc):
     horizon = sc["windows"] * WINDOW_S
     stream = build_stream(sc)
-    res = run(build_config(sc), stream, horizon)
+    sim = Simulation(build_config(sc), stream)
+    for _ in range(int(round(horizon / sim.config.tick_s))):
+        sim.step()
+        # a driver holds an order exactly when it is not idle, and its
+        # occupied time lies within its online time
+        fleet = sim.fleet
+        assert np.array_equal(fleet.order_id >= 0, fleet.status != int(DriverStatus.IDLE))
+        assert np.all((0.0 <= fleet.occupied_s) & (fleet.occupied_s <= fleet.online_s))
+    res = EpisodeResult(windows=sim.windows, summary=sim.summary(), matches=sim.matches)
     s = res.summary
 
     # order conservation: every injected order is matched, expired or still open
@@ -84,6 +92,7 @@ def test_episode_invariants(sc):
         assert 0.0 <= w.ofr <= 1.0 and 0.0 <= w.dur <= 1.0
     assert 0.0 <= s.ofr <= 1.0 and 0.0 <= s.dur <= 1.0
 
-    # deterministic per seed, and the same stream object can be run again
+    # the ticks stepped here are run's, deterministic per seed, and the same
+    # stream object can be run again
     assert run(build_config(sc), stream, horizon) == res
     assert run(build_config(sc), build_stream(sc), horizon) == res
