@@ -109,7 +109,7 @@ def self_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
         gs -= (gs * s).sum(axis=-1, keepdims=True)
         gs *= s
         gs *= scale
-        g_qkv = np.empty(qkv.shape)
+        g_qkv = np.empty(qkv.shape, dtype=qkv.dtype)
         np.matmul(gs, k, out=g_qkv[..., cols[0]])
         np.matmul(np.swapaxes(gs, -1, -2), q, out=g_qkv[..., cols[1]])
         np.matmul(np.swapaxes(s, -1, -2), g, out=g_qkv[..., cols[2]])

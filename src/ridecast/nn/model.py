@@ -10,6 +10,12 @@ output is the dot product of its units with row i of an (m, h) weight.
 Each block feeds SelfAtten(o + LayerNorm(o)) and then MLP(h1 + LayerNorm(h1)):
 the normalized branch is added to the raw input *before* the sublayer, not
 after it.
+
+Parameters are drawn in float64 and stored as float32 (``PARAM_DTYPE``), so
+the forward pass, gradients and Adam moments are all float32.  Every op
+follows its data's dtype: a model whose parameters are upcast to float64
+runs in float64 end to end, which is how the finite-difference gradcheck
+runs it.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ from .layers import layer_norm, mlp_forward, self_attention
 from .tensor import Tensor, parameter
 
 CHECKPOINT_VERSION = 2
+PARAM_DTYPE = np.float32
 
 # Small constant bias init keeps relu units active at step 0.  With the
 # block wiring the MLP output *replaces* the block input, so a fully dead
@@ -90,12 +97,20 @@ class TransformerRegressor:
         p["head.b1"] = parameter(np.full(c.n_tasks * c.head_hidden, BIAS_INIT))
         p["head.w2"] = parameter(np.stack(w2))
         p["head.b2"] = parameter(np.zeros(c.n_tasks))
+        for t in p.values():
+            t.data = t.data.astype(PARAM_DTYPE)
         self.params = p
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, which inputs and targets are cast to."""
+        return self.params["head.b2"].data.dtype
 
     # -- forward -------------------------------------------------------------
 
     def _forward(self, x: np.ndarray, p: dict[str, Tensor]) -> Tensor:
         """(B, m) task outputs for a (B, T, D) batch under parameters p."""
+        x = np.asarray(x, dtype=self.dtype)
         self._check_input(x)
         c = self.config
         o = mlp_forward(Tensor(x), p["embed.w1"], p["embed.b1"], p["embed.w2"], p["embed.b2"])
@@ -114,7 +129,7 @@ class TransformerRegressor:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Pure inference on detached parameters, so no graph is recorded:
         (T, D) -> (m,) or (B, T, D) -> (B, m)."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.dtype)
         single = x.ndim == 2
         if single:
             x = x[None, :, :]
@@ -123,12 +138,12 @@ class TransformerRegressor:
 
     def task_losses(self, x: np.ndarray, y: np.ndarray) -> Tensor:
         """Per-task mean squared errors over the batch, as one (m,) tensor."""
-        err = self._forward(x, self.params) - Tensor(np.asarray(y, dtype=float))
+        err = self._forward(x, self.params) - Tensor(np.asarray(y, dtype=self.dtype))
         return (err * err).mean(axis=0)
 
     def backward_weighted(self, losses: Tensor, weights: np.ndarray) -> Tensor:
         """Backpropagate sum_i w_i * l_i; returns the objective tensor."""
-        total = (losses * np.asarray(weights, dtype=float)).sum()
+        total = (losses * weights).sum()
         total.backward()
         return total
 
@@ -150,11 +165,16 @@ class TransformerRegressor:
         if set(arrays) != set(self.params):
             raise CheckpointError("parameter name mismatch")
         for k, arr in arrays.items():
-            if self.params[k].data.shape != arr.shape:
+            p = self.params[k]
+            if p.data.shape != arr.shape:
                 raise CheckpointError(f"shape mismatch for {k}")
-            if not np.all(np.isfinite(arr)):
+            # checked after the cast: a finite float64 beyond the float32
+            # range becomes inf there
+            with np.errstate(over="ignore"):
+                cast = np.array(arr, dtype=p.data.dtype)
+            if not np.all(np.isfinite(cast)):
                 raise CheckpointError(f"non-finite values in {k}")
-            self.params[k].data = np.asarray(arr, dtype=np.float64).copy()
+            p.data = cast
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,9 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float arrays.
+
+A Tensor keeps the dtype of a float32 or float64 array and turns any other
+input into float64.  Constants mixed into an op take the dtype of the Tensor
+they meet, and ``backward()`` seeds the gradient in the root's dtype, so a
+graph built on float32 data computes and backpropagates in float32.
 
 A Tensor wraps an ndarray plus an optional gradient; operations record
 backward closures and ``backward()`` replays them in reverse topological
@@ -13,6 +18,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+
+_KEPT_DTYPES = (np.float32, np.float64)
 
 
 def _send(*pairs) -> None:
@@ -37,7 +44,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _KEPT_DTYPES else data.astype(np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -78,7 +86,7 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        self._accumulate(np.array(grad, dtype=np.float64))
+        self._accumulate(np.array(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -89,9 +97,9 @@ class Tensor:
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
+    def _coerce(self, other) -> "Tensor":
+        """other as a Tensor; a constant takes this tensor's dtype."""
+        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=self.data.dtype))
 
     def __add__(self, other) -> "Tensor":
         a, b = self, self._coerce(other)

@@ -168,6 +168,9 @@ class Simulation:
         if len(self._order_km) != len(self.stream):
             raise ValueError("order ids must be unique")
         g = config.grid.n_cells
+        for o in self.stream:
+            if not 0 <= o.grid < g:
+                raise ValueError(f"order {o.id} has grid {o.grid}, outside the {g} cells")
 
         lon = self.rng.uniform(config.grid.lon_min, config.grid.lon_max, size=config.n_drivers)
         lat = self.rng.uniform(config.grid.lat_min, config.grid.lat_max, size=config.n_drivers)

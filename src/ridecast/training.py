@@ -221,8 +221,9 @@ def train(
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             model.zero_grad()
+            # the model casts the batch to its own dtype; curves stay float64
             loss_tensor = model.task_losses(train_x[idx], train_y[idx])
-            losses = loss_tensor.data
+            losses = loss_tensor.data.astype(np.float64)
             if not np.all(np.isfinite(losses)):
                 raise TrainingDiverged(step, last_finite)
             last_finite = losses

@@ -1,9 +1,19 @@
+import copy
 from typing import Iterable
 
 import numpy as np
 
 from ridecast.market import MatchRecord, Order, WindowMetrics, metrics_from_tallies
 from ridecast.nn.model import TransformerRegressor
+
+
+def float64_copy(model: TransformerRegressor) -> TransformerRegressor:
+    """A deep copy of model with every parameter upcast to float64, so that it
+    computes in float64 end to end; the source model is left as it is."""
+    twin = copy.deepcopy(model)
+    for t in twin.params.values():
+        t.data = t.data.astype(np.float64)
+    return twin
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradcheck, weighted_loss_value
+from conftest import finite_difference_gradcheck, float64_copy, weighted_loss_value
 from ridecast.nn.adam import Adam
 from ridecast.nn.model import (
     CHECKPOINT_VERSION,
@@ -72,7 +72,7 @@ class TestForward:
 
     def test_matches_reference_trace(self):
         for seed in (0, 1, 2):
-            model = TransformerRegressor(TINY, seed=seed)
+            model = float64_copy(TransformerRegressor(TINY, seed=seed))
             x = np.random.default_rng(seed + 10).normal(size=(3, 5))
             got = model.predict(x)
             want = reference_forward(x, {k: t.data for k, t in model.params.items()}, TINY)
@@ -80,7 +80,7 @@ class TestForward:
 
     def test_stacked_head_replays_per_task_init_draws(self):
         # draws in the order of one (w1, w2) pair per task after the backbone;
-        # the stacked head holds them bit for bit
+        # the stacked head holds them bit for bit, cast once to float32
         c, h = TINY, TINY.head_hidden
         for seed in (0, 1, 2):
             model = TransformerRegressor(TINY, seed=seed)
@@ -98,15 +98,15 @@ class TestForward:
                 want[f"block{b}.mlp.w2"] = rng.normal(0.0, np.sqrt(2.0 / c.block_hidden),
                                                       size=(c.block_hidden, c.d_model))
             for k, v in want.items():
-                np.testing.assert_array_equal(got[k], v, err_msg=k)
+                np.testing.assert_array_equal(got[k], v.astype(np.float32), err_msg=k, strict=True)
             for i in range(c.n_tasks):
                 w1 = rng.normal(0.0, np.sqrt(2.0 / c.d_model), size=(c.d_model, h))
                 w2 = rng.normal(0.0, 0.01, size=(h, 1))
-                np.testing.assert_array_equal(got["head.w1"][:, i * h:(i + 1) * h], w1)
-                np.testing.assert_array_equal(got["head.w2"][i], w2[:, 0])
+                np.testing.assert_array_equal(got["head.w1"][:, i * h:(i + 1) * h], w1.astype(np.float32))
+                np.testing.assert_array_equal(got["head.w2"][i], w2[:, 0].astype(np.float32))
             assert got["head.w1"].shape == (c.d_model, c.n_tasks * h)
             assert got["head.w2"].shape == (c.n_tasks, h)
-            np.testing.assert_array_equal(got["head.b1"], np.full(c.n_tasks * h, 0.01))
+            np.testing.assert_array_equal(got["head.b1"], np.full(c.n_tasks * h, 0.01, dtype=np.float32))
             np.testing.assert_array_equal(got["head.b2"], np.zeros(c.n_tasks))
 
     def test_predict_records_no_graph(self, monkeypatch):
@@ -132,6 +132,14 @@ class TestForward:
         assert len(outputs) == 3 and outputs[-1].shape == (2, 4)
         assert all(o._parents == () and o._backward is None and not o.requires_grad for o in outputs)
         assert all(p.grad is None and p.requires_grad for p in model.params.values())
+
+    def test_float32_output_matches_float64_copy(self):
+        for seed in (0, 1, 2):
+            model = TransformerRegressor(TINY, seed=seed)
+            x = np.random.default_rng(seed + 20).normal(size=(4, 3, 5))
+            got = model.predict(x)
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, float64_copy(model).predict(x), rtol=1e-5)
 
     def test_rejects_wrong_shape(self):
         model = TransformerRegressor(TINY)
@@ -184,13 +192,27 @@ class TestBackward:
         for seed in (0, 1, 2):
             cfg = ModelConfig(seq_len=3, input_dim=4, d_model=4, n_blocks=1, embed_hidden=4,
                               block_hidden=5, head_hidden=3, n_tasks=2)
-            model = TransformerRegressor(cfg, seed=seed)
+            model = float64_copy(TransformerRegressor(cfg, seed=seed))
             rng = np.random.default_rng(seed + 100)
             x = rng.normal(size=(2, 3, 4))
             y = rng.normal(size=(2, 2))
             w = rng.uniform(0.2, 1.0, size=2)
             w /= w.sum()
             assert finite_difference_gradcheck(model, x, y, w) < 1e-4
+
+    def test_float32_gradients_match_float64_copy(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(8, 3, 5))
+        y = rng.normal(size=(8, 4))
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        model = TransformerRegressor(TINY, seed=13)
+        twin = float64_copy(model)
+        for m in (model, twin):
+            m.backward_weighted(m.task_losses(x, y), w)
+        for k, p in model.params.items():
+            want = twin.params[k].grad
+            assert p.grad.dtype == np.float32 and want.dtype == np.float64
+            assert np.linalg.norm(p.grad - want) <= 1e-3 * np.linalg.norm(want), k
 
     def test_per_task_losses_are_mean_squared_errors(self):
         model = TransformerRegressor(TINY, seed=6)
@@ -245,6 +267,36 @@ class TestAdam:
         assert losses[-1] < 1e-2 * losses[0]
 
 
+class TestDtype:
+    def test_training_step_and_predict_stay_float32(self, monkeypatch):
+        # a silent upcast would keep every output correct and lose the speed
+        results = []
+        make = Tensor._result
+
+        def spy(data, parents, backward):
+            results.append(make(data, parents, backward))
+            return results[-1]
+
+        monkeypatch.setattr(Tensor, "_result", staticmethod(spy))
+        cfg = ModelConfig(seq_len=6, input_dim=12)
+        model = TransformerRegressor(cfg, seed=14)
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(5, 6, 12))
+        y = rng.normal(size=(5, cfg.n_tasks))
+        opt = Adam(model.params)
+        model.zero_grad()
+        model.backward_weighted(model.task_losses(x, y), np.full(cfg.n_tasks, 1.0 / cfg.n_tasks))
+        opt.step()
+        pred = model.predict(x)
+        assert results and all(r.data.dtype == np.float32 for r in results)
+        for k, p in model.params.items():
+            assert p.data.dtype == np.float32 and p.grad.dtype == np.float32, k
+        for moments in (opt._m, opt._v):
+            assert set(moments) == set(model.params)
+            assert all(v.dtype == np.float32 for v in moments.values())
+        assert pred.dtype == np.float32
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):
         model = TransformerRegressor(TINY, seed=9)
@@ -253,6 +305,8 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(path, model, fstats, lstats, meta={"strategy": "WESM"})
         ck = load_checkpoint(path)
+        for k, v in model.state_arrays().items():
+            np.testing.assert_array_equal(ck.model.params[k].data, v, err_msg=k, strict=True)
         x = np.random.default_rng(9).normal(size=(3, 5))
         np.testing.assert_array_equal(ck.model.predict(x), model.predict(x))
         np.testing.assert_array_equal(ck.label_stats.mean, lstats.mean)
@@ -338,3 +392,27 @@ class TestCheckpoint:
         path = self._edited(tmp_path, poison)
         with pytest.raises(CheckpointError, match="embed.b1"):
             load_checkpoint(path)
+
+    def test_refuses_values_beyond_float32_range(self, tmp_path):
+        # finite in the float64 the JSON parses to, inf once cast to float32
+        def overflow(p):
+            p["params"]["head.w2"][1][0] = 1e39
+
+        path = self._edited(tmp_path, overflow)
+        with pytest.raises(CheckpointError, match="head.w2"):
+            load_checkpoint(path)
+
+    def test_loads_float64_values_within_float32_rounding(self, tmp_path):
+        # a v2 payload carries no dtype: values written by a float64 model load
+        # into float32 parameters, rounded once
+        rng = np.random.default_rng(15)
+        wide = float64_copy(TransformerRegressor(TINY, seed=15))
+        for t in wide.params.values():
+            t.data = t.data + rng.normal(0.0, 1e-3, size=t.shape)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, wide, NormStats.identity(5), NormStats.identity(4))
+        ck = load_checkpoint(path)
+        for k, v in wide.state_arrays().items():
+            np.testing.assert_array_equal(ck.model.params[k].data, v.astype(np.float32), err_msg=k, strict=True)
+        x = rng.normal(size=(4, 3, 5))
+        np.testing.assert_allclose(ck.model.predict(x), wide.predict(x), rtol=1e-5, atol=1e-6)

@@ -251,6 +251,13 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             Simulation(mkconfig(), stream)
 
+    @pytest.mark.parametrize("grid", [-1, BOX.n_cells])
+    def test_order_outside_the_grid_rejected(self, grid):
+        # -1 is OUT_OF_AREA; either value would index a per-cell tally wrongly
+        stream = [mkorder(0, 0.0, 0.05, 0.05), dataclasses.replace(mkorder(7, 10.0, 0.05, 0.05), grid=grid)]
+        with pytest.raises(ValueError, match="order 7"):
+            Simulation(mkconfig(), stream)
+
 
 class TestRadiusSources:
     def test_fixed_validation(self):
