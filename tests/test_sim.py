@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ridecast.behavior import AcceptanceModel
+from ridecast.demand import default_profile, synth_demand
 from ridecast.market import DriverStatus, GridSpec, Order, grid_index
 from ridecast.sim import (
     EpisodeSummary,
@@ -240,6 +241,19 @@ class TestDeterminism:
         assert trace_digest(res) == "f1430f4f44211be439eb43c77a4ceab69d7c8c27c5d9d825c1fcd89489871904"
         # the stream is not consumed: a second run over the same objects replays the episode
         assert run(config(), stream, horizon_s=1800.0) == res
+
+    def test_golden_trace_from_synth_demand(self):
+        # pinned match and window log of a fixed-seed episode over synthetic
+        # demand, so the demand -> simulator path is guarded as well
+        stream = synth_demand(default_profile(BOX, daily_orders=4000), BOX, seed=6,
+                              duration_s=1800.0, day_start_s=8 * 3600.0)
+        config = dataclasses.replace(
+            mkconfig(drivers=20, accept=AcceptanceModel(), seed=5, day_start_s=8 * 3600.0),
+            radius_source=RandomRadius([0.5, 1.0, 2.0], BOX.n_cells, seed=8),
+        )
+        res = run(config, stream, horizon_s=1800.0)
+        assert 0 < res.summary.matched < res.summary.created == 152
+        assert trace_digest(res) == "d423875e50d79c3bdb43bc4fc73e94e0e70fa3da45f37e30795e0ca74cedd01d"
 
     def test_duplicate_order_ids_rejected(self):
         stream = [mkorder(0, 0.0, 0.05, 0.05), mkorder(0, 10.0, 0.05, 0.05)]
