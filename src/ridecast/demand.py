@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .market import GridSpec, LocalProjection, Order, grid_index
+from .market import GridSpec, LocalProjection, OrderStream, grid_index
 
 MALFORMED_FRACTION_LIMIT = 0.10
 
@@ -57,13 +57,13 @@ def load_trips(
     start: datetime,
     end: datetime,
     fare_model: FareModel = FareModel(),
-) -> tuple[list[Order], IngestReport]:
+) -> tuple[OrderStream, IngestReport]:
     """Read trip rows into a time-ordered order stream.
 
     Creation times are seconds since ``start``.  Rows outside the box or the
-    [start, end) range are dropped and counted; rows that fail to parse or
-    carry a non-finite coordinate or fare are malformed, and are skipped
-    unless they exceed 10% of the file, which aborts the load.
+    [start, end) range are dropped and counted; rows that fail to parse, lack
+    a field or carry a non-finite coordinate or fare are malformed, and are
+    skipped unless they exceed 10% of the file, which aborts the load.
     Missing fares are filled from the fare model.
     """
     proj = LocalProjection(grid)
@@ -79,6 +79,8 @@ def load_trips(
         for row in reader:
             total += 1
             try:
+                if None in row.values():
+                    raise ValueError("short row")
                 t = (_parse_dt(row["pickup_datetime"]) - start).total_seconds()
                 plon = float(row["pickup_lon"])
                 plat = float(row["pickup_lat"])
@@ -103,22 +105,12 @@ def load_trips(
     if total > 0 and malformed / total > MALFORMED_FRACTION_LIMIT:
         raise IngestError(f"{malformed}/{total} rows malformed (limit {MALFORMED_FRACTION_LIMIT:.0%})")
     raw.sort(key=lambda r: r[0])
-    orders = []
-    for oid, (t, plon, plat, dlon, dlat, fare) in enumerate(raw):
-        if fare is None:
-            fare = fare_model.fare(proj.distance_km(plon, plat, dlon, dlat))
-        orders.append(
-            Order(
-                id=oid,
-                t_create=t,
-                origin_lon=plon,
-                origin_lat=plat,
-                dest_lon=dlon,
-                dest_lat=dlat,
-                fare=fare,
-                grid=grid_index(plon, plat, grid),
-            )
-        )
+    rows = [
+        (t, grid_index(plon, plat, grid), plon, plat, dlon, dlat,
+         fare_model.fare(proj.distance_km(plon, plat, dlon, dlat)) if fare is None else fare)
+        for t, plon, plat, dlon, dlat, fare in raw
+    ]
+    orders = OrderStream(grid, *(zip(*rows) if rows else [()] * 7))
     report = IngestReport(
         total_rows=total,
         emitted=len(orders),
@@ -200,7 +192,7 @@ def synth_demand(
     seed: int,
     duration_s: float,
     day_start_s: float = 0.0,
-) -> list[Order]:
+) -> OrderStream:
     """Inhomogeneous-Poisson order stream over [0, duration_s).
 
     Creation times are episode-relative seconds; ``day_start_s`` anchors the
@@ -234,11 +226,7 @@ def synth_demand(
                 draws.append((tc, g, olon, olat, dlon, dlat, fare))
             t = slice_end
     draws.sort(key=lambda r: (r[0], r[1]))
-    return [
-        Order(id=i, t_create=d[0], origin_lon=d[2], origin_lat=d[3],
-              dest_lon=d[4], dest_lat=d[5], fare=d[6], grid=d[1])
-        for i, d in enumerate(draws)
-    ]
+    return OrderStream(grid, *(zip(*draws) if draws else [()] * 7))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Core market domain types: grids, time-of-day codes, driver status codes,
-orders, matches and per-window performance metrics.
+the order stream, matches and per-window performance metrics.
 
-Everything here is a plain value type or a pure function; nothing holds
-simulator state: the simulator keeps its fleet column-wise (``sim.DriverFleet``).
+Everything here is a plain value type, a read-only table or a pure function;
+nothing holds simulator state: the simulator keeps its fleet and its per-order
+run state column-wise (``sim.DriverFleet``, ``sim.Simulation``).
 """
 from __future__ import annotations
 
@@ -127,24 +128,39 @@ class DriverStatus(IntEnum):
     IN_SERVICE = 2
 
 
-@dataclass(frozen=True)
-class Order:
-    """A trip request.  Immutable: what happens to it during a run is recorded
-    by the run (a MatchRecord, or an expiry count), so one stream can be
-    replayed under several radius policies."""
+class OrderStream:
+    """Trip requests as read-only columns; row ``i`` is order id ``i``, ``cell``
+    its origin cell and ``ox, oy`` / ``dx, dy`` its origin / destination in km.
+    What happens to an order is recorded by the run (a MatchRecord, or an
+    expiry count), so one stream can be replayed under several radius policies.
+    """
 
-    id: int
-    t_create: float
-    origin_lon: float
-    origin_lat: float
-    dest_lon: float
-    dest_lat: float
-    fare: float
-    grid: int
+    def __init__(self, grid: GridSpec, t_create, cell, origin_lon, origin_lat, dest_lon, dest_lat, fare):
+        self.grid = grid
+        self.t_create = np.array(t_create, dtype=float)
+        self.cell = np.array(cell, dtype=np.int64)
+        self.fare = np.array(fare, dtype=float)
+        lonlat = [np.array(c, dtype=float) for c in (origin_lon, origin_lat, dest_lon, dest_lat)]
+        cols = [self.t_create, self.cell, self.fare, *lonlat]
+        if any(c.ndim != 1 or len(c) != len(self.t_create) for c in cols):
+            raise ValueError("order columns must be 1-D and of equal length")
+        if not (np.all(np.isfinite(self.t_create)) and all(np.all(np.isfinite(c)) for c in lonlat)):
+            raise ValueError("creation times and coordinates must be finite")
+        if np.any(self.t_create[1:] < self.t_create[:-1]):
+            raise ValueError("orders must be sorted by creation time")
+        bad = np.flatnonzero((self.cell < 0) | (self.cell >= grid.n_cells))
+        if len(bad):
+            raise ValueError(f"order {bad[0]} has cell {self.cell[bad[0]]}, outside the {grid.n_cells} cells")
+        if not np.all(np.isfinite(self.fare) & (self.fare >= 0)):
+            raise ValueError("fares must be finite and >= 0")
+        proj = LocalProjection(grid)
+        self.ox, self.oy = proj.to_xy(lonlat[0], lonlat[1])
+        self.dx, self.dy = proj.to_xy(lonlat[2], lonlat[3])
+        for c in (self.t_create, self.cell, self.fare, self.ox, self.oy, self.dx, self.dy):
+            c.flags.writeable = False
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.fare) and self.fare >= 0):
-            raise ValueError("fare must be finite and >= 0")
+    def __len__(self) -> int:
+        return len(self.t_create)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 
 from .demand import NormStats, apply_norm, invert_norm
-from .market import MarketWindow
+from .market import MarketWindow, OrderStream
 from .sim import EpisodeResult, SimConfig, WindowSnapshot, run
 
 # feature columns, per sequence row
@@ -62,13 +62,6 @@ class FeatureLayout:
     @property
     def dim(self) -> int:
         return N_BASE_FEATURES + self.n_cells + N_TOD
-
-    def as_dict(self) -> dict:
-        return {"seq_len": self.seq_len, "side_count": self.side_count}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureLayout":
-        return cls(seq_len=d["seq_len"], side_count=d["side_count"])
 
 
 def _window_row(w: MarketWindow, layout: FeatureLayout) -> np.ndarray:
@@ -339,7 +332,7 @@ def dataset_from_windows(
 
 def collect_training_data(
     make_config: Callable[[int, int, int], SimConfig],
-    make_stream: Callable[[int, int], Sequence],
+    make_stream: Callable[[int, int], OrderStream],
     episodes: int,
     horizon_s: float,
     layout: FeatureLayout,

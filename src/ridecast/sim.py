@@ -5,10 +5,12 @@ broadcast to idle drivers within its grid's radius (drivers sample a grab
 decision; one winner is drawn among accepters), moving drivers advance along
 straight segments, and time accounting is updated.  At metric-window
 boundaries, per-grid market rows are emitted and the radius source is asked
-for the next window's radii.
+for the next window's radii.  Orders come from a read-only
+``market.OrderStream``, and the run keeps its per-order state in arrays over it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -21,7 +23,7 @@ from .market import (
     LocalProjection,
     MarketWindow,
     MatchRecord,
-    Order,
+    OrderStream,
     metrics_from_tallies,
     time_of_day,
 )
@@ -100,13 +102,17 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n_drivers < 1:
             raise ValueError("need at least one driver")
-        if self.speed_kmh <= 0:
-            raise ValueError("vehicle speed must be > 0")
+        if not (math.isfinite(self.speed_kmh) and self.speed_kmh > 0):
+            raise ValueError("vehicle speed must be finite and > 0")
+        if not (self.tick_s > 0 and math.isfinite(self.window_s)):
+            raise ValueError("tick must be > 0 and the metric window finite")
         ratio = self.window_s / self.tick_s
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ValueError("tick must divide the metric window")
-        if self.patience_s < self.tick_s:
+        if not (self.patience_s >= self.tick_s):
             raise ValueError("patience must be at least one tick")
+        if not (math.isfinite(self.idle_walk_kmh) and self.idle_walk_kmh >= 0):
+            raise ValueError("idle walk speed must be finite and >= 0")
 
     @property
     def ticks_per_window(self) -> int:
@@ -147,30 +153,22 @@ class DriverFleet:
 class Simulation:
     """Mutable world state plus the tick loop; deterministic given (config, stream).
 
-    The orders are never modified: every per-run fact about them (open,
-    matched, expired) lives here, so one stream can be run any number of times.
+    The stream is never modified: every per-run fact about its orders lives
+    here, so one stream can be run any number of times.  Creation times
+    ascend, so orders ``[0, _stream_pos)`` are the injected ones, ``[0, _front)``
+    those past their patience, and ``_open`` marks the ones still open.
     """
 
-    def __init__(self, config: SimConfig, stream: Sequence[Order]):
-        self.stream = tuple(stream)
-        times = [o.t_create for o in self.stream]
-        if any(a > b for a, b in zip(times, times[1:])):
-            raise ValueError("order stream must be sorted by creation time")
+    def __init__(self, config: SimConfig, stream: OrderStream):
+        if stream.grid != config.grid:
+            raise ValueError("order stream was built for another grid")
+        self.stream = stream
         self.config = config
         self.proj = LocalProjection(config.grid)
         self.rng = np.random.default_rng(config.seed)
         self._stream_pos = 0
-        ox, oy = self.proj.to_xy([o.origin_lon for o in self.stream], [o.origin_lat for o in self.stream])
-        dx, dy = self.proj.to_xy([o.dest_lon for o in self.stream], [o.dest_lat for o in self.stream])
-        self._order_km = {
-            o.id: km for o, km in zip(self.stream, zip(ox.tolist(), oy.tolist(), dx.tolist(), dy.tolist()))
-        }
-        if len(self._order_km) != len(self.stream):
-            raise ValueError("order ids must be unique")
-        g = config.grid.n_cells
-        for o in self.stream:
-            if not 0 <= o.grid < g:
-                raise ValueError(f"order {o.id} has grid {o.grid}, outside the {g} cells")
+        self._front = 0
+        self._open = np.zeros(len(stream), dtype=bool)
 
         lon = self.rng.uniform(config.grid.lon_min, config.grid.lon_max, size=config.n_drivers)
         lat = self.rng.uniform(config.grid.lat_min, config.grid.lat_max, size=config.n_drivers)
@@ -179,13 +177,13 @@ class Simulation:
 
         self.clock = 0.0
         self.tick_count = 0
-        self.open: dict[int, Order] = {}      # insertion order == injection order
         self.windows: list[MarketWindow] = []
         self.matches: list[MatchRecord] = []
         self.injected = 0
         self.matched = 0
         self.expired = 0
 
+        g = config.grid.n_cells
         self._win_created = np.zeros(g, dtype=np.int64)
         self._win_cohort = np.zeros(g, dtype=np.int64)
         self._win_dists: list[list[float]] = [[] for _ in range(g)]
@@ -196,6 +194,11 @@ class Simulation:
         self.window_index = 0
         self.snapshot = self._take_snapshot()
         self.radii = self._query_radii()
+
+    @property
+    def open(self) -> np.ndarray:
+        """Ids of the open orders, oldest first."""
+        return self._front + np.flatnonzero(self._open[self._front:self._stream_pos])
 
     # -- helpers -------------------------------------------------------------
 
@@ -211,9 +214,7 @@ class Simulation:
         idle_mask = self.fleet.status == int(DriverStatus.IDLE)
         n_idle = np.bincount(cells[idle_mask], minlength=g)
         n_total = np.bincount(cells, minlength=g)
-        n_open = np.zeros(g, dtype=np.int64)
-        for o in self.open.values():
-            n_open[o.grid] += 1
+        n_open = np.bincount(self.stream.cell[self.open], minlength=g)
         return WindowSnapshot(
             window=self.window_index,
             start_s=self.clock,
@@ -237,35 +238,35 @@ class Simulation:
         tick = cfg.tick_s
 
         # 1. inject orders created in [t0, t0 + tick)
-        while self._stream_pos < len(self.stream) and self.stream[self._stream_pos].t_create < t0 + tick:
-            o = self.stream[self._stream_pos]
-            self._stream_pos += 1
-            self.open[o.id] = o
-            self.injected += 1
-            self._win_created[o.grid] += 1
+        s = self.stream
+        pos = int(np.searchsorted(s.t_create, t0 + tick, side="left"))
+        self._open[self._stream_pos:pos] = True
+        self._win_created += np.bincount(s.cell[self._stream_pos:pos], minlength=cfg.grid.n_cells)
+        self.injected += pos - self._stream_pos
+        self._stream_pos = pos
 
-        # 2. expire orders past their patience
-        for oid in [oid for oid, o in self.open.items() if t0 - o.t_create >= cfg.patience_s]:
-            self._close(oid)
-            self.expired += 1
+        # 2. expire orders past their patience; t0 - t_create falls as t_create
+        #    rises, so they are a prefix of the orders not yet expired
+        front = self._front
+        self._front += int(np.count_nonzero(t0 - s.t_create[front:pos] >= cfg.patience_s))
+        self.expired += int(np.count_nonzero(self._open[front:self._front]))
+        self._open[front:self._front] = False
 
         # 3. broadcast rounds, oldest order first; a driver gets one bid per tick
         fleet = self.fleet
         bid = np.zeros(fleet.n, dtype=bool)
-        for oid in list(self.open.keys()):
-            o = self.open[oid]
-            ox, oy, _, _ = self._order_km[oid]
-            dist = np.hypot(fleet.x - ox, fleet.y - oy)
+        for oid in self.open.tolist():
+            dist = np.hypot(fleet.x - s.ox[oid], fleet.y - s.oy[oid])
             in_radius = (
-                (fleet.status == int(DriverStatus.IDLE)) & ~bid & (dist <= self.radii[o.grid])
+                (fleet.status == int(DriverStatus.IDLE)) & ~bid & (dist <= self.radii[s.cell[oid]])
             )
             cand = np.flatnonzero(in_radius)
-            accepters = cand[sample_accepts(cfg.acceptance, dist[cand], o.fare, self.rng)]
+            accepters = cand[sample_accepts(cfg.acceptance, dist[cand], s.fare[oid], self.rng)]
             if len(accepters) == 0:
                 continue
             bid[accepters] = True
             winner = int(accepters[int(self.rng.integers(len(accepters)))])
-            self._match(o, winner, float(dist[winner]), t0)
+            self._match(oid, winner, float(dist[winner]), t0)
 
         # 4. move pickup / in-service drivers toward their targets
         self._move(cfg.speed_kmh * tick / 3600.0)
@@ -287,59 +288,56 @@ class Simulation:
         if self.tick_count % cfg.ticks_per_window == 0:
             self._close_window()
 
-    def _close(self, order_id: int) -> None:
-        """Take an order out of the open set; an order leaves it exactly once."""
-        if self.open.pop(order_id, None) is None:
+    def _match(self, order_id: int, driver: int, pickup_km: float, t: float) -> None:
+        """Hand an open order to a driver; an order leaves the open set exactly once."""
+        if not self._open[order_id]:
             raise ValueError(f"order {order_id} is not open")
-
-    def _match(self, order: Order, driver: int, pickup_km: float, t: float) -> None:
-        self._close(order.id)
+        self._open[order_id] = False
         self.matched += 1
-        fleet = self.fleet
-        ox, oy, _, _ = self._order_km[order.id]
+        s, fleet = self.stream, self.fleet
         fleet.status[driver] = int(DriverStatus.PICKUP)
-        fleet.target_x[driver] = ox
-        fleet.target_y[driver] = oy
-        fleet.order_id[driver] = order.id
-        g = order.grid
-        if order.t_create >= self.window_index * self.config.window_s:
+        fleet.target_x[driver] = s.ox[order_id]
+        fleet.target_y[driver] = s.oy[order_id]
+        fleet.order_id[driver] = order_id
+        g = int(s.cell[order_id])
+        fare = float(s.fare[order_id])
+        if s.t_create[order_id] >= self.window_index * self.config.window_s:
             self._win_cohort[g] += 1
         self._win_dists[g].append(pickup_km)
-        self._win_fares[g].append(order.fare)
+        self._win_fares[g].append(fare)
         self.matches.append(
             MatchRecord(
-                order_id=order.id,
+                order_id=order_id,
                 driver_id=driver,
                 grid=g,
                 t_match=t,
                 pickup_km=pickup_km,
-                fare=order.fare,
+                fare=fare,
                 radius_km=float(self.radii[g]),
             )
         )
 
     def _move(self, step_km: float) -> None:
+        """Step busy drivers; at its target a pickup heads for the destination, a drop-off idles."""
         fleet = self.fleet
         busy = np.flatnonzero(fleet.status != int(DriverStatus.IDLE))
-        for i in busy:
-            dx = fleet.target_x[i] - fleet.x[i]
-            dy = fleet.target_y[i] - fleet.y[i]
-            dist = float(np.hypot(dx, dy))
-            if dist > step_km:
-                fleet.x[i] += dx / dist * step_km
-                fleet.y[i] += dy / dist * step_km
-                continue
-            fleet.x[i] = fleet.target_x[i]
-            fleet.y[i] = fleet.target_y[i]
-            if fleet.status[i] == int(DriverStatus.PICKUP):
-                # passenger aboard; head for the destination
-                _, _, dxk, dyk = self._order_km[int(fleet.order_id[i])]
-                fleet.status[i] = int(DriverStatus.IN_SERVICE)
-                fleet.target_x[i] = dxk
-                fleet.target_y[i] = dyk
-            else:
-                fleet.status[i] = int(DriverStatus.IDLE)
-                fleet.order_id[i] = -1
+        dx = fleet.target_x[busy] - fleet.x[busy]
+        dy = fleet.target_y[busy] - fleet.y[busy]
+        dist = np.hypot(dx, dy)
+        going = dist > step_km
+        fleet.x[busy[going]] += dx[going] / dist[going] * step_km
+        fleet.y[busy[going]] += dy[going] / dist[going] * step_km
+        arrived = busy[~going]
+        fleet.x[arrived] = fleet.target_x[arrived]
+        fleet.y[arrived] = fleet.target_y[arrived]
+        pickup = fleet.status[arrived] == int(DriverStatus.PICKUP)
+        boarded, dropped = arrived[pickup], arrived[~pickup]
+        oid = fleet.order_id[boarded]
+        fleet.status[boarded] = int(DriverStatus.IN_SERVICE)
+        fleet.target_x[boarded] = self.stream.dx[oid]
+        fleet.target_y[boarded] = self.stream.dy[oid]
+        fleet.status[dropped] = int(DriverStatus.IDLE)
+        fleet.order_id[dropped] = -1
 
     def _idle_walk(self, step_km: float) -> None:
         fleet = self.fleet
@@ -423,7 +421,7 @@ class EpisodeResult:
     matches: list[MatchRecord]
 
 
-def run(config: SimConfig, stream: Sequence[Order], horizon_s: float) -> EpisodeResult:
+def run(config: SimConfig, stream: OrderStream, horizon_s: float) -> EpisodeResult:
     """Replay a full episode and aggregate its metrics.
 
     The horizon must be a whole number of metric windows so the log is clean.

@@ -3,7 +3,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ridecast.market import MatchRecord, Order, WindowMetrics, metrics_from_tallies
+from ridecast.market import GridSpec, MatchRecord, OrderStream, WindowMetrics, metrics_from_tallies
 from ridecast.nn.model import TransformerRegressor
 
 
@@ -63,8 +63,16 @@ def finite_difference_gradcheck(model: TransformerRegressor, x: np.ndarray, y: n
     return worst
 
 
+def stream_from_rows(grid: GridSpec, rows: Iterable[tuple]) -> OrderStream:
+    """OrderStream from (t_create, cell, origin_lon, origin_lat, dest_lon,
+    dest_lat, fare) rows; row i becomes order id i."""
+    rows = list(rows)
+    return OrderStream(grid, *(zip(*rows) if rows else [()] * 7))
+
+
 def compute_window_metrics(
-    orders: Iterable[Order],
+    stream: OrderStream,
+    order_ids: Iterable[int],
     matches: Iterable[MatchRecord],
     window_start: float,
     window_end: float,
@@ -74,11 +82,11 @@ def compute_window_metrics(
     """Oracle: windowed (ofr, apd, dur, revenue) recomputed from a stream and
     a match log over a fully elapsed window.
 
-    Creations are read from ``orders`` (ids unique) and match events from
-    ``matches``; each counts when its timestamp falls inside
+    Creations are read from the rows ``order_ids`` of ``stream`` and match
+    events from ``matches``; each counts when its timestamp falls inside
     [window_start, window_end).  Revenue is recognized at match time.
     """
-    created = {o.id for o in orders if window_start <= o.t_create < window_end}
+    created = {i for i in order_ids if window_start <= stream.t_create[i] < window_end}
     cohort = 0
     dists: list[float] = []
     fares: list[float] = []

@@ -15,7 +15,7 @@ from ridecast.demand import (
     load_trips,
     synth_demand,
 )
-from ridecast.market import GridSpec
+from ridecast.market import GridSpec, LocalProjection
 
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=4.0, lat_max=4.0, side_count=4)
 T0 = datetime(2015, 5, 1, 0, 0, 0)
@@ -48,9 +48,8 @@ class TestLoadTrips:
             "2015-05-01 10:00:00,2.5,2.5,0.5,0.5,6.0\n",
         ]
         orders, _ = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-        times = [o.t_create for o in orders]
-        assert times == sorted(times)
-        assert [o.id for o in orders] == [0, 1, 2]
+        assert orders.t_create.tolist() == [8 * 3600.0, 10 * 3600.0, 12 * 3600.0]
+        assert orders.fare.tolist() == [5.0, 6.0, 7.5]  # row i is order id i, in creation order
 
     def test_missing_fare_filled_by_fare_model(self, tmp_path):
         # dropoff sits exactly 2 km north of pickup, so fare = 2.5 + 1.0 * 2
@@ -58,7 +57,7 @@ class TestLoadTrips:
         rows = [f"2015-05-01 10:00:00,0.5,0.5,0.5,{dlat},\n"]
         orders, _ = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1,
                                fare_model=FareModel(base=2.5, per_km=1.0))
-        assert orders[0].fare == pytest.approx(4.5, rel=1e-12)
+        assert orders.fare[0] == pytest.approx(4.5, rel=1e-12)
 
     def test_malformed_rows_skipped_with_count(self, tmp_path):
         rows = [
@@ -69,12 +68,22 @@ class TestLoadTrips:
         assert report.malformed == 1
         assert len(orders) == 19
 
+    def test_short_row_is_malformed(self, tmp_path):
+        # csv fills the fields a short row lacks with None; with the date
+        # last, the row must count as malformed rather than crash the parse
+        p = tmp_path / "t.csv"
+        p.write_text("pickup_lon,pickup_lat,dropoff_lon,dropoff_lat,fare_amount,pickup_datetime\n"
+                     + "0.5,0.5,1.5,1.5,7.5,2015-05-01 10:00:00\n" * 30 + "-73.98,40.75\n")
+        orders, report = load_trips(p, BOX, T0, T1)
+        assert (report.total_rows, report.malformed, report.emitted) == (31, 1, 30)
+        assert len(orders) == 30
+
     def test_non_finite_fares_are_malformed(self, tmp_path):
         good = "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"
         rows = [f"2015-05-01 10:00:00,0.5,0.5,1.5,1.5,{fare}\n" for fare in ("nan", "inf", "-inf")] + [good] * 37
         orders, report = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
         assert report.malformed == 3 and report.emitted == 37
-        assert all(o.fare == 7.5 for o in orders)
+        assert np.all(orders.fare == 7.5)
 
     def test_non_finite_coordinates_are_malformed(self, tmp_path):
         good = "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"
@@ -100,7 +109,7 @@ class TestLoadTrips:
         orders, report = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
         assert len(orders) == 1
         assert report.out_of_range == 2
-        assert orders[0].t_create == 10 * 3600.0
+        assert orders.t_create[0] == 10 * 3600.0
 
     def test_missing_header_rejected(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -115,13 +124,14 @@ class TestLoadTrips:
     def test_grid_assignment(self, tmp_path):
         rows = ["2015-05-01 10:00:00,2.5,0.5,1.5,1.5,7.5\n"]
         orders, _ = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-        assert orders[0].grid == 2
+        assert orders.cell[0] == 2
 
 
 class TestSynthDemand:
     def test_zero_rates_empty_stream(self):
         profile = DemandProfile(rates=np.zeros((16, 24)), dest_probs=np.full((16, 16), 1 / 16))
-        assert synth_demand(profile, BOX, seed=1, duration_s=3600.0) == []
+        stream = synth_demand(profile, BOX, seed=1, duration_s=3600.0)
+        assert len(stream) == 0 and stream.grid == BOX
 
     def test_poisson_mean_matches_rate(self):
         rates = np.zeros((16, 24))
@@ -135,17 +145,21 @@ class TestSynthDemand:
         a = synth_demand(profile, BOX, seed=33, duration_s=7200.0, day_start_s=6 * 3600)
         b = synth_demand(profile, BOX, seed=33, duration_s=7200.0, day_start_s=6 * 3600)
         assert len(a) == len(b) > 0
-        for oa, ob in zip(a, b):
-            assert (oa.t_create, oa.origin_lon, oa.dest_lat, oa.fare) == \
-                   (ob.t_create, ob.origin_lon, ob.dest_lat, ob.fare)
+        for name in ("t_create", "cell", "ox", "oy", "dx", "dy", "fare"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_orders_sorted_and_in_area(self):
         profile = default_profile(BOX, daily_orders=800)
         stream = synth_demand(profile, BOX, seed=4, duration_s=4 * 3600.0, day_start_s=7 * 3600)
-        times = [o.t_create for o in stream]
-        assert times == sorted(times)
-        assert all(0 <= o.grid < 16 for o in stream)
-        assert all(0.0 <= o.t_create < 4 * 3600.0 for o in stream)
+        assert np.all(np.diff(stream.t_create) >= 0)
+        assert np.all((0 <= stream.cell) & (stream.cell < 16))
+        assert np.all((0.0 <= stream.t_create) & (stream.t_create < 4 * 3600.0))
+        # each order lies in the cell it was drawn for
+        proj = LocalProjection(BOX)
+        n = BOX.side_count
+        col = (stream.ox / (proj.x_max / n)).astype(int)
+        row = (stream.oy / (proj.y_max / n)).astype(int)
+        np.testing.assert_array_equal(row * n + col, stream.cell)
 
     def test_hourly_rates_converge_to_profile(self):
         # law-of-large-numbers check on a single grid-hour cell

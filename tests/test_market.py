@@ -1,9 +1,8 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from conftest import compute_window_metrics
+from conftest import compute_window_metrics, stream_from_rows
 
 from ridecast.market import (
     OUT_OF_AREA,
@@ -12,7 +11,7 @@ from ridecast.market import (
     LocalProjection,
     MarketWindow,
     MatchRecord,
-    Order,
+    OrderStream,
     TimeOfDay,
     grid_index,
     metrics_from_tallies,
@@ -122,16 +121,13 @@ class TestWindowMetrics:
         assert (m.ofr, m.apd_km, m.dur, m.revenue) == (0.0, 0.0, 0.0, 0.0)
 
     def test_revenue_recognized_at_match(self):
-        orders = [
-            Order(0, t_create=10.0, origin_lon=0.5, origin_lat=0.5, dest_lon=1.5, dest_lat=1.5, fare=4.0, grid=0),
-            Order(1, t_create=20.0, origin_lon=0.5, origin_lat=0.5, dest_lon=1.5, dest_lat=1.5, fare=6.0, grid=0),
-        ]
+        stream = stream_from_rows(BOX, [(10.0, 0, 0.5, 0.5, 1.5, 1.5, 4.0), (20.0, 0, 0.5, 0.5, 1.5, 1.5, 6.0)])
         matches = [
             MatchRecord(order_id=0, driver_id=0, grid=0, t_match=50.0, pickup_km=1.0, fare=4.0, radius_km=2.0),
             # order 1 matches in the *next* window: its fare is not counted here
             MatchRecord(order_id=1, driver_id=1, grid=0, t_match=310.0, pickup_km=2.0, fare=6.0, radius_km=2.0),
         ]
-        m = compute_window_metrics(orders, matches, 0.0, 300.0, occupied_s=0.0, online_s=600.0)
+        m = compute_window_metrics(stream, [0, 1], matches, 0.0, 300.0, occupied_s=0.0, online_s=600.0)
         assert m.revenue == 4.0
         assert m.ofr == 0.5
         assert m.apd_km == 1.0
@@ -151,20 +147,54 @@ class TestWindowMetrics:
             assert m.apd_km >= 0.0 and m.revenue >= 0.0
 
 
+ROW = (0.0, 0, 0.5, 0.5, 1.5, 1.5, 3.0)  # t_create, cell, origin lon/lat, destination lon/lat, fare
+
+
+def with_value(column, value):
+    """ROW with one column (an index into it) replaced."""
+    return ROW[:column] + (value,) + ROW[column + 1:]
+
+
 class TestOrderDriverInvariants:
     def test_order_is_frozen(self):
-        o = Order(0, 0.0, 0.5, 0.5, 1.5, 1.5, fare=3.0, grid=0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            o.id = 1
+        # the columns are read-only, and the stream keeps its own copy of its inputs
+        t = np.array([0.0, 5.0])
+        stream = OrderStream(BOX, t, [0, 1], [0.5, 1.5], [0.5, 0.5], [1.5, 1.5], [1.5, 1.5], [3.0, 4.0])
+        t[0] = 9.0
+        assert stream.t_create[0] == 0.0
+        for name in ("t_create", "cell", "fare", "ox", "oy", "dx", "dy"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(stream, name)[0] = 1
 
     def test_negative_fare_rejected(self):
-        with pytest.raises(ValueError):
-            Order(0, 0.0, 0.5, 0.5, 1.5, 1.5, fare=-1.0, grid=0)
+        with pytest.raises(ValueError, match="fare"):
+            stream_from_rows(BOX, [with_value(6, -1.0)])
 
     def test_non_finite_fare_rejected(self):
         for fare in (math.nan, math.inf):
-            with pytest.raises(ValueError):
-                Order(0, 0.0, 0.5, 0.5, 1.5, 1.5, fare=fare, grid=0)
+            with pytest.raises(ValueError, match="fare"):
+                stream_from_rows(BOX, [with_value(6, fare)])
+
+    def test_non_finite_creation_time_rejected(self):
+        # NaN compares False both ways, so a sort check alone would let it
+        # through, and injection would stop at that row for good
+        rows = [with_value(0, t) for t in (0.0, math.nan, 20.0, 30.0)]
+        with pytest.raises(ValueError, match="finite"):
+            stream_from_rows(BOX, rows)
+        with pytest.raises(ValueError, match="finite"):
+            stream_from_rows(BOX, [with_value(0, math.inf)])
+
+    @pytest.mark.parametrize("column", [2, 3, 4, 5])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, column, value):
+        with pytest.raises(ValueError, match="finite"):
+            stream_from_rows(BOX, [with_value(column, value)])
+
+    def test_ragged_or_nested_columns_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            OrderStream(BOX, [0.0, 1.0], [0], [0.5], [0.5], [1.5], [1.5], [3.0])
+        with pytest.raises(ValueError, match="1-D"):
+            OrderStream(BOX, [[0.0]], [[0]], [[0.5]], [[0.5]], [[1.5]], [[1.5]], [[3.0]])
 
     def test_market_window_invariants(self):
         with pytest.raises(ValueError):
@@ -197,6 +227,6 @@ class TestProjection:
             lon = rng.uniform(box.lon_min, box.lon_max, 2000)
             lat = rng.uniform(box.lat_min, box.lat_max, 2000)
             sim = Simulation(SimConfig(grid=box, n_drivers=2000, speed_kmh=20.0,
-                                       radius_source=FixedRadius(1.0, box.n_cells)), [])
+                                       radius_source=FixedRadius(1.0, box.n_cells)), stream_from_rows(box, []))
             sim.fleet.x, sim.fleet.y = sim.proj.to_xy(lon, lat)
             assert sim._driver_cells().tolist() == [grid_index(a, b, box) for a, b in zip(lon, lat)]

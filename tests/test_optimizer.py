@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import compute_window_metrics
+from conftest import compute_window_metrics, stream_from_rows
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import NormStats, apply_norm, fit_norm_stats
-from ridecast.market import GridSpec, MarketWindow, Order, TimeOfDay, grid_index
+from ridecast.market import GridSpec, MarketWindow, TimeOfDay, grid_index
 from ridecast.optimizer import (
     COL_RADIUS,
     CandidateSet,
@@ -303,7 +303,7 @@ class TestPredictorRadiusSource:
                                     LAYOUT, None, IDENT)
         cfg = SimConfig(grid=BOX, n_drivers=5, speed_kmh=20.0, radius_source=src,
                         acceptance=AcceptanceModel(), seed=0)
-        sim = Simulation(cfg, [])
+        sim = Simulation(cfg, stream_from_rows(BOX, []))
         for _ in range(60):
             sim.step()
         # one decision per grid per boundary (init + 2 closes)
@@ -327,7 +327,7 @@ class TestPredictorRadiusSource:
         snap_like = Simulation(
             SimConfig(grid=BOX, n_drivers=3, speed_kmh=20.0,
                       radius_source=src, acceptance=AcceptanceModel(), seed=1),
-            [],
+            stream_from_rows(BOX, []),
         ).snapshot
         captured.clear()  # drop the Simulation's own first call
         src.radii(snap_like, hist)
@@ -360,9 +360,8 @@ def small_stream(seed):
         dlon, dlat = rng.uniform(0.01, 0.09, size=2)
         draws.append((float(rng.uniform(0, 1700)), lon, lat, dlon, dlat))
     draws.sort(key=lambda d: d[0])
-    return [Order(id=i, t_create=t, origin_lon=lon, origin_lat=lat, dest_lon=dlon, dest_lat=dlat,
-                  fare=6.0, grid=grid_index(lon, lat, BOX))
-            for i, (t, lon, lat, dlon, dlat) in enumerate(draws)]
+    return stream_from_rows(BOX, [(t, grid_index(lon, lat, BOX), lon, lat, dlon, dlat, 6.0)
+                                  for t, lon, lat, dlon, dlat in draws])
 
 
 class TestCollect:
@@ -405,7 +404,7 @@ class TestCollect:
         assert len(res.windows) == 16 * 6
         for row in res.windows:
             m = compute_window_metrics(
-                [o for o in stream if o.grid == row.grid],
+                stream, np.flatnonzero(stream.cell == row.grid).tolist(),
                 [x for x in res.matches if x.grid == row.grid],
                 row.start_s, row.start_s + 300.0, occupied_s=0.0, online_s=0.0,
             )

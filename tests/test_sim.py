@@ -1,12 +1,14 @@
+import copy
 import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from conftest import stream_from_rows
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import default_profile, synth_demand
-from ridecast.market import DriverStatus, GridSpec, Order, grid_index
+from ridecast.market import DriverStatus, GridSpec, grid_index
 from ridecast.sim import (
     EpisodeSummary,
     FixedRadius,
@@ -38,16 +40,18 @@ def mkconfig(radius=1.0, drivers=1, accept=None, seed=0, **kw):
     )
 
 
-def mkorder(oid, t, lon, lat, dlon=None, dlat=None, fare=5.0):
-    return Order(id=oid, t_create=t, origin_lon=lon, origin_lat=lat,
-                 dest_lon=dlon if dlon is not None else lon,
-                 dest_lat=dlat if dlat is not None else lat,
-                 fare=fare, grid=grid_index(lon, lat, BOX))
+def mkrow(t, lon, lat, dlon=None, dlat=None, fare=5.0):
+    """One stream row; a trip without a destination ends where it starts."""
+    return (t, grid_index(lon, lat, BOX), lon, lat,
+            dlon if dlon is not None else lon, dlat if dlat is not None else lat, fare)
 
 
 def sorted_stream(draws):
-    """Orders from (t, lon, lat[, dlon, dlat[, fare]]) draws, ids in creation order."""
-    return [mkorder(i, *d) for i, d in enumerate(sorted(draws, key=lambda d: d[0]))]
+    """Stream from (t, lon, lat[, dlon, dlat[, fare]]) draws, ids in creation order."""
+    return stream_from_rows(BOX, [mkrow(*d) for d in sorted(draws, key=lambda d: d[0])])
+
+
+EMPTY = stream_from_rows(BOX, [])
 
 
 def random_stream(seed, n, t_max):
@@ -74,31 +78,30 @@ def place(sim, positions):
 
 class TestBroadcastMatching:
     def test_colocated_forced_match(self):
-        order = mkorder(0, 0.0, 0.05, 0.05)
-        sim = Simulation(mkconfig(radius=1.0), [order])
+        stream = sorted_stream([(0.0, 0.05, 0.05)])
+        sim = Simulation(mkconfig(radius=1.0), stream)
         place(sim, [(0.05, 0.05)])
         sim.step()
         assert [(m.order_id, m.t_match, m.pickup_km) for m in sim.matches] == [(0, 0.0, 0.0)]
-        assert not sim.open
+        assert len(sim.open) == 0
         for _ in range(29):
             sim.step()
-        w = [w for w in sim.windows if w.grid == order.grid][0]
+        w = [w for w in sim.windows if w.grid == stream.cell[0]][0]
         assert w.ofr == 1.0 and w.apd_km == 0.0 and w.revenue == 5.0
 
     def test_out_of_radius_order_expires(self):
-        order = mkorder(0, 0.0, 0.05, 0.05)
-        sim = Simulation(mkconfig(radius=1.0, patience_s=300.0), [order])
+        stream = sorted_stream([(0.0, 0.05, 0.05)])
+        sim = Simulation(mkconfig(radius=1.0, patience_s=300.0), stream)
         place(sim, [(0.05, 0.05 + 2.0 * KM_LAT)])  # 2 km away, radius 1 km
         for _ in range(60):
             sim.step()
-        assert not sim.open and not sim.matches
-        assert sim.windows[order.grid].ofr == 0.0
+        assert len(sim.open) == 0 and not sim.matches
+        assert sim.windows[stream.cell[0]].ofr == 0.0
         assert sim.expired == 1 and sim.matched == 0
 
     def test_two_drivers_one_winner_deterministic(self):
         def build():
-            order = mkorder(0, 0.0, 0.05, 0.05)
-            sim = Simulation(mkconfig(radius=1.0, drivers=2, seed=7), [order])
+            sim = Simulation(mkconfig(radius=1.0, drivers=2, seed=7), sorted_stream([(0.0, 0.05, 0.05)]))
             place(sim, [(0.05, 0.05 + 0.5 * KM_LAT), (0.05, 0.05 - 0.5 * KM_LAT)])
             sim.step()
             return sim
@@ -113,7 +116,7 @@ class TestBroadcastMatching:
     def test_one_bid_per_driver_per_tick(self):
         # one forced-accept driver near two simultaneous orders: the first
         # (oldest) gets matched, the second must wait for the next tick
-        orders = [mkorder(0, 0.0, 0.05, 0.05), mkorder(1, 0.0, 0.05, 0.05 + 0.2 * KM_LAT)]
+        orders = sorted_stream([(0.0, 0.05, 0.05), (0.0, 0.05, 0.05 + 0.2 * KM_LAT)])
         sim = Simulation(mkconfig(radius=2.0), orders)
         place(sim, [(0.05, 0.05)])
         sim.step()
@@ -122,7 +125,7 @@ class TestBroadcastMatching:
 
     def test_rejecting_driver_may_consider_later_orders(self):
         # driver rejects everything; both orders stay open, nobody is consumed
-        orders = [mkorder(0, 0.0, 0.05, 0.05), mkorder(1, 0.0, 0.05, 0.05 + 0.2 * KM_LAT)]
+        orders = sorted_stream([(0.0, 0.05, 0.05), (0.0, 0.05, 0.05 + 0.2 * KM_LAT)])
         sim = Simulation(mkconfig(radius=2.0, accept=forced(-50.0)), orders)
         place(sim, [(0.05, 0.05)])
         sim.step()
@@ -145,27 +148,27 @@ class TestBroadcastMatching:
 
 class TestLifecycleAndConservation:
     def test_order_leaves_open_set_once(self):
-        order = mkorder(0, 0.0, 0.05, 0.05)
-        sim = Simulation(mkconfig(radius=1.0), [order])
+        stream = sorted_stream([(0.0, 0.05, 0.05), (100.0, 0.05, 0.05)])
+        sim = Simulation(mkconfig(radius=1.0), stream)
         place(sim, [(0.05, 0.05)])
         sim.step()
         assert sim.matched == 1
-        with pytest.raises(ValueError):
-            sim._match(order, 0, 0.0, sim.clock)
-        with pytest.raises(ValueError):
-            sim._close(order.id)
+        with pytest.raises(ValueError, match="order 0 is not open"):
+            sim._match(0, 0, 0.0, sim.clock)
+        with pytest.raises(ValueError, match="order 1 is not open"):
+            sim._match(1, 0, 0.0, sim.clock)  # not injected yet
 
-        sim = Simulation(mkconfig(radius=1.0, patience_s=10.0), [order])
+        sim = Simulation(mkconfig(radius=1.0, patience_s=10.0), stream)
         place(sim, [(0.05, 0.05 + 2.0 * KM_LAT)])
         sim.step()
         sim.step()
         assert sim.expired == 1
-        with pytest.raises(ValueError):
-            sim._match(order, 0, 0.0, sim.clock)
+        with pytest.raises(ValueError, match="order 0 is not open"):
+            sim._match(0, 0, 0.0, sim.clock)
+        assert sim.matched == 0 and len(sim.open) == 0
 
     def test_driver_transitions_to_idle_at_destination(self):
-        order = mkorder(0, 0.0, 0.05, 0.05, dlon=0.05, dlat=0.05 + 1.0 * KM_LAT)
-        sim = Simulation(mkconfig(radius=1.0), [order])
+        sim = Simulation(mkconfig(radius=1.0), sorted_stream([(0.0, 0.05, 0.05, 0.05, 0.05 + 1.0 * KM_LAT)]))
         place(sim, [(0.05, 0.05)])
         sim.step()
         assert sim.fleet.status[0] == int(DriverStatus.IN_SERVICE)
@@ -185,6 +188,42 @@ class TestLifecycleAndConservation:
             sim.step()
             assert sim.matched + sim.expired + len(sim.open) == sim.injected
 
+    def test_move_matches_per_driver_loop(self):
+        # _move is array code; the per-driver loop it replaced is the reference,
+        # and the arithmetic is the same per element, so the fleets must be equal
+        def reference_move(fleet, stream, step_km):
+            arrivals = 0
+            for i in np.flatnonzero(fleet.status != int(DriverStatus.IDLE)):
+                dx = fleet.target_x[i] - fleet.x[i]
+                dy = fleet.target_y[i] - fleet.y[i]
+                dist = float(np.hypot(dx, dy))
+                if dist > step_km:
+                    fleet.x[i] += dx / dist * step_km
+                    fleet.y[i] += dy / dist * step_km
+                    continue
+                arrivals += 1
+                fleet.x[i] = fleet.target_x[i]
+                fleet.y[i] = fleet.target_y[i]
+                if fleet.status[i] == int(DriverStatus.PICKUP):
+                    fleet.status[i] = int(DriverStatus.IN_SERVICE)
+                    fleet.target_x[i] = stream.dx[fleet.order_id[i]]
+                    fleet.target_y[i] = stream.dy[fleet.order_id[i]]
+                else:
+                    fleet.status[i] = int(DriverStatus.IDLE)
+                    fleet.order_id[i] = -1
+            return arrivals
+
+        sim = Simulation(mkconfig(radius=2.0, drivers=30, accept=AcceptanceModel()), random_stream(9, 150, 1750.0))
+        arrivals = 0
+        for _ in range(150):
+            sim.step()
+            twin = copy.deepcopy(sim.fleet)
+            arrivals += reference_move(twin, sim.stream, 0.04)
+            sim._move(0.04)
+            for name in ("x", "y", "status", "target_x", "target_y", "order_id"):
+                assert getattr(sim.fleet, name).tobytes() == getattr(twin, name).tobytes(), name
+        assert arrivals > 20
+
     def test_each_order_matched_at_most_once(self):
         rng = np.random.default_rng(2)
         stream = sorted_stream((float(rng.uniform(0, 800)), *rng.uniform(0.01, 0.09, 2)) for _ in range(60))
@@ -193,14 +232,14 @@ class TestLifecycleAndConservation:
         assert len(ids) == len(set(ids))
 
     def test_zero_orders_zero_summary(self):
-        res = run(mkconfig(drivers=3), [], horizon_s=600.0)
+        res = run(mkconfig(drivers=3), EMPTY, horizon_s=600.0)
         s = res.summary
         assert s == EpisodeSummary(ofr=0.0, dur=0.0, revenue=0.0, apd_km=0.0,
                                    created=0, matched=0, expired=0, open_at_end=0)
         assert len(res.windows) == 2 * BOX.n_cells
 
     def test_window_snapshot_counts(self):
-        sim = Simulation(mkconfig(drivers=5), [])
+        sim = Simulation(mkconfig(drivers=5), EMPTY)
         for _ in range(30):
             sim.step()
         first = sim.windows[: BOX.n_cells]
@@ -255,22 +294,26 @@ class TestDeterminism:
         assert 0 < res.summary.matched < res.summary.created == 152
         assert trace_digest(res) == "d423875e50d79c3bdb43bc4fc73e94e0e70fa3da45f37e30795e0ca74cedd01d"
 
-    def test_duplicate_order_ids_rejected(self):
-        stream = [mkorder(0, 0.0, 0.05, 0.05), mkorder(0, 10.0, 0.05, 0.05)]
-        with pytest.raises(ValueError):
-            Simulation(mkconfig(), stream)
-
     def test_unsorted_stream_rejected(self):
-        stream = [mkorder(0, 100.0, 0.05, 0.05), mkorder(1, 50.0, 0.05, 0.05)]
-        with pytest.raises(ValueError):
-            Simulation(mkconfig(), stream)
+        with pytest.raises(ValueError, match="sorted"):
+            stream_from_rows(BOX, [mkrow(100.0, 0.05, 0.05), mkrow(50.0, 0.05, 0.05)])
 
     @pytest.mark.parametrize("grid", [-1, BOX.n_cells])
     def test_order_outside_the_grid_rejected(self, grid):
         # -1 is OUT_OF_AREA; either value would index a per-cell tally wrongly
-        stream = [mkorder(0, 0.0, 0.05, 0.05), dataclasses.replace(mkorder(7, 10.0, 0.05, 0.05), grid=grid)]
+        rows = [mkrow(10.0 * i, 0.05, 0.05) for i in range(8)]
+        rows[7] = (70.0, grid, *rows[7][2:])
         with pytest.raises(ValueError, match="order 7"):
-            Simulation(mkconfig(), stream)
+            stream_from_rows(BOX, rows)
+
+    def test_stream_for_another_grid_rejected(self):
+        stream = sorted_stream([(0.0, 0.05, 0.05)])
+        with pytest.raises(ValueError, match="another grid"):
+            Simulation(dataclasses.replace(mkconfig(), grid=dataclasses.replace(BOX, side_count=2),
+                                           radius_source=FixedRadius(1.0, 4)), stream)
+        other = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=0.2, lat_max=0.1, side_count=4)
+        with pytest.raises(ValueError, match="another grid"):
+            Simulation(mkconfig(), stream_from_rows(other, [mkrow(0.0, 0.05, 0.05)]))
 
 
 class TestRadiusSources:
@@ -298,11 +341,11 @@ class TestRadiusSources:
 
         for bad in (nan, float("inf")):
             with pytest.raises(ValueError):
-                Simulation(dataclasses.replace(mkconfig(), radius_source=ConstantRadius(bad)), [])
+                Simulation(dataclasses.replace(mkconfig(), radius_source=ConstantRadius(bad)), EMPTY)
 
     def test_schedule_rows_apply_per_window(self):
         table = np.vstack([np.full(16, 1.0), np.full(16, 3.0)])
-        sim = Simulation(dataclasses.replace(mkconfig(), radius_source=ScheduleRadius(table)), [])
+        sim = Simulation(dataclasses.replace(mkconfig(), radius_source=ScheduleRadius(table)), EMPTY)
         assert sim.radii[0] == 1.0
         for _ in range(30):
             sim.step()
@@ -314,7 +357,7 @@ class TestRadiusSources:
     def test_random_source_is_seeded(self):
         a = RandomRadius([1.0, 2.0, 3.0], 16, seed=5)
         b = RandomRadius([1.0, 2.0, 3.0], 16, seed=5)
-        snap = Simulation(mkconfig(), []).snapshot
+        snap = Simulation(mkconfig(), EMPTY).snapshot
         np.testing.assert_array_equal(a.radii(snap, []), b.radii(snap, []))
         assert set(np.unique(a.radii(snap, []))) <= {1.0, 2.0, 3.0}
 
@@ -324,13 +367,29 @@ class TestRadiusSources:
         with pytest.raises(ValueError):
             mkconfig(patience_s=5.0)
         with pytest.raises(ValueError):
-            run(mkconfig(), [], horizon_s=450.0)  # not a whole window
+            run(mkconfig(), EMPTY, horizon_s=450.0)  # not a whole window
+
+    @pytest.mark.parametrize("changes", [
+        {"speed_kmh": float("nan")},
+        {"speed_kmh": float("inf")},
+        {"patience_s": float("nan")},  # would never expire an order
+        {"idle_walk_kmh": float("nan")},  # would never walk
+        {"idle_walk_kmh": float("inf")},
+        {"idle_walk_kmh": -1.0},
+        {"tick_s": 0.0},
+        {"window_s": float("inf")},
+        {"tick_s": -10.0, "window_s": -300.0, "patience_s": -5.0},  # a clock that runs backwards
+    ])
+    def test_invalid_physics_rejected(self, changes):
+        assert mkconfig().idle_walk_kmh == 0.0  # standing idle drivers stay allowed
+        with pytest.raises(ValueError):
+            dataclasses.replace(mkconfig(), **changes)
 
 
 class TestIdleWalk:
     def test_walk_keeps_drivers_in_area_and_changes_positions(self):
         cfg = mkconfig(drivers=10, idle_walk_kmh=5.0)
-        sim = Simulation(cfg, [])
+        sim = Simulation(cfg, EMPTY)
         x0 = sim.fleet.x.copy()
         for _ in range(30):
             sim.step()
@@ -339,7 +398,7 @@ class TestIdleWalk:
         assert np.all((sim.fleet.y >= 0) & (sim.fleet.y < sim.proj.y_max))
 
     def test_default_idle_drivers_stationary(self):
-        sim = Simulation(mkconfig(drivers=4), [])
+        sim = Simulation(mkconfig(drivers=4), EMPTY)
         x0 = sim.fleet.x.copy()
         for _ in range(30):
             sim.step()

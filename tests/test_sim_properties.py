@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ridecast.behavior import AcceptanceModel
-from ridecast.market import DriverStatus, GridSpec, Order, grid_index
+from ridecast.market import DriverStatus, GridSpec, OrderStream, grid_index
 from ridecast.sim import EpisodeResult, FixedRadius, RandomRadius, SimConfig, Simulation, run
 
 WINDOW_S = 300.0
@@ -38,12 +38,8 @@ def build_stream(sc):
     t = np.sort(rng.uniform(0.0, 1.1 * horizon, sc["n_orders"]))
     pts = rng.uniform(0.0, BOX_DEG, size=(sc["n_orders"], 4))
     fares = rng.uniform(0.0, 30.0, sc["n_orders"])
-    return [
-        Order(id=i, t_create=float(t[i]), origin_lon=float(p[0]), origin_lat=float(p[1]),
-              dest_lon=float(p[2]), dest_lat=float(p[3]), fare=float(fares[i]),
-              grid=grid_index(float(p[0]), float(p[1]), sc["grid"]))
-        for i, p in enumerate(pts)
-    ]
+    cells = [grid_index(float(p[0]), float(p[1]), sc["grid"]) for p in pts]
+    return OrderStream(sc["grid"], t, cells, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], fares)
 
 
 def build_config(sc):
@@ -72,7 +68,7 @@ def test_episode_invariants(sc):
     s = res.summary
 
     # order conservation: every injected order is matched, expired or still open
-    assert s.created == sum(o.t_create < horizon for o in stream)
+    assert s.created == np.count_nonzero(stream.t_create < horizon)
     assert s.created == s.matched + s.expired + s.open_at_end
     assert s.matched == len(res.matches)
 
