@@ -61,9 +61,10 @@ def load_trips(
     """Read trip rows into a time-ordered order stream.
 
     Creation times are seconds since ``start``.  Rows outside the box or the
-    [start, end) range are dropped and counted; rows that fail to parse, lack
-    a field or carry a non-finite coordinate or fare are malformed, and are
-    skipped unless they exceed 10% of the file, which aborts the load.
+    [start, end) range are dropped and counted; rows that fail to parse, have
+    fewer or more fields than the header, or carry a non-finite coordinate or
+    fare are malformed, and are skipped unless they exceed 10% of the file,
+    which aborts the load.
     Missing fares are filled from the fare model.
     """
     proj = LocalProjection(grid)
@@ -79,8 +80,9 @@ def load_trips(
         for row in reader:
             total += 1
             try:
-                if None in row.values():
-                    raise ValueError("short row")
+                # DictReader fills a short row with None values, and keys a long row's extras by None
+                if None in row.values() or None in row:
+                    raise ValueError("row length differs from the header")
                 t = (_parse_dt(row["pickup_datetime"]) - start).total_seconds()
                 plon = float(row["pickup_lon"])
                 plat = float(row["pickup_lat"])

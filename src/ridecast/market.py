@@ -138,6 +138,11 @@ class OrderStream:
     def __init__(self, grid: GridSpec, t_create, cell, origin_lon, origin_lat, dest_lon, dest_lat, fare):
         self.grid = grid
         self.t_create = np.array(t_create, dtype=float)
+        cell = np.asarray(cell)
+        if cell.dtype.kind == "f":
+            bad = np.flatnonzero(~(np.isfinite(cell) & (cell == np.floor(cell))))
+            if len(bad):
+                raise ValueError(f"order {bad[0]} has cell {cell[bad[0]]}, not a whole number")
         self.cell = np.array(cell, dtype=np.int64)
         self.fare = np.array(fare, dtype=float)
         lonlat = [np.array(c, dtype=float) for c in (origin_lon, origin_lat, dest_lon, dest_lat)]

@@ -2,10 +2,17 @@
 trained forecaster, score the predicted metrics, and commit the best radius
 per grid at each window boundary.  Also hosts the offline data collection
 that turns simulator window logs into supervised training examples.
+
+Both build their sequences with one array builder, ``build_feature_batch``,
+from a table of window rows and an index matrix of each sequence's history
+rows (-1 for leading padding).  A decision's history is its grid's last T-1
+logged windows; a training example's is the T-1 rows before it in its grid's
+window-sorted log, by position, so gaps in window numbers do not shorten it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -64,51 +71,56 @@ class FeatureLayout:
         return N_BASE_FEATURES + self.n_cells + N_TOD
 
 
-def _window_row(w: MarketWindow, layout: FeatureLayout) -> np.ndarray:
-    row = np.zeros(layout.dim)
-    row[COL_IDLE] = w.n_idle
-    row[COL_OPEN] = w.n_open
-    row[COL_TOTAL] = w.n_total
-    row[COL_OFR] = w.ofr
-    row[COL_APD] = w.apd_km
-    row[COL_DUR] = w.dur
-    row[COL_REV] = w.revenue
-    row[COL_RADIUS] = w.radius_km
-    return row
+_WINDOW_FIELDS = attrgetter("n_idle", "n_open", "n_total", "ofr", "apd_km", "dur", "revenue", "radius_km",
+                            "grid", "window", "tod")
 
 
-def build_features(
-    history: Sequence[MarketWindow],
-    n_idle: int,
-    n_open: int,
-    n_total: int,
-    tod: int,
-    grid: int,
-    candidate_radius: float,
+def _window_table(windows: Sequence[MarketWindow]) -> np.ndarray:
+    """(n, 11) float rows: the eight ``COL_*`` metrics, then grid, window and
+    time of day, read with one ``np.array`` over attribute tuples."""
+    return np.array([_WINDOW_FIELDS(w) for w in windows], dtype=float).reshape(-1, N_BASE_FEATURES + 3)
+
+
+def build_feature_batch(
+    table: np.ndarray,
+    table_grids: np.ndarray,
+    index: np.ndarray,
+    counts: np.ndarray,
+    radius: np.ndarray,
+    grids: np.ndarray,
+    tods: np.ndarray,
     layout: FeatureLayout,
-) -> tuple[np.ndarray, int]:
-    """Assemble one (seq_len, dim) sequence for a candidate radius.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble N raw (seq_len, dim) sequences in one pass.
 
-    Rows 0..seq_len-2 carry that grid's most recent completed windows with
-    realized metrics and radii (older first); the final row carries the
-    current counts, zeroed metrics and the candidate radius.  The grid
-    one-hot and the decision window's time-of-day one-hot are appended to
-    every row.  Returns the raw matrix and the number of padding rows.
+    ``table`` holds n realized window rows in ``COL_*`` order and
+    ``table_grids`` their grids.  Row k of ``index`` (N, seq_len-1) names
+    the table rows that fill rows 0..seq_len-2 of sequence k, oldest first,
+    with -1 for leading padding rows, which stay zero.  Callers pick which
+    windows count as history; the builder only places them.  The final row
+    carries ``counts`` (N, 3) of idle drivers, open orders and total drivers,
+    zeroed metrics and ``radius``.  Every non-padding row also gets the
+    sequence's grid one-hot and time-of-day one-hot.  Returns the (N, T, D)
+    matrix and the (N,) number of padding rows.
     """
-    t = layout.seq_len
-    x = np.zeros((t, layout.dim))
-    recent = list(history)[-(t - 1):]
-    n_pad = (t - 1) - len(recent)
-    for k, w in enumerate(recent):
-        if w.grid != grid:
-            raise ValueError("history rows must belong to the decision grid")
-        x[n_pad + k] = _window_row(w, layout)
-    x[-1, COL_IDLE] = n_idle
-    x[-1, COL_OPEN] = n_open
-    x[-1, COL_TOTAL] = n_total
-    x[-1, COL_RADIUS] = candidate_radius
-    x[n_pad:, N_BASE_FEATURES + grid] = 1.0
-    x[n_pad:, N_BASE_FEATURES + layout.n_cells + tod] = 1.0
+    t, n_cells = layout.seq_len, layout.n_cells
+    index, grids, tods = (np.asarray(a, dtype=np.int64) for a in (index, grids, tods))
+    bad = np.flatnonzero((grids < 0) | (grids >= n_cells))
+    if len(bad):
+        raise ValueError(f"window row for grid {grids[bad[0]]} outside 0..{n_cells - 1}")
+    pad = index < 0
+    seq, row = np.nonzero(~pad)
+    src = index[seq, row]
+    if np.any(np.asarray(table_grids)[src] != grids[seq]):
+        raise ValueError("history rows must belong to the decision grid")
+    x = np.zeros((len(grids), t, layout.dim))
+    x[seq, row, :N_BASE_FEATURES] = np.asarray(table)[src]
+    x[:, -1, COL_IDLE:COL_TOTAL + 1] = counts
+    x[:, -1, COL_RADIUS] = radius
+    n_pad = np.count_nonzero(pad, axis=1)
+    seq, row = np.nonzero(_real_row_mask(n_pad, t))
+    x[seq, row, N_BASE_FEATURES + grids[seq]] = 1.0
+    x[seq, row, N_BASE_FEATURES + n_cells + tods[seq]] = 1.0
     return x, n_pad
 
 
@@ -214,12 +226,15 @@ class PredictorRadiusSource:
         in its final row); built apart from ``radii`` so it is freed once predicted."""
         n_grids, t = self.layout.n_cells, self.layout.seq_len
         recent = _recent_by_grid(history, n_grids, t - 1)
-        base, pads = zip(*(
-            build_features(recent[g], int(snapshot.n_idle[g]), int(snapshot.n_open[g]),
-                           int(snapshot.n_total[g]), snapshot.tod, g, 0.0, self.layout)
-            for g in range(n_grids)
-        ))
-        base, final_radii, stats = np.stack(base), self.candidates.as_array(), self.feature_stats
+        table = _window_table([w for rows in recent for w in rows])
+        lens = np.array([len(rows) for rows in recent])
+        # grid g's rows start at table row sum(lens[:g]) and end its history
+        col = np.arange(t - 1) - ((t - 1) - lens)[:, None]
+        index = np.where(col >= 0, (np.cumsum(lens) - lens)[:, None] + col, -1)
+        counts = np.stack([snapshot.n_idle, snapshot.n_open, snapshot.n_total], axis=1)
+        base, pads = build_feature_batch(table[:, :N_BASE_FEATURES], table[:, N_BASE_FEATURES], index, counts,
+                                         0.0, np.arange(n_grids), np.full(n_grids, snapshot.tod), self.layout)
+        final_radii, stats = self.candidates.as_array(), self.feature_stats
         if stats is not None:
             real = _real_row_mask(pads, t)
             base[real] = apply_norm(base[real], stats)
@@ -271,7 +286,8 @@ class TrainingData:
         return self.features[_real_row_mask(self.pad_rows, self.layout.seq_len)]
 
     def normalized_features(self, stats: NormStats) -> np.ndarray:
-        out = apply_norm(self.features, stats)
+        out = self.features - stats.mean
+        out /= stats.std
         out[~_real_row_mask(self.pad_rows, self.layout.seq_len)] = 0.0
         return out
 
@@ -281,8 +297,7 @@ class TrainingData:
         rng = np.random.default_rng(seed)
         rng.shuffle(ids)
         n_test = max(1, int(round(test_fraction * len(ids))))
-        test_ids = set(ids[:n_test].tolist())
-        test_mask = np.array([e in test_ids for e in self.episodes])
+        test_mask = np.isin(self.episodes, ids[:n_test])
         return ~test_mask, test_mask
 
 
@@ -293,39 +308,30 @@ def dataset_from_windows(
 ) -> TrainingData:
     """One labeled example per (grid, window) of a completed episode log.
 
-    The example for window t uses windows t-(T-1)..t-1 as realized history,
-    window t's start-of-window counts plus its actual radius as the final
-    row, and window t's realized metrics as the label.
+    Examples are ordered by grid, then window; rows that tie on both keep
+    their log order.  The example for a row uses the up to T-1 rows before it
+    in that order within its grid as realized history (positional: a gap in
+    window numbers does not shorten it), the row's start-of-window counts
+    plus its actual radius as the final row, and its realized metrics as the
+    label.  A row whose grid lies outside the layout is rejected.
     """
-    by_grid: dict[int, list[MarketWindow]] = {}
-    for w in windows:
-        by_grid.setdefault(w.grid, []).append(w)
-    feats, labels, pads, grids, wins = [], [], [], [], []
-    for g in sorted(by_grid):
-        rows = sorted(by_grid[g], key=lambda w: w.window)
-        for t, w in enumerate(rows):
-            x, n_pad = build_features(
-                history=rows[max(0, t - (layout.seq_len - 1)): t],
-                n_idle=w.n_idle,
-                n_open=w.n_open,
-                n_total=w.n_total,
-                tod=int(w.tod),
-                grid=g,
-                candidate_radius=w.radius_km,
-                layout=layout,
-            )
-            feats.append(x)
-            labels.append([w.ofr, w.apd_km, w.dur, w.revenue])
-            pads.append(n_pad)
-            grids.append(g)
-            wins.append(w.window)
+    rows = _window_table(windows)
+    grids, wins = rows[:, N_BASE_FEATURES].astype(int), rows[:, N_BASE_FEATURES + 1].astype(int)
+    order = np.lexsort((wins, grids))
+    rows, grids, wins = rows[order], grids[order], wins[order]
+    n, t = len(rows), layout.seq_len
+    prev = np.arange(n)[:, None] - np.arange(t - 1, 0, -1)  # column k: the row T-1-k positions back
+    # kept while it lies in the row's own grid, whose rows start at searchsorted(grids, g)
+    index = np.where(prev >= np.searchsorted(grids, grids)[:, None], prev, -1)
+    features, pads = build_feature_batch(rows[:, :N_BASE_FEATURES], grids, index, rows[:, COL_IDLE:COL_TOTAL + 1],
+                                         rows[:, COL_RADIUS], grids, rows[:, N_BASE_FEATURES + 2], layout)
     return TrainingData(
-        features=np.array(feats),
-        labels=np.array(labels),
-        pad_rows=np.array(pads, dtype=int),
-        grids=np.array(grids, dtype=int),
-        windows=np.array(wins, dtype=int),
-        episodes=np.full(len(feats), episode, dtype=int),
+        features=features,
+        labels=rows[:, COL_OFR:COL_RADIUS].copy(),
+        pad_rows=pads,
+        grids=grids,
+        windows=wins,
+        episodes=np.full(n, episode, dtype=int),
         layout=layout,
     )
 

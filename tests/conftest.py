@@ -3,8 +3,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ridecast.market import GridSpec, MatchRecord, OrderStream, WindowMetrics, metrics_from_tallies
+from ridecast.market import GridSpec, MarketWindow, MatchRecord, OrderStream, WindowMetrics, metrics_from_tallies
 from ridecast.nn.model import TransformerRegressor
+from ridecast.optimizer import COL_RADIUS, COL_TOTAL, N_BASE_FEATURES, FeatureLayout, TrainingData
 
 
 def float64_copy(model: TransformerRegressor) -> TransformerRegressor:
@@ -96,3 +97,69 @@ def compute_window_metrics(
             dists.append(m.pickup_km)
             fares.append(m.fare)
     return metrics_from_tallies(len(created), cohort, dists, fares, occupied_s, online_s)
+
+
+def reference_features(
+    history: list[MarketWindow],
+    n_idle: int,
+    n_open: int,
+    n_total: int,
+    tod: int,
+    grid: int,
+    candidate_radius: float,
+    layout: FeatureLayout,
+) -> tuple[np.ndarray, int]:
+    """Oracle: one (seq_len, dim) sequence assembled row by row.
+
+    The last seq_len-1 windows of ``history`` fill the rows before the final
+    one, oldest first, after leading zero rows; the final row carries the
+    counts, zeroed metrics and the candidate radius; every non-padding row
+    gets the grid and time-of-day one-hots.  Returns the matrix and the
+    number of padding rows.
+    """
+    t = layout.seq_len
+    x = np.zeros((t, layout.dim))
+    recent = list(history)[-(t - 1):]
+    n_pad = (t - 1) - len(recent)
+    for k, w in enumerate(recent):
+        if w.grid != grid:
+            raise ValueError("history rows must belong to the decision grid")
+        x[n_pad + k, :N_BASE_FEATURES] = [w.n_idle, w.n_open, w.n_total, w.ofr, w.apd_km, w.dur,
+                                          w.revenue, w.radius_km]
+    x[-1, :COL_TOTAL + 1] = [n_idle, n_open, n_total]
+    x[-1, COL_RADIUS] = candidate_radius
+    x[n_pad:, N_BASE_FEATURES + grid] = 1.0
+    x[n_pad:, N_BASE_FEATURES + layout.n_cells + tod] = 1.0
+    return x, n_pad
+
+
+def reference_dataset(windows: Iterable[MarketWindow], layout: FeatureLayout, episode: int = 0) -> TrainingData:
+    """Oracle: one ``reference_features`` call per (grid, window) row.
+
+    Rows are grouped by grid in ascending order and stably sorted by window
+    within it; each row's history is the up to seq_len-1 rows before it in
+    that order.
+    """
+    by_grid: dict[int, list[MarketWindow]] = {}
+    for w in windows:
+        by_grid.setdefault(w.grid, []).append(w)
+    feats, labels, pads, grids, wins = [], [], [], [], []
+    for g in sorted(by_grid):
+        rows = sorted(by_grid[g], key=lambda w: w.window)
+        for t, w in enumerate(rows):
+            x, n_pad = reference_features(rows[max(0, t - (layout.seq_len - 1)): t], w.n_idle, w.n_open,
+                                          w.n_total, int(w.tod), g, w.radius_km, layout)
+            feats.append(x)
+            labels.append([w.ofr, w.apd_km, w.dur, w.revenue])
+            pads.append(n_pad)
+            grids.append(g)
+            wins.append(w.window)
+    return TrainingData(
+        features=np.array(feats).reshape(-1, layout.seq_len, layout.dim),
+        labels=np.array(labels).reshape(-1, 4),
+        pad_rows=np.array(pads, dtype=int),
+        grids=np.array(grids, dtype=int),
+        windows=np.array(wins, dtype=int),
+        episodes=np.full(len(feats), episode, dtype=int),
+        layout=layout,
+    )

@@ -78,6 +78,13 @@ class TestLoadTrips:
         assert (report.total_rows, report.malformed, report.emitted) == (31, 1, 30)
         assert len(orders) == 30
 
+    def test_long_row_is_malformed(self, tmp_path):
+        # csv files the fields past the header under the key None; a row
+        # shifted by an unquoted comma must not load from its first six fields
+        rows = ["2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5,99,extra\n"] + ["2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"] * 19
+        orders, report = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
+        assert (report.total_rows, report.malformed, report.emitted) == (20, 1, 19)
+
     def test_non_finite_fares_are_malformed(self, tmp_path):
         good = "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"
         rows = [f"2015-05-01 10:00:00,0.5,0.5,1.5,1.5,{fare}\n" for fare in ("nan", "inf", "-inf")] + [good] * 37

@@ -196,6 +196,14 @@ class TestOrderDriverInvariants:
         with pytest.raises(ValueError, match="1-D"):
             OrderStream(BOX, [[0.0]], [[0]], [[0.5]], [[0.5]], [[1.5]], [[1.5]], [[3.0]])
 
+    @pytest.mark.parametrize("cell", [2.7, -0.5, math.nan, math.inf])
+    def test_fractional_cell_rejected(self, cell):
+        with pytest.raises(ValueError, match="whole number"):
+            OrderStream(BOX, [0.0], [cell], [0.5], [0.5], [1.5], [1.5], [3.0])
+
+    def test_whole_float_cell_accepted(self):
+        assert OrderStream(BOX, [0.0], [2.0], [2.5], [0.5], [1.5], [1.5], [3.0]).cell.tolist() == [2]
+
     def test_market_window_invariants(self):
         with pytest.raises(ValueError):
             MarketWindow(0, 0, 0.0, n_idle=5, n_open=0, n_total=3, ofr=0.5,

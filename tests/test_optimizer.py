@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import compute_window_metrics, stream_from_rows
+from conftest import compute_window_metrics, reference_dataset, reference_features, stream_from_rows
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import NormStats, apply_norm, fit_norm_stats
@@ -13,7 +15,7 @@ from ridecast.optimizer import (
     ModelPredictor,
     PredictorRadiusSource,
     RadiusDecision,
-    build_features,
+    build_feature_batch,
     collect_training_data,
     composite_score,
     dataset_from_windows,
@@ -51,9 +53,20 @@ def mkwindow(grid=2, window=0, ofr=0.5, apd=1.2, dur=0.4, rev=30.0, radius=2.0,
                         revenue=rev, radius_km=radius, tod=tod)
 
 
+def build_one(history, n_idle, n_open, n_total, tod, grid, candidate_radius, layout=LAYOUT):
+    """One sequence through the batched builder: the history rows right-aligned
+    in the index row, -1 before them."""
+    table = np.array([[w.n_idle, w.n_open, w.n_total, w.ofr, w.apd_km, w.dur, w.revenue, w.radius_km]
+                      for w in history]).reshape(-1, 8)
+    index = [-1] * (layout.seq_len - 1 - len(history)) + list(range(len(history)))
+    x, pads = build_feature_batch(table, [w.grid for w in history], [index], [[n_idle, n_open, n_total]],
+                                  [candidate_radius], [grid], [tod], layout)
+    return x[0], int(pads[0])
+
+
 class TestBuildFeatures:
     def test_cold_start_pads_with_zeros(self):
-        x, n_pad = build_features([], 5, 7, 9, tod=3, grid=2, candidate_radius=1.5, layout=LAYOUT)
+        x, n_pad = build_one([], 5, 7, 9, tod=3, grid=2, candidate_radius=1.5)
         assert x.shape == (4, LAYOUT.dim)
         assert n_pad == 3
         np.testing.assert_array_equal(x[:3], 0.0)
@@ -78,8 +91,8 @@ class TestBuildFeatures:
 
     def test_candidate_isolated_to_final_row_radius(self):
         hist = [mkwindow(window=w) for w in range(3)]
-        a, _ = build_features(hist, 2, 2, 2, tod=1, grid=2, candidate_radius=1.0, layout=LAYOUT)
-        b, _ = build_features(hist, 2, 2, 2, tod=1, grid=2, candidate_radius=2.0, layout=LAYOUT)
+        a, _ = build_one(hist, 2, 2, 2, tod=1, grid=2, candidate_radius=1.0)
+        b, _ = build_one(hist, 2, 2, 2, tod=1, grid=2, candidate_radius=2.0)
         diff = np.argwhere(a != b)
         assert diff.tolist() == [[3, COL_RADIUS]]
 
@@ -88,8 +101,7 @@ class TestBuildFeatures:
                       n_idle=1, n_open=2, n_total=3)
         h1 = mkwindow(window=6, ofr=0.75, apd=1.0, dur=0.6, rev=20.0, radius=4.0,
                       n_idle=4, n_open=5, n_total=6)
-        x, n_pad = build_features([h0, h1], 7, 8, 9, tod=2, grid=2, candidate_radius=2.5,
-                                  layout=LAYOUT)
+        x, n_pad = build_one([h0, h1], 7, 8, 9, tod=2, grid=2, candidate_radius=2.5)
         assert n_pad == 1
         grid_onehot = np.eye(16)[2]
         tod_onehot = np.eye(4)[2]
@@ -101,14 +113,49 @@ class TestBuildFeatures:
 
     def test_history_longer_than_window_keeps_most_recent(self):
         hist = [mkwindow(window=w, rev=float(w)) for w in range(10)]
-        x, n_pad = build_features(hist, 1, 1, 1, tod=0, grid=2, candidate_radius=1.0, layout=LAYOUT)
-        assert n_pad == 0
-        np.testing.assert_array_equal(x[:3, 6], [7.0, 8.0, 9.0])
+        data = dataset_from_windows(hist, LAYOUT)
+        assert data.pad_rows[-1] == 0
+        np.testing.assert_array_equal(data.features[-1, :3, 6], [6.0, 7.0, 8.0])
+        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0,)), LAYOUT, None, IDENT)
+        x = src._batch(mksnapshot(window=10), hist)
+        np.testing.assert_array_equal(x[2, :3, 6], [7.0, 8.0, 9.0])  # K = 1: grid g is row g
 
     def test_wrong_grid_history_rejected(self):
         with pytest.raises(ValueError):
-            build_features([mkwindow(grid=1)], 1, 1, 1, tod=0, grid=2,
-                           candidate_radius=1.0, layout=LAYOUT)
+            build_one([mkwindow(grid=1)], 1, 1, 1, tod=0, grid=2, candidate_radius=1.0)
+
+
+WINDOW_ROWS = st.tuples(
+    st.integers(0, 3), st.integers(0, 12),                      # grid, window
+    st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),    # n_idle, n_open, extra drivers
+    st.floats(0, 1), st.floats(0, 4), st.floats(0, 1),          # ofr, apd, dur
+    st.floats(0, 60), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from(list(TimeOfDay)),
+)
+
+
+class TestDatasetFromWindows:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(rows=st.lists(WINDOW_ROWS, max_size=40), seq_len=st.integers(2, 5))
+    @example(rows=[], seq_len=4)
+    def test_matches_per_example_oracle(self, rows, seq_len):
+        # rows come in any order, with gaps in window numbers, duplicate
+        # (grid, window) pairs and grids with fewer than T-1 windows; the
+        # empty log must give (0, T, D) features and (0, 4) labels
+        layout = FeatureLayout(seq_len=seq_len, side_count=2)
+        log = [mkwindow(grid=g, window=w, n_idle=i, n_open=o, n_total=i + extra, ofr=ofr, apd=apd, dur=dur,
+                        rev=rev, radius=r, tod=tod)
+               for g, w, i, o, extra, ofr, apd, dur, rev, r, tod in rows]
+        got, want = dataset_from_windows(log, layout, episode=7), reference_dataset(log, layout, episode=7)
+        for name in ("features", "labels", "pad_rows", "grids", "windows", "episodes"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+        assert got.labels.flags.c_contiguous
+
+    @pytest.mark.parametrize("grid", [-1, LAYOUT.n_cells])
+    def test_grid_outside_the_layout_rejected(self, grid):
+        log = [mkwindow(grid=3, window=0), mkwindow(grid=grid, window=1, radius=2.0)]
+        with pytest.raises(ValueError, match=f"grid {grid} outside"):
+            dataset_from_windows(log, LAYOUT)
 
 
 class TestCompositeScore:
@@ -226,15 +273,15 @@ class TestChooseRadius:
 
 
 def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapshot, history):
-    """Per-grid decisions: one build_features row per candidate, its real rows
-    normalized, and one predict_for per grid."""
+    """Per-grid decisions: one reference_features sequence per candidate, its
+    real rows normalized, and one predict_for per grid."""
     chosen, preds = [], []
     for g in range(layout.n_cells):
         own = [w for w in history if w.grid == g]
         feats = []
         for r in cands.radii:
-            x, n_pad = build_features(own, int(snapshot.n_idle[g]), int(snapshot.n_open[g]),
-                                      int(snapshot.n_total[g]), snapshot.tod, g, r, layout)
+            x, n_pad = reference_features(own, int(snapshot.n_idle[g]), int(snapshot.n_open[g]),
+                                          int(snapshot.n_total[g]), snapshot.tod, g, r, layout)
             if feature_stats is not None:
                 x[n_pad:] = apply_norm(x[n_pad:], feature_stats)
             feats.append(x)
