@@ -154,8 +154,8 @@ class DemandProfile:
         object.__setattr__(self, "dest_probs", dest)
         if rates.ndim != 2 or rates.shape[1] != 24:
             raise ValueError("rates must be (n_cells, 24)")
-        if np.any(rates < 0):
-            raise ValueError("rates must be >= 0")
+        if not np.all(np.isfinite(rates) & (rates >= 0)):
+            raise ValueError("rates must be finite and >= 0")
         if dest.shape != (rates.shape[0], rates.shape[0]):
             raise ValueError("dest_probs must be (n_cells, n_cells)")
         if np.any(dest < 0) or not np.allclose(dest.sum(axis=1), 1.0, atol=1e-9):
@@ -200,6 +200,8 @@ def synth_demand(
     Creation times are episode-relative seconds; ``day_start_s`` anchors the
     episode on the clock so hourly rates line up.  Deterministic per seed.
     """
+    if not (math.isfinite(duration_s) and duration_s >= 0):
+        raise ValueError("duration must be finite and >= 0")
     rng = np.random.default_rng(seed)
     proj = LocalProjection(grid)
     n_cells = grid.n_cells

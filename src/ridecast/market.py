@@ -1,16 +1,16 @@
 """Core market domain types: grids, time-of-day codes, driver status codes,
-the order stream, matches and per-window performance metrics.
+the order stream, match records and the per-grid window row.
 
 Everything here is a plain value type, a read-only table or a pure function;
 nothing holds simulator state: the simulator keeps its fleet and its per-order
-run state column-wise (``sim.DriverFleet``, ``sim.Simulation``).
+run state column-wise (``sim.DriverFleet``, ``sim.Simulation``), and derives
+each window row's metrics from its match log (``Simulation._close_window``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
 
 import numpy as np
 
@@ -205,40 +205,9 @@ class MarketWindow:
     def __post_init__(self) -> None:
         if not (0.0 <= self.ofr <= 1.0 and 0.0 <= self.dur <= 1.0):
             raise ValueError("rates must lie in [0, 1]")
-        if min(self.apd_km, self.revenue, self.radius_km) < 0:
-            raise ValueError("distance, revenue and radius must be >= 0")
+        # NaN fails every comparison, and inf the upper bound
+        if not (0.0 <= self.apd_km < math.inf and 0.0 <= self.revenue < math.inf
+                and 0.0 <= self.radius_km < math.inf):
+            raise ValueError("distance, revenue and radius must be finite and >= 0")
         if self.n_idle > self.n_total:
             raise ValueError("idle count cannot exceed total count")
-
-
-@dataclass(frozen=True)
-class WindowMetrics:
-    ofr: float
-    apd_km: float
-    dur: float
-    revenue: float
-
-
-def metrics_from_tallies(
-    created: int,
-    cohort_matched: int,
-    matched_distances: Sequence[float],
-    matched_fares: Sequence[float],
-    occupied_s: float,
-    online_s: float,
-) -> WindowMetrics:
-    """Window metrics from event tallies; empty denominators yield zeros.
-
-    ``cohort_matched`` counts only matches of orders created inside the same
-    window, which keeps the fulfillment rate in [0, 1] when orders carried
-    over from earlier windows match here; distance and revenue cover every
-    match in the window.
-    """
-    if cohort_matched > created:
-        raise ValueError("cohort matches cannot exceed creations")
-    n_matched = len(matched_distances)
-    ofr = cohort_matched / created if created > 0 else 0.0
-    apd = float(np.mean(matched_distances)) if n_matched else 0.0
-    dur = occupied_s / online_s if online_s > 0 else 0.0
-    revenue = float(sum(matched_fares))
-    return WindowMetrics(ofr=ofr, apd_km=apd, dur=dur, revenue=revenue)

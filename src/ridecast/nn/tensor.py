@@ -138,7 +138,7 @@ class Tensor:
         def back(g):
             a._accumulate(g * mask)
 
-        return self._result(np.where(mask, a.data, 0.0), (a,), back)
+        return self._result(np.maximum(a.data, 0.0), (a,), back)
 
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         a = self

@@ -11,9 +11,10 @@ window-sorted log, by position, so gaps in window numbers do not shorten it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -32,15 +33,15 @@ METRIC_SENSE = np.array([1.0, -1.0, 1.0, 1.0])
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Strictly increasing positive candidate radii (km)."""
+    """Strictly increasing, finite, positive candidate radii (km)."""
 
     radii: tuple[float, ...]
 
     def __post_init__(self) -> None:
         r = tuple(float(v) for v in self.radii)
         object.__setattr__(self, "radii", r)
-        if not r or any(v <= 0 for v in r):
-            raise ValueError("candidate radii must be positive")
+        if not r or not all(0 < v < math.inf for v in r):
+            raise ValueError("candidate radii must be finite and > 0")
         if any(a >= b for a, b in zip(r, r[1:])):
             raise ValueError("candidate radii must be strictly increasing")
 
@@ -124,11 +125,7 @@ def build_feature_batch(
     return x, n_pad
 
 
-def composite_score(
-    predictions: np.ndarray,
-    label_stats: NormStats,
-    weights: Sequence[float] = (1.0, 1.0, 1.0, 1.0),
-) -> np.ndarray:
+def composite_score(predictions: np.ndarray, label_stats: NormStats) -> np.ndarray:
     """Scalar ranking of predicted (ofr, apd, dur, revenue) rows.
 
     Each metric is z-scored against the training-label distribution so the
@@ -137,7 +134,7 @@ def composite_score(
     """
     pred = np.atleast_2d(np.asarray(predictions, dtype=float))
     z = apply_norm(pred, label_stats)
-    scores = z @ (METRIC_SENSE * np.asarray(weights, dtype=float))
+    scores = z @ METRIC_SENSE
     return scores if np.asarray(predictions).ndim > 1 else scores[0]
 
 
@@ -209,16 +206,14 @@ class PredictorRadiusSource:
         predictor: Predictor,
         candidates: CandidateSet,
         layout: FeatureLayout,
-        feature_stats: Optional[NormStats],
+        feature_stats: NormStats,
         label_stats: NormStats,
-        weights: Sequence[float] = (1.0, 1.0, 1.0, 1.0),
     ):
         self.predictor = predictor
         self.candidates = candidates
         self.layout = layout
         self.feature_stats = feature_stats
         self.label_stats = label_stats
-        self.weights = tuple(weights)
         self.decisions: list[RadiusDecision] = []
 
     def _batch(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
@@ -234,12 +229,11 @@ class PredictorRadiusSource:
         counts = np.stack([snapshot.n_idle, snapshot.n_open, snapshot.n_total], axis=1)
         base, pads = build_feature_batch(table[:, :N_BASE_FEATURES], table[:, N_BASE_FEATURES], index, counts,
                                          0.0, np.arange(n_grids), np.full(n_grids, snapshot.tod), self.layout)
-        final_radii, stats = self.candidates.as_array(), self.feature_stats
-        if stats is not None:
-            real = _real_row_mask(pads, t)
-            base[real] = apply_norm(base[real], stats)
-            # apply_norm's arithmetic on the radius column alone
-            final_radii = (final_radii - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
+        stats = self.feature_stats
+        real = _real_row_mask(pads, t)
+        base[real] = apply_norm(base[real], stats)
+        # apply_norm's arithmetic on the radius column alone
+        final_radii = (self.candidates.as_array() - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
         x = np.repeat(base, len(final_radii), axis=0)
         x[:, -1, COL_RADIUS] = np.tile(final_radii, n_grids)
         return x
@@ -247,7 +241,7 @@ class PredictorRadiusSource:
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
         n_grids, k, radii = self.layout.n_cells, len(self.candidates), self.candidates.as_array()
         preds = self.predictor.predict_for(self._batch(snapshot, history), np.tile(radii, n_grids))
-        scores = np.asarray(composite_score(preds, self.label_stats, self.weights), dtype=float)
+        scores = np.asarray(composite_score(preds, self.label_stats), dtype=float)
         preds, scores = preds.reshape(n_grids, k, -1), scores.reshape(n_grids, k)
         bad = ~(np.isfinite(preds).all(axis=2) & np.isfinite(scores)).all(axis=1)
         if np.any(bad):

@@ -4,8 +4,9 @@ Every tick: new orders are injected, stale ones expire, each open order is
 broadcast to idle drivers within its grid's radius (drivers sample a grab
 decision; one winner is drawn among accepters), moving drivers advance along
 straight segments, and time accounting is updated.  At metric-window
-boundaries, per-grid market rows are emitted and the radius source is asked
-for the next window's radii.  Orders come from a read-only
+boundaries, per-grid market rows are derived from the orders injected in the
+window, its slice of the match log and its driver time, and the radius source
+is asked for the next window's radii.  Orders come from a read-only
 ``market.OrderStream``, and the run keeps its per-order state in arrays over it.
 """
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .market import (
     MarketWindow,
     MatchRecord,
     OrderStream,
-    metrics_from_tallies,
     time_of_day,
 )
 
@@ -156,7 +156,9 @@ class Simulation:
     The stream is never modified: every per-run fact about its orders lives
     here, so one stream can be run any number of times.  Creation times
     ascend, so orders ``[0, _stream_pos)`` are the injected ones, ``[0, _front)``
-    those past their patience, and ``_open`` marks the ones still open.
+    those past their patience, and ``_open`` marks the ones still open.  The
+    current window injected orders ``[_win_first_order, _stream_pos)`` and
+    made matches ``matches[_win_first_match:]``.
     """
 
     def __init__(self, config: SimConfig, stream: OrderStream):
@@ -182,18 +184,8 @@ class Simulation:
         self.injected = 0
         self.matched = 0
         self.expired = 0
-
-        g = config.grid.n_cells
-        self._win_created = np.zeros(g, dtype=np.int64)
-        self._win_cohort = np.zeros(g, dtype=np.int64)
-        self._win_dists: list[list[float]] = [[] for _ in range(g)]
-        self._win_fares: list[list[float]] = [[] for _ in range(g)]
-        self._win_occupied = np.zeros(g)
-        self._win_online = np.zeros(g)
-
         self.window_index = 0
-        self.snapshot = self._take_snapshot()
-        self.radii = self._query_radii()
+        self._begin_window()
 
     @property
     def open(self) -> np.ndarray:
@@ -224,6 +216,17 @@ class Simulation:
             n_total=n_total,
         )
 
+    def _begin_window(self) -> None:
+        """Mark the window's first order and first match, zero its driver
+        time, take its snapshot and query its radii."""
+        g = self.config.grid.n_cells
+        self._win_first_order = self._stream_pos
+        self._win_first_match = len(self.matches)
+        self._win_occupied = np.zeros(g)
+        self._win_online = np.zeros(g)
+        self.snapshot = self._take_snapshot()
+        self.radii = self._query_radii()
+
     def _query_radii(self) -> np.ndarray:
         radii = np.asarray(self.config.radius_source.radii(self.snapshot, self.windows), dtype=float)
         if radii.shape != (self.config.grid.n_cells,) or not np.all(np.isfinite(radii) & (radii > 0)):
@@ -241,7 +244,6 @@ class Simulation:
         s = self.stream
         pos = int(np.searchsorted(s.t_create, t0 + tick, side="left"))
         self._open[self._stream_pos:pos] = True
-        self._win_created += np.bincount(s.cell[self._stream_pos:pos], minlength=cfg.grid.n_cells)
         self.injected += pos - self._stream_pos
         self._stream_pos = pos
 
@@ -300,11 +302,6 @@ class Simulation:
         fleet.target_y[driver] = s.oy[order_id]
         fleet.order_id[driver] = order_id
         g = int(s.cell[order_id])
-        fare = float(s.fare[order_id])
-        if s.t_create[order_id] >= self.window_index * self.config.window_s:
-            self._win_cohort[g] += 1
-        self._win_dists[g].append(pickup_km)
-        self._win_fares[g].append(fare)
         self.matches.append(
             MatchRecord(
                 order_id=order_id,
@@ -312,7 +309,7 @@ class Simulation:
                 grid=g,
                 t_match=t,
                 pickup_km=pickup_km,
-                fare=fare,
+                fare=float(s.fare[order_id]),
                 radius_km=float(self.radii[g]),
             )
         )
@@ -358,18 +355,30 @@ class Simulation:
             )
 
     def _close_window(self) -> None:
-        cfg = self.config
+        """Append one row per grid for the window now ending.
+
+        Created orders are those injected during the window, and every match
+        in its slice of the match log counts towards pickup distance and
+        revenue.  The fulfilment rate counts only the matches of orders created
+        inside the window (``t_create >= start``), which keeps it in [0, 1]
+        when orders carried over from earlier windows match here.  Empty
+        denominators give zeros.  Pickup distance is ``np.mean`` over a grid's
+        pickups in match order, and revenue sums its fares in that order.
+        """
+        cfg, s, n = self.config, self.stream, self.config.grid.n_cells
         start = self.window_index * cfg.window_s
+        created = np.bincount(s.cell[self._win_first_order:self._stream_pos], minlength=n)
+        matches = self.matches[self._win_first_match:]
+        oid = np.array([m.order_id for m in matches], dtype=np.int64)
+        pickup_km = np.array([m.pickup_km for m in matches], dtype=float)
+        grid = s.cell[oid]
+        cohort = np.bincount(grid[s.t_create[oid] >= start], minlength=n)
+        revenue = np.bincount(grid, weights=s.fare[oid], minlength=n)
+        n_matched = np.bincount(grid, minlength=n)
+        pickups = np.split(pickup_km[np.argsort(grid, kind="stable")], np.cumsum(n_matched)[:-1])
         tod = time_of_day(cfg.day_start_s + start)
-        for g in range(cfg.grid.n_cells):
-            m = metrics_from_tallies(
-                int(self._win_created[g]),
-                int(self._win_cohort[g]),
-                self._win_dists[g],
-                self._win_fares[g],
-                float(self._win_occupied[g]),
-                float(self._win_online[g]),
-            )
+        for g in range(n):
+            occupied, online = float(self._win_occupied[g]), float(self._win_online[g])
             self.windows.append(
                 MarketWindow(
                     grid=g,
@@ -378,24 +387,16 @@ class Simulation:
                     n_idle=int(self.snapshot.n_idle[g]),
                     n_open=int(self.snapshot.n_open[g]),
                     n_total=int(self.snapshot.n_total[g]),
-                    ofr=m.ofr,
-                    apd_km=m.apd_km,
-                    dur=m.dur,
-                    revenue=m.revenue,
+                    ofr=int(cohort[g]) / int(created[g]) if created[g] else 0.0,
+                    apd_km=float(np.mean(pickups[g])) if n_matched[g] else 0.0,
+                    dur=occupied / online if online > 0 else 0.0,
+                    revenue=float(revenue[g]),
                     radius_km=float(self.radii[g]),
                     tod=tod,
                 )
             )
-        g = cfg.grid.n_cells
-        self._win_created = np.zeros(g, dtype=np.int64)
-        self._win_cohort = np.zeros(g, dtype=np.int64)
-        self._win_dists = [[] for _ in range(g)]
-        self._win_fares = [[] for _ in range(g)]
-        self._win_occupied = np.zeros(g)
-        self._win_online = np.zeros(g)
         self.window_index += 1
-        self.snapshot = self._take_snapshot()
-        self.radii = self._query_radii()
+        self._begin_window()
 
     # -- episode -------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 import copy
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ridecast.market import GridSpec, MarketWindow, MatchRecord, OrderStream, WindowMetrics, metrics_from_tallies
+from ridecast.market import GridSpec, MarketWindow, MatchRecord, OrderStream
 from ridecast.nn.model import TransformerRegressor
 from ridecast.optimizer import COL_RADIUS, COL_TOTAL, N_BASE_FEATURES, FeatureLayout, TrainingData
 
@@ -71,6 +71,13 @@ def stream_from_rows(grid: GridSpec, rows: Iterable[tuple]) -> OrderStream:
     return OrderStream(grid, *(zip(*rows) if rows else [()] * 7))
 
 
+class WindowMetrics(NamedTuple):
+    ofr: float
+    apd_km: float
+    dur: float
+    revenue: float
+
+
 def compute_window_metrics(
     stream: OrderStream,
     order_ids: Iterable[int],
@@ -81,11 +88,14 @@ def compute_window_metrics(
     online_s: float,
 ) -> WindowMetrics:
     """Oracle: windowed (ofr, apd, dur, revenue) recomputed from a stream and
-    a match log over a fully elapsed window.
+    a match log over a fully elapsed window, with no simulator code.
 
     Creations are read from the rows ``order_ids`` of ``stream`` and match
     events from ``matches``; each counts when its timestamp falls inside
-    [window_start, window_end).  Revenue is recognized at match time.
+    [window_start, window_end).  The fulfilment rate counts the matches of
+    orders created in the window; pickup distance (``np.mean``, in match
+    order) and revenue (``sum``, recognized at match time) cover every match
+    in the window.  Empty denominators give zeros.
     """
     created = {i for i in order_ids if window_start <= stream.t_create[i] < window_end}
     cohort = 0
@@ -96,7 +106,12 @@ def compute_window_metrics(
             cohort += m.order_id in created
             dists.append(m.pickup_km)
             fares.append(m.fare)
-    return metrics_from_tallies(len(created), cohort, dists, fares, occupied_s, online_s)
+    return WindowMetrics(
+        ofr=cohort / len(created) if created else 0.0,
+        apd_km=float(np.mean(dists)) if dists else 0.0,
+        dur=occupied_s / online_s if online_s > 0 else 0.0,
+        revenue=float(sum(fares)),
+    )
 
 
 def reference_features(

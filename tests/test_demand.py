@@ -1,3 +1,4 @@
+import math
 from datetime import datetime
 
 import numpy as np
@@ -194,6 +195,20 @@ class TestSynthDemand:
             DemandProfile(rates=-np.ones((16, 24)), dest_probs=np.full((16, 16), 1 / 16))
         with pytest.raises(ValueError):
             DemandProfile(rates=np.ones((16, 24)), dest_probs=np.full((16, 16), 0.5))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # NaN passes a bare < 0 check, and its slot would then draw no orders
+        rates = np.ones((16, 24))
+        rates[4, 9] = rate
+        with pytest.raises(ValueError, match="finite"):
+            DemandProfile(rates=rates, dest_probs=np.full((16, 16), 1 / 16))
+
+    @pytest.mark.parametrize("duration_s", [math.nan, -1.0])
+    def test_bad_duration_rejected(self, duration_s):
+        profile = default_profile(BOX, daily_orders=500)
+        with pytest.raises(ValueError, match="duration"):
+            synth_demand(profile, BOX, seed=1, duration_s=duration_s)
 
 
 class TestNormStats:

@@ -14,12 +14,16 @@ from ridecast.market import (
     OrderStream,
     TimeOfDay,
     grid_index,
-    metrics_from_tallies,
     time_of_day,
 )
+from ridecast.behavior import AcceptanceModel
 from ridecast.sim import FixedRadius, SimConfig, Simulation
 
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=4.0, lat_max=4.0, side_count=4)
+# ~11 km square in 2x2 cells; cell 0 holds lon and lat in [0, 0.05)
+SMALL = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=0.1, lat_max=0.1, side_count=2)
+KM_LAT = 1.0 / 110.574
+FORCED = AcceptanceModel(beta0=50.0, beta1=0.0, beta2=0.0, sigma=0.0)
 
 
 class TestGridIndex:
@@ -103,22 +107,80 @@ class TestTimeOfDay:
         assert len(TOD_BY_HOUR) == 24
 
 
+def run_small(orders, drivers, windows=1, acceptance=FORCED, seed=0):
+    """Simulation on SMALL with a 2 km radius, stepped to the end of ``windows``
+    metric windows.
+
+    ``orders`` are (t_create, lon, lat, dest_lon, dest_lat, fare) rows in
+    creation order, and ``drivers`` the drivers' (lon, lat) positions.
+    """
+    stream = stream_from_rows(SMALL, [(t, grid_index(lon, lat, SMALL), lon, lat, dlon, dlat, fare)
+                                      for t, lon, lat, dlon, dlat, fare in orders])
+    sim = Simulation(SimConfig(grid=SMALL, n_drivers=len(drivers), speed_kmh=20.0,
+                               radius_source=FixedRadius(2.0, SMALL.n_cells), acceptance=acceptance,
+                               seed=seed), stream)
+    sim.fleet.x, sim.fleet.y = sim.proj.to_xy([d[0] for d in drivers], [d[1] for d in drivers])
+    for _ in range(windows * sim.config.ticks_per_window):
+        sim.step()
+    return sim
+
+
+def window_row(sim, grid, window):
+    (row,) = [w for w in sim.windows if (w.grid, w.window) == (grid, window)]
+    return row
+
+
 class TestWindowMetrics:
+    """The metrics of the simulator's window rows, read off small scripted runs."""
+
     def test_fulfillment_ratio(self):
-        m = metrics_from_tallies(10, 5, [1.0] * 5, [1.0] * 5, 0.0, 0.0)
-        assert m.ofr == 0.5
+        # one driver at the near spot, radius 2 km; the far spot is ~4.7 km away
+        near, far, north = (0.01, 0.01), (0.04, 0.04), (0.01, 0.01 + KM_LAT)
+        orders = [
+            (0.0, *near, *near, 5.0),      # 0: matched at t=0
+            (0.0, *far, *far, 5.0),        # 1: out of radius, expires
+            (285.0, *near, *north, 5.0),   # 2: matched in window 0; its 1 km trip keeps the driver busy
+            (290.0, *north, *north, 5.0),  # 3: created in window 0, matched in window 1
+            (300.0, *near, *near, 5.0),    # 4: created at window 1's start, matched in window 1
+        ]
+        sim = run_small(orders, [near], windows=2)
+        assert {m.order_id: int(m.t_match // 300.0) for m in sim.matches} == {0: 0, 2: 0, 3: 1, 4: 1}
+        # window 0 created 0-3 and matched 0 and 2; window 1's match of the
+        # carried-over order 3 counts towards its revenue but not its rate
+        assert window_row(sim, 0, 0).ofr == 0.5
+        assert window_row(sim, 0, 1).ofr == 1.0
+        assert window_row(sim, 0, 1).revenue == 10.0
 
     def test_mean_pickup_distance(self):
-        m = metrics_from_tallies(2, 2, [1.0, 3.0], [5.0, 5.0], 0.0, 0.0)
-        assert m.apd_km == 2.0
+        # sixteen drivers around one spot bid on sixteen orders there; every
+        # idle driver accepts the oldest order, so one match a tick, each
+        # won by a random driver at its own distance
+        rng = np.random.default_rng(5)
+        spot = (0.025, 0.025)
+        drivers = [(spot[0], spot[1] + KM_LAT * d) for d in rng.uniform(-1.5, 1.5, 16)]
+        sim = run_small([(0.0, *spot, *spot, 5.0)] * 16, drivers)
+        pickups = [m.pickup_km for m in sim.matches]
+        assert len(pickups) == 16
+        # np.mean's pairwise sum over the pickups in match order; on these
+        # pickups a running sum rounds differently, so that would fail here
+        assert window_row(sim, 0, 0).apd_km == float(np.mean(pickups)) != sum(pickups) / len(pickups)
 
     def test_utilization_ratio(self):
-        m = metrics_from_tallies(0, 0, [], [], 150.0, 300.0)
-        assert m.dur == 0.5
+        # one driver takes a colocated order whose trip is 14.5 ticks long at
+        # 20 km/h: it is occupied for ticks 0..14, 150 of the window's 300 s
+        spot = (0.01, 0.01)
+        dest = (0.01, 0.01 + KM_LAT * 14.5 * 20.0 * 10.0 / 3600.0)
+        sim = run_small([(0.0, *spot, *dest, 5.0)], [spot])
+        row = window_row(sim, 0, 0)
+        assert row.dur == 0.5
+        assert (row.ofr, row.revenue) == (1.0, 5.0)
 
     def test_empty_window_yields_zeros(self):
-        m = metrics_from_tallies(0, 0, [], [], 0.0, 0.0)
-        assert (m.ofr, m.apd_km, m.dur, m.revenue) == (0.0, 0.0, 0.0, 0.0)
+        # no orders; cell 0 holds the idle driver, the other cells nobody
+        sim = run_small([], [(0.01, 0.01)])
+        assert len(sim.windows) == SMALL.n_cells
+        for w in sim.windows:
+            assert (w.ofr, w.apd_km, w.dur, w.revenue) == (0.0, 0.0, 0.0, 0.0)
 
     def test_revenue_recognized_at_match(self):
         stream = stream_from_rows(BOX, [(10.0, 0, 0.5, 0.5, 1.5, 1.5, 4.0), (20.0, 0, 0.5, 0.5, 1.5, 1.5, 6.0)])
@@ -132,19 +194,20 @@ class TestWindowMetrics:
         assert m.ofr == 0.5
         assert m.apd_km == 1.0
 
-    def test_bounds_hold_for_random_tallies(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            created = int(rng.integers(0, 20))
-            matched = int(rng.integers(0, created + 1))
-            dists = rng.uniform(0, 8, size=matched)
-            fares = rng.uniform(0, 30, size=matched)
-            online = float(rng.uniform(0, 1000))
-            occupied = float(rng.uniform(0, online)) if online > 0 else 0.0
-            m = metrics_from_tallies(created, matched, list(dists), list(fares), occupied, online)
-            assert 0.0 <= m.ofr <= 1.0
-            assert 0.0 <= m.dur <= 1.0
-            assert m.apd_km >= 0.0 and m.revenue >= 0.0
+    def test_bounds_hold_over_random_episodes(self):
+        # busy two-window runs where orders carry over into the next window
+        carried = 0
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            pts = rng.uniform(0.0, 0.1, size=(40, 4))
+            orders = [(t, *p, f) for t, p, f in zip(np.sort(rng.uniform(0, 600, 40)), pts, rng.uniform(0, 30, 40))]
+            sim = run_small(orders, rng.uniform(0.0, 0.1, size=(6, 2)).tolist(), windows=2,
+                            acceptance=AcceptanceModel(), seed=seed)
+            carried += sum(sim.stream.t_create[m.order_id] < 300.0 <= m.t_match for m in sim.matches)
+            for w in sim.windows:
+                assert 0.0 <= w.ofr <= 1.0 and 0.0 <= w.dur <= 1.0
+                assert w.apd_km >= 0.0 and w.revenue >= 0.0
+        assert carried > 0
 
 
 ROW = (0.0, 0, 0.5, 0.5, 1.5, 1.5, 3.0)  # t_create, cell, origin lon/lat, destination lon/lat, fare
@@ -211,6 +274,15 @@ class TestOrderDriverInvariants:
         with pytest.raises(ValueError):
             MarketWindow(0, 0, 0.0, n_idle=1, n_open=0, n_total=3, ofr=1.5,
                          apd_km=1.0, dur=0.5, revenue=1.0, radius_km=1.0, tod=TimeOfDay.OTHER)
+
+    @pytest.mark.parametrize("name", ["apd_km", "revenue", "radius_km"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_market_window_amount_must_be_finite_and_non_negative(self, name, value):
+        row = dict(grid=0, window=0, start_s=0.0, n_idle=1, n_open=0, n_total=3, ofr=0.5,
+                   apd_km=1.0, dur=0.5, revenue=1.0, radius_km=1.0, tod=TimeOfDay.OTHER)
+        MarketWindow(**row)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            MarketWindow(**{**row, name: value})
 
 
 class TestProjection:

@@ -70,6 +70,13 @@ class TestForward:
         np.testing.assert_array_equal(y[0], y[2])
         np.testing.assert_array_equal(model.predict(batch), y)
 
+    def test_nan_input_gives_nan_prediction(self):
+        # a relu that maps NaN to 0 would return exactly head.b2 here
+        model = TransformerRegressor(TINY, seed=0)
+        x = np.random.default_rng(0).normal(size=(3, 5))
+        x[1, 2] = np.nan
+        assert np.all(np.isnan(model.predict(x)))
+
     def test_matches_reference_trace(self):
         for seed in (0, 1, 2):
             model = float64_copy(TransformerRegressor(TINY, seed=seed))

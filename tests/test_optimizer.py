@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,8 @@ from ridecast.sim import RandomRadius, SimConfig, Simulation, WindowSnapshot, ru
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=0.1, lat_max=0.1, side_count=4)
 LAYOUT = FeatureLayout(seq_len=4, side_count=4)
 IDENT = NormStats.identity(4)
+# normalising with identity stats is exact: (x - 0) / 1 == x
+FEATURE_IDENT = NormStats.identity(LAYOUT.dim)
 
 
 class PinnedRadiusPredictor:
@@ -116,7 +120,7 @@ class TestBuildFeatures:
         data = dataset_from_windows(hist, LAYOUT)
         assert data.pad_rows[-1] == 0
         np.testing.assert_array_equal(data.features[-1, :3, 6], [6.0, 7.0, 8.0])
-        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0,)), LAYOUT, None, IDENT)
+        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0,)), LAYOUT, FEATURE_IDENT, IDENT)
         x = src._batch(mksnapshot(window=10), hist)
         np.testing.assert_array_equal(x[2, :3, 6], [7.0, 8.0, 9.0])  # K = 1: grid g is row g
 
@@ -172,16 +176,12 @@ class TestCompositeScore:
         # z-values (1, -1, 0.5, 2) -> 1 + 0.5 + 2 - (-1) = 4.5
         assert composite_score(np.array([1.0, -1.0, 0.5, 2.0]), IDENT) == pytest.approx(4.5)
 
-    def test_weights_scale_terms(self):
-        s = composite_score(np.array([1.0, 0.0, 0.0, 0.0]), IDENT, weights=(2.0, 1, 1, 1))
-        assert s == pytest.approx(2.0)
-
 
 class TestChooseRadius:
     """Argmax rules of the batched ``radii`` call, read off grid 2's decision."""
 
     def _choose(self, predictor, cands):
-        src = PredictorRadiusSource(predictor, cands, LAYOUT, None, IDENT)
+        src = PredictorRadiusSource(predictor, cands, LAYOUT, FEATURE_IDENT, IDENT)
         radii = src.radii(mksnapshot(), [])
         assert len(src.decisions) == 16
         assert np.all(radii == radii[0])  # empty history: every grid sees the same rows
@@ -236,6 +236,22 @@ class TestChooseRadius:
         with pytest.raises(ValueError):
             CandidateSet((-1.0, 2.0))
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_candidate_rejected(self, radius):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            CandidateSet((0.5, radius))
+
+    def test_nan_snapshot_count_names_the_grid(self):
+        # a NaN input reaches the model's output instead of being zeroed by the
+        # head's relu, so the non-finite guard names the grid
+        model = TransformerRegressor(ModelConfig(seq_len=LAYOUT.seq_len, input_dim=LAYOUT.dim, d_model=8,
+                                                 embed_hidden=8, block_hidden=8, head_hidden=4), seed=3)
+        src = PredictorRadiusSource(ModelPredictor(model, IDENT), CandidateSet((0.5, 1.0)), LAYOUT,
+                                    FEATURE_IDENT, IDENT)
+        n_idle = np.where(np.arange(LAYOUT.n_cells) == 3, np.nan, 1.0)
+        with pytest.raises(ValueError, match=r"grids \[3\]"):
+            src.radii(mksnapshot(n_idle=n_idle), [])
+
     def test_argmax_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(0)
 
@@ -244,7 +260,7 @@ class TestChooseRadius:
                 return rng.normal(size=(len(candidates), 4))
 
         cands = CandidateSet((1.0, 2.0, 3.0, 4.0))
-        src = PredictorRadiusSource(RandomPred(), cands, LAYOUT, None, IDENT)
+        src = PredictorRadiusSource(RandomPred(), cands, LAYOUT, FEATURE_IDENT, IDENT)
         radii = src.radii(mksnapshot(), [])
         assert len({d.chosen_radius for d in src.decisions}) > 1  # the draws differ per grid
         for d, r in zip(src.decisions, radii):
@@ -260,14 +276,14 @@ class TestChooseRadius:
                 pred[11 * 2, 2] = np.inf      # grid 11, first candidate
                 return pred
 
-        src = PredictorRadiusSource(NanForSomeGrids(), CandidateSet((1.0, 2.0)), LAYOUT, None, IDENT)
+        src = PredictorRadiusSource(NanForSomeGrids(), CandidateSet((1.0, 2.0)), LAYOUT, FEATURE_IDENT, IDENT)
         with pytest.raises(ValueError, match=r"grids \[3, 11\]"):
             src.radii(mksnapshot(), [])
         assert src.decisions == []
 
     @pytest.mark.parametrize("grid", [-1, 16])
     def test_history_row_outside_the_layout_rejected(self, grid):
-        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0,)), LAYOUT, None, IDENT)
+        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0,)), LAYOUT, FEATURE_IDENT, IDENT)
         with pytest.raises(ValueError, match="outside"):
             src.radii(mksnapshot(), [mkwindow(grid=3), mkwindow(grid=grid)])
 
@@ -282,8 +298,7 @@ def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapsh
         for r in cands.radii:
             x, n_pad = reference_features(own, int(snapshot.n_idle[g]), int(snapshot.n_open[g]),
                                           int(snapshot.n_total[g]), snapshot.tod, g, r, layout)
-            if feature_stats is not None:
-                x[n_pad:] = apply_norm(x[n_pad:], feature_stats)
+            x[n_pad:] = apply_norm(x[n_pad:], feature_stats)
             feats.append(x)
         feats = np.stack(feats)
         p = predictor.predict_for(feats, cands.as_array())
@@ -318,7 +333,7 @@ class TestPredictorRadiusSource:
                                   n_open=rng.integers(0, 5, 16), n_total=rng.integers(5, 10, 16))
         rows = np.array([[w.n_idle, w.n_open, w.n_total, w.ofr, w.apd_km, w.dur, w.revenue, w.radius_km]
                          for w in history])
-        feature_stats = None
+        feature_stats = FEATURE_IDENT
         if with_stats:
             mean = np.concatenate([rows.mean(axis=0), np.full(LAYOUT.dim - 8, 0.1)])
             std = np.concatenate([rows.std(axis=0), np.full(LAYOUT.dim - 8, 0.5)])
@@ -347,7 +362,7 @@ class TestPredictorRadiusSource:
                 return super().predict_for(features, candidates)
 
         src = PredictorRadiusSource(CountingPinned(2.0), CandidateSet((1.0, 2.0, 3.0)),
-                                    LAYOUT, None, IDENT)
+                                    LAYOUT, FEATURE_IDENT, IDENT)
         cfg = SimConfig(grid=BOX, n_drivers=5, speed_kmh=20.0, radius_source=src,
                         acceptance=AcceptanceModel(), seed=0)
         sim = Simulation(cfg, stream_from_rows(BOX, []))
@@ -370,7 +385,7 @@ class TestPredictorRadiusSource:
                 return np.zeros((len(candidates), 4))
 
         hist = [mkwindow(grid=g, window=0, rev=float(g)) for g in range(16)]
-        src = PredictorRadiusSource(Spy(), CandidateSet((1.0,)), LAYOUT, None, IDENT)
+        src = PredictorRadiusSource(Spy(), CandidateSet((1.0,)), LAYOUT, FEATURE_IDENT, IDENT)
         snap_like = Simulation(
             SimConfig(grid=BOX, n_drivers=3, speed_kmh=20.0,
                       radius_source=src, acceptance=AcceptanceModel(), seed=1),

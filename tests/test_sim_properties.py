@@ -2,7 +2,8 @@
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+from conftest import compute_window_metrics
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ridecast.behavior import AcceptanceModel
@@ -53,6 +54,12 @@ def build_config(sc):
 # derandomized so that the tier-1 suite gives the same verdict on every run
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(scenarios())
+# one cell, one radius covering the box and twenty drivers: one match a tick
+# while drivers are free, 20 in window 0, whose mean pickup distance np.mean's
+# pairwise sum and a running sum round differently
+@example(dict(grid=GridSpec(lon_min=0.0, lat_min=0.0, lon_max=BOX_DEG, lat_max=BOX_DEG, side_count=1),
+              n_drivers=20, n_orders=100, windows=2, radii=[4.0], fixed=True,
+              acceptance=AcceptanceModel(beta0=4.0, sigma=0.0), patience_s=400.0, idle_walk_kmh=0.0, seed=4))
 def test_episode_invariants(sc):
     horizon = sc["windows"] * WINDOW_S
     stream = build_stream(sc)
@@ -87,6 +94,13 @@ def test_episode_invariants(sc):
     for w in res.windows:
         assert 0.0 <= w.ofr <= 1.0 and 0.0 <= w.dur <= 1.0
     assert 0.0 <= s.ofr <= 1.0 and 0.0 <= s.dur <= 1.0
+
+    # each row's ofr, pickup distance and revenue equal the oracle's exactly
+    for w in res.windows:
+        m = compute_window_metrics(stream, np.flatnonzero(stream.cell == w.grid).tolist(),
+                                   [x for x in res.matches if x.grid == w.grid],
+                                   w.start_s, w.start_s + WINDOW_S, occupied_s=0.0, online_s=0.0)
+        assert (w.ofr, w.apd_km, w.revenue) == (m.ofr, m.apd_km, m.revenue)
 
     # the ticks stepped here are run's, deterministic per seed, and the same
     # stream object can be run again
