@@ -255,10 +255,6 @@ class NormStats:
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
             raise ValueError("mean must be finite and std finite and positive")
 
-    @classmethod
-    def identity(cls, dim: int) -> "NormStats":
-        return cls(mean=np.zeros(dim), std=np.ones(dim))
-
     def as_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 

@@ -223,6 +223,10 @@ def load_checkpoint(path: str | Path, expect: Optional[dict] = None) -> Checkpoi
         label_stats = NormStats.from_dict(payload["label_stats"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint {path}: {e!r}") from e
+    widths = (("feature", feature_stats, config.input_dim), ("label", label_stats, config.n_tasks))
+    for name, stats, width in widths:
+        if stats.mean.shape != (width,):
+            raise CheckpointError(f"{name} stats have shape {stats.mean.shape}, model needs ({width},)")
     have = asdict(config)
     for key, want in (expect or {}).items():
         if key not in have:

@@ -166,14 +166,6 @@ class RadiusDecision:
     predictions: np.ndarray   # (K, 4) raw metric units
     scores: np.ndarray        # (K,)
 
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("scores must be finite")
-        if self.chosen_radius not in self.candidates:
-            raise ValueError("chosen radius must come from the candidate set")
-        if self.scores[self.candidates.index(self.chosen_radius)] < np.max(self.scores):
-            raise ValueError("chosen radius must attain the maximal score")
-
 
 def _real_row_mask(pad_rows: np.ndarray, seq_len: int) -> np.ndarray:
     """(N, T) mask of the non-padding rows of N sequences."""
@@ -209,6 +201,10 @@ class PredictorRadiusSource:
         feature_stats: NormStats,
         label_stats: NormStats,
     ):
+        widths = (("feature", feature_stats, layout.dim), ("label", label_stats, len(METRIC_NAMES)))
+        for name, stats, width in widths:
+            if stats.mean.shape != (width,):
+                raise ValueError(f"{name} stats have shape {stats.mean.shape}, expected ({width},)")
         self.predictor = predictor
         self.candidates = candidates
         self.layout = layout

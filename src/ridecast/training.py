@@ -1,19 +1,18 @@
 """Multi-task training strategies over per-task loss histories.
 
-Five strategies drive the weighted backward pass:
+Four strategies are a decay c crossed with a weighting rule over the
+aggregated losses, and FW keeps constant weights:
 
-  FW    constant 1/m weights;
-  AM    uniform historical aggregation, update only the argmax-loss task;
-  WAM   uniform aggregation, weights proportional to aggregated losses;
-  ESM   exponential-decay aggregation, argmax-task update;
-  WESM  exponential-decay aggregation, proportional weights.
+             argmax task    proportional
+  c = 1      AM             WAM
+  c = gamma  ESM            WESM
+  FW         constant 1/m weights
 
-Aggregated losses weight the j-steps-old entry by gamma^j (decayed forms)
-or equally (uniform forms); missing history during warmup counts as zero.
+Aggregation weights the j-steps-old entry of the loss curve by c^j over the
+last T steps; missing history during warmup counts as zero.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,62 +47,18 @@ class StrategyConfig:
             raise ValueError("history_len and refresh_every must be >= 1")
 
 
-class LossHistory:
-    """Ring buffer of the last T per-task loss vectors, oldest evicted first."""
+def aggregate_losses(cfg: StrategyConfig, recent: Sequence[np.ndarray], current: np.ndarray) -> np.ndarray:
+    """(l_t + sum_j c^j * L_{t-j}) / sum_{j=0..T} c^j with ``recent`` newest first.
 
-    def __init__(self, capacity: int, n_tasks: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.n_tasks = n_tasks
-        self._buf: deque[np.ndarray] = deque(maxlen=capacity)
-
-    def push(self, losses: np.ndarray) -> None:
-        losses = np.asarray(losses, dtype=float)
-        if losses.shape != (self.n_tasks,):
-            raise ValueError(f"expected ({self.n_tasks},) loss vector")
-        if np.any(~np.isfinite(losses)) or np.any(losses < 0):
-            raise ValueError("losses must be finite and >= 0")
-        self._buf.append(losses.copy())
-
-    def recent_first(self) -> list[np.ndarray]:
-        """Entries ordered newest to oldest (entry j is j+1 steps old)."""
-        return list(reversed(self._buf))
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-
-def normalization_factor(gamma: float, history_len: int) -> float:
-    """Geometric series sum_{j=0..T} gamma^j = (1 - gamma^(T+1)) / (1 - gamma)."""
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    return (1.0 - gamma ** (history_len + 1)) / (1.0 - gamma)
-
-
-def aggregate_decayed(
-    history: Sequence[np.ndarray],
-    current: np.ndarray,
-    gamma: float,
-    norm: float,
-) -> np.ndarray:
-    """(sum_j gamma^j * L_{t-j} + l_t) / norm with history newest-first."""
-    acc = np.asarray(current, dtype=float).copy()
-    for j, past in enumerate(history, start=1):
-        acc += gamma**j * np.asarray(past, dtype=float)
-    return acc / norm
-
-
-def aggregate_uniform(
-    history: Sequence[np.ndarray],
-    current: np.ndarray,
-    history_len: int,
-) -> np.ndarray:
-    """(sum_j L_{t-j} + l_t) / (T + 1); absent warmup entries count as zero."""
-    acc = np.asarray(current, dtype=float).copy()
-    for past in history:
-        acc += np.asarray(past, dtype=float)
-    return acc / (history_len + 1)
+    c is gamma for ESM/WESM and 1 otherwise; the denominator is T + 1 for c = 1
+    and the geometric closed form (1 - c^(T+1)) / (1 - c) else.
+    """
+    c = cfg.gamma if cfg.kind in ("ESM", "WESM") else 1.0
+    acc = np.array(current, dtype=float)
+    for j, past in enumerate(recent, start=1):
+        acc += c**j * past
+    t = cfg.history_len
+    return acc / (t + 1 if c == 1.0 else (1.0 - c ** (t + 1)) / (1.0 - c))
 
 
 def strategy_weights(kind: str, aggregated: np.ndarray) -> np.ndarray:
@@ -129,19 +84,6 @@ def strategy_weights(kind: str, aggregated: np.ndarray) -> np.ndarray:
         w[int(np.argmax(agg))] = 1.0
         return w
     raise ValueError(f"unknown strategy kind {kind!r}")
-
-
-def refresh_weights(cfg: StrategyConfig, history: LossHistory, current: np.ndarray) -> np.ndarray:
-    """Weights for the next refresh interval given history + this step's losses."""
-    if cfg.kind == "FW":
-        return strategy_weights("FW", np.asarray(current, dtype=float))
-    recent = history.recent_first()
-    if cfg.kind in ("AM", "WAM"):
-        agg = aggregate_uniform(recent, current, cfg.history_len)
-    else:
-        norm = normalization_factor(cfg.gamma, cfg.history_len)
-        agg = aggregate_decayed(recent, current, cfg.gamma, norm)
-    return strategy_weights(cfg.kind, agg)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +113,6 @@ class TrainResult:
     weights: np.ndarray        # (S, m) weight in force at each step
     refresh_steps: list[int] = field(default_factory=list)
 
-    @property
-    def n_tasks(self) -> int:
-        return self.train_losses.shape[1]
-
-    def final_test_losses(self) -> np.ndarray:
-        return self.test_losses[-1]
-
 
 def _test_losses(model: TransformerRegressor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     pred = model.predict(x)
@@ -195,18 +130,21 @@ def train(
 ) -> TrainResult:
     """Mini-batch training with strategy-controlled task weights.
 
-    Per step: batch losses are computed and recorded in the history; every
-    ``refresh_every`` steps the weights are recomputed from that history and
-    held constant in between; the weighted loss sum is backpropagated and an
-    adaptive-moment step applied.  Non-finite losses abort.  The test set
-    is evaluated once after each epoch.
+    Per step: batch losses are computed and appended to the loss curve; every
+    ``refresh_every`` steps the weights are recomputed from this step's losses
+    and the curve's last ``history_len`` entries, and held constant in
+    between; the weighted loss sum is backpropagated and an adaptive-moment
+    step applied.  Non-finite losses abort.  The test set is evaluated once
+    after each epoch.
     """
     if len(train_x) == 0 or len(test_x) == 0:
         raise ValueError("train and test sets must be nonempty")
+    if len(train_x) != len(train_y) or len(test_x) != len(test_y):
+        raise ValueError(f"inputs and labels differ in length: train {len(train_x)} vs {len(train_y)}, "
+                         f"test {len(test_x)} vs {len(test_y)}")
     m = model.config.n_tasks
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, lr=cfg.lr)
-    history = LossHistory(strategy.history_len, m)
     weights = np.full(m, 1.0 / m)
     last_finite = np.zeros(m)
     steps: list[int] = []
@@ -228,9 +166,9 @@ def train(
                 raise TrainingDiverged(step, last_finite)
             last_finite = losses
             if step % strategy.refresh_every == 0:
-                weights = refresh_weights(strategy, history, losses)
+                recent = curve_train[-strategy.history_len:][::-1]
+                weights = strategy_weights(strategy.kind, aggregate_losses(strategy, recent, losses))
                 refresh_steps.append(step)
-            history.push(losses)
             model.backward_weighted(loss_tensor, weights)
             optimizer.step()
             steps.append(step)

@@ -3,9 +3,15 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from ridecast.demand import NormStats
 from ridecast.market import GridSpec, MarketWindow, MatchRecord, OrderStream
 from ridecast.nn.model import TransformerRegressor
 from ridecast.optimizer import COL_RADIUS, COL_TOTAL, N_BASE_FEATURES, FeatureLayout, TrainingData
+
+
+def identity_stats(dim: int) -> NormStats:
+    """Stats of width ``dim`` under which normalising is exact: (x - 0) / 1 == x."""
+    return NormStats(mean=np.zeros(dim), std=np.ones(dim))
 
 
 def float64_copy(model: TransformerRegressor) -> TransformerRegressor:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradcheck, float64_copy, weighted_loss_value
+from conftest import finite_difference_gradcheck, float64_copy, identity_stats, weighted_loss_value
 from ridecast.nn.adam import Adam
 from ridecast.nn.model import (
     CHECKPOINT_VERSION,
@@ -322,15 +322,25 @@ class TestCheckpoint:
     def test_refuses_architecture_mismatch(self, tmp_path):
         model = TransformerRegressor(TINY, seed=10)
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, NormStats.identity(5), NormStats.identity(4))
+        save_checkpoint(path, model, identity_stats(5), identity_stats(4))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expect={"input_dim": 9})
         load_checkpoint(path, expect={"input_dim": 5, "n_tasks": 4})  # compatible
 
+    @pytest.mark.parametrize("feature_width, label_width", [(1, 4), (6, 4), (5, 1), (5, 3)])
+    def test_refuses_stats_of_the_wrong_width(self, tmp_path, feature_width, label_width):
+        # a one-entry label stat would otherwise denormalise all four tasks by one scalar
+        path = tmp_path / "model.json"
+        save_checkpoint(path, TransformerRegressor(TINY, seed=10),
+                        NormStats(mean=np.full(feature_width, 5.0), std=np.full(feature_width, 2.0)),
+                        NormStats(mean=np.full(label_width, 5.0), std=np.full(label_width, 2.0)))
+        with pytest.raises(CheckpointError, match="feature" if feature_width != 5 else "label"):
+            load_checkpoint(path)
+
     def test_refuses_bad_version(self, tmp_path):
         path = tmp_path / "model.json"
         model = TransformerRegressor(TINY, seed=11)
-        save_checkpoint(path, model, NormStats.identity(5), NormStats.identity(4))
+        save_checkpoint(path, model, identity_stats(5), identity_stats(4))
         blob = path.read_text().replace(f'"format_version": {CHECKPOINT_VERSION}', '"format_version": 99')
         assert '"format_version": 99' in blob
         path.write_text(blob)
@@ -352,7 +362,7 @@ class TestCheckpoint:
 
     def _edited(self, tmp_path, edit):
         path = tmp_path / "model.json"
-        save_checkpoint(path, TransformerRegressor(TINY, seed=12), NormStats.identity(5), NormStats.identity(4))
+        save_checkpoint(path, TransformerRegressor(TINY, seed=12), identity_stats(5), identity_stats(4))
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
@@ -417,7 +427,7 @@ class TestCheckpoint:
         for t in wide.params.values():
             t.data = t.data + rng.normal(0.0, 1e-3, size=t.shape)
         path = tmp_path / "model.json"
-        save_checkpoint(path, wide, NormStats.identity(5), NormStats.identity(4))
+        save_checkpoint(path, wide, identity_stats(5), identity_stats(4))
         ck = load_checkpoint(path)
         for k, v in wide.state_arrays().items():
             np.testing.assert_array_equal(ck.model.params[k].data, v.astype(np.float32), err_msg=k, strict=True)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import compute_window_metrics, reference_dataset, reference_features, stream_from_rows
+from conftest import (
+    compute_window_metrics,
+    identity_stats,
+    reference_dataset,
+    reference_features,
+    stream_from_rows,
+)
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import NormStats, apply_norm, fit_norm_stats
@@ -16,7 +22,6 @@ from ridecast.optimizer import (
     FeatureLayout,
     ModelPredictor,
     PredictorRadiusSource,
-    RadiusDecision,
     build_feature_batch,
     collect_training_data,
     composite_score,
@@ -27,9 +32,8 @@ from ridecast.sim import RandomRadius, SimConfig, Simulation, WindowSnapshot, ru
 
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=0.1, lat_max=0.1, side_count=4)
 LAYOUT = FeatureLayout(seq_len=4, side_count=4)
-IDENT = NormStats.identity(4)
-# normalising with identity stats is exact: (x - 0) / 1 == x
-FEATURE_IDENT = NormStats.identity(LAYOUT.dim)
+IDENT = identity_stats(4)
+FEATURE_IDENT = identity_stats(LAYOUT.dim)
 
 
 class PinnedRadiusPredictor:
@@ -214,20 +218,6 @@ class TestChooseRadius:
         d = self._choose(Flat(), CandidateSet((1.0, 2.0, 3.0)))
         assert d.chosen_radius == 1.0
 
-    def test_decision_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            RadiusDecision(grid=0, window=0, chosen_radius=5.0, candidates=(1.0, 2.0),
-                           predictions=np.zeros((2, 4)), scores=np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            RadiusDecision(grid=0, window=0, chosen_radius=1.0, candidates=(1.0, 2.0),
-                           predictions=np.zeros((2, 4)), scores=np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            RadiusDecision(grid=0, window=0, chosen_radius=2.0, candidates=(1.0, 2.0),
-                           predictions=np.zeros((2, 4)), scores=np.array([np.nan, 1.0]))
-        with pytest.raises(ValueError):
-            RadiusDecision(grid=0, window=0, chosen_radius=1.0, candidates=(1.0, 2.0),
-                           predictions=np.zeros((2, 4)), scores=np.array([np.inf, 1.0]))
-
     def test_candidate_set_validation(self):
         with pytest.raises(ValueError):
             CandidateSet(())
@@ -315,6 +305,13 @@ class TestPredictorRadiusSource:
         "short": lambda w, g: w >= 8 - min(g, 5),
         "gappy": lambda w, g: (w + g) % 3 != 0 and not (g % 5 == 1 and w >= 5),
     }
+
+    @pytest.mark.parametrize("feature_width, label_width", [(1, 4), (LAYOUT.dim - 1, 4), (LAYOUT.dim, 1),
+                                                            (LAYOUT.dim, 5)])
+    def test_rejects_stats_of_the_wrong_width(self, feature_width, label_width):
+        with pytest.raises(ValueError, match="feature" if feature_width != LAYOUT.dim else "label"):
+            PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), LAYOUT,
+                                  identity_stats(feature_width), identity_stats(label_width))
 
     @pytest.mark.parametrize("with_stats", [False, True])
     @pytest.mark.parametrize("shape", sorted(HISTORIES))

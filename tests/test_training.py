@@ -3,26 +3,28 @@ import pytest
 
 from ridecast.nn.model import ModelConfig, TransformerRegressor
 from ridecast.training import (
-    LossHistory,
     StrategyConfig,
     TrainConfig,
     TrainingDiverged,
-    aggregate_decayed,
-    aggregate_uniform,
-    normalization_factor,
-    refresh_weights,
+    aggregate_losses,
     strategy_weights,
     _test_losses,
     train,
 )
 
 
+def _denominator(kind: str, gamma: float, history_len: int) -> float:
+    """sum_{j=0..T} c^j, read back as 1 / the aggregate of a lone unit loss."""
+    cfg = StrategyConfig(kind=kind, gamma=gamma, history_len=history_len)
+    return 1.0 / aggregate_losses(cfg, [], np.array([1.0]))[0]
+
+
 class TestNormalizationFactor:
     def test_closed_form_small(self):
-        assert normalization_factor(0.5, 2) == pytest.approx(1.75, abs=1e-15)
+        assert _denominator("WESM", 0.5, 2) == pytest.approx(1.75, abs=1e-15)
 
     def test_closed_form_table_defaults(self):
-        assert normalization_factor(0.1, 10) == pytest.approx((1 - 0.1**11) / 0.9, abs=1e-15)
+        assert _denominator("ESM", 0.1, 10) == pytest.approx((1 - 0.1**11) / 0.9, abs=1e-15)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(0)
@@ -30,61 +32,65 @@ class TestNormalizationFactor:
             gamma = float(rng.uniform(0.01, 0.99))
             t = int(rng.integers(1, 30))
             direct = sum(gamma**j for j in range(t + 1))
-            assert abs(normalization_factor(gamma, t) - direct) < 1e-12
+            assert abs(_denominator("WESM", gamma, t) - direct) < 1e-12
 
-    def test_rejects_gamma_one(self):
-        with pytest.raises(ValueError):
-            normalization_factor(1.0, 5)
+    @pytest.mark.parametrize("kind", ["FW", "AM", "WAM"])
+    def test_undecayed_kinds_divide_by_window_length(self, kind):
+        # gamma is ignored: c = 1, so the denominator is T + 1 exactly
+        agg = aggregate_losses(StrategyConfig(kind=kind, gamma=0.3, history_len=6), [], np.array([7.0]))
+        assert agg[0] == 1.0
 
 
 class TestAggregation:
     def test_decayed_hand_example(self):
         # T=1, gamma=0.5: (0.5*0.4 + 0.2) / 1.5
-        norm = normalization_factor(0.5, 1)
-        agg = aggregate_decayed([np.array([0.4])], np.array([0.2]), 0.5, norm)
+        cfg = StrategyConfig(kind="WESM", gamma=0.5, history_len=1)
+        agg = aggregate_losses(cfg, [np.array([0.4])], np.array([0.2]))
         assert agg[0] == pytest.approx(0.4 / 1.5, rel=1e-12)
 
     def test_decayed_empty_history(self):
-        norm = normalization_factor(0.3, 5)
-        agg = aggregate_decayed([], np.array([0.7]), 0.3, norm)
-        assert agg[0] == pytest.approx(0.7 / norm, rel=1e-12)
+        cfg = StrategyConfig(kind="ESM", gamma=0.3, history_len=5)
+        agg = aggregate_losses(cfg, [], np.array([0.7]))
+        assert agg[0] == pytest.approx(0.7 / _denominator("ESM", 0.3, 5), rel=1e-12)
 
     def test_decayed_vanishing_gamma_returns_current(self):
-        gamma = 1e-12
-        norm = normalization_factor(gamma, 10)
+        cfg = StrategyConfig(kind="WESM", gamma=1e-12, history_len=10)
         hist = [np.array([5.0])] * 10
-        agg = aggregate_decayed(hist, np.array([0.7]), gamma, norm)
+        agg = aggregate_losses(cfg, hist, np.array([0.7]))
         assert agg[0] == pytest.approx(0.7, abs=1e-9)
 
     def test_decayed_constant_history_is_identity(self):
         # weights gamma^j / norm sum to one, so a constant series maps to itself
-        gamma, t = 0.4, 7
-        norm = normalization_factor(gamma, t)
-        hist = [np.array([2.5, 0.3])] * t
-        agg = aggregate_decayed(hist, np.array([2.5, 0.3]), gamma, norm)
+        cfg = StrategyConfig(kind="WESM", gamma=0.4, history_len=7)
+        hist = [np.array([2.5, 0.3])] * 7
+        agg = aggregate_losses(cfg, hist, np.array([2.5, 0.3]))
         np.testing.assert_allclose(agg, [2.5, 0.3], rtol=1e-12)
 
     def test_uniform_hand_example(self):
-        agg = aggregate_uniform([np.array([0.4])], np.array([0.2]), history_len=1)
+        agg = aggregate_losses(StrategyConfig(kind="WAM", history_len=1), [np.array([0.4])], np.array([0.2]))
         assert agg[0] == pytest.approx(0.3, rel=1e-12)
 
     def test_uniform_constant_series(self):
         hist = [np.array([0.9])] * 4
-        agg = aggregate_uniform(hist, np.array([0.9]), history_len=4)
+        agg = aggregate_losses(StrategyConfig(kind="AM", history_len=4), hist, np.array([0.9]))
         assert agg[0] == pytest.approx(0.9, rel=1e-12)
 
     def test_uniform_empty_history(self):
-        agg = aggregate_uniform([], np.array([0.6]), history_len=5)
+        agg = aggregate_losses(StrategyConfig(kind="WAM", history_len=5), [], np.array([0.6]))
         assert agg[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_decayed_near_one_approaches_uniform(self):
         rng = np.random.default_rng(1)
         hist = [rng.uniform(0.1, 2.0, size=3) for _ in range(6)]
         cur = rng.uniform(0.1, 2.0, size=3)
-        gamma = 0.999
-        dec = aggregate_decayed(hist, cur, gamma, normalization_factor(gamma, 6))
-        uni = aggregate_uniform(hist, cur, 6)
+        dec = aggregate_losses(StrategyConfig(kind="WESM", gamma=0.999, history_len=6), hist, cur)
+        uni = aggregate_losses(StrategyConfig(kind="WAM", history_len=6), hist, cur)
         np.testing.assert_allclose(dec, uni, rtol=5e-3)
+
+    def test_leaves_current_untouched(self):
+        cur = np.array([0.2, 0.4])
+        aggregate_losses(StrategyConfig(kind="WESM", history_len=2), [np.array([1.0, 1.0])], cur)
+        np.testing.assert_array_equal(cur, [0.2, 0.4])
 
 
 class TestStrategyWeights:
@@ -123,31 +129,14 @@ class TestStrategyWeights:
     def test_refresh_gamma_limit_identity(self):
         # as gamma -> 0 WESM weighting reduces to normalized instantaneous losses
         cfg = StrategyConfig(kind="WESM", gamma=1e-12, history_len=10)
-        history = LossHistory(10, 3)
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            history.push(rng.uniform(0.1, 2.0, size=3))
+        recent = [rng.uniform(0.1, 2.0, size=3) for _ in range(10)]
         current = np.array([0.5, 1.0, 0.5])
-        w = refresh_weights(cfg, history, current)
+        w = strategy_weights("WESM", aggregate_losses(cfg, recent, current))
         np.testing.assert_allclose(w, current / current.sum(), atol=1e-9)
 
 
-class TestLossHistory:
-    def test_eviction_order(self):
-        h = LossHistory(3, 1)
-        for v in range(5):
-            h.push(np.array([float(v)]))
-        assert [a[0] for a in h.recent_first()] == [4.0, 3.0, 2.0]
-
-    def test_rejects_bad_entries(self):
-        h = LossHistory(2, 2)
-        with pytest.raises(ValueError):
-            h.push(np.array([1.0]))
-        with pytest.raises(ValueError):
-            h.push(np.array([1.0, -0.5]))
-        with pytest.raises(ValueError):
-            h.push(np.array([np.inf, 0.0]))
-
+class TestConfigs:
     def test_strategy_config_validation(self):
         with pytest.raises(ValueError):
             StrategyConfig(kind="XX")
@@ -236,7 +225,7 @@ class TestTrainLoop:
         res = train(model, x[:320], y[:320], x[320:], y[320:],
                     StrategyConfig(kind="WESM"),
                     TrainConfig(batch_size=64, epochs=40, seed=4, lr=3e-3))
-        assert res.final_test_losses().mean() < 0.3 * before
+        assert res.test_losses[-1].mean() < 0.3 * before
 
     def test_test_losses_evaluated_once_per_epoch(self):
         x, y = _synthetic_tasks(8, 256)
@@ -245,7 +234,7 @@ class TestTrainLoop:
                     StrategyConfig(kind="WESM"), TrainConfig(batch_size=64, epochs=3, seed=8))
         assert res.train_losses.shape == (9, 4)
         assert res.test_losses.shape == (3, 4)
-        np.testing.assert_array_equal(res.final_test_losses(), _test_losses(model, x[192:], y[192:]))
+        np.testing.assert_array_equal(res.test_losses[-1], _test_losses(model, x[192:], y[192:]))
 
     def test_divergence_aborts_with_diagnostics(self):
         x, y = _synthetic_tasks(5, 128)
@@ -270,3 +259,31 @@ class TestTrainLoop:
         x, y = _synthetic_tasks(7, 64)
         with pytest.raises(ValueError):
             train(_small_model(7), x[:0], y[:0], x, y, StrategyConfig(), TrainConfig())
+
+    def test_rejects_inputs_and_labels_of_different_lengths(self):
+        x, y = _synthetic_tasks(7, 10)
+        with pytest.raises(ValueError, match="differ in length"):
+            train(_small_model(7), x[:6], y, x[6:], y[6:], StrategyConfig(), TrainConfig())
+        with pytest.raises(ValueError, match="differ in length"):
+            train(_small_model(7), x[:6], y[:6], x[6:], y[6:7], StrategyConfig(), TrainConfig())
+
+    @pytest.mark.parametrize("kind", ["FW", "AM", "WAM", "ESM", "WESM"])
+    def test_weights_recomputed_from_the_loss_curve(self, kind):
+        # every refresh at step s aggregates L_s with the T losses before it,
+        # so a window one step too long or too short changes the bits
+        gamma, t, every = 0.5, 4, 3
+        x, y = _synthetic_tasks(9, 256, scales=(1.0, 2.0, 0.5, 4.0))
+        res = train(_small_model(9), x[:192], y[:192], x[192:], y[192:],
+                    StrategyConfig(kind=kind, gamma=gamma, history_len=t, refresh_every=every),
+                    TrainConfig(batch_size=16, epochs=2, seed=9))
+        n = len(res.train_losses)
+        assert res.refresh_steps == list(range(0, n, every))
+        c = gamma if kind in ("ESM", "WESM") else 1.0
+        norm = t + 1 if c == 1.0 else (1.0 - c ** (t + 1)) / (1.0 - c)
+        for s in res.refresh_steps:
+            acc = res.train_losses[s].copy()
+            for j in range(1, min(t, s) + 1):
+                acc += c**j * res.train_losses[s - j]
+            np.testing.assert_array_equal(res.weights[s], strategy_weights(kind, acc / norm), err_msg=f"step {s}")
+            for k in range(s + 1, min(s + every, n)):
+                np.testing.assert_array_equal(res.weights[k], res.weights[s], err_msg=f"step {k}")
