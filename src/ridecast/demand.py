@@ -15,6 +15,7 @@ import numpy as np
 from .market import GridSpec, LocalProjection, OrderStream, grid_index
 
 MALFORMED_FRACTION_LIMIT = 0.10
+NORM_CHUNK_ROWS = 1024  # rows per chunk of fit_norm_stats' passes, which bounds their temporaries
 
 CSV_REQUIRED_COLUMNS = ("pickup_datetime", "pickup_lon", "pickup_lat", "dropoff_lon", "dropoff_lat")
 
@@ -263,13 +264,24 @@ class NormStats:
         return cls(mean=np.array(d["mean"]), std=np.array(d["std"]))
 
 
+def _column_sums(x: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
+    """Column sums of x or of (x - shift)**2, added row by row from 0.0 as numpy's axis-0 sum adds them."""
+    acc = np.zeros(x.shape[1])
+    for lo in range(0, len(x), NORM_CHUNK_ROWS):
+        part = x[lo:lo + NORM_CHUNK_ROWS] if shift is None else np.square(x[lo:lo + NORM_CHUNK_ROWS] - shift)
+        acc = np.concatenate([acc[None], part]).sum(axis=0)
+    return acc
+
+
 def fit_norm_stats(x: np.ndarray) -> NormStats:
-    """Population mean/std per column over >= 2 rows."""
+    """Population mean/std per column over >= 2 rows, repeating the two passes of ``x.mean(0)`` and
+    ``x.std(0)`` over chunks of ``NORM_CHUNK_ROWS`` rows so no temporary grows with the row count.  A
+    row-major matrix of two or more columns gets their bits; numpy sums other layouts pairwise."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least 2 rows")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    mean = _column_sums(x) / len(x)
+    std = np.sqrt(_column_sums(x, mean) / len(x))
     std = np.where(std > 0, std, 1.0)
     return NormStats(mean=mean, std=std)
 

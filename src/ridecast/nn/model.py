@@ -15,7 +15,8 @@ Parameters are drawn in float64 and stored as float32 (``PARAM_DTYPE``), so
 the forward pass, gradients and Adam moments are all float32.  Every op
 follows its data's dtype: a model whose parameters are upcast to float64
 runs in float64 end to end, which is how the finite-difference gradcheck
-runs it.
+runs it.  Inputs built by the data layer (``normalized_features``, the radius
+source's batches) are ``PARAM_DTYPE`` whatever the model's dtype.
 """
 from __future__ import annotations
 

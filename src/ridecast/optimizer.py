@@ -12,14 +12,16 @@ window-sorted log, by position, so gaps in window numbers do not shorten it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol
 
 import numpy as np
 
 from .demand import NormStats, apply_norm, invert_norm
 from .market import MarketWindow, OrderStream
+from .nn.model import PARAM_DTYPE
 from .sim import EpisodeResult, SimConfig, WindowSnapshot, run
 
 # feature columns, per sequence row
@@ -29,6 +31,7 @@ N_TOD = 4
 METRIC_NAMES = ("ofr", "apd", "dur", "revenue")
 # composite sense: pickup distance is minimized, everything else maximized
 METRIC_SENSE = np.array([1.0, -1.0, 1.0, 1.0])
+NORM_CHUNK_SEQS = 128  # sequences per chunk of TrainingData.normalized_features' float64 arithmetic
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,8 @@ def composite_score(predictions: np.ndarray, label_stats: NormStats) -> np.ndarr
 class Predictor(Protocol):
     """Maps normalized feature sequences to raw-unit metric predictions.
 
-    ``candidates`` holds one radius (km) per row of ``features``."""
+    ``features`` arrive as float32 (``PARAM_DTYPE``) whatever the model's dtype;
+    ``candidates`` holds one radius (km) per row."""
 
     def predict_for(self, features: np.ndarray, candidates: np.ndarray) -> np.ndarray: ...
 
@@ -165,6 +169,29 @@ class RadiusDecision:
     candidates: tuple[float, ...]
     predictions: np.ndarray   # (K, 4) raw metric units
     scores: np.ndarray        # (K,)
+
+
+class DecisionLog(Sequence[RadiusDecision]):
+    """A radius source's grid decisions, oldest first: ``calls`` keeps one (window, best,
+    predictions, scores) record per ``radii`` call; item i, grid i % G of call i // G, is built on access."""
+
+    def __init__(self, candidates: tuple[float, ...], n_grids: int):
+        self.candidates, self.n_grids = candidates, n_grids
+        self.calls: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def __len__(self) -> int:
+        return len(self.calls) * self.n_grids
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        call, g = divmod(range(len(self))[i], self.n_grids)  # a list's bounds and negative indices
+        window, best, preds, scores = self.calls[call]
+        return RadiusDecision(grid=g, window=window, chosen_radius=self.candidates[best[g]],
+                              candidates=self.candidates, predictions=preds[g], scores=scores[g])
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
 
 
 def _real_row_mask(pad_rows: np.ndarray, seq_len: int) -> np.ndarray:
@@ -191,7 +218,7 @@ def _recent_by_grid(history: Sequence[MarketWindow], n_grids: int, depth: int) -
 
 class PredictorRadiusSource:
     """Radius source driven by a predictor, one batched prediction per
-    window; keeps a full decision audit log."""
+    window; keeps a full decision audit log in ``decisions``."""
 
     def __init__(
         self,
@@ -210,11 +237,11 @@ class PredictorRadiusSource:
         self.layout = layout
         self.feature_stats = feature_stats
         self.label_stats = label_stats
-        self.decisions: list[RadiusDecision] = []
+        self.decisions = DecisionLog(candidates.radii, layout.n_cells)
 
     def _batch(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
-        """(G*K, T, D) normalized batch, grid-major (row g*K + j: grid g, candidate j
-        in its final row); built apart from ``radii`` so it is freed once predicted."""
+        """(G*K, T, D) batch normalized in float64, then cast to ``PARAM_DTYPE`` before the K copies; grid-major
+        (row g*K + j: grid g, candidate j in its final row), built apart from ``radii`` to be freed once predicted."""
         n_grids, t = self.layout.n_cells, self.layout.seq_len
         recent = _recent_by_grid(history, n_grids, t - 1)
         table = _window_table([w for rows in recent for w in rows])
@@ -230,7 +257,7 @@ class PredictorRadiusSource:
         base[real] = apply_norm(base[real], stats)
         # apply_norm's arithmetic on the radius column alone
         final_radii = (self.candidates.as_array() - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
-        x = np.repeat(base, len(final_radii), axis=0)
+        x = np.repeat(base.astype(PARAM_DTYPE), len(final_radii), axis=0)
         x[:, -1, COL_RADIUS] = np.tile(final_radii, n_grids)
         return x
 
@@ -243,11 +270,7 @@ class PredictorRadiusSource:
         if np.any(bad):
             raise ValueError(f"non-finite predictions or scores for grids {np.flatnonzero(bad).tolist()}")
         best = np.argmax(scores, axis=1)  # first max wins: candidates ascend, so ties pick the smallest
-        cands = self.candidates.radii
-        self.decisions.extend(
-            RadiusDecision(grid=g, window=snapshot.window, chosen_radius=cands[b], candidates=cands,
-                           predictions=preds[g], scores=scores[g])
-            for g, b in enumerate(best))
+        self.decisions.calls.append((snapshot.window, best, preds, scores))
         return radii[best]
 
 
@@ -268,6 +291,18 @@ class TrainingData:
     episodes: np.ndarray    # (N,)
     layout: FeatureLayout
 
+    def __post_init__(self) -> None:
+        n, t = len(self.features), self.layout.seq_len
+        if self.features.shape != (n, t, self.layout.dim):
+            raise ValueError(f"features have shape {self.features.shape}, expected (N, {t}, {self.layout.dim})")
+        if self.labels.shape != (n, len(METRIC_NAMES)):
+            raise ValueError(f"labels have shape {self.labels.shape}, expected ({n}, {len(METRIC_NAMES)})")
+        for name in ("pad_rows", "grids", "windows", "episodes"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected ({n},)")
+        if np.any((self.pad_rows < 0) | (self.pad_rows >= t)):
+            raise ValueError(f"pad_rows must lie in 0..{t - 1}")
+
     def __len__(self) -> int:
         return len(self.features)
 
@@ -276,17 +311,28 @@ class TrainingData:
         return self.features[_real_row_mask(self.pad_rows, self.layout.seq_len)]
 
     def normalized_features(self, stats: NormStats) -> np.ndarray:
-        out = self.features - stats.mean
-        out /= stats.std
-        out[~_real_row_mask(self.pad_rows, self.layout.seq_len)] = 0.0
+        """(N, T, D) z-scored in float64 a chunk at a time, padding rows +0.0, cast to ``PARAM_DTYPE`` whatever
+        the model's dtype."""
+        if stats.mean.shape != (self.layout.dim,):
+            raise ValueError(f"stats have shape {stats.mean.shape}, expected ({self.layout.dim},)")
+        out = np.empty(self.features.shape, dtype=PARAM_DTYPE)
+        real = _real_row_mask(self.pad_rows, self.layout.seq_len)[:, :, None]
+        for lo in range(0, len(out), NORM_CHUNK_SEQS):
+            part = (self.features[lo:lo + NORM_CHUNK_SEQS] - stats.mean) / stats.std
+            out[lo:lo + NORM_CHUNK_SEQS] = np.where(real[lo:lo + NORM_CHUNK_SEQS], part, 0.0)
         return out
 
     def split_by_episode(self, test_fraction: float = 0.2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean train/test row masks from an episode-level shuffle."""
+        """Boolean train/test row masks from an episode-level shuffle; each
+        side gets at least one of the >= 2 episodes."""
+        if not 0 < test_fraction < 1:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
         ids = np.unique(self.episodes)
+        if len(ids) < 2:
+            raise ValueError(f"need at least 2 episodes to split, got {len(ids)}")
         rng = np.random.default_rng(seed)
         rng.shuffle(ids)
-        n_test = max(1, int(round(test_fraction * len(ids))))
+        n_test = min(max(1, int(round(test_fraction * len(ids)))), len(ids) - 1)
         test_mask = np.isin(self.episodes, ids[:n_test])
         return ~test_mask, test_mask
 

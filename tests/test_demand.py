@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ridecast.demand import (
+    NORM_CHUNK_ROWS,
     DemandProfile,
     FareModel,
     IngestError,
@@ -211,6 +215,16 @@ class TestSynthDemand:
             synth_demand(profile, BOX, seed=1, duration_s=duration_s)
 
 
+def _wide_matrix(rows, cols, magnitudes, constant, seed):
+    """Columns scaled by 10**magnitudes, offset from zero, one of them constant unless ``constant`` is out of range."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** np.resize(magnitudes, cols)
+    x = (rng.normal(size=(rows, cols)) + rng.normal(size=cols) * 30) * scale
+    if 0 <= constant < cols:
+        x[:, constant] = scale[constant] / 3
+    return x
+
+
 class TestNormStats:
     def test_two_point_zscore(self):
         stats = fit_norm_stats(np.array([[1.0], [3.0]]))
@@ -233,6 +247,43 @@ class TestNormStats:
         z = apply_norm(x, fit_norm_stats(x))
         assert np.max(np.abs(z.mean(axis=0))) < 1e-9
         np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(rows=st.sampled_from([2, 3, NORM_CHUNK_ROWS - 1, NORM_CHUNK_ROWS, NORM_CHUNK_ROWS + 1,
+                                 3 * NORM_CHUNK_ROWS + 17]) | st.integers(2, 5000),
+           cols=st.integers(2, 12), magnitudes=st.lists(st.floats(-8, 8), min_size=12, max_size=12),
+           constant=st.integers(-1, 11), seed=st.integers(0, 2**32 - 1))
+    @example(rows=2 * NORM_CHUNK_ROWS + 5, cols=112, magnitudes=[-8, 8] * 6, constant=3, seed=1)
+    def test_same_bits_as_numpy(self, rows, cols, magnitudes, constant, seed):
+        # numpy's axis-0 sum adds the rows of a row-major matrix of two or more columns in order
+        x = _wide_matrix(rows, cols, magnitudes, constant, seed)
+        stats = fit_norm_stats(x)
+        std = x.std(axis=0)
+        assert stats.mean.tobytes() == x.mean(axis=0).tobytes()
+        assert stats.std.tobytes() == np.where(std > 0, std, 1.0).tobytes()
+
+    @pytest.mark.parametrize("rows", [2, NORM_CHUNK_ROWS + 1, 3 * NORM_CHUNK_ROWS + 17])
+    @pytest.mark.parametrize("cols, column_major", [(1, False), (1, True), (5, True)])
+    def test_other_layouts_match_numpy_closely(self, rows, cols, column_major):
+        # numpy sums a single column or a column-major matrix pairwise, so the last bits can differ
+        x = _wide_matrix(rows, cols, [-8, 3, 8, 0, 5], -1, rows)
+        if column_major:
+            x = np.asfortranarray(x)
+        stats = fit_norm_stats(x)
+        bound = 1e-12 * np.abs(x).max(axis=0)
+        assert np.all(np.abs(stats.mean - x.mean(axis=0)) <= bound)
+        assert np.all(np.abs(stats.std - x.std(axis=0)) <= bound)
+
+    def test_temporaries_stay_small(self):
+        x = np.random.default_rng(2).normal(size=(20_000, 112))
+        tracemalloc.start()
+        try:
+            fit_norm_stats(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # x.std(axis=0) alone allocates a full-size x - mean
+        assert peak < 0.25 * x.nbytes
 
     def test_requires_two_rows(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -18,10 +20,13 @@ from ridecast.demand import NormStats, apply_norm, fit_norm_stats
 from ridecast.market import GridSpec, MarketWindow, TimeOfDay, grid_index
 from ridecast.optimizer import (
     COL_RADIUS,
+    NORM_CHUNK_SEQS,
     CandidateSet,
     FeatureLayout,
     ModelPredictor,
     PredictorRadiusSource,
+    RadiusDecision,
+    TrainingData,
     build_feature_batch,
     collect_training_data,
     composite_score,
@@ -373,6 +378,22 @@ class TestPredictorRadiusSource:
         assert len(per) == len(src.decisions)
         assert calls == [16 * 3] * 3  # one batched prediction per boundary
 
+    def test_batch_is_the_float64_batch_cast_to_float32(self):
+        history = [mkwindow(grid=g, window=w, rev=3.0 * g + w, radius=0.5 + w) for w in range(2) for g in (1, 2, 9)]
+        stats = NormStats(mean=np.linspace(-1.0, 2.0, LAYOUT.dim), std=np.linspace(0.3, 3.0, LAYOUT.dim))
+        cands = CandidateSet((0.1, 0.7, 1.3))
+        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), cands, LAYOUT, stats, IDENT)
+        snapshot = mksnapshot(window=2, tod=1, n_idle=3, n_open=2, n_total=6)
+        want = []
+        for g in range(LAYOUT.n_cells):
+            for r in cands.radii:
+                x, n_pad = reference_features([w for w in history if w.grid == g], 3, 2, 6, 1, g, r, LAYOUT)
+                x[n_pad:] = apply_norm(x[n_pad:], stats)
+                want.append(x)
+        got = src._batch(snapshot, history)
+        assert got.dtype == np.float32
+        assert got.tobytes() == np.array(want).astype(np.float32).tobytes()
+
     def test_decision_depends_only_on_own_grid_history(self):
         captured = {}
 
@@ -398,6 +419,72 @@ class TestPredictorRadiusSource:
         (moved,) = captured["feats"]
         np.testing.assert_array_equal(moved[5:6], base[5:6])  # K = 1: grid g is row g
         assert not np.array_equal(np.delete(moved, 5, axis=0), np.delete(base, 5, axis=0))
+
+
+class TestDecisionLog:
+    """``decisions`` against the per-grid list of ``RadiusDecision``s that
+    ``radii`` used to extend, rebuilt from the predictor's outputs."""
+
+    def test_equals_the_per_grid_list(self):
+        rng = np.random.default_rng(4)
+        outputs = []
+
+        class RecordingPred:
+            def predict_for(self, features, candidates):
+                outputs.append(rng.normal(size=(len(candidates), 4)))
+                return outputs[-1]
+
+        cands = CandidateSet((0.5, 1.0, 2.0))
+        g, k = LAYOUT.n_cells, len(cands)
+        src = PredictorRadiusSource(RecordingPred(), cands, LAYOUT, FEATURE_IDENT, IDENT)
+        want: list[RadiusDecision] = []
+        for w in range(5):
+            radii = src.radii(mksnapshot(window=10 + w), [])
+            preds = outputs[-1].reshape(g, k, 4)
+            scores = composite_score(outputs[-1], IDENT).reshape(g, k)
+            want += [RadiusDecision(grid=i, window=10 + w, chosen_radius=cands.radii[int(np.argmax(scores[i]))],
+                                    candidates=cands.radii, predictions=preds[i], scores=scores[i])
+                     for i in range(g)]
+            assert [d.chosen_radius for d in src.decisions[-g:]] == radii.tolist()
+
+        def same(a, b):
+            fields = attrgetter("grid", "window", "chosen_radius", "candidates")
+            return (fields(a) == fields(b) and a.predictions.tobytes() == b.predictions.tobytes()
+                    and a.scores.tobytes() == b.scores.tobytes())
+
+        log = src.decisions
+        assert len(log) == len(want) == 5 * g
+        assert all(same(a, b) for a, b in zip(log, want, strict=True))
+        assert all(same(log[i], want[i]) for i in range(-len(want), len(want)))
+        assert all(same(a, b) for a, b in zip(log[-g:], want[-g:], strict=True))
+        assert all(same(a, b) for a, b in zip(log[3:40:7], want[3:40:7], strict=True))
+        assert same(log[-1], want[-1]) and log[-1].grid == g - 1 and log[-1].window == 14
+        for bad in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                log[bad]
+
+    def test_retained_memory_per_decision(self):
+        layout = FeatureLayout(seq_len=6, side_count=10)
+
+        class FreshPred:
+            def predict_for(self, features, candidates):
+                return np.ones((len(candidates), 4))
+
+        src = PredictorRadiusSource(FreshPred(), CandidateSet((0.5, 1.0, 1.5, 2.0, 3.0)), layout,
+                                    identity_stats(layout.dim), IDENT)
+        src.radii(mksnapshot(n_cells=layout.n_cells), [])
+        calls = 96
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for w in range(1, calls + 1):
+                src.radii(mksnapshot(window=w, n_cells=layout.n_cells), [])
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(src.decisions) == (calls + 1) * layout.n_cells
+        # one RadiusDecision with two array views per grid kept about 540 B
+        assert retained / (calls * layout.n_cells) < 350
 
 
 def small_scenario_config(radius_seed, sim_seed, candidates):
@@ -509,10 +596,15 @@ class TestCollect:
         )
         stats = fit_norm_stats(data.real_rows())
         normed = data.normalized_features(stats)
+        assert normed.dtype == np.float32
         for i in range(len(data)):
             np.testing.assert_array_equal(normed[i, : data.pad_rows[i]], 0.0)
-        flat = np.concatenate([normed[i, data.pad_rows[i]:] for i in range(len(data))])
-        assert np.max(np.abs(flat.mean(axis=0))) < 1e-9
+        flat = np.concatenate([normed[i, data.pad_rows[i]:] for i in range(len(data))]).astype(np.float64)
+        # the float32 cast moves each z-score by at most half an ulp
+        tol = np.finfo(np.float32).eps * np.abs(flat).max()
+        assert np.max(np.abs(flat.mean(axis=0))) < tol
+        std = flat.std(axis=0)
+        assert np.all((np.abs(std - 1.0) < tol) | (std == 0.0))  # constant columns z-score to 0
 
     def test_dataset_helpers_match_per_example_loop(self):
         data, _ = collect_training_data(
@@ -532,4 +624,88 @@ class TestCollect:
             p = data.pad_rows[i]
             want[i, p:] = (data.features[i, p:] - stats.mean) / stats.std
         got = data.normalized_features(stats)
-        assert got.tobytes() == want.tobytes()  # bit-identical, padding rows exactly +0.0
+        # bit-identical to the float64 arithmetic cast to float32, padding rows exactly +0.0
+        assert got.tobytes() == want.astype(np.float32).tobytes()
+
+
+def mkdata(n=4, layout=LAYOUT, **fields):
+    """n all-zero sequences with consistent fields; ``fields`` override them."""
+    t, d = layout.seq_len, layout.dim
+    base = dict(features=np.zeros((n, t, d)), labels=np.zeros((n, 4)), pad_rows=np.zeros(n, dtype=int),
+                grids=np.zeros(n, dtype=int), windows=np.arange(n), episodes=np.arange(n), layout=layout)
+    return TrainingData(**{**base, **fields})
+
+
+class TestTrainingData:
+    @pytest.mark.parametrize("field, value, match", [
+        ("labels", np.zeros((7, 4)), "labels"),
+        ("labels", np.zeros((4, 3)), "labels"),
+        ("features", np.zeros((4, LAYOUT.seq_len + 1, LAYOUT.dim)), "features"),
+        ("features", np.zeros((4, LAYOUT.seq_len, LAYOUT.dim - 1)), "features"),
+        ("features", np.zeros((4, LAYOUT.seq_len * LAYOUT.dim)), "features"),
+        ("pad_rows", np.zeros(5, dtype=int), "pad_rows"),
+        ("grids", np.zeros((4, 1), dtype=int), "grids"),
+        ("windows", np.arange(3), "windows"),
+        ("episodes", np.arange(5), "episodes"),
+        ("pad_rows", np.array([0, 1, LAYOUT.seq_len, 0]), "pad_rows"),
+        ("pad_rows", np.array([0, -1, 0, 0]), "pad_rows"),
+    ])
+    def test_rejects_inconsistent_arrays(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            mkdata(**{field: value})
+
+    def test_accepts_the_largest_padding(self):
+        data = mkdata(pad_rows=np.full(4, LAYOUT.seq_len - 1))
+        assert data.real_rows().shape == (4, LAYOUT.dim)
+
+    @pytest.mark.parametrize("width", [1, LAYOUT.dim - 1, LAYOUT.dim + 1])
+    def test_normalized_features_rejects_stats_of_the_wrong_width(self, width):
+        with pytest.raises(ValueError, match=f"expected \\({LAYOUT.dim},\\)"):
+            mkdata().normalized_features(identity_stats(width))
+
+    @pytest.mark.parametrize("n", [1, NORM_CHUNK_SEQS - 1, NORM_CHUNK_SEQS, 2 * NORM_CHUNK_SEQS + 3])
+    def test_normalized_features_is_the_float64_result_cast(self, n):
+        rng = np.random.default_rng(n)
+        pads = rng.integers(0, LAYOUT.seq_len, n)
+        features = rng.normal(size=(n, LAYOUT.seq_len, LAYOUT.dim)) * 10.0 ** rng.uniform(-6, 6, LAYOUT.dim)
+        stats = NormStats(mean=rng.normal(size=LAYOUT.dim), std=10.0 ** rng.uniform(-3, 3, LAYOUT.dim))
+        got = mkdata(n, features=features, pad_rows=pads).normalized_features(stats)
+        want = (features - stats.mean) / stats.std
+        want[np.arange(LAYOUT.seq_len) < pads[:, None]] = 0.0
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.astype(np.float32).tobytes()  # padding rows +0.0, not -0.0
+
+    def test_normalized_features_peak_memory(self):
+        layout = FeatureLayout(seq_len=6, side_count=10)
+        rng = np.random.default_rng(3)
+        n = 2000
+        data = mkdata(n, layout, features=rng.normal(size=(n, layout.seq_len, layout.dim)),
+                      pad_rows=rng.integers(0, layout.seq_len, n))
+        stats = NormStats(mean=np.full(layout.dim, 0.5), std=np.full(layout.dim, 2.0))
+        tracemalloc.start()
+        try:
+            data.normalized_features(stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 result alone would be 1.0x the features' bytes; a float32
+        # one is 0.5x
+        assert peak < 0.85 * data.features.nbytes
+
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -0.5, math.nan])
+    def test_split_rejects_fractions_outside_the_open_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match="test_fraction"):
+            mkdata(episodes=np.array([0, 0, 1, 2])).split_by_episode(test_fraction=fraction)
+
+    def test_split_needs_two_episodes(self):
+        with pytest.raises(ValueError, match="2 episodes"):
+            mkdata(episodes=np.zeros(4, dtype=int)).split_by_episode()
+
+    @pytest.mark.parametrize("fraction, n_episodes, n_test", [(0.01, 3, 1), (0.9, 2, 1), (0.99, 5, 4),
+                                                              (0.2, 10, 2), (0.5, 4, 2)])
+    def test_split_keeps_an_episode_on_each_side(self, fraction, n_episodes, n_test):
+        data = mkdata(2 * n_episodes, episodes=np.repeat(np.arange(n_episodes), 2))
+        train_mask, test_mask = data.split_by_episode(test_fraction=fraction, seed=1)
+        assert len(np.unique(data.episodes[test_mask])) == n_test
+        assert len(np.unique(data.episodes[train_mask])) == n_episodes - n_test
+        assert np.all(train_mask ^ test_mask)
