@@ -273,17 +273,31 @@ def _column_sums(x: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarra
     return acc
 
 
+def _constant_columns(x: np.ndarray) -> np.ndarray:
+    """Mask of the columns whose values all equal their first row's, NaN equal to nothing.  Each
+    chunk compares only the columns still equal, so after the first few it reads the constant ones."""
+    constant = np.ones(x.shape[1], dtype=bool)
+    for lo in range(0, len(x), NORM_CHUNK_ROWS):
+        cols = np.flatnonzero(constant)
+        constant[cols] = (x[lo:lo + NORM_CHUNK_ROWS, cols] == x[0, cols]).all(axis=0)
+    return constant
+
+
 def fit_norm_stats(x: np.ndarray) -> NormStats:
     """Population mean/std per column over >= 2 rows, repeating the two passes of ``x.mean(0)`` and
     ``x.std(0)`` over chunks of ``NORM_CHUNK_ROWS`` rows so no temporary grows with the row count.  A
-    row-major matrix of two or more columns gets their bits; numpy sums other layouts pairwise."""
+    row-major matrix of two or more columns gets their bits; numpy sums other layouts pairwise.
+
+    A column of one value gets that value as mean and std 1, so its z-scores are exactly 0.  Its
+    computed std is 0 only when the value is exact in binary; otherwise it is a rounding residue
+    (1.4e-17 for seven rows of 0.1) that turns any other value into a z-score near 1e16."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least 2 rows")
     mean = _column_sums(x) / len(x)
     std = np.sqrt(_column_sums(x, mean) / len(x))
-    std = np.where(std > 0, std, 1.0)
-    return NormStats(mean=mean, std=std)
+    constant = _constant_columns(x)
+    return NormStats(mean=np.where(constant, x[0], mean), std=np.where(~constant & (std > 0), std, 1.0))
 
 
 def apply_norm(x: np.ndarray, stats: NormStats) -> np.ndarray:

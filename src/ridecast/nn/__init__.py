@@ -1,5 +1,5 @@
 from .adam import Adam
-from .layers import layer_norm, mlp_forward, self_attention
+from .layers import add_layer_norm, mlp_forward, self_attention
 from .model import (
     Checkpoint,
     CheckpointError,
@@ -17,7 +17,7 @@ __all__ = [
     "ModelConfig",
     "Tensor",
     "TransformerRegressor",
-    "layer_norm",
+    "add_layer_norm",
     "load_checkpoint",
     "mlp_forward",
     "parameter",

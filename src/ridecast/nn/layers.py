@@ -1,10 +1,18 @@
-"""Differentiable building blocks: two-layer perceptron, per-row layer
-normalization, and single-head scaled dot-product self-attention.
+"""Differentiable building blocks: two-layer perceptron, the pre-norm
+residual x + LayerNorm(x), and single-head scaled dot-product self-attention.
 
 Each block is one graph node with a hand-derived numpy backward.  The node
 keeps only what its backward reads and gives gradient only to the parents
 that require it.  Without a graph (inference) nothing is kept, and attention
 projects Q, K and V one at a time so that at most two of them are live.
+
+Reductions run as BLAS matrix-vector products, several times faster than
+numpy's ``sum`` over a short axis: row means are ``rows @ full(n, 1/n)``,
+row sums ``rows @ ones(n)``, and the bias, gamma and beta gradients
+``ones(R) @ rows``, each constant vector in the data's dtype.  Per-row scale
+and shift apply through (R, 1) columns.  The softmax's row maximum is T - 1
+``np.maximum`` passes over column slices, which keeps a NaN score as ``max``
+does.
 """
 from __future__ import annotations
 
@@ -20,6 +28,16 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the row axis of a 2-D array, as ones(R) @ a."""
+    return np.ones(len(a), dtype=a.dtype) @ a
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis as a mat-vec, keeping that axis with length 1."""
+    return (_rows(a) @ np.ones(a.shape[-1], dtype=a.dtype)).reshape(*a.shape[:-1], 1)
+
+
 def mlp_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """y = relu(x @ w1 + b1) @ w2 + b2; keeps the input rows and the post-relu units."""
     x2d = _rows(x.data)
@@ -33,50 +51,58 @@ def mlp_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
         g = _rows(g)
         gh = g @ w2.data.T
         gh *= h > 0
-        _send((w2, lambda: h.T @ g), (b2, lambda: g.sum(axis=0)), (w1, lambda: x2d.T @ gh),
-              (b1, lambda: gh.sum(axis=0)), (x, lambda: (gh @ w1.data.T).reshape(x.shape)))
+        _send((w2, lambda: h.T @ g), (b2, lambda: _column_sums(g)), (w1, lambda: x2d.T @ gh),
+              (b1, lambda: _column_sums(gh)), (x, lambda: (gh @ w1.data.T).reshape(x.shape)))
 
     return Tensor._result(y.reshape(*x.shape[:-1], -1), (x, w1, b1, w2, b2), back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row of the last axis to zero mean and unit spread.
+def add_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """x + LayerNorm(x) over the last axis, as one node: the residual input of a block's sublayer.
 
-    The denominator is sqrt(var + eps), i.e. eps sits under the root.  Keeps
-    the normalized rows xhat and 1/sigma.
+    LayerNorm scales each row to zero mean and unit spread, then by gamma and
+    beta; the denominator is sqrt(var + eps), i.e. eps sits under the root.
+    Keeps the normalized rows xhat and the (R, 1) column of 1/sigma.
     """
-    n = x.shape[-1]
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) * (1.0 / n)
+    x2d = _rows(x.data)
+    n = x2d.shape[1]
+    row_mean = np.full(n, 1.0 / n, dtype=x2d.dtype)
+    xhat = x2d - (x2d @ row_mean)[:, None]
     y = xhat * xhat
-    sigma = np.sqrt(y.sum(axis=-1, keepdims=True) * (1.0 / n) + eps)
-    xhat /= sigma
+    rstd = (1.0 / np.sqrt(y @ row_mean + eps))[:, None]
+    xhat *= rstd
     np.multiply(xhat, gamma.data, out=y)
     y += beta.data
-    rstd = 1.0 / sigma
+    y += x2d
 
     def back(g):
+        g = _rows(g)
         g_xhat = g * xhat
-        _send((beta, lambda: _rows(g).sum(axis=0)), (gamma, lambda: _rows(g_xhat).sum(axis=0)))
+        _send((beta, lambda: _column_sums(g)), (gamma, lambda: _column_sums(g_xhat)))
         if x.requires_grad:
-            # rstd * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)), the
-            # row means as matrix-vector products; g_xhat is reused as scratch
-            mean_gx = (g_xhat @ gamma.data)[..., None] * (1.0 / n)
-            np.multiply(xhat, mean_gx, out=g_xhat)
-            g_xhat += (g @ gamma.data)[..., None] * (1.0 / n)
+            # g + rstd * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)),
+            # the row means as mat-vecs with gamma/n; g_xhat is reused as scratch
+            gamma_n = gamma.data * (1.0 / n)
+            np.multiply(xhat, (g_xhat @ gamma_n)[:, None], out=g_xhat)
+            g_xhat += (g @ gamma_n)[:, None]
             gx = g * gamma.data
             gx -= g_xhat
             gx *= rstd
-            x._accumulate(gx)
+            gx += g
+            x._accumulate(gx.reshape(x.shape))
 
-    return Tensor._result(y, (x, gamma, beta), back)
+    return Tensor._result(y.reshape(x.shape), (x, gamma, beta), back)
 
 
 def _softmax_rows(scores: np.ndarray, scale: float) -> np.ndarray:
     """Softmax of scale * scores over the last axis, in place, shifted by the row maximum."""
     scores *= scale
-    scores -= scores.max(axis=-1, keepdims=True)
+    top = scores[..., 0].copy()
+    for j in range(1, scores.shape[-1]):
+        np.maximum(top, scores[..., j], out=top)
+    scores -= top[..., None]
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= _row_sums(scores)
     return scores
 
 
@@ -106,7 +132,7 @@ def self_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
 
     def back(g):
         gs = np.matmul(g, np.swapaxes(v, -1, -2))
-        gs -= (gs * s).sum(axis=-1, keepdims=True)
+        gs -= _row_sums(gs * s)
         gs *= s
         gs *= scale
         g_qkv = np.empty(qkv.shape, dtype=qkv.dtype)

@@ -9,7 +9,11 @@ output is the dot product of its units with row i of an (m, h) weight.
 
 Each block feeds SelfAtten(o + LayerNorm(o)) and then MLP(h1 + LayerNorm(h1)):
 the normalized branch is added to the raw input *before* the sublayer, not
-after it.
+after it.  Each o + LayerNorm(o) is one ``add_layer_norm`` node, so a block
+records four nodes: two residual norms, attention and the MLP.  The layers
+reduce over short axes by mat-vec (see ``layers.py``) and keep NaN: a NaN
+anywhere in an input sequence reaches that sequence's predictions, and in
+training every task's loss.
 
 Parameters are drawn in float64 and stored as float32 (``PARAM_DTYPE``), so
 the forward pass, gradients and Adam moments are all float32.  Every op
@@ -28,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from ..demand import NormStats
-from .layers import layer_norm, mlp_forward, self_attention
+from .layers import add_layer_norm, mlp_forward, self_attention
 from .tensor import Tensor, parameter
 
 CHECKPOINT_VERSION = 2
@@ -118,9 +122,9 @@ class TransformerRegressor:
         o = o + p["pos"]
         for b in range(c.n_blocks):
             pre = f"block{b}."
-            o = o + layer_norm(o, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
+            o = add_layer_norm(o, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
             o = self_attention(o, p[pre + "wq"], p[pre + "wk"], p[pre + "wv"])
-            o = o + layer_norm(o, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
+            o = add_layer_norm(o, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
             o = mlp_forward(o, p[pre + "mlp.w1"], p[pre + "mlp.b1"], p[pre + "mlp.w2"], p[pre + "mlp.b2"])
         o = o.mean(axis=-2)  # pool over the sequence axis
         o = o @ p["head.w1"] + p["head.b1"]

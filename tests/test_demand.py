@@ -255,12 +255,28 @@ class TestNormStats:
            constant=st.integers(-1, 11), seed=st.integers(0, 2**32 - 1))
     @example(rows=2 * NORM_CHUNK_ROWS + 5, cols=112, magnitudes=[-8, 8] * 6, constant=3, seed=1)
     def test_same_bits_as_numpy(self, rows, cols, magnitudes, constant, seed):
-        # numpy's axis-0 sum adds the rows of a row-major matrix of two or more columns in order
+        # numpy's axis-0 sum adds the rows of a row-major matrix of two or more columns in order;
+        # the constant column, scale/3, is inexact in binary and gets its value and std 1 instead
         x = _wide_matrix(rows, cols, magnitudes, constant, seed)
         stats = fit_norm_stats(x)
-        std = x.std(axis=0)
-        assert stats.mean.tobytes() == x.mean(axis=0).tobytes()
-        assert stats.std.tobytes() == np.where(std > 0, std, 1.0).tobytes()
+        mean, std = x.mean(axis=0), x.std(axis=0)
+        if 0 <= constant < cols:
+            mean[constant], std[constant] = x[0, constant], 1.0
+        assert stats.mean.tobytes() == mean.tobytes()
+        assert stats.std.tobytes() == std.tobytes()
+
+    @pytest.mark.parametrize("rows", [7, 1_000, 57_000])
+    def test_constant_columns_normalise_to_exact_zero(self, rows):
+        # 0.1, 0.3 and 1.1 are inexact in binary, so numpy's std of such a
+        # column is a residue near 1e-17..1e-13 rather than 0
+        x = np.random.default_rng(rows).normal(size=(rows, 4))
+        x[:, 1:] = [0.1, 0.3, 1.1]
+        stats = fit_norm_stats(x)
+        np.testing.assert_array_equal(stats.mean[1:], [0.1, 0.3, 1.1])
+        np.testing.assert_array_equal(stats.std[1:], 1.0)
+        z = apply_norm(x, stats)
+        assert np.all(z[:, 1:] == 0.0)
+        np.testing.assert_allclose(apply_norm(x[:1] + 0.5, stats)[0, 1:], 0.5, rtol=1e-12)
 
     @pytest.mark.parametrize("rows", [2, NORM_CHUNK_ROWS + 1, 3 * NORM_CHUNK_ROWS + 17])
     @pytest.mark.parametrize("cols, column_major", [(1, False), (1, True), (5, True)])

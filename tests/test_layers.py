@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad
-from ridecast.nn.layers import layer_norm, mlp_forward, self_attention
+from ridecast.nn.layers import add_layer_norm, mlp_forward, self_attention
 from ridecast.nn.tensor import Tensor
 
 
@@ -78,28 +78,28 @@ class TestMlp:
         np.testing.assert_allclose(y.data, brute_mlp(x, w1, b1, w2, b2), atol=1e-12)
 
 
-class TestLayerNorm:
-    def test_constant_row_returns_beta(self):
+class TestAddLayerNorm:
+    def test_constant_row_returns_x_plus_beta(self):
         x = np.full((2, 5), 3.7)
         beta = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        y = layer_norm(Tensor(x), Tensor(np.ones(5)), Tensor(beta), eps=1e-5)
-        np.testing.assert_allclose(y.data, np.tile(beta, (2, 1)), atol=1e-12)
+        y = add_layer_norm(Tensor(x), Tensor(np.ones(5)), Tensor(beta), eps=1e-5)
+        np.testing.assert_allclose(y.data, x + beta, atol=1e-12)
 
     def test_already_standardized_row(self):
-        y = layer_norm(Tensor(np.array([[-1.0, 1.0]])), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
-        np.testing.assert_allclose(y.data, [[-1.0, 1.0]], atol=1e-12)
+        y = add_layer_norm(Tensor(np.array([[-1.0, 1.0]])), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
+        np.testing.assert_allclose(y.data, [[-2.0, 2.0]], atol=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 7)) * 3
         gamma, beta = rng.normal(size=7), rng.normal(size=7)
-        y = layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=1e-5)
-        np.testing.assert_allclose(y.data, brute_layer_norm(x, gamma, beta, 1e-5), atol=1e-12)
+        y = add_layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=1e-5)
+        np.testing.assert_allclose(y.data, x + brute_layer_norm(x, gamma, beta, 1e-5), atol=1e-12)
 
     def test_output_moments(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 32)) * 5
-        y = layer_norm(Tensor(x), Tensor(np.ones(32)), Tensor(np.zeros(32)), eps=1e-5).data
+        y = add_layer_norm(Tensor(x), Tensor(np.ones(32)), Tensor(np.zeros(32)), eps=1e-5).data - x
         assert np.max(np.abs(y.mean(axis=-1))) < 1e-9
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-5)
 
@@ -172,13 +172,13 @@ def layer_inputs(layer: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
     if layer == "mlp":
         return {"x": x, "w1": rng.normal(size=(d, 5)), "b1": rng.normal(size=5),
                 "w2": rng.normal(size=(5, 3)), "b2": rng.normal(size=3)}
-    if layer == "layer_norm":
+    if layer == "add_layer_norm":
         return {"x": x * 3, "gamma": rng.normal(size=d), "beta": rng.normal(size=d)}
     return {"x": x, "w_q": rng.normal(size=(d, 3)), "w_k": rng.normal(size=(d, 3)),
             "w_v": rng.normal(size=(d, 5))}
 
 
-LAYERS = {"mlp": mlp_forward, "layer_norm": layer_norm, "attention": self_attention}
+LAYERS = {"mlp": mlp_forward, "add_layer_norm": add_layer_norm, "attention": self_attention}
 
 
 def check_layer_grads(layer: str, constant: tuple[str, ...] = (), seed: int = 0) -> None:
@@ -210,24 +210,21 @@ class TestFusedGradients:
 
     @pytest.mark.parametrize("layer, constant", [
         ("mlp", ("x",)), ("mlp", ("w1", "b2")), ("mlp", ("x", "w1", "b1")),
-        ("layer_norm", ("x",)), ("layer_norm", ("gamma",)),
+        ("add_layer_norm", ("x",)), ("add_layer_norm", ("gamma",)),
         ("attention", ("x",)), ("attention", ("w_k",)), ("attention", ("w_q", "w_k", "w_v")),
     ])
     def test_constants_get_no_gradient(self, layer, constant):
         check_layer_grads(layer, constant=constant, seed=2)
 
-    def test_residual_and_norm_paths_sum(self):
-        # one tensor feeds both layer_norm and the residual add, as in a block
+    def test_fused_residual_matches_finite_differences_of_x_plus_norm(self):
+        # the node's x-gradient carries both the residual path and the norm's
         rng = np.random.default_rng(3)
         x, gamma, beta = rng.normal(size=(2, 3, 4)) * 2, rng.normal(size=4), rng.normal(size=4)
         r = rng.normal(size=(2, 3, 4))
         xt = Tensor(x, requires_grad=True)
-        ((xt + layer_norm(xt, Tensor(gamma), Tensor(beta))) * r).sum().backward()
+        (add_layer_norm(xt, Tensor(gamma), Tensor(beta)) * r).sum().backward()
 
         def value() -> float:
-            return float(((x + layer_norm(Tensor(x), Tensor(gamma), Tensor(beta)).data) * r).sum())
+            return float(((x + brute_layer_norm(x.reshape(-1, 4), gamma, beta, 1e-5).reshape(x.shape)) * r).sum())
 
-        norm_only = Tensor(x, requires_grad=True)
-        (layer_norm(norm_only, Tensor(gamma), Tensor(beta)) * r).sum().backward()
         np.testing.assert_allclose(xt.grad, numeric_grad(value, x), rtol=1e-6, atol=1e-8)
-        np.testing.assert_allclose(xt.grad, norm_only.grad + r, rtol=1e-12, atol=1e-12)

@@ -19,6 +19,8 @@ from ridecast.demand import NormStats
 
 TINY = ModelConfig(seq_len=3, input_dim=5, d_model=4, n_blocks=1, embed_hidden=5,
                    block_hidden=6, head_hidden=3, n_tasks=4)
+# the width and depth the decision and training paths run at
+PRODUCTION = ModelConfig(seq_len=6, input_dim=112)
 
 
 def reference_forward(x: np.ndarray, p: dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
@@ -77,12 +79,24 @@ class TestForward:
         x[1, 2] = np.nan
         assert np.all(np.isnan(model.predict(x)))
 
-    def test_matches_reference_trace(self):
+    def test_nan_input_gives_nan_losses_on_the_graph_path(self):
+        # the softmax's row maximum must keep NaN as .max does; np.fmax would drop it
+        model = TransformerRegressor(TINY, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4, 3, 5))
+        x[2, 1, 2] = np.nan
+        losses = model.task_losses(x, rng.normal(size=(4, 4)))
+        assert not np.any(np.isfinite(losses.data))
+        model.backward_weighted(losses, np.full(4, 0.25))
+        assert not np.all(np.isfinite(model.params["embed.w1"].grad))
+
+    @pytest.mark.parametrize("cfg", [TINY, PRODUCTION], ids=["tiny", "production"])
+    def test_matches_reference_trace(self, cfg):
         for seed in (0, 1, 2):
-            model = float64_copy(TransformerRegressor(TINY, seed=seed))
-            x = np.random.default_rng(seed + 10).normal(size=(3, 5))
+            model = float64_copy(TransformerRegressor(cfg, seed=seed))
+            x = np.random.default_rng(seed + 10).normal(size=(cfg.seq_len, cfg.input_dim))
             got = model.predict(x)
-            want = reference_forward(x, {k: t.data for k, t in model.params.items()}, TINY)
+            want = reference_forward(x, {k: t.data for k, t in model.params.items()}, cfg)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_stacked_head_replays_per_task_init_draws(self):
@@ -147,6 +161,18 @@ class TestForward:
             got = model.predict(x)
             assert got.dtype == np.float32
             np.testing.assert_allclose(got, float64_copy(model).predict(x), rtol=1e-5)
+
+    def test_float32_output_matches_float64_copy_at_production_shape(self):
+        # the same 1e-5 relative bound, taken over each batch's outputs as a whole: float32
+        # rounding errs by about 1e-6 of the outputs' scale, and at d = 64 some outputs lie
+        # near 0, where that is 1e-5..1e-4 of the element itself
+        for seed in (0, 1, 2):
+            model = TransformerRegressor(PRODUCTION, seed=seed)
+            x = np.random.default_rng(seed + 20).normal(size=(4, PRODUCTION.seq_len, PRODUCTION.input_dim))
+            got = model.predict(x)
+            want = float64_copy(model).predict(x)
+            assert got.dtype == np.float32
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
 
     def test_rejects_wrong_shape(self):
         model = TransformerRegressor(TINY)

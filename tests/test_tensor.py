@@ -1,7 +1,7 @@
 import numpy as np
 
 from conftest import numeric_grad
-from ridecast.nn.layers import layer_norm, mlp_forward, self_attention
+from ridecast.nn.layers import add_layer_norm, mlp_forward, self_attention
 from ridecast.nn.tensor import Tensor, parameter
 
 
@@ -139,7 +139,7 @@ class TestBackwardContract:
         ]}
         p = leaves
         o = mlp_forward(x, p["w1"], p["b1"], p["w2"], p["b2"])
-        o = o + layer_norm(o, p["gamma"], p["beta"])
+        o = add_layer_norm(o, p["gamma"], p["beta"])
         o = self_attention(o, p["wq"], p["wk"], p["wv"])
         out = ((o.mean(axis=-2) @ p["head"]).relu() - 0.5).sum()
         out.backward()
