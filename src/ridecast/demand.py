@@ -265,17 +265,25 @@ class NormStats:
 
 
 def _column_sums(x: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
-    """Column sums of x or of (x - shift)**2, added row by row from 0.0 as numpy's axis-0 sum adds them."""
-    acc = np.zeros(x.shape[1])
+    """Column sums of x or of (x - shift)**2 in float64, added row by row from 0.0 as numpy's axis-0 sum
+    adds them.  Each chunk is upcast into a float64 buffer below the running sum, so a float32 x is
+    never copied whole."""
+    buf = np.zeros((min(len(x), NORM_CHUNK_ROWS) + 1, x.shape[1]))
     for lo in range(0, len(x), NORM_CHUNK_ROWS):
-        part = x[lo:lo + NORM_CHUNK_ROWS] if shift is None else np.square(x[lo:lo + NORM_CHUNK_ROWS] - shift)
-        acc = np.concatenate([acc[None], part]).sum(axis=0)
-    return acc
+        chunk = x[lo:lo + NORM_CHUNK_ROWS]
+        part = buf[1:1 + len(chunk)]
+        if shift is None:
+            part[...] = chunk
+        else:
+            np.square(np.subtract(chunk, shift, out=part), out=part)
+        buf[0] = buf[:1 + len(chunk)].sum(axis=0)
+    return buf[0].copy()
 
 
 def _constant_columns(x: np.ndarray) -> np.ndarray:
     """Mask of the columns whose values all equal their first row's, NaN equal to nothing.  Each
-    chunk compares only the columns still equal, so after the first few it reads the constant ones."""
+    chunk compares only the columns still equal, so after the first few it reads the constant ones.
+    The comparison is exact in x's own dtype, so a float32 x needs no upcast."""
     constant = np.ones(x.shape[1], dtype=bool)
     for lo in range(0, len(x), NORM_CHUNK_ROWS):
         cols = np.flatnonzero(constant)
@@ -290,8 +298,14 @@ def fit_norm_stats(x: np.ndarray) -> NormStats:
 
     A column of one value gets that value as mean and std 1, so its z-scores are exactly 0.  Its
     computed std is 0 only when the value is exact in binary; otherwise it is a rounding residue
-    (1.4e-17 for seven rows of 0.1) that turns any other value into a z-score near 1e16."""
-    x = np.asarray(x, dtype=float)
+    (1.4e-17 for seven rows of 0.1) that turns any other value into a z-score near 1e16.
+
+    A float32 matrix, such as ``TrainingData.real_rows()`` of raw features, is read as it is: the
+    passes upcast one chunk at a time, so the stats equal those of its float64 copy bit for bit
+    without making that copy.  Any other input is converted to float64 first."""
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(float, copy=False)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least 2 rows")
     mean = _column_sums(x) / len(x)

@@ -8,6 +8,13 @@ from a table of window rows and an index matrix of each sequence's history
 rows (-1 for leading padding).  A decision's history is its grid's last T-1
 logged windows; a training example's is the T-1 rows before it in its grid's
 window-sorted log, by position, so gaps in window numbers do not shorten it.
+
+Raw feature sequences are float32: each value is its float64 window metric
+rounded once.  The forecaster only ever reads float32 z-scores, and the
+z-scoring itself (``TrainingData.normalized_features``, the decision batch)
+and ``demand.fit_norm_stats`` compute in float64 from those float32 values,
+so the raw tensor costs half the bytes without a second rounding.  Labels and
+candidate radii stay float64.
 """
 from __future__ import annotations
 
@@ -105,19 +112,24 @@ def build_feature_batch(
     carries ``counts`` (N, 3) of idle drivers, open orders and total drivers,
     zeroed metrics and ``radius``.  Every non-padding row also gets the
     sequence's grid one-hot and time-of-day one-hot.  Returns the (N, T, D)
-    matrix and the (N,) number of padding rows.
+    float32 matrix, each value rounded once from its float64 input, and the
+    (N,) number of padding rows.  A grid outside the layout or a time of day
+    outside 0..N_TOD-1 is rejected.
     """
     t, n_cells = layout.seq_len, layout.n_cells
     index, grids, tods = (np.asarray(a, dtype=np.int64) for a in (index, grids, tods))
     bad = np.flatnonzero((grids < 0) | (grids >= n_cells))
     if len(bad):
         raise ValueError(f"window row for grid {grids[bad[0]]} outside 0..{n_cells - 1}")
+    bad = np.flatnonzero((tods < 0) | (tods >= N_TOD))
+    if len(bad):
+        raise ValueError(f"time of day {tods[bad[0]]} outside 0..{N_TOD - 1}")
     pad = index < 0
     seq, row = np.nonzero(~pad)
     src = index[seq, row]
     if np.any(np.asarray(table_grids)[src] != grids[seq]):
         raise ValueError("history rows must belong to the decision grid")
-    x = np.zeros((len(grids), t, layout.dim))
+    x = np.zeros((len(grids), t, layout.dim), dtype=np.float32)
     x[seq, row, :N_BASE_FEATURES] = np.asarray(table)[src]
     x[:, -1, COL_IDLE:COL_TOTAL + 1] = counts
     x[:, -1, COL_RADIUS] = radius
@@ -199,21 +211,22 @@ def _real_row_mask(pad_rows: np.ndarray, seq_len: int) -> np.ndarray:
     return np.arange(seq_len) >= np.asarray(pad_rows)[:, None]
 
 
-def _recent_by_grid(history: Sequence[MarketWindow], n_grids: int, depth: int) -> list[list[MarketWindow]]:
-    """Each grid's last ``depth`` windows, oldest first, from a backward scan
-    that stops once every grid has them."""
-    recent: list[list[MarketWindow]] = [[] for _ in range(n_grids)]
-    missing = n_grids * depth
-    for w in reversed(history):
-        if missing == 0:
-            break
-        if not 0 <= w.grid < n_grids:
-            raise ValueError(f"history row for grid {w.grid} outside 0..{n_grids - 1}")
-        rows = recent[w.grid]
-        if len(rows) < depth:
-            rows.append(w)
-            missing -= 1
-    return [rows[::-1] for rows in recent]
+def _recent_rows(history: Sequence[MarketWindow], n_grids: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each grid's last ``depth`` windows of ``history``: an (n, 11) ``_window_table`` sorted by grid, stably,
+    so each grid's rows keep their log order, and its (n_grids,) row counts.  Only a tail of the history is
+    read: it starts at ``depth * n_grids`` rows and doubles until every grid has ``depth`` rows in it or it
+    is the whole history."""
+    n = depth * n_grids
+    while True:
+        table = _window_table(history[-n:])
+        grids = table[:, N_BASE_FEATURES].astype(np.int64)
+        bad = np.flatnonzero((grids < 0) | (grids >= n_grids))
+        if len(bad):
+            raise ValueError(f"history row for grid {grids[bad[0]]} outside 0..{n_grids - 1}")
+        counts = np.bincount(grids, minlength=n_grids)
+        if n >= len(history) or counts.min() >= depth:
+            return table[np.argsort(grids, kind="stable")], counts
+        n *= 2
 
 
 class PredictorRadiusSource:
@@ -243,21 +256,24 @@ class PredictorRadiusSource:
         """(G*K, T, D) batch normalized in float64, then cast to ``PARAM_DTYPE`` before the K copies; grid-major
         (row g*K + j: grid g, candidate j in its final row), built apart from ``radii`` to be freed once predicted."""
         n_grids, t = self.layout.n_cells, self.layout.seq_len
-        recent = _recent_by_grid(history, n_grids, t - 1)
-        table = _window_table([w for rows in recent for w in rows])
-        lens = np.array([len(rows) for rows in recent])
-        # grid g's rows start at table row sum(lens[:g]) and end its history
-        col = np.arange(t - 1) - ((t - 1) - lens)[:, None]
-        index = np.where(col >= 0, (np.cumsum(lens) - lens)[:, None] + col, -1)
+        for name in ("n_idle", "n_open", "n_total"):
+            shape = np.shape(getattr(snapshot, name))
+            if shape != (n_grids,):  # a shorter array would broadcast one grid's count to every grid
+                raise ValueError(f"snapshot {name} has shape {shape}, expected ({n_grids},)")
         counts = np.stack([snapshot.n_idle, snapshot.n_open, snapshot.n_total], axis=1)
+        table, lens = _recent_rows(history, n_grids, t - 1)
+        # grid g's rows end at table row cumsum(lens)[g]; column k takes the row T-1-k before that end
+        ends = np.cumsum(lens)
+        prev = ends[:, None] - np.arange(t - 1, 0, -1)
+        index = np.where(prev >= (ends - lens)[:, None], prev, -1)
         base, pads = build_feature_batch(table[:, :N_BASE_FEATURES], table[:, N_BASE_FEATURES], index, counts,
                                          0.0, np.arange(n_grids), np.full(n_grids, snapshot.tod), self.layout)
         stats = self.feature_stats
-        real = _real_row_mask(pads, t)
-        base[real] = apply_norm(base[real], stats)
+        base = apply_norm(base, stats).astype(PARAM_DTYPE)
+        base[~_real_row_mask(pads, t)] = 0.0
         # apply_norm's arithmetic on the radius column alone
         final_radii = (self.candidates.as_array() - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
-        x = np.repeat(base.astype(PARAM_DTYPE), len(final_radii), axis=0)
+        x = np.repeat(base, len(final_radii), axis=0)
         x[:, -1, COL_RADIUS] = np.tile(final_radii, n_grids)
         return x
 
@@ -281,9 +297,14 @@ class PredictorRadiusSource:
 
 @dataclass
 class TrainingData:
-    """Raw (unnormalized) supervised examples extracted from window logs."""
+    """Raw (unnormalized) supervised examples extracted from window logs.
 
-    features: np.ndarray    # (N, T, D)
+    ``dataset_from_windows`` stores ``features`` as float32, each value its
+    float64 window metric rounded once; ``real_rows`` keeps that dtype, and
+    ``fit_norm_stats`` and ``normalized_features`` read it without a whole
+    float64 copy.  Labels stay float64."""
+
+    features: np.ndarray    # (N, T, D) float32
     labels: np.ndarray      # (N, 4) realized (ofr, apd, dur, revenue)
     pad_rows: np.ndarray    # (N,) leading zero rows per sequence
     grids: np.ndarray       # (N,)

@@ -75,9 +75,10 @@ class RandomRadius:
     """Uniform draw from a candidate set, per grid per window (exploration)."""
 
     def __init__(self, candidates: Sequence[float], n_cells: int, seed: int):
-        if not candidates or not all(c > 0 for c in candidates):
-            raise ValueError("candidates must be positive")
-        self._candidates = np.asarray(candidates, dtype=float)
+        c = np.array(candidates, dtype=float)
+        if c.ndim != 1 or not len(c) or not np.all(np.isfinite(c) & (c > 0)):
+            raise ValueError("candidates must be a non-empty 1-D list of finite radii > 0")
+        self._candidates = c
         self._n_cells = n_cells
         self._rng = np.random.default_rng(seed)
 

@@ -301,6 +301,27 @@ class TestNormStats:
         # x.std(axis=0) alone allocates a full-size x - mean
         assert peak < 0.25 * x.nbytes
 
+    @pytest.mark.parametrize("rows", [2, NORM_CHUNK_ROWS + 1, 3 * NORM_CHUNK_ROWS + 17])
+    def test_float32_input_gives_the_bits_of_its_float64_copy(self, rows):
+        # every float32 value is exact in float64, so both inputs hold the same numbers
+        x = _wide_matrix(rows, 112, [-8, 8, 0, 3] * 3, 5, rows).astype(np.float32)
+        x[:, 20:] = np.eye(92, dtype=np.float32)[np.arange(rows) % 92]  # one-hot columns like the features'
+        a, b = fit_norm_stats(x), fit_norm_stats(x.astype(np.float64))
+        assert a.mean.dtype == b.mean.dtype == np.float64
+        assert (a.mean.tobytes(), a.std.tobytes()) == (b.mean.tobytes(), b.std.tobytes())
+
+    def test_float32_input_is_not_copied_to_float64(self):
+        # the real rows of the train benchmark's features: 57k x 112 float32
+        x = np.random.default_rng(3).standard_normal((57_000, 112), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            fit_norm_stats(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a float64 copy alone would be 2.0x x's bytes (49 MiB)
+        assert peak < 0.25 * x.nbytes
+
     def test_requires_two_rows(self):
         with pytest.raises(ValueError):
             fit_norm_stats(np.ones((1, 3)))

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import tracemalloc
 from operator import attrgetter
@@ -20,6 +22,7 @@ from ridecast.demand import NormStats, apply_norm, fit_norm_stats
 from ridecast.market import GridSpec, MarketWindow, TimeOfDay, grid_index
 from ridecast.optimizer import (
     COL_RADIUS,
+    N_TOD,
     NORM_CHUNK_SEQS,
     CandidateSet,
     FeatureLayout,
@@ -122,7 +125,9 @@ class TestBuildFeatures:
         want[1] = np.concatenate([[1, 2, 3, 0.25, 2.0, 0.5, 12.0, 3.0], grid_onehot, tod_onehot])
         want[2] = np.concatenate([[4, 5, 6, 0.75, 1.0, 0.6, 20.0, 4.0], grid_onehot, tod_onehot])
         want[3] = np.concatenate([[7, 8, 9, 0, 0, 0, 0, 2.5], grid_onehot, tod_onehot])
-        np.testing.assert_array_equal(x, want)
+        # raw features are float32: each value is the float64 one rounded once
+        assert x.dtype == np.float32
+        np.testing.assert_array_equal(x, want.astype(np.float32))
 
     def test_history_longer_than_window_keeps_most_recent(self):
         hist = [mkwindow(window=w, rev=float(w)) for w in range(10)]
@@ -136,6 +141,11 @@ class TestBuildFeatures:
     def test_wrong_grid_history_rejected(self):
         with pytest.raises(ValueError):
             build_one([mkwindow(grid=1)], 1, 1, 1, tod=0, grid=2, candidate_radius=1.0)
+
+    @pytest.mark.parametrize("tod", [-1, N_TOD, 9])
+    def test_time_of_day_outside_the_one_hots_rejected(self, tod):
+        with pytest.raises(ValueError, match=f"time of day {tod} outside 0..{N_TOD - 1}"):
+            build_one([mkwindow()], 1, 1, 1, tod=tod, grid=2, candidate_radius=1.0)
 
 
 WINDOW_ROWS = st.tuples(
@@ -159,10 +169,17 @@ class TestDatasetFromWindows:
                         rev=rev, radius=r, tod=tod)
                for g, w, i, o, extra, ofr, apd, dur, rev, r, tod in rows]
         got, want = dataset_from_windows(log, layout, episode=7), reference_dataset(log, layout, episode=7)
+        want.features = want.features.astype(np.float32)  # raw features: the float64 values rounded once
         for name in ("features", "labels", "pad_rows", "grids", "windows", "episodes"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
         assert got.labels.flags.c_contiguous
+
+    def test_raw_features_are_float32(self):
+        data = dataset_from_windows([mkwindow(window=w, apd=1.2, dur=0.1 * w) for w in range(6)], LAYOUT)
+        assert data.features.dtype == data.real_rows().dtype == np.float32
+        assert data.labels.dtype == np.float64  # labels keep their float64 values
+        assert data.labels[0, 1] == 1.2
 
     @pytest.mark.parametrize("grid", [-1, LAYOUT.n_cells])
     def test_grid_outside_the_layout_rejected(self, grid):
@@ -276,6 +293,17 @@ class TestChooseRadius:
             src.radii(mksnapshot(), [])
         assert src.decisions == []
 
+    @pytest.mark.parametrize("field", ["n_idle", "n_open", "n_total"])
+    @pytest.mark.parametrize("value", [[3], np.ones(5), np.ones((4, 1))])
+    def test_snapshot_counts_not_one_per_grid_rejected(self, field, value):
+        layout = FeatureLayout(seq_len=4, side_count=2)
+        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), layout,
+                                    identity_stats(layout.dim), IDENT)
+        snapshot = dataclasses.replace(mksnapshot(n_cells=4), **{field: np.asarray(value)})
+        with pytest.raises(ValueError, match=rf"{field} has shape \({np.shape(value)[0]},.*expected \(4,\)"):
+            src.radii(snapshot, [])
+        assert src.decisions == []
+
     @pytest.mark.parametrize("grid", [-1, 16])
     def test_history_row_outside_the_layout_rejected(self, grid):
         src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0,)), LAYOUT, FEATURE_IDENT, IDENT)
@@ -284,8 +312,9 @@ class TestChooseRadius:
 
 
 def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapshot, history):
-    """Per-grid decisions: one reference_features sequence per candidate, its
-    real rows normalized, and one predict_for per grid."""
+    """Per-grid decisions: one reference_features sequence per candidate, rounded
+    once to float32 as raw features are, its real rows normalized in float64,
+    and one predict_for per grid."""
     chosen, preds = [], []
     for g in range(layout.n_cells):
         own = [w for w in history if w.grid == g]
@@ -293,6 +322,7 @@ def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapsh
         for r in cands.radii:
             x, n_pad = reference_features(own, int(snapshot.n_idle[g]), int(snapshot.n_open[g]),
                                           int(snapshot.n_total[g]), snapshot.tod, g, r, layout)
+            x = x.astype(np.float32).astype(np.float64)
             x[n_pad:] = apply_norm(x[n_pad:], feature_stats)
             feats.append(x)
         feats = np.stack(feats)
@@ -419,6 +449,60 @@ class TestPredictorRadiusSource:
         (moved,) = captured["feats"]
         np.testing.assert_array_equal(moved[5:6], base[5:6])  # K = 1: grid g is row g
         assert not np.array_equal(np.delete(moved, 5, axis=0), np.delete(base, 5, axis=0))
+
+
+def golden_day():
+    """Radii and predictions of a 12-window generated day on a 10 x 10 layout.
+
+    Feature and label stats are fitted on a generated three-window log.  In
+    the day, grid g logs window w unless (w + g) % 4 == 0, and grids 90..99
+    log nothing before window 6, so some grids have fewer than T-1 past rows
+    and others fill them at different depths.  Metrics are drawn from
+    continuous distributions, so most raw values are not exact in float32.
+    """
+    layout = FeatureLayout(seq_len=6, side_count=10)
+    g = layout.n_cells
+    rng = np.random.default_rng(2023)
+
+    def rows(w, grids):
+        return [MarketWindow(grid=int(i), window=w, start_s=w * 300.0, n_idle=int(rng.integers(0, 8)),
+                             n_open=int(rng.integers(0, 8)), n_total=int(rng.integers(8, 16)),
+                             ofr=float(rng.uniform()), apd_km=float(rng.uniform(0, 3)), dur=float(rng.uniform()),
+                             revenue=float(rng.uniform(0, 60)), radius_km=float(rng.choice([0.5, 1.0, 2.0, 3.0])),
+                             tod=TimeOfDay(w % 4))
+                for i in grids]
+
+    fit_log = [r for w in range(3) for r in rows(w, range(g))]
+    data = dataset_from_windows(fit_log, layout)
+    feature_stats, label_stats = fit_norm_stats(data.real_rows()), fit_norm_stats(data.labels)
+    model = TransformerRegressor(ModelConfig(seq_len=layout.seq_len, input_dim=layout.dim, d_model=16,
+                                             embed_hidden=16, block_hidden=16, head_hidden=8), seed=17)
+    src = PredictorRadiusSource(ModelPredictor(model, label_stats), CandidateSet((0.5, 1.0, 1.5, 2.0, 3.0)),
+                                layout, feature_stats, label_stats)
+    history, chosen = [], []
+    for w in range(12):
+        snapshot = WindowSnapshot(window=w, start_s=w * 300.0, tod=w % 4, n_idle=rng.integers(0, 8, g),
+                                  n_open=rng.integers(0, 8, g), n_total=rng.integers(8, 16, g))
+        chosen.append(src.radii(snapshot, history))
+        history += rows(w, [i for i in range(g) if (w + i) % 4 and (i < 90 or w >= 6)])
+    return np.concatenate(chosen), np.array([d.predictions for d in src.decisions])
+
+
+class TestGoldenDecisionTrace:
+    """Pins the bytes of a fixed-seed day's decisions.  A change that moves
+    them must say why in CHANGES.md and re-pin.  The pins were taken with
+    numpy's OpenBLAS on x86-64; a BLAS that orders float32 sums differently
+    may move the prediction bytes."""
+
+    RADII = "07c7c28715e5f8a8fe4bbaf26ddd9fc4eb0e23620d5cf42c04841e3b4b1cd98c"
+    PREDICTIONS = "7fd7f122a552687963d5e0e6b92663d0d3480115eaa24e2c504268be6730c9fe"
+
+    def test_day(self):
+        radii, preds = golden_day()
+        assert radii.shape == (12 * 100,) and preds.shape == (12 * 100, 5, 4)
+        assert len(np.unique(radii)) > 1  # the trace would pin nothing if every grid chose alike
+        assert hashlib.sha256(radii.tobytes()).hexdigest() == self.RADII
+        assert hashlib.sha256(preds.tobytes()).hexdigest() == self.PREDICTIONS
 
 
 class TestDecisionLog:

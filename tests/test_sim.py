@@ -361,6 +361,17 @@ class TestRadiusSources:
         np.testing.assert_array_equal(a.radii(snap, []), b.radii(snap, []))
         assert set(np.unique(a.radii(snap, []))) <= {1.0, 2.0, 3.0}
 
+    def test_random_source_takes_a_numpy_candidate_array(self):
+        src = RandomRadius(np.array([1.0, 2.0, 3.0]), 16, seed=5)
+        snap = Simulation(mkconfig(), EMPTY).snapshot
+        np.testing.assert_array_equal(src.radii(snap, []), RandomRadius([1.0, 2.0, 3.0], 16, seed=5).radii(snap, []))
+
+    @pytest.mark.parametrize("candidates", [[1.0, float("inf")], np.array([float("-inf"), 2.0]), [], np.ones((2, 2)),
+                                            [0.0, 1.0]])
+    def test_random_source_rejects_bad_candidates(self, candidates):
+        with pytest.raises(ValueError, match="finite radii > 0"):
+            RandomRadius(candidates, 16, seed=0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             mkconfig(tick_s=7.0)  # does not divide 300
