@@ -1,5 +1,12 @@
 """Demand sources: CSV trip ingestion, synthetic Poisson demand generation,
 and feature normalization statistics.
+
+Feature statistics cover only the ``N_BASE_FEATURES`` measured columns of a
+sequence row: counts, realized metrics and radius.  The grid and time-of-day
+one-hot columns reach the forecaster as exact 0/1.  Z-scoring a one-hot only
+rescales it (on a 10 x 10 grid a hot grid column becomes about +9.9 and a
+cold one -0.1), and the embedding's first linear layer learns its own weight
+per column anyway.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ import numpy as np
 from .market import GridSpec, LocalProjection, OrderStream, grid_index
 
 MALFORMED_FRACTION_LIMIT = 0.10
-NORM_CHUNK_ROWS = 1024  # rows per chunk of fit_norm_stats' passes, which bounds their temporaries
+N_BASE_FEATURES = 8  # measured feature columns, the only ones feature NormStats cover
 
 CSV_REQUIRED_COLUMNS = ("pickup_datetime", "pickup_lon", "pickup_lat", "dropoff_lon", "dropoff_lat")
 
@@ -264,54 +271,20 @@ class NormStats:
         return cls(mean=np.array(d["mean"]), std=np.array(d["std"]))
 
 
-def _column_sums(x: np.ndarray, shift: Optional[np.ndarray] = None) -> np.ndarray:
-    """Column sums of x or of (x - shift)**2 in float64, added row by row from 0.0 as numpy's axis-0 sum
-    adds them.  Each chunk is upcast into a float64 buffer below the running sum, so a float32 x is
-    never copied whole."""
-    buf = np.zeros((min(len(x), NORM_CHUNK_ROWS) + 1, x.shape[1]))
-    for lo in range(0, len(x), NORM_CHUNK_ROWS):
-        chunk = x[lo:lo + NORM_CHUNK_ROWS]
-        part = buf[1:1 + len(chunk)]
-        if shift is None:
-            part[...] = chunk
-        else:
-            np.square(np.subtract(chunk, shift, out=part), out=part)
-        buf[0] = buf[:1 + len(chunk)].sum(axis=0)
-    return buf[0].copy()
-
-
-def _constant_columns(x: np.ndarray) -> np.ndarray:
-    """Mask of the columns whose values all equal their first row's, NaN equal to nothing.  Each
-    chunk compares only the columns still equal, so after the first few it reads the constant ones.
-    The comparison is exact in x's own dtype, so a float32 x needs no upcast."""
-    constant = np.ones(x.shape[1], dtype=bool)
-    for lo in range(0, len(x), NORM_CHUNK_ROWS):
-        cols = np.flatnonzero(constant)
-        constant[cols] = (x[lo:lo + NORM_CHUNK_ROWS, cols] == x[0, cols]).all(axis=0)
-    return constant
-
-
 def fit_norm_stats(x: np.ndarray) -> NormStats:
-    """Population mean/std per column over >= 2 rows, repeating the two passes of ``x.mean(0)`` and
-    ``x.std(0)`` over chunks of ``NORM_CHUNK_ROWS`` rows so no temporary grows with the row count.  A
-    row-major matrix of two or more columns gets their bits; numpy sums other layouts pairwise.
+    """Population mean/std per column over >= 2 rows: numpy's ``x.mean(0)`` and ``x.std(0)`` in float64.
+    Callers pass narrow matrices, labels (N, 4) and ``TrainingData.real_rows()`` (M, 8), so the float64
+    copy and numpy's temporaries stay small.
 
     A column of one value gets that value as mean and std 1, so its z-scores are exactly 0.  Its
     computed std is 0 only when the value is exact in binary; otherwise it is a rounding residue
-    (1.4e-17 for seven rows of 0.1) that turns any other value into a z-score near 1e16.
-
-    A float32 matrix, such as ``TrainingData.real_rows()`` of raw features, is read as it is: the
-    passes upcast one chunk at a time, so the stats equal those of its float64 copy bit for bit
-    without making that copy.  Any other input is converted to float64 first."""
-    x = np.asarray(x)
-    if x.dtype != np.float32:
-        x = x.astype(float, copy=False)
+    (1.4e-17 for seven rows of 0.1) that turns any other value into a z-score near 1e16."""
+    x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least 2 rows")
-    mean = _column_sums(x) / len(x)
-    std = np.sqrt(_column_sums(x, mean) / len(x))
-    constant = _constant_columns(x)
-    return NormStats(mean=np.where(constant, x[0], mean), std=np.where(~constant & (std > 0), std, 1.0))
+    std = x.std(axis=0)
+    constant = (x == x[0]).all(axis=0)
+    return NormStats(mean=np.where(constant, x[0], x.mean(axis=0)), std=np.where(~constant & (std > 0), std, 1.0))
 
 
 def apply_norm(x: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -209,5 +209,5 @@ class MarketWindow:
         if not (0.0 <= self.apd_km < math.inf and 0.0 <= self.revenue < math.inf
                 and 0.0 <= self.radius_km < math.inf):
             raise ValueError("distance, revenue and radius must be finite and >= 0")
-        if self.n_idle > self.n_total:
-            raise ValueError("idle count cannot exceed total count")
+        if not (0 <= self.n_idle <= self.n_total < math.inf and 0 <= self.n_open < math.inf):
+            raise ValueError("counts must be finite and >= 0, and idle cannot exceed total")

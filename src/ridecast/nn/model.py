@@ -1,6 +1,7 @@
 """Multi-task transformer-encoder forecaster.
 
-Input is a normalized (T, D) market feature sequence.  An embedding MLP lifts
+Input is a normalized (T, D) market feature sequence: measured columns
+z-scored, grid and time-of-day one-hots 0/1.  An embedding MLP lifts
 rows to model width and adds a learned positional table, n encoder blocks
 transform them and the sequence is mean-pooled.  One stacked head emits all
 m task predictions as a single (B, m) tensor: a (d, m*h) matmul gives each
@@ -31,11 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from ..demand import NormStats
+from ..demand import N_BASE_FEATURES, NormStats
 from .layers import add_layer_norm, mlp_forward, self_attention
 from .tensor import Tensor, parameter
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 PARAM_DTYPE = np.float32
 
 # Small constant bias init keeps relu units active at step 0.  With the
@@ -211,6 +212,10 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path, expect: Optional[dict] = None) -> Checkpoint:
     """Load a checkpoint, refusing version or architecture mismatches.
 
+    Feature stats cover the ``N_BASE_FEATURES`` measured columns only, whatever
+    the model's input width; version 2 files, whose feature stats span every
+    input column, are refused.
+
     ``expect`` maps ModelConfig field names to required values (e.g. the
     input_dim implied by the scenario's grid size).
     """
@@ -228,7 +233,7 @@ def load_checkpoint(path: str | Path, expect: Optional[dict] = None) -> Checkpoi
         label_stats = NormStats.from_dict(payload["label_stats"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint {path}: {e!r}") from e
-    widths = (("feature", feature_stats, config.input_dim), ("label", label_stats, config.n_tasks))
+    widths = (("feature", feature_stats, N_BASE_FEATURES), ("label", label_stats, config.n_tasks))
     for name, stats, width in widths:
         if stats.mean.shape != (width,):
             raise CheckpointError(f"{name} stats have shape {stats.mean.shape}, model needs ({width},)")

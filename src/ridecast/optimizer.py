@@ -10,11 +10,14 @@ logged windows; a training example's is the T-1 rows before it in its grid's
 window-sorted log, by position, so gaps in window numbers do not shorten it.
 
 Raw feature sequences are float32: each value is its float64 window metric
-rounded once.  The forecaster only ever reads float32 z-scores, and the
-z-scoring itself (``TrainingData.normalized_features``, the decision batch)
-and ``demand.fit_norm_stats`` compute in float64 from those float32 values,
-so the raw tensor costs half the bytes without a second rounding.  Labels and
-candidate radii stay float64.
+rounded once.  ``normalize_features`` turns them into the forecaster's
+``PARAM_DTYPE`` input for training (``TrainingData.normalized_features``) and
+for decisions (the radius source's batch).  It z-scores only the
+``N_BASE_FEATURES`` measured columns, in float64 from the float32 values, and
+passes the grid and time-of-day one-hots through as exact 0/1: a linear
+embedding over a one-hot is already a learned per-grid (or per-period) row,
+so z-scoring it adds nothing but a scale.  Labels and candidate radii stay
+float64.
 """
 from __future__ import annotations
 
@@ -26,19 +29,17 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .demand import NormStats, apply_norm, invert_norm
+from .demand import N_BASE_FEATURES, NormStats, apply_norm, invert_norm
 from .market import MarketWindow, OrderStream
 from .nn.model import PARAM_DTYPE
 from .sim import EpisodeResult, SimConfig, WindowSnapshot, run
 
 # feature columns, per sequence row
-COL_IDLE, COL_OPEN, COL_TOTAL, COL_OFR, COL_APD, COL_DUR, COL_REV, COL_RADIUS = range(8)
-N_BASE_FEATURES = 8
+COL_IDLE, COL_OPEN, COL_TOTAL, COL_OFR, COL_APD, COL_DUR, COL_REV, COL_RADIUS = range(N_BASE_FEATURES)
 N_TOD = 4
 METRIC_NAMES = ("ofr", "apd", "dur", "revenue")
 # composite sense: pickup distance is minimized, everything else maximized
 METRIC_SENSE = np.array([1.0, -1.0, 1.0, 1.0])
-NORM_CHUNK_SEQS = 128  # sequences per chunk of TrainingData.normalized_features' float64 arithmetic
 
 
 @dataclass(frozen=True)
@@ -211,6 +212,20 @@ def _real_row_mask(pad_rows: np.ndarray, seq_len: int) -> np.ndarray:
     return np.arange(seq_len) >= np.asarray(pad_rows)[:, None]
 
 
+def normalize_features(features: np.ndarray, pad_rows: np.ndarray, stats: NormStats) -> np.ndarray:
+    """(N, T, D) raw sequences as ``PARAM_DTYPE`` model input, whatever the model's dtype.
+
+    The ``N_BASE_FEATURES`` measured columns of the real rows are z-scored in float64 and then cast;
+    padding rows get +0.0 there.  The one-hot columns are only cast, so they stay exactly 0/1 on real
+    rows and 0 on padding rows.  The float64 temporary covers the measured columns only."""
+    if stats.mean.shape != (N_BASE_FEATURES,):
+        raise ValueError(f"feature stats have shape {stats.mean.shape}, expected ({N_BASE_FEATURES},)")
+    out = features.astype(PARAM_DTYPE)
+    real = _real_row_mask(pad_rows, out.shape[1])[:, :, None]
+    out[:, :, :N_BASE_FEATURES] = np.where(real, (features[:, :, :N_BASE_FEATURES] - stats.mean) / stats.std, 0.0)
+    return out
+
+
 def _recent_rows(history: Sequence[MarketWindow], n_grids: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Each grid's last ``depth`` windows of ``history``: an (n, 11) ``_window_table`` sorted by grid, stably,
     so each grid's rows keep their log order, and its (n_grids,) row counts.  Only a tail of the history is
@@ -241,7 +256,7 @@ class PredictorRadiusSource:
         feature_stats: NormStats,
         label_stats: NormStats,
     ):
-        widths = (("feature", feature_stats, layout.dim), ("label", label_stats, len(METRIC_NAMES)))
+        widths = (("feature", feature_stats, N_BASE_FEATURES), ("label", label_stats, len(METRIC_NAMES)))
         for name, stats, width in widths:
             if stats.mean.shape != (width,):
                 raise ValueError(f"{name} stats have shape {stats.mean.shape}, expected ({width},)")
@@ -253,8 +268,9 @@ class PredictorRadiusSource:
         self.decisions = DecisionLog(candidates.radii, layout.n_cells)
 
     def _batch(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
-        """(G*K, T, D) batch normalized in float64, then cast to ``PARAM_DTYPE`` before the K copies; grid-major
-        (row g*K + j: grid g, candidate j in its final row), built apart from ``radii`` to be freed once predicted."""
+        """(G*K, T, D) model input, grid-major (row g*K + j: grid g, candidate j in its final row).  The G
+        sequences go through ``normalize_features`` before the K copies, and each copy's final radius is
+        z-scored from its float64 candidate.  Built apart from ``radii`` to be freed once predicted."""
         n_grids, t = self.layout.n_cells, self.layout.seq_len
         for name in ("n_idle", "n_open", "n_total"):
             shape = np.shape(getattr(snapshot, name))
@@ -269,11 +285,9 @@ class PredictorRadiusSource:
         base, pads = build_feature_batch(table[:, :N_BASE_FEATURES], table[:, N_BASE_FEATURES], index, counts,
                                          0.0, np.arange(n_grids), np.full(n_grids, snapshot.tod), self.layout)
         stats = self.feature_stats
-        base = apply_norm(base, stats).astype(PARAM_DTYPE)
-        base[~_real_row_mask(pads, t)] = 0.0
-        # apply_norm's arithmetic on the radius column alone
+        # normalize_features' arithmetic on the radius column alone
         final_radii = (self.candidates.as_array() - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
-        x = np.repeat(base, len(final_radii), axis=0)
+        x = np.repeat(normalize_features(base, pads, stats), len(final_radii), axis=0)
         x[:, -1, COL_RADIUS] = np.tile(final_radii, n_grids)
         return x
 
@@ -300,9 +314,10 @@ class TrainingData:
     """Raw (unnormalized) supervised examples extracted from window logs.
 
     ``dataset_from_windows`` stores ``features`` as float32, each value its
-    float64 window metric rounded once; ``real_rows`` keeps that dtype, and
-    ``fit_norm_stats`` and ``normalized_features`` read it without a whole
-    float64 copy.  Labels stay float64."""
+    float64 window metric rounded once.  Feature stats are fitted on the
+    measured columns alone (``real_rows``), and ``normalized_features``
+    z-scores only those columns: the grid and time-of-day one-hots stay 0/1.
+    Labels stay float64."""
 
     features: np.ndarray    # (N, T, D) float32
     labels: np.ndarray      # (N, 4) realized (ofr, apd, dur, revenue)
@@ -328,20 +343,14 @@ class TrainingData:
         return len(self.features)
 
     def real_rows(self) -> np.ndarray:
-        """All non-padding rows stacked to (M, D), for fitting stats."""
-        return self.features[_real_row_mask(self.pad_rows, self.layout.seq_len)]
+        """The measured columns of all non-padding rows, stacked to (M, ``N_BASE_FEATURES``) in the features'
+        dtype, for fitting feature stats.  Only those columns are masked, so no (M, D) copy is made."""
+        return self.features[:, :, :N_BASE_FEATURES][_real_row_mask(self.pad_rows, self.layout.seq_len)]
 
     def normalized_features(self, stats: NormStats) -> np.ndarray:
-        """(N, T, D) z-scored in float64 a chunk at a time, padding rows +0.0, cast to ``PARAM_DTYPE`` whatever
-        the model's dtype."""
-        if stats.mean.shape != (self.layout.dim,):
-            raise ValueError(f"stats have shape {stats.mean.shape}, expected ({self.layout.dim},)")
-        out = np.empty(self.features.shape, dtype=PARAM_DTYPE)
-        real = _real_row_mask(self.pad_rows, self.layout.seq_len)[:, :, None]
-        for lo in range(0, len(out), NORM_CHUNK_SEQS):
-            part = (self.features[lo:lo + NORM_CHUNK_SEQS] - stats.mean) / stats.std
-            out[lo:lo + NORM_CHUNK_SEQS] = np.where(real[lo:lo + NORM_CHUNK_SEQS], part, 0.0)
-        return out
+        """``normalize_features`` of the whole set: (N, T, D) ``PARAM_DTYPE``, the measured columns z-scored
+        under ``stats`` (fitted on ``real_rows``), the one-hots 0/1 and padding rows zero."""
+        return normalize_features(self.features, self.pad_rows, stats)
 
     def split_by_episode(self, test_fraction: float = 0.2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Boolean train/test row masks from an episode-level shuffle; each

@@ -49,8 +49,8 @@ class RadiusSource(Protocol):
 
 class FixedRadius:
     def __init__(self, radius_km: float, n_cells: int):
-        if not (radius_km > 0):
-            raise ValueError("radius must be > 0")
+        if not (0 < radius_km < math.inf):
+            raise ValueError("radius must be finite and > 0")
         self._radii = np.full(n_cells, float(radius_km))
 
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
@@ -62,8 +62,8 @@ class ScheduleRadius:
 
     def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=float)
-        if table.ndim != 2 or table.size == 0 or not np.all(table > 0):
-            raise ValueError("schedule must be a nonempty, positive (n_windows, n_cells) table")
+        if table.ndim != 2 or table.size == 0 or not np.all(np.isfinite(table) & (table > 0)):
+            raise ValueError("schedule must be a nonempty (n_windows, n_cells) table of finite radii > 0")
         self._table = table
 
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:

@@ -1,11 +1,15 @@
 """Every module-level import of a ridecast module (``__init__`` files aside,
-since they re-export) is used somewhere in that module."""
+since they re-export) is used somewhere in that module, and every module the
+package imports is in the standard library or a declared dependency."""
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ridecast"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ridecast"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -51,3 +55,29 @@ def test_no_unused_module_level_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.relative_to(SRC)}: unused imports (name: line) {unused}"
+
+
+def declared_dependencies() -> set[str]:
+    """Import names of the ``[project] dependencies`` in pyproject.toml (``numpy>=1.24`` -> ``numpy``)."""
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_") for d in deps}
+
+
+def test_imports_are_stdlib_or_declared_dependencies():
+    # an undeclared package (scipy, say) can be installed where the tests run, yet missing for users
+    allowed = set(sys.stdlib_module_names) | declared_dependencies() | {"ridecast"}
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                found.setdefault(top, f"{path.relative_to(SRC)}:{node.lineno}")
+    assert "numpy" in found
+    undeclared = {top: where for top, where in found.items() if top not in allowed}
+    assert not undeclared, f"imports neither in the standard library nor declared in pyproject.toml: {undeclared}"

@@ -274,8 +274,11 @@ class TestOrderDriverInvariants:
         with pytest.raises(ValueError):
             MarketWindow(0, 0, 0.0, n_idle=1, n_open=0, n_total=3, ofr=1.5,
                          apd_km=1.0, dur=0.5, revenue=1.0, radius_km=1.0, tod=TimeOfDay.OTHER)
+        with pytest.raises(ValueError, match="finite and >= 0"):  # idle <= total holds, but every count is < 0
+            MarketWindow(0, 0, 0.0, n_idle=-3, n_open=-1, n_total=-2, ofr=0.5,
+                         apd_km=1.0, dur=0.5, revenue=1.0, radius_km=1.0, tod=TimeOfDay.OTHER)
 
-    @pytest.mark.parametrize("name", ["apd_km", "revenue", "radius_km"])
+    @pytest.mark.parametrize("name", ["apd_km", "revenue", "radius_km", "n_idle", "n_open", "n_total"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_market_window_amount_must_be_finite_and_non_negative(self, name, value):
         row = dict(grid=0, window=0, start_s=0.0, n_idle=1, n_open=0, n_total=3, ofr=0.5,

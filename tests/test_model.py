@@ -15,7 +15,7 @@ from ridecast.nn.model import (
 )
 from ridecast.nn.layers import mlp_forward
 from ridecast.nn.tensor import Tensor
-from ridecast.demand import NormStats
+from ridecast.demand import N_BASE_FEATURES, NormStats
 
 TINY = ModelConfig(seq_len=3, input_dim=5, d_model=4, n_blocks=1, embed_hidden=5,
                    block_hidden=6, head_hidden=3, n_tasks=4)
@@ -333,7 +333,7 @@ class TestDtype:
 class TestCheckpoint:
     def test_roundtrip_preserves_predictions(self, tmp_path):
         model = TransformerRegressor(TINY, seed=9)
-        fstats = NormStats(mean=np.zeros(5), std=np.ones(5))
+        fstats = NormStats(mean=np.linspace(-1.0, 1.0, N_BASE_FEATURES), std=np.full(N_BASE_FEATURES, 2.0))
         lstats = NormStats(mean=np.array([0.5, 2.0, 0.4, 30.0]), std=np.array([0.2, 1.0, 0.1, 10.0]))
         path = tmp_path / "model.json"
         save_checkpoint(path, model, fstats, lstats, meta={"strategy": "WESM"})
@@ -342,31 +342,34 @@ class TestCheckpoint:
             np.testing.assert_array_equal(ck.model.params[k].data, v, err_msg=k, strict=True)
         x = np.random.default_rng(9).normal(size=(3, 5))
         np.testing.assert_array_equal(ck.model.predict(x), model.predict(x))
+        np.testing.assert_array_equal(ck.feature_stats.mean, fstats.mean)
         np.testing.assert_array_equal(ck.label_stats.mean, lstats.mean)
         assert ck.meta["strategy"] == "WESM"
 
     def test_refuses_architecture_mismatch(self, tmp_path):
         model = TransformerRegressor(TINY, seed=10)
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, identity_stats(5), identity_stats(4))
+        save_checkpoint(path, model, identity_stats(N_BASE_FEATURES), identity_stats(4))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expect={"input_dim": 9})
         load_checkpoint(path, expect={"input_dim": 5, "n_tasks": 4})  # compatible
 
-    @pytest.mark.parametrize("feature_width, label_width", [(1, 4), (6, 4), (5, 1), (5, 3)])
+    # feature stats cover the measured columns, not the model's input width (TINY's is 5)
+    @pytest.mark.parametrize("feature_width, label_width", [(1, 4), (TINY.input_dim, 4), (N_BASE_FEATURES, 1),
+                                                            (N_BASE_FEATURES, 3)])
     def test_refuses_stats_of_the_wrong_width(self, tmp_path, feature_width, label_width):
         # a one-entry label stat would otherwise denormalise all four tasks by one scalar
         path = tmp_path / "model.json"
         save_checkpoint(path, TransformerRegressor(TINY, seed=10),
                         NormStats(mean=np.full(feature_width, 5.0), std=np.full(feature_width, 2.0)),
                         NormStats(mean=np.full(label_width, 5.0), std=np.full(label_width, 2.0)))
-        with pytest.raises(CheckpointError, match="feature" if feature_width != 5 else "label"):
+        with pytest.raises(CheckpointError, match="feature" if feature_width != N_BASE_FEATURES else "label"):
             load_checkpoint(path)
 
     def test_refuses_bad_version(self, tmp_path):
         path = tmp_path / "model.json"
         model = TransformerRegressor(TINY, seed=11)
-        save_checkpoint(path, model, identity_stats(5), identity_stats(4))
+        save_checkpoint(path, model, identity_stats(N_BASE_FEATURES), identity_stats(4))
         blob = path.read_text().replace(f'"format_version": {CHECKPOINT_VERSION}', '"format_version": 99')
         assert '"format_version": 99' in blob
         path.write_text(blob)
@@ -388,7 +391,7 @@ class TestCheckpoint:
 
     def _edited(self, tmp_path, edit):
         path = tmp_path / "model.json"
-        save_checkpoint(path, TransformerRegressor(TINY, seed=12), identity_stats(5), identity_stats(4))
+        save_checkpoint(path, TransformerRegressor(TINY, seed=12), identity_stats(N_BASE_FEATURES), identity_stats(4))
         payload = json.loads(path.read_text())
         edit(payload)
         path.write_text(json.dumps(payload))
@@ -401,6 +404,16 @@ class TestCheckpoint:
 
         path = self._edited(tmp_path, downgrade)
         with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(path)
+
+    def test_refuses_v2_checkpoint(self, tmp_path):
+        # version 2 feature stats span every input column, the one-hots included
+        def downgrade(p):
+            p["format_version"] = 2
+            p["feature_stats"] = identity_stats(TINY.input_dim).as_dict()
+
+        path = self._edited(tmp_path, downgrade)
+        with pytest.raises(CheckpointError, match="version 2"):
             load_checkpoint(path)
 
     def test_refuses_zero_std_stats(self, tmp_path):
@@ -446,14 +459,14 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_loads_float64_values_within_float32_rounding(self, tmp_path):
-        # a v2 payload carries no dtype: values written by a float64 model load
+        # a payload carries no dtype: values written by a float64 model load
         # into float32 parameters, rounded once
         rng = np.random.default_rng(15)
         wide = float64_copy(TransformerRegressor(TINY, seed=15))
         for t in wide.params.values():
             t.data = t.data + rng.normal(0.0, 1e-3, size=t.shape)
         path = tmp_path / "model.json"
-        save_checkpoint(path, wide, identity_stats(5), identity_stats(4))
+        save_checkpoint(path, wide, identity_stats(N_BASE_FEATURES), identity_stats(4))
         ck = load_checkpoint(path)
         for k, v in wide.state_arrays().items():
             np.testing.assert_array_equal(ck.model.params[k].data, v.astype(np.float32), err_msg=k, strict=True)

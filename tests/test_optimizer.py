@@ -22,8 +22,8 @@ from ridecast.demand import NormStats, apply_norm, fit_norm_stats
 from ridecast.market import GridSpec, MarketWindow, TimeOfDay, grid_index
 from ridecast.optimizer import (
     COL_RADIUS,
+    N_BASE_FEATURES,
     N_TOD,
-    NORM_CHUNK_SEQS,
     CandidateSet,
     FeatureLayout,
     ModelPredictor,
@@ -41,7 +41,7 @@ from ridecast.sim import RandomRadius, SimConfig, Simulation, WindowSnapshot, ru
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=0.1, lat_max=0.1, side_count=4)
 LAYOUT = FeatureLayout(seq_len=4, side_count=4)
 IDENT = identity_stats(4)
-FEATURE_IDENT = identity_stats(LAYOUT.dim)
+FEATURE_IDENT = identity_stats(N_BASE_FEATURES)
 
 
 class PinnedRadiusPredictor:
@@ -94,16 +94,16 @@ class TestBuildFeatures:
     def test_padding_stays_zero_after_normalization(self):
         # the decision batch normalizes real rows only; grid 2 has one past
         # window (2 padding rows), every other grid none (3 padding rows)
-        stats = NormStats(mean=np.full(LAYOUT.dim, 7.5), std=np.full(LAYOUT.dim, 2.0))
+        stats = NormStats(mean=np.full(N_BASE_FEATURES, 7.5), std=np.full(N_BASE_FEATURES, 2.0))
         src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), LAYOUT, stats, IDENT)
         x = src._batch(mksnapshot(window=1), [mkwindow(grid=2, window=0)])
         assert x.shape == (16 * 2, 4, LAYOUT.dim)
         grid2 = x[2 * 2: 3 * 2]  # grid-major: row g*K + j
         np.testing.assert_array_equal(grid2[:, :2], 0.0)
-        assert np.all(grid2[:, 2:] != 0.0)  # centered away from zero by the stats
+        assert np.all(grid2[:, 2:, :N_BASE_FEATURES] != 0.0)  # centered away from zero by the stats
         others = np.delete(x, [4, 5], axis=0)
         np.testing.assert_array_equal(others[:, :3], 0.0)
-        assert np.all(others[:, 3] != 0.0)
+        assert np.all(others[:, 3, :N_BASE_FEATURES] != 0.0)
 
     def test_candidate_isolated_to_final_row_radius(self):
         hist = [mkwindow(window=w) for w in range(3)]
@@ -298,7 +298,7 @@ class TestChooseRadius:
     def test_snapshot_counts_not_one_per_grid_rejected(self, field, value):
         layout = FeatureLayout(seq_len=4, side_count=2)
         src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), layout,
-                                    identity_stats(layout.dim), IDENT)
+                                    identity_stats(N_BASE_FEATURES), IDENT)
         snapshot = dataclasses.replace(mksnapshot(n_cells=4), **{field: np.asarray(value)})
         with pytest.raises(ValueError, match=rf"{field} has shape \({np.shape(value)[0]},.*expected \(4,\)"):
             src.radii(snapshot, [])
@@ -313,8 +313,8 @@ class TestChooseRadius:
 
 def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapshot, history):
     """Per-grid decisions: one reference_features sequence per candidate, rounded
-    once to float32 as raw features are, its real rows normalized in float64,
-    and one predict_for per grid."""
+    once to float32 as raw features are, the measured columns of its real rows
+    normalized in float64, and one predict_for per grid."""
     chosen, preds = [], []
     for g in range(layout.n_cells):
         own = [w for w in history if w.grid == g]
@@ -323,7 +323,7 @@ def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapsh
             x, n_pad = reference_features(own, int(snapshot.n_idle[g]), int(snapshot.n_open[g]),
                                           int(snapshot.n_total[g]), snapshot.tod, g, r, layout)
             x = x.astype(np.float32).astype(np.float64)
-            x[n_pad:] = apply_norm(x[n_pad:], feature_stats)
+            x[n_pad:, :N_BASE_FEATURES] = apply_norm(x[n_pad:, :N_BASE_FEATURES], feature_stats)
             feats.append(x)
         feats = np.stack(feats)
         p = predictor.predict_for(feats, cands.as_array())
@@ -341,10 +341,11 @@ class TestPredictorRadiusSource:
         "gappy": lambda w, g: (w + g) % 3 != 0 and not (g % 5 == 1 and w >= 5),
     }
 
-    @pytest.mark.parametrize("feature_width, label_width", [(1, 4), (LAYOUT.dim - 1, 4), (LAYOUT.dim, 1),
-                                                            (LAYOUT.dim, 5)])
+    # LAYOUT.dim is the width of stats that z-score the one-hots too
+    @pytest.mark.parametrize("feature_width, label_width", [(1, 4), (LAYOUT.dim, 4), (N_BASE_FEATURES, 1),
+                                                            (N_BASE_FEATURES, 5)])
     def test_rejects_stats_of_the_wrong_width(self, feature_width, label_width):
-        with pytest.raises(ValueError, match="feature" if feature_width != LAYOUT.dim else "label"):
+        with pytest.raises(ValueError, match="feature" if feature_width != N_BASE_FEATURES else "label"):
             PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), LAYOUT,
                                   identity_stats(feature_width), identity_stats(label_width))
 
@@ -367,9 +368,7 @@ class TestPredictorRadiusSource:
                          for w in history])
         feature_stats = FEATURE_IDENT
         if with_stats:
-            mean = np.concatenate([rows.mean(axis=0), np.full(LAYOUT.dim - 8, 0.1)])
-            std = np.concatenate([rows.std(axis=0), np.full(LAYOUT.dim - 8, 0.5)])
-            feature_stats = NormStats(mean=mean, std=std)
+            feature_stats = NormStats(mean=rows.mean(axis=0), std=rows.std(axis=0))
         label_stats = NormStats(mean=np.array([0.5, 1.5, 0.5, 25.0]), std=np.array([0.2, 0.8, 0.3, 12.0]))
         model = TransformerRegressor(ModelConfig(seq_len=LAYOUT.seq_len, input_dim=LAYOUT.dim, d_model=8,
                                                  embed_hidden=8, block_hidden=8, head_hidden=4), seed=3)
@@ -410,7 +409,7 @@ class TestPredictorRadiusSource:
 
     def test_batch_is_the_float64_batch_cast_to_float32(self):
         history = [mkwindow(grid=g, window=w, rev=3.0 * g + w, radius=0.5 + w) for w in range(2) for g in (1, 2, 9)]
-        stats = NormStats(mean=np.linspace(-1.0, 2.0, LAYOUT.dim), std=np.linspace(0.3, 3.0, LAYOUT.dim))
+        stats = NormStats(mean=np.linspace(-1.0, 2.0, N_BASE_FEATURES), std=np.linspace(0.3, 3.0, N_BASE_FEATURES))
         cands = CandidateSet((0.1, 0.7, 1.3))
         src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), cands, LAYOUT, stats, IDENT)
         snapshot = mksnapshot(window=2, tod=1, n_idle=3, n_open=2, n_total=6)
@@ -418,7 +417,10 @@ class TestPredictorRadiusSource:
         for g in range(LAYOUT.n_cells):
             for r in cands.radii:
                 x, n_pad = reference_features([w for w in history if w.grid == g], 3, 2, 6, 1, g, r, LAYOUT)
-                x[n_pad:] = apply_norm(x[n_pad:], stats)
+                # raw features are rounded once to float32; the candidate radius is z-scored from its float64
+                x = x.astype(np.float32).astype(np.float64)
+                x[-1, COL_RADIUS] = r
+                x[n_pad:, :N_BASE_FEATURES] = apply_norm(x[n_pad:, :N_BASE_FEATURES], stats)
                 want.append(x)
         got = src._batch(snapshot, history)
         assert got.dtype == np.float32
@@ -449,6 +451,44 @@ class TestPredictorRadiusSource:
         (moved,) = captured["feats"]
         np.testing.assert_array_equal(moved[5:6], base[5:6])  # K = 1: grid g is row g
         assert not np.array_equal(np.delete(moved, 5, axis=0), np.delete(base, 5, axis=0))
+
+
+class TestOneHotsPassThrough:
+    """Training and decision inputs z-score the measured columns only: whatever the stats, the grid and
+    time-of-day one-hots reach the model as exact 0/1 on real rows, and padding rows are all +0.0."""
+
+    STATS = NormStats(mean=np.linspace(-3.0, 5.0, N_BASE_FEATURES), std=np.linspace(0.2, 4.0, N_BASE_FEATURES))
+
+    @staticmethod
+    def log():
+        # grid g logs windows g % 4..4 only, 2 to 5 rows, so some sequences pad; the time of day is window % 4
+        rng = np.random.default_rng(8)
+        return [mkwindow(grid=g, window=w, ofr=rng.uniform(), apd=rng.uniform(0, 3), rev=rng.uniform(0, 50),
+                         tod=TimeOfDay(w % 4))
+                for w in range(5) for g in range(LAYOUT.n_cells) if w >= g % 4]
+
+    @pytest.mark.parametrize("path", ["training", "decision"])
+    def test_one_hots_are_0_1_and_padding_is_zero(self, path):
+        t, log = LAYOUT.seq_len, self.log()
+        if path == "training":
+            data = dataset_from_windows(log, LAYOUT)
+            x, pads, grids, tods = data.normalized_features(self.STATS), data.pad_rows, data.grids, data.windows % 4
+        else:
+            k = 3
+            src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((0.5, 1.0, 2.0)), LAYOUT,
+                                        self.STATS, IDENT)
+            x = src._batch(mksnapshot(window=5, tod=1), log)
+            lens = np.bincount([w.grid for w in log], minlength=LAYOUT.n_cells)
+            pads = np.repeat(np.maximum(t - 1 - lens, 0), k)
+            grids, tods = np.repeat(np.arange(LAYOUT.n_cells), k), np.full(LAYOUT.n_cells * k, 1)
+        assert set(pads.tolist()) >= {0, 1} and x.dtype == np.float32
+        real = np.arange(t) >= pads[:, None]
+        want = np.zeros((len(x), t, LAYOUT.dim - N_BASE_FEATURES), dtype=np.float32)
+        seq, row = np.nonzero(real)
+        want[seq, row, grids[seq]] = 1.0
+        want[seq, row, LAYOUT.n_cells + tods[seq]] = 1.0
+        assert x[:, :, N_BASE_FEATURES:].tobytes() == want.tobytes()
+        assert x[~real].tobytes() == np.zeros_like(x[~real]).tobytes()
 
 
 def golden_day():
@@ -494,8 +534,8 @@ class TestGoldenDecisionTrace:
     numpy's OpenBLAS on x86-64; a BLAS that orders float32 sums differently
     may move the prediction bytes."""
 
-    RADII = "07c7c28715e5f8a8fe4bbaf26ddd9fc4eb0e23620d5cf42c04841e3b4b1cd98c"
-    PREDICTIONS = "7fd7f122a552687963d5e0e6b92663d0d3480115eaa24e2c504268be6730c9fe"
+    RADII = "223d1045a753ca6725a0bbfcd5e6aeebd7c9bb1cd3f9d1b932702f3ed03dacbe"
+    PREDICTIONS = "8055e3bb136ca975ace980775bb48ab921fb922217b278ebd91deac988b3e005"
 
     def test_day(self):
         radii, preds = golden_day()
@@ -555,7 +595,7 @@ class TestDecisionLog:
                 return np.ones((len(candidates), 4))
 
         src = PredictorRadiusSource(FreshPred(), CandidateSet((0.5, 1.0, 1.5, 2.0, 3.0)), layout,
-                                    identity_stats(layout.dim), IDENT)
+                                    identity_stats(N_BASE_FEATURES), IDENT)
         src.radii(mksnapshot(n_cells=layout.n_cells), [])
         calls = 96
         tracemalloc.start()
@@ -684,11 +724,14 @@ class TestCollect:
         for i in range(len(data)):
             np.testing.assert_array_equal(normed[i, : data.pad_rows[i]], 0.0)
         flat = np.concatenate([normed[i, data.pad_rows[i]:] for i in range(len(data))]).astype(np.float64)
+        base = flat[:, :N_BASE_FEATURES]
         # the float32 cast moves each z-score by at most half an ulp
-        tol = np.finfo(np.float32).eps * np.abs(flat).max()
-        assert np.max(np.abs(flat.mean(axis=0))) < tol
-        std = flat.std(axis=0)
+        tol = np.finfo(np.float32).eps * np.abs(base).max()
+        assert np.max(np.abs(base.mean(axis=0))) < tol
+        std = base.std(axis=0)
         assert np.all((np.abs(std - 1.0) < tol) | (std == 0.0))  # constant columns z-score to 0
+        onehots = np.concatenate([data.features[i, data.pad_rows[i]:, N_BASE_FEATURES:] for i in range(len(data))])
+        np.testing.assert_array_equal(flat[:, N_BASE_FEATURES:], onehots)  # passed through as 0/1
 
     def test_dataset_helpers_match_per_example_loop(self):
         data, _ = collect_training_data(
@@ -700,13 +743,15 @@ class TestCollect:
             base_seed=5,
         )
         assert set(data.pad_rows.tolist()) == {0, 1, 2, 3}
-        rows = np.concatenate([data.features[i, data.pad_rows[i]:] for i in range(len(data))])
-        np.testing.assert_array_equal(data.real_rows(), rows)
-        stats = NormStats(mean=np.full(LAYOUT.dim, 0.25), std=np.full(LAYOUT.dim, 3.0))
-        want = np.zeros_like(data.features)
+        rows = np.concatenate([data.features[i, data.pad_rows[i]:, :N_BASE_FEATURES] for i in range(len(data))])
+        real = data.real_rows()
+        assert real.dtype == np.float32
+        assert real.tobytes() == rows.tobytes()
+        stats = NormStats(mean=np.full(N_BASE_FEATURES, 0.25), std=np.full(N_BASE_FEATURES, 3.0))
+        want = data.features.astype(np.float64)  # padding rows are all zero, the one-hots 0/1
         for i in range(len(data)):
             p = data.pad_rows[i]
-            want[i, p:] = (data.features[i, p:] - stats.mean) / stats.std
+            want[i, p:, :N_BASE_FEATURES] = (data.features[i, p:, :N_BASE_FEATURES] - stats.mean) / stats.std
         got = data.normalized_features(stats)
         # bit-identical to the float64 arithmetic cast to float32, padding rows exactly +0.0
         assert got.tobytes() == want.astype(np.float32).tobytes()
@@ -740,24 +785,46 @@ class TestTrainingData:
 
     def test_accepts_the_largest_padding(self):
         data = mkdata(pad_rows=np.full(4, LAYOUT.seq_len - 1))
-        assert data.real_rows().shape == (4, LAYOUT.dim)
+        assert data.real_rows().shape == (4, N_BASE_FEATURES)
 
-    @pytest.mark.parametrize("width", [1, LAYOUT.dim - 1, LAYOUT.dim + 1])
+    # LAYOUT.dim is the width of stats that z-score the one-hots too
+    @pytest.mark.parametrize("width", [1, N_BASE_FEATURES - 1, N_BASE_FEATURES + 1, LAYOUT.dim])
     def test_normalized_features_rejects_stats_of_the_wrong_width(self, width):
-        with pytest.raises(ValueError, match=f"expected \\({LAYOUT.dim},\\)"):
+        with pytest.raises(ValueError, match=f"expected \\({N_BASE_FEATURES},\\)"):
             mkdata().normalized_features(identity_stats(width))
 
-    @pytest.mark.parametrize("n", [1, NORM_CHUNK_SEQS - 1, NORM_CHUNK_SEQS, 2 * NORM_CHUNK_SEQS + 3])
+    @pytest.mark.parametrize("n", [1, 3, 130, 259])
     def test_normalized_features_is_the_float64_result_cast(self, n):
+        # every column is drawn, the one-hot ones and the padding rows too, so a column that is
+        # z-scored or not, or a padding row that is zeroed or not, shows
         rng = np.random.default_rng(n)
         pads = rng.integers(0, LAYOUT.seq_len, n)
         features = rng.normal(size=(n, LAYOUT.seq_len, LAYOUT.dim)) * 10.0 ** rng.uniform(-6, 6, LAYOUT.dim)
-        stats = NormStats(mean=rng.normal(size=LAYOUT.dim), std=10.0 ** rng.uniform(-3, 3, LAYOUT.dim))
+        stats = NormStats(mean=rng.normal(size=N_BASE_FEATURES), std=10.0 ** rng.uniform(-3, 3, N_BASE_FEATURES))
         got = mkdata(n, features=features, pad_rows=pads).normalized_features(stats)
-        want = (features - stats.mean) / stats.std
-        want[np.arange(LAYOUT.seq_len) < pads[:, None]] = 0.0
+        want = features.copy()
+        want[..., :N_BASE_FEATURES] = (features[..., :N_BASE_FEATURES] - stats.mean) / stats.std
+        want[np.arange(LAYOUT.seq_len) < pads[:, None], :N_BASE_FEATURES] = 0.0
         assert got.dtype == np.float32
         assert got.tobytes() == want.astype(np.float32).tobytes()  # padding rows +0.0, not -0.0
+
+    def test_real_rows_copy_only_the_measured_columns(self):
+        layout = FeatureLayout(seq_len=6, side_count=10)
+        rng = np.random.default_rng(5)
+        n = 2000
+        pads = rng.integers(0, layout.seq_len, n)
+        data = mkdata(n, layout, features=rng.normal(size=(n, layout.seq_len, layout.dim)).astype(np.float32),
+                      pad_rows=pads)
+        m = int(np.sum(layout.seq_len - pads))
+        tracemalloc.start()
+        try:
+            rows = data.real_rows()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (m, N_BASE_FEATURES) and rows.dtype == np.float32
+        # the (M, 8) result is 8/112 of an (M, D) copy; the (N, T) mask adds less than that
+        assert peak < 0.2 * m * layout.dim * 4
 
     def test_normalized_features_peak_memory(self):
         layout = FeatureLayout(seq_len=6, side_count=10)
@@ -765,7 +832,7 @@ class TestTrainingData:
         n = 2000
         data = mkdata(n, layout, features=rng.normal(size=(n, layout.seq_len, layout.dim)),
                       pad_rows=rng.integers(0, layout.seq_len, n))
-        stats = NormStats(mean=np.full(layout.dim, 0.5), std=np.full(layout.dim, 2.0))
+        stats = NormStats(mean=np.full(N_BASE_FEATURES, 0.5), std=np.full(N_BASE_FEATURES, 2.0))
         tracemalloc.start()
         try:
             data.normalized_features(stats)

@@ -323,14 +323,15 @@ class TestRadiusSources:
 
     def test_non_finite_radii_rejected(self):
         nan = float("nan")
-        with pytest.raises(ValueError):
-            FixedRadius(nan, 16)
-        with pytest.raises(ValueError):
-            ScheduleRadius(np.full((2, 16), nan))
+        for bad in (nan, float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                FixedRadius(bad, 16)
+            with pytest.raises(ValueError, match="finite"):
+                ScheduleRadius(np.full((2, 16), bad))
+            with pytest.raises(ValueError, match="finite"):
+                RandomRadius([1.0, bad], 16, seed=0)
         with pytest.raises(ValueError):
             ScheduleRadius(np.zeros((0, 16)))
-        with pytest.raises(ValueError):
-            RandomRadius([1.0, nan], 16, seed=0)
 
         class ConstantRadius:
             def __init__(self, value):
