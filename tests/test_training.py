@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,47 @@ class TestTrainLoop:
             np.testing.assert_array_equal(res.weights[s], strategy_weights(kind, acc / norm), err_msg=f"step {s}")
             for k in range(s + 1, min(s + every, n)):
                 np.testing.assert_array_equal(res.weights[k], res.weights[s], err_msg=f"step {k}")
+
+
+def golden_run():
+    """A fixed-seed WESM run of the production-width forecaster.
+
+    320 training and 64 test sequences of (T=6, D=112) float32 inputs laid out
+    as the data layer builds them: eight z-scored measured columns, then a
+    grid one-hot over 100 cells and a time-of-day one-hot over 4.  Labels
+    are four tasks read off the pooled measured columns plus noise.
+    """
+    rng = np.random.default_rng(31)
+    n, t = 384, 6
+    x = np.zeros((n, t, 112), dtype=np.float32)
+    x[..., :8] = rng.normal(size=(n, t, 8))
+    rows = np.arange(n)
+    x[rows, :, 8 + rng.integers(0, 100, n)] = 1.0
+    x[rows, :, 108 + rng.integers(0, 4, n)] = 1.0
+    y = x[..., :8].mean(axis=1) @ rng.normal(size=(8, 4)) + 0.1 * rng.normal(size=(n, 4))
+    model = TransformerRegressor(ModelConfig(seq_len=t, input_dim=112), seed=31)
+    return train(model, x[:320], y[:320], x[320:], y[320:],
+                 StrategyConfig(kind="WESM", refresh_every=3),
+                 TrainConfig(batch_size=64, epochs=2, seed=31))
+
+
+class TestGoldenTrainingTrace:
+    """Pins the bytes of a fixed-seed training run's loss curves and task
+    weights.  A change that moves them must say why in CHANGES.md and re-pin.
+    The pins were taken with numpy's OpenBLAS on x86-64; a BLAS that orders
+    float32 sums differently may move the bytes."""
+
+    TRAIN_LOSSES = "4e0e611872480f38d4c1ca8ac02bc2dd4e3fd046a32bbf5c4443877089abd84f"
+    TEST_LOSSES = "78c5ee8e82e8aa77ee5210143af4f0ef029a822d95593620efcf9ee834e90ffa"
+    WEIGHTS = "542fbe0a315db0ef40c86a1c14d0e184dd5b28a44fe750626f150052ec364883"
+
+    def test_run(self):
+        res = golden_run()
+        assert res.train_losses.shape == (10, 4) and res.test_losses.shape == (2, 4)
+        assert res.refresh_steps == [0, 3, 6, 9]
+        # the trace would pin little if the weights never moved off uniform
+        assert len({w.tobytes() for w in res.weights}) > 1
+        got = {name: hashlib.sha256(getattr(res, name).tobytes()).hexdigest()
+               for name in ("train_losses", "test_losses", "weights")}
+        assert got == {"train_losses": self.TRAIN_LOSSES, "test_losses": self.TEST_LOSSES,
+                       "weights": self.WEIGHTS}
