@@ -1,5 +1,5 @@
 from .adam import Adam
-from .layers import add_layer_norm, mlp_forward, self_attention
+from .layers import add_layer_norm, add_position, mlp_forward, pooled_heads, self_attention, task_mse
 from .model import (
     Checkpoint,
     CheckpointError,
@@ -18,9 +18,12 @@ __all__ = [
     "Tensor",
     "TransformerRegressor",
     "add_layer_norm",
+    "add_position",
     "load_checkpoint",
     "mlp_forward",
     "parameter",
+    "pooled_heads",
     "save_checkpoint",
     "self_attention",
+    "task_mse",
 ]

@@ -1,18 +1,21 @@
-"""Differentiable building blocks: two-layer perceptron, the pre-norm
-residual x + LayerNorm(x), and single-head scaled dot-product self-attention.
+"""Differentiable building blocks, each one graph node: the two-layer
+perceptron, the positional add, the pre-norm residual x + LayerNorm(x),
+single-head scaled dot-product self-attention, the mean-pooled stacked
+multi-task head and the per-task mean squared error.
 
-Each block is one graph node with a hand-derived numpy backward.  The node
-keeps only what its backward reads and gives gradient only to the parents
-that require it.  Without a graph (inference) nothing is kept, and attention
-projects Q, K and V one at a time so that at most two of them are live.
+Each node has a hand-derived numpy backward.  It keeps only what its
+backward reads and gives gradient only to the parents that require it.
+Without a graph (inference) nothing is kept, and attention projects Q, K and
+V one at a time so that at most two of them are live.
 
-Reductions run as BLAS matrix-vector products, several times faster than
-numpy's ``sum`` over a short axis: row means are ``rows @ full(n, 1/n)``,
-row sums ``rows @ ones(n)``, and the bias, gamma and beta gradients
-``ones(R) @ rows``, each constant vector in the data's dtype.  Per-row scale
-and shift apply through (R, 1) columns.  The softmax's row maximum is T - 1
-``np.maximum`` passes over column slices, which keeps a NaN score as ``max``
-does.
+The encoder blocks reduce by BLAS matrix-vector products, several times
+faster than numpy's ``sum`` over a short axis: row means are
+``rows @ full(n, 1/n)``, row sums ``rows @ ones(n)``, and the bias, gamma
+and beta gradients ``ones(R) @ rows``, each constant vector in the data's
+dtype.  Per-row scale and shift apply through (R, 1) columns.  The
+softmax's row maximum is T - 1 ``np.maximum`` passes over column slices,
+which keeps a NaN score as ``max`` does.  The positional, head and loss
+nodes reduce with numpy's ``sum`` over the batch or sequence axis.
 """
 from __future__ import annotations
 
@@ -145,3 +148,59 @@ def self_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
               *((w, lambda c=c: g_w[:, c].copy()) for w, c in zip(weights, cols)))
 
     return Tensor._result(np.matmul(s, v), (x, *weights), back)
+
+
+def add_position(x: Tensor, pos: Tensor) -> Tensor:
+    """x + pos for a (B, T, d) batch and a (T, d) positional table."""
+
+    def back(g):
+        _send((x, lambda: g), (pos, lambda: g.sum(axis=0)))
+
+    return Tensor._result(x.data + pos.data, (x, pos), back)
+
+
+def pooled_heads(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """(B, m) task outputs of a (B, T, d) batch under the stacked head.
+
+    The mean over T goes through relu(pooled @ w1 + b1), which gives each of
+    the m tasks its own h units (task i in columns i*h..(i+1)*h of the
+    (d, m*h) w1); task i's output is the dot product of its units with row i
+    of the (m, h) w2, plus b2[i].  Keeps the pooled rows and the units.
+    """
+    inv_t = x.data.dtype.type(1.0 / x.shape[-2])
+    pooled = x.data.sum(axis=-2)
+    pooled *= inv_t
+    h = pooled @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    units = h.reshape(len(h), *w2.shape)
+    y = (units * w2.data).sum(axis=-1)
+    y += b2.data
+
+    def back(g):
+        g_units = g[:, :, None] * w2.data
+        g_units *= units > 0
+        g_h = g_units.reshape(h.shape)
+        _send((b2, lambda: g.sum(axis=0)), (w2, lambda: (g[:, :, None] * units).sum(axis=0)),
+              (b1, lambda: g_h.sum(axis=0)), (w1, lambda: pooled.T @ g_h))
+        if x.requires_grad:
+            g_pooled = g_h @ w1.data.T
+            g_pooled *= inv_t
+            x._accumulate(np.broadcast_to(g_pooled[:, None, :], x.shape).copy())
+
+    return Tensor._result(y, (x, w1, b1, w2, b2), back)
+
+
+def task_mse(pred: Tensor, target: Tensor) -> Tensor:
+    """(m,) mean squared error of each task's column over a (B, m) batch; keeps the errors."""
+    err = pred.data - target.data
+    inv_b = err.dtype.type(1.0 / len(err))
+    loss = (err * err).sum(axis=0)
+    loss *= inv_b
+
+    def back(g):
+        g_err = (g * inv_b) * err
+        g_err += g_err
+        _send((pred, lambda: g_err), (target, lambda: -g_err))
+
+    return Tensor._result(loss, (pred, target), back)

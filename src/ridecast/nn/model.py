@@ -11,10 +11,13 @@ output is the dot product of its units with row i of an (m, h) weight.
 Each block feeds SelfAtten(o + LayerNorm(o)) and then MLP(h1 + LayerNorm(h1)):
 the normalized branch is added to the raw input *before* the sublayer, not
 after it.  Each o + LayerNorm(o) is one ``add_layer_norm`` node, so a block
-records four nodes: two residual norms, attention and the MLP.  The layers
-reduce over short axes by mat-vec (see ``layers.py``) and keep NaN: a NaN
-anywhere in an input sequence reaches that sequence's predictions, and in
-training every task's loss.
+records four nodes: two residual norms, attention and the MLP.  Before the
+blocks come the embedding MLP and ``add_position``; after them one
+``pooled_heads`` node pools and applies the head, and in training one
+``task_mse`` node gives the per-task losses.  The weighted objective is not
+a node: ``backward_weighted`` seeds the loss node with the task weights.
+The layers keep NaN: a NaN anywhere in an input sequence reaches that
+sequence's predictions, and in training every task's loss.
 
 Parameters are drawn in float64 and stored as float32 (``PARAM_DTYPE``), so
 the forward pass, gradients and Adam moments are all float32.  Every op
@@ -33,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from ..demand import N_BASE_FEATURES, NormStats
-from .layers import add_layer_norm, mlp_forward, self_attention
+from .layers import add_layer_norm, add_position, mlp_forward, pooled_heads, self_attention, task_mse
 from .tensor import Tensor, parameter
 
 CHECKPOINT_VERSION = 3
@@ -118,19 +121,15 @@ class TransformerRegressor:
         """(B, m) task outputs for a (B, T, D) batch under parameters p."""
         x = np.asarray(x, dtype=self.dtype)
         self._check_input(x)
-        c = self.config
         o = mlp_forward(Tensor(x), p["embed.w1"], p["embed.b1"], p["embed.w2"], p["embed.b2"])
-        o = o + p["pos"]
-        for b in range(c.n_blocks):
+        o = add_position(o, p["pos"])
+        for b in range(self.config.n_blocks):
             pre = f"block{b}."
             o = add_layer_norm(o, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
             o = self_attention(o, p[pre + "wq"], p[pre + "wk"], p[pre + "wv"])
             o = add_layer_norm(o, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
             o = mlp_forward(o, p[pre + "mlp.w1"], p[pre + "mlp.b1"], p[pre + "mlp.w2"], p[pre + "mlp.b2"])
-        o = o.mean(axis=-2)  # pool over the sequence axis
-        o = o @ p["head.w1"] + p["head.b1"]
-        o = o.relu().reshape(-1, c.n_tasks, c.head_hidden)
-        return (o * p["head.w2"]).sum(axis=-1) + p["head.b2"]
+        return pooled_heads(o, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Pure inference on detached parameters, so no graph is recorded:
@@ -144,14 +143,14 @@ class TransformerRegressor:
 
     def task_losses(self, x: np.ndarray, y: np.ndarray) -> Tensor:
         """Per-task mean squared errors over the batch, as one (m,) tensor."""
-        err = self._forward(x, self.params) - Tensor(np.asarray(y, dtype=self.dtype))
-        return (err * err).mean(axis=0)
+        return task_mse(self._forward(x, self.params), Tensor(np.asarray(y, dtype=self.dtype)))
 
     def backward_weighted(self, losses: Tensor, weights: np.ndarray) -> Tensor:
-        """Backpropagate sum_i w_i * l_i; returns the objective tensor."""
-        total = (losses * weights).sum()
-        total.backward()
-        return total
+        """Backpropagate sum_i w_i * l_i, which seeds the loss node with w in
+        its dtype; returns a tensor holding the objective's value."""
+        w = np.asarray(weights, dtype=losses.data.dtype)
+        losses.backward(w)
+        return Tensor((losses.data * w).sum())
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -1,17 +1,16 @@
 """Reverse-mode automatic differentiation over dense float arrays.
 
 A Tensor keeps the dtype of a float32 or float64 array and turns any other
-input into float64.  Constants mixed into an op take the dtype of the Tensor
-they meet, and ``backward()`` seeds the gradient in the root's dtype, so a
-graph built on float32 data computes and backpropagates in float32.
+input into float64, and ``backward()`` seeds the gradient in the root's
+dtype, so a graph built on float32 data computes and backpropagates in
+float32.
 
-A Tensor wraps an ndarray plus an optional gradient; operations record
-backward closures and ``backward()`` replays them in reverse topological
-order, dropping each interior node's gradient once its closure has run.
-Gradients are never written in place, so one array may be handed to several
-parents.  The ops are what the graph needs around the fused layers of
-``layers.py``: broadcast add, subtract and multiply, matmul, relu, sum, mean
-and reshape.
+A Tensor wraps an ndarray plus an optional gradient.  It has no operations
+of its own: every op is a fused node of ``layers.py`` that records one
+backward closure through ``Tensor._result``.  ``backward()`` replays the
+closures in reverse topological order, dropping each interior node's
+gradient once its closure has run.  Gradients are never written in place,
+so one array may be handed to several parents.
 """
 from __future__ import annotations
 
@@ -27,17 +26,6 @@ def _send(*pairs) -> None:
     for parent, grad in pairs:
         if parent.requires_grad:
             parent._accumulate(grad())
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
 
 
 class Tensor:
@@ -94,76 +82,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other) -> "Tensor":
-        """other as a Tensor; a constant takes this tensor's dtype."""
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=self.data.dtype))
-
-    def __add__(self, other) -> "Tensor":
-        a, b = self, self._coerce(other)
-
-        def back(g):
-            _send((a, lambda: _unbroadcast(g, a.shape)), (b, lambda: _unbroadcast(g, b.shape)))
-
-        return self._result(a.data + b.data, (a, b), back)
-
-    def __sub__(self, other) -> "Tensor":
-        return self + self._coerce(other) * -1.0
-
-    def __mul__(self, other) -> "Tensor":
-        a, b = self, self._coerce(other)
-
-        def back(g):
-            _send((a, lambda: _unbroadcast(g * b.data, a.shape)), (b, lambda: _unbroadcast(g * a.data, b.shape)))
-
-        return self._result(a.data * b.data, (a, b), back)
-
-    def __matmul__(self, other) -> "Tensor":
-        a, b = self, self._coerce(other)
-
-        def back(g):
-            _send((a, lambda: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
-                  (b, lambda: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
-
-        return self._result(np.matmul(a.data, b.data), (a, b), back)
-
-    # -- nonlinearities and reductions --------------------------------------
-
-    def relu(self) -> "Tensor":
-        a = self
-        mask = a.data > 0
-
-        def back(g):
-            a._accumulate(g * mask)
-
-        return self._result(np.maximum(a.data, 0.0), (a,), back)
-
-    def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        a = self
-
-        def back(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-
-        return self._result(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
-
-    def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def reshape(self, *shape: int) -> "Tensor":
-        a = self
-
-        def back(g):
-            a._accumulate(g.reshape(a.shape))
-
-        return self._result(a.data.reshape(*shape), (a,), back)
-
-    def item(self) -> float:
-        return float(self.data)
 
 
 def parameter(data, rng: Optional[np.random.Generator] = None, scale: Optional[float] = None) -> Tensor:

@@ -203,9 +203,6 @@ class DecisionLog(Sequence[RadiusDecision]):
         return RadiusDecision(grid=g, window=window, chosen_radius=self.candidates[best[g]],
                               candidates=self.candidates, predictions=preds[g], scores=scores[g])
 
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
 
 def _real_row_mask(pad_rows: np.ndarray, seq_len: int) -> np.ndarray:
     """(N, T) mask of the non-padding rows of N sequences."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad
-from ridecast.nn.layers import add_layer_norm, mlp_forward, self_attention
+from ridecast.nn.layers import add_layer_norm, add_position, mlp_forward, pooled_heads, self_attention, task_mse
 from ridecast.nn.tensor import Tensor
 
 
@@ -166,7 +166,8 @@ class TestSelfAttention:
 
 
 def layer_inputs(layer: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """A batched (B, T, d) input and the parameters of one layer, by name."""
+    """The inputs of one node, by name: a batched (B, T, d) sequence input
+    and the node's parameters, or the loss node's (B, m) predictions and targets."""
     d = 4
     x = rng.normal(size=(2, 3, d))
     if layer == "mlp":
@@ -174,22 +175,31 @@ def layer_inputs(layer: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
                 "w2": rng.normal(size=(5, 3)), "b2": rng.normal(size=3)}
     if layer == "add_layer_norm":
         return {"x": x * 3, "gamma": rng.normal(size=d), "beta": rng.normal(size=d)}
+    if layer == "add_position":
+        return {"x": x, "pos": rng.normal(size=(3, d))}
+    if layer == "pooled_heads":  # m = 2 tasks of h = 3 units
+        return {"x": x, "w1": rng.normal(size=(d, 6)), "b1": rng.normal(size=6),
+                "w2": rng.normal(size=(2, 3)), "b2": rng.normal(size=2)}
+    if layer == "task_mse":
+        return {"pred": rng.normal(size=(5, 3)), "target": rng.normal(size=(5, 3))}
     return {"x": x, "w_q": rng.normal(size=(d, 3)), "w_k": rng.normal(size=(d, 3)),
             "w_v": rng.normal(size=(d, 5))}
 
 
-LAYERS = {"mlp": mlp_forward, "add_layer_norm": add_layer_norm, "attention": self_attention}
+LAYERS = {"mlp": mlp_forward, "add_layer_norm": add_layer_norm, "attention": self_attention,
+          "add_position": add_position, "pooled_heads": pooled_heads, "task_mse": task_mse}
 
 
 def check_layer_grads(layer: str, constant: tuple[str, ...] = (), seed: int = 0) -> None:
-    """Gradients of (layer(...) * R).sum() under a non-uniform R against
-    central differences; names in ``constant`` must receive no gradient."""
+    """Gradients of (layer(...) * R).sum(), i.e. backward seeded with a
+    non-uniform R, against central differences; names in ``constant`` must
+    receive no gradient."""
     rng = np.random.default_rng(seed)
     arrays = layer_inputs(layer, rng)
     fn = LAYERS[layer]
     r = rng.normal(size=fn(*[Tensor(a) for a in arrays.values()]).shape)
     tensors = {k: Tensor(a, requires_grad=k not in constant) for k, a in arrays.items()}
-    (fn(*tensors.values()) * r).sum().backward()
+    fn(*tensors.values()).backward(r)
 
     def value() -> float:
         return float((fn(*[Tensor(a) for a in arrays.values()]).data * r).sum())
@@ -212,6 +222,9 @@ class TestFusedGradients:
         ("mlp", ("x",)), ("mlp", ("w1", "b2")), ("mlp", ("x", "w1", "b1")),
         ("add_layer_norm", ("x",)), ("add_layer_norm", ("gamma",)),
         ("attention", ("x",)), ("attention", ("w_k",)), ("attention", ("w_q", "w_k", "w_v")),
+        ("add_position", ("x",)), ("add_position", ("pos",)),
+        ("pooled_heads", ("x",)), ("pooled_heads", ("w2", "b2")), ("pooled_heads", ("x", "w1", "b1")),
+        ("task_mse", ("target",)), ("task_mse", ("pred",)),
     ])
     def test_constants_get_no_gradient(self, layer, constant):
         check_layer_grads(layer, constant=constant, seed=2)
@@ -222,7 +235,7 @@ class TestFusedGradients:
         x, gamma, beta = rng.normal(size=(2, 3, 4)) * 2, rng.normal(size=4), rng.normal(size=4)
         r = rng.normal(size=(2, 3, 4))
         xt = Tensor(x, requires_grad=True)
-        (add_layer_norm(xt, Tensor(gamma), Tensor(beta)) * r).sum().backward()
+        add_layer_norm(xt, Tensor(gamma), Tensor(beta)).backward(r)
 
         def value() -> float:
             return float(((x + brute_layer_norm(x.reshape(-1, 4), gamma, beta, 1e-5).reshape(x.shape)) * r).sum())

@@ -291,7 +291,7 @@ class TestChooseRadius:
         src = PredictorRadiusSource(NanForSomeGrids(), CandidateSet((1.0, 2.0)), LAYOUT, FEATURE_IDENT, IDENT)
         with pytest.raises(ValueError, match=r"grids \[3, 11\]"):
             src.radii(mksnapshot(), [])
-        assert src.decisions == []
+        assert len(src.decisions) == 0
 
     @pytest.mark.parametrize("field", ["n_idle", "n_open", "n_total"])
     @pytest.mark.parametrize("value", [[3], np.ones(5), np.ones((4, 1))])
@@ -302,7 +302,7 @@ class TestChooseRadius:
         snapshot = dataclasses.replace(mksnapshot(n_cells=4), **{field: np.asarray(value)})
         with pytest.raises(ValueError, match=rf"{field} has shape \({np.shape(value)[0]},.*expected \(4,\)"):
             src.radii(snapshot, [])
-        assert src.decisions == []
+        assert len(src.decisions) == 0
 
     @pytest.mark.parametrize("grid", [-1, 16])
     def test_history_row_outside_the_layout_rejected(self, grid):
