@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over dense float arrays.
 
 A Tensor keeps the dtype of a float32 or float64 array and turns any other
-input into float64, and ``backward()`` seeds the gradient in the root's
+input into float64, and ``backward(seed)`` casts the seed to the root's
 dtype, so a graph built on float32 data computes and backpropagates in
 float32.
 
@@ -57,9 +57,8 @@ class Tensor:
             out._backward = backward
         return out
 
-    def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        if grad is None:
-            grad = np.ones_like(self.data)
+    def backward(self, grad: np.ndarray) -> None:
+        """Backpropagate from this node, seeded with a copy of grad in its dtype."""
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
