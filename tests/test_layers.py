@@ -165,6 +165,65 @@ class TestSelfAttention:
             np.testing.assert_allclose(z, np.tile(x[0] @ wv, (5, 1)), rtol=1e-12, atol=1e-12)
 
 
+def brute_pooled_heads(x, w1, b1, w2, b2):
+    """Loop-level mean over T, relu units, then each task's dot product with its w2 row."""
+    n, t, d = x.shape
+    m, h = w2.shape
+    y = np.zeros((n, m))
+    for i in range(n):
+        pooled = [sum(x[i, s, k] for s in range(t)) / t for k in range(d)]
+        for task in range(m):
+            acc = b2[task]
+            for u in range(h):
+                col = task * h + u
+                unit = max(b1[col] + sum(pooled[k] * w1[k, col] for k in range(d)), 0.0)
+                acc += unit * w2[task, u]
+            y[i, task] = acc
+    return y
+
+
+class TestAddPosition:
+    def test_adds_the_table_to_every_sequence(self):
+        rng = np.random.default_rng(11)
+        x, pos = rng.normal(size=(3, 4, 5)), rng.normal(size=(4, 5))
+        y = add_position(Tensor(x), Tensor(pos)).data
+        for b in range(3):
+            np.testing.assert_array_equal(y[b], x[b] + pos)
+
+
+class TestPooledHeads:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 4, 5))
+        w1, b1 = rng.normal(size=(5, 6)), rng.normal(size=6)
+        w2, b2 = rng.normal(size=(3, 2)), rng.normal(size=3)
+        y = pooled_heads(Tensor(x), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2))
+        np.testing.assert_allclose(y.data, brute_pooled_heads(x, w1, b1, w2, b2), atol=1e-12)
+
+    def test_each_task_reads_only_its_own_units(self):
+        # zeroing task 0's block of w1 leaves its units at relu(b1) and the
+        # other task's output untouched
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(4, 3, 5))
+        w1, b1 = rng.normal(size=(5, 6)), np.abs(rng.normal(size=6))
+        w2, b2 = rng.normal(size=(2, 3)), rng.normal(size=2)
+        cut = w1.copy()
+        cut[:, :3] = 0.0
+        y = pooled_heads(Tensor(x), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2)).data
+        y_cut = pooled_heads(Tensor(x), Tensor(cut), Tensor(b1), Tensor(w2), Tensor(b2)).data
+        np.testing.assert_array_equal(y_cut[:, 1], y[:, 1])
+        np.testing.assert_allclose(y_cut[:, 0], b1[:3] @ w2[0] + b2[0], atol=1e-12)
+
+
+class TestTaskMse:
+    def test_matches_brute_force(self):
+        rng = np.random.default_rng(14)
+        pred, target = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+        loss = task_mse(Tensor(pred), Tensor(target)).data
+        want = [sum((pred[i, j] - target[i, j]) ** 2 for i in range(6)) / 6 for j in range(3)]
+        np.testing.assert_allclose(loss, want, atol=1e-12)
+
+
 def layer_inputs(layer: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """The inputs of one node, by name: a batched (B, T, d) sequence input
     and the node's parameters, or the loss node's (B, m) predictions and targets."""
