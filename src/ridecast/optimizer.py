@@ -158,7 +158,12 @@ class Predictor(Protocol):
     """Maps normalized feature sequences to raw-unit metric predictions.
 
     ``features`` arrive as float32 (``PARAM_DTYPE``) whatever the model's dtype;
-    ``candidates`` holds one radius (km) per row."""
+    ``candidates`` holds one radius (km) per row.  ``ModelPredictor`` calls
+    ``TransformerRegressor.predict``, which runs a batch of
+    ``SPLIT_MIN_SEQUENCES`` or more (a 10x10 grid's 500 sequences of five
+    candidates) as two halves on two threads, cut at a 16-row boundary, with
+    OpenBLAS held at one thread and restored after the call; its outputs are
+    the bytes of one whole forward pass."""
 
     def predict_for(self, features: np.ndarray, candidates: np.ndarray) -> np.ndarray: ...
 

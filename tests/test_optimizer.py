@@ -532,7 +532,8 @@ class TestGoldenDecisionTrace:
     """Pins the bytes of a fixed-seed day's decisions.  A change that moves
     them must say why in CHANGES.md and re-pin.  The pins were taken with
     numpy's OpenBLAS on x86-64; a BLAS that orders float32 sums differently
-    may move the prediction bytes."""
+    may move the prediction bytes.  Each day's 500-sequence batches run as two
+    halves cut at a 16-row boundary, the bytes of one whole pass there."""
 
     RADII = "223d1045a753ca6725a0bbfcd5e6aeebd7c9bb1cd3f9d1b932702f3ed03dacbe"
     PREDICTIONS = "8055e3bb136ca975ace980775bb48ab921fb922217b278ebd91deac988b3e005"
