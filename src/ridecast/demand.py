@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -77,7 +76,7 @@ def load_trips(
     """
     proj = LocalProjection(grid)
     horizon_s = (end - start).total_seconds()
-    raw: list[tuple[float, float, float, float, float, Optional[float]]] = []
+    rows: list[tuple[float, int, float, float, float, float, float]] = []
     total = malformed = out_area = out_range = 0
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -108,18 +107,16 @@ def load_trips(
             if not (0.0 <= t < horizon_s):
                 out_range += 1
                 continue
-            if grid_index(plon, plat, grid) < 0 or grid_index(dlon, dlat, grid) < 0:
+            cell = grid_index(plon, plat, grid)
+            if cell < 0 or grid_index(dlon, dlat, grid) < 0:
                 out_area += 1
                 continue
-            raw.append((t, plon, plat, dlon, dlat, fare))
+            if fare is None:
+                fare = fare_model.fare(proj.distance_km(plon, plat, dlon, dlat))
+            rows.append((t, cell, plon, plat, dlon, dlat, fare))
     if total > 0 and malformed / total > MALFORMED_FRACTION_LIMIT:
         raise IngestError(f"{malformed}/{total} rows malformed (limit {MALFORMED_FRACTION_LIMIT:.0%})")
-    raw.sort(key=lambda r: r[0])
-    rows = [
-        (t, grid_index(plon, plat, grid), plon, plat, dlon, dlat,
-         fare_model.fare(proj.distance_km(plon, plat, dlon, dlat)) if fare is None else fare)
-        for t, plon, plat, dlon, dlat, fare in raw
-    ]
+    rows.sort(key=lambda r: r[0])
     orders = OrderStream(grid, *(zip(*rows) if rows else [()] * 7))
     report = IngestReport(
         total_rows=total,

@@ -188,12 +188,10 @@ class TransformerRegressor:
         """Per-task mean squared errors over the batch, as one (m,) tensor."""
         return task_mse(self._forward(x, self.params), Tensor(np.asarray(y, dtype=self.dtype)))
 
-    def backward_weighted(self, losses: Tensor, weights: np.ndarray) -> Tensor:
+    def backward_weighted(self, losses: Tensor, weights: np.ndarray) -> None:
         """Backpropagate sum_i w_i * l_i, which seeds the loss node with w in
-        its dtype; returns a tensor holding the objective's value."""
-        w = np.asarray(weights, dtype=losses.data.dtype)
-        losses.backward(w)
-        return Tensor((losses.data * w).sum())
+        its dtype."""
+        losses.backward(np.asarray(weights, dtype=losses.data.dtype))
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -3,10 +3,11 @@
 Every tick: new orders are injected, stale ones expire, each open order is
 broadcast to idle drivers within its grid's radius (drivers sample a grab
 decision; one winner is drawn among accepters), moving drivers advance along
-straight segments, and time accounting is updated.  At metric-window
-boundaries, per-grid market rows are derived from the orders injected in the
-window, its slice of the match log and its driver time, and the radius source
-is asked for the next window's radii.  Orders come from a read-only
+straight segments, and time accounting is updated.  The broadcast takes the
+idle set once per tick and walks the open orders, oldest first, over it.  At
+metric-window boundaries, per-grid market rows are derived from the orders
+injected in the window, its slice of the match log and its driver time, and
+the radius source is asked for the next window's radii.  Orders come from a read-only
 ``market.OrderStream``, and the run keeps its per-order state in arrays over it.
 """
 from __future__ import annotations
@@ -47,16 +48,6 @@ class RadiusSource(Protocol):
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray: ...
 
 
-class FixedRadius:
-    def __init__(self, radius_km: float, n_cells: int):
-        if not (0 < radius_km < math.inf):
-            raise ValueError("radius must be finite and > 0")
-        self._radii = np.full(n_cells, float(radius_km))
-
-    def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
-        return self._radii
-
-
 class ScheduleRadius:
     """Per-window, per-grid radius table; windows beyond the table reuse the last row."""
 
@@ -69,6 +60,11 @@ class ScheduleRadius:
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
         row = min(snapshot.window, len(self._table) - 1)
         return self._table[row]
+
+
+def FixedRadius(radius_km: float, n_cells: int) -> ScheduleRadius:
+    """One radius for every grid and window: a one-row ``ScheduleRadius``."""
+    return ScheduleRadius(np.full((1, n_cells), float(radius_km)))
 
 
 class RandomRadius:
@@ -135,20 +131,19 @@ class EpisodeSummary:
 class DriverFleet:
     """Column-wise driver state in projected km coordinates.
 
-    A driver holds an order (``order_id >= 0``) exactly when it is not idle,
-    and ``0 <= occupied_s <= online_s``.
+    A driver holds an order (``order_id >= 0``) exactly when it is not idle.
+    Every driver is online every tick, so its online time is the run's clock,
+    and ``0 <= occupied_s <= clock`` holds exactly at whole-second ticks.
     """
 
-    def __init__(self, n: int, x: np.ndarray, y: np.ndarray):
-        self.n = n
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = x.astype(float)
         self.y = y.astype(float)
-        self.status = np.full(n, int(DriverStatus.IDLE), dtype=np.int8)
-        self.target_x = np.zeros(n)
-        self.target_y = np.zeros(n)
-        self.order_id = np.full(n, -1, dtype=np.int64)
-        self.occupied_s = np.zeros(n)
-        self.online_s = np.zeros(n)
+        self.status = np.full(len(x), int(DriverStatus.IDLE), dtype=np.int8)
+        self.target_x = np.zeros_like(self.x)
+        self.target_y = np.zeros_like(self.x)
+        self.order_id = np.full(len(x), -1, dtype=np.int64)
+        self.occupied_s = np.zeros_like(self.x)
 
 
 class Simulation:
@@ -156,10 +151,12 @@ class Simulation:
 
     The stream is never modified: every per-run fact about its orders lives
     here, so one stream can be run any number of times.  Creation times
-    ascend, so orders ``[0, _stream_pos)`` are the injected ones, ``[0, _front)``
-    those past their patience, and ``_open`` marks the ones still open.  The
-    current window injected orders ``[_win_first_order, _stream_pos)`` and
-    made matches ``matches[_win_first_match:]``.
+    ascend, so ``injected`` is the stream cursor: orders ``[0, injected)`` are
+    the injected ones, ``[0, _front)`` those past their patience, and
+    ``_open`` marks the ones still open.  Each match has one record, so
+    ``matched == len(matches)``.  The current window injected orders
+    ``[_win_first_order, injected)`` and made matches
+    ``matches[_win_first_match:]``.
     """
 
     def __init__(self, config: SimConfig, stream: OrderStream):
@@ -169,21 +166,19 @@ class Simulation:
         self.config = config
         self.proj = LocalProjection(config.grid)
         self.rng = np.random.default_rng(config.seed)
-        self._stream_pos = 0
+        self.injected = 0
         self._front = 0
         self._open = np.zeros(len(stream), dtype=bool)
 
         lon = self.rng.uniform(config.grid.lon_min, config.grid.lon_max, size=config.n_drivers)
         lat = self.rng.uniform(config.grid.lat_min, config.grid.lat_max, size=config.n_drivers)
         x, y = self.proj.to_xy(lon, lat)
-        self.fleet = DriverFleet(config.n_drivers, x, y)
+        self.fleet = DriverFleet(x, y)
 
         self.clock = 0.0
         self.tick_count = 0
         self.windows: list[MarketWindow] = []
         self.matches: list[MatchRecord] = []
-        self.injected = 0
-        self.matched = 0
         self.expired = 0
         self.window_index = 0
         self._begin_window()
@@ -191,7 +186,11 @@ class Simulation:
     @property
     def open(self) -> np.ndarray:
         """Ids of the open orders, oldest first."""
-        return self._front + np.flatnonzero(self._open[self._front:self._stream_pos])
+        return self._front + np.flatnonzero(self._open[self._front:self.injected])
+
+    @property
+    def matched(self) -> int:
+        return len(self.matches)
 
     # -- helpers -------------------------------------------------------------
 
@@ -221,18 +220,15 @@ class Simulation:
         """Mark the window's first order and first match, zero its driver
         time, take its snapshot and query its radii."""
         g = self.config.grid.n_cells
-        self._win_first_order = self._stream_pos
+        self._win_first_order = self.injected
         self._win_first_match = len(self.matches)
         self._win_occupied = np.zeros(g)
         self._win_online = np.zeros(g)
         self.snapshot = self._take_snapshot()
-        self.radii = self._query_radii()
-
-    def _query_radii(self) -> np.ndarray:
         radii = np.asarray(self.config.radius_source.radii(self.snapshot, self.windows), dtype=float)
-        if radii.shape != (self.config.grid.n_cells,) or not np.all(np.isfinite(radii) & (radii > 0)):
+        if radii.shape != (g,) or not np.all(np.isfinite(radii) & (radii > 0)):
             raise ValueError("radius source must return finite positive per-grid radii")
-        return radii
+        self.radii = radii
 
     # -- one tick -------------------------------------------------------------
 
@@ -244,9 +240,8 @@ class Simulation:
         # 1. inject orders created in [t0, t0 + tick)
         s = self.stream
         pos = int(np.searchsorted(s.t_create, t0 + tick, side="left"))
-        self._open[self._stream_pos:pos] = True
-        self.injected += pos - self._stream_pos
-        self._stream_pos = pos
+        self._open[self.injected:pos] = True
+        self.injected = pos
 
         # 2. expire orders past their patience; t0 - t_create falls as t_create
         #    rises, so they are a prefix of the orders not yet expired
@@ -256,20 +251,7 @@ class Simulation:
         self._open[front:self._front] = False
 
         # 3. broadcast rounds, oldest order first; a driver gets one bid per tick
-        fleet = self.fleet
-        bid = np.zeros(fleet.n, dtype=bool)
-        for oid in self.open.tolist():
-            dist = np.hypot(fleet.x - s.ox[oid], fleet.y - s.oy[oid])
-            in_radius = (
-                (fleet.status == int(DriverStatus.IDLE)) & ~bid & (dist <= self.radii[s.cell[oid]])
-            )
-            cand = np.flatnonzero(in_radius)
-            accepters = cand[sample_accepts(cfg.acceptance, dist[cand], s.fare[oid], self.rng)]
-            if len(accepters) == 0:
-                continue
-            bid[accepters] = True
-            winner = int(accepters[int(self.rng.integers(len(accepters)))])
-            self._match(oid, winner, float(dist[winner]), t0)
+        self._broadcast(t0)
 
         # 4. move pickup / in-service drivers toward their targets
         self._move(cfg.speed_kmh * tick / 3600.0)
@@ -278,9 +260,8 @@ class Simulation:
 
         # 5. accumulate occupied / online driver time, attributed by position
         cells = self._driver_cells()
-        occupied_mask = fleet.status != int(DriverStatus.IDLE)
-        fleet.online_s += tick
-        fleet.occupied_s[occupied_mask] += tick
+        occupied_mask = self.fleet.status != int(DriverStatus.IDLE)
+        self.fleet.occupied_s[occupied_mask] += tick
         self._win_online += np.bincount(cells, minlength=cfg.grid.n_cells) * tick
         self._win_occupied += np.bincount(cells[occupied_mask], minlength=cfg.grid.n_cells) * tick
 
@@ -296,7 +277,6 @@ class Simulation:
         if not self._open[order_id]:
             raise ValueError(f"order {order_id} is not open")
         self._open[order_id] = False
-        self.matched += 1
         s, fleet = self.stream, self.fleet
         fleet.status[driver] = int(DriverStatus.PICKUP)
         fleet.target_x[driver] = s.ox[order_id]
@@ -314,6 +294,30 @@ class Simulation:
                 radius_km=float(self.radii[g]),
             )
         )
+
+    def _broadcast(self, t0: float) -> None:
+        """Offer each open order, oldest first, to the idle drivers within its
+        grid's radius; one winner is drawn among its accepters.
+
+        The idle set is taken once per tick, and ``free`` marks the idle
+        drivers that have not bid this tick; accepters clear it.  Candidates
+        stay in driver-index order, so the draws are those of a per-order scan
+        of the whole fleet, and a winner maps back to its driver through
+        ``idle``.
+        """
+        s, fleet = self.stream, self.fleet
+        idle = np.flatnonzero(fleet.status == int(DriverStatus.IDLE))
+        x, y = fleet.x[idle], fleet.y[idle]
+        free = np.ones(len(idle), dtype=bool)
+        for oid in self.open.tolist():
+            dist = np.hypot(x - s.ox[oid], y - s.oy[oid])
+            cand = np.flatnonzero(free & (dist <= self.radii[s.cell[oid]]))
+            accepters = cand[sample_accepts(self.config.acceptance, dist[cand], s.fare[oid], self.rng)]
+            if len(accepters) == 0:
+                continue
+            free[accepters] = False
+            winner = int(accepters[int(self.rng.integers(len(accepters)))])
+            self._match(oid, int(idle[winner]), float(dist[winner]), t0)
 
     def _move(self, step_km: float) -> None:
         """Step busy drivers; at its target a pickup heads for the destination, a drop-off idles."""
@@ -368,7 +372,7 @@ class Simulation:
         """
         cfg, s, n = self.config, self.stream, self.config.grid.n_cells
         start = self.window_index * cfg.window_s
-        created = np.bincount(s.cell[self._win_first_order:self._stream_pos], minlength=n)
+        created = np.bincount(s.cell[self._win_first_order:self.injected], minlength=n)
         matches = self.matches[self._win_first_match:]
         oid = np.array([m.order_id for m in matches], dtype=np.int64)
         pickup_km = np.array([m.pickup_km for m in matches], dtype=float)
@@ -402,11 +406,12 @@ class Simulation:
     # -- episode -------------------------------------------------------------
 
     def summary(self) -> EpisodeSummary:
+        """Episode totals; every driver is online for the whole clock."""
         pickups = [m.pickup_km for m in self.matches]
-        total_online = float(self.fleet.online_s.sum())
+        online = self.config.n_drivers * self.clock
         return EpisodeSummary(
             ofr=self.matched / self.injected if self.injected else 0.0,
-            dur=float(self.fleet.occupied_s.sum()) / total_online if total_online > 0 else 0.0,
+            dur=float(self.fleet.occupied_s.sum()) / online if online > 0 else 0.0,
             revenue=float(sum(m.fare for m in self.matches)),
             apd_km=float(np.mean(pickups)) if pickups else 0.0,
             created=self.injected,

@@ -13,7 +13,7 @@ last T steps; missing history during warmup counts as zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -111,7 +111,6 @@ class TrainResult:
     train_losses: np.ndarray   # (S, m)
     test_losses: np.ndarray    # (epochs, m) after each epoch
     weights: np.ndarray        # (S, m) weight in force at each step
-    refresh_steps: list[int] = field(default_factory=list)
 
 
 def _test_losses(model: TransformerRegressor, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -151,7 +150,6 @@ def train(
     curve_train: list[np.ndarray] = []
     curve_test: list[np.ndarray] = []
     curve_w: list[np.ndarray] = []
-    refresh_steps: list[int] = []
 
     step = 0
     for _ in range(cfg.epochs):
@@ -168,7 +166,6 @@ def train(
             if step % strategy.refresh_every == 0:
                 recent = curve_train[-strategy.history_len:][::-1]
                 weights = strategy_weights(strategy.kind, aggregate_losses(strategy, recent, losses))
-                refresh_steps.append(step)
             model.backward_weighted(loss_tensor, weights)
             optimizer.step()
             steps.append(step)
@@ -182,5 +179,4 @@ def train(
         train_losses=np.array(curve_train),
         test_losses=np.array(curve_test),
         weights=np.array(curve_w),
-        refresh_steps=refresh_steps,
     )

@@ -178,7 +178,7 @@ class TestLifecycleAndConservation:
         assert sim.fleet.status[0] == int(DriverStatus.IDLE)
         assert sim.fleet.order_id[0] == -1
         assert sim.fleet.y[0] == pytest.approx(sim.proj.to_xy(0.05, 0.05 + KM_LAT)[1], abs=1e-9)
-        assert 0 < sim.fleet.occupied_s[0] <= sim.fleet.online_s[0]
+        assert 0 < sim.fleet.occupied_s[0] <= sim.clock
 
     def test_conservation_every_tick(self):
         rng = np.random.default_rng(1)

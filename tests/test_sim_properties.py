@@ -6,7 +6,7 @@ from conftest import compute_window_metrics
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ridecast.behavior import AcceptanceModel
+from ridecast.behavior import AcceptanceModel, sample_accepts
 from ridecast.market import DriverStatus, GridSpec, OrderStream, grid_index
 from ridecast.sim import EpisodeResult, FixedRadius, RandomRadius, SimConfig, Simulation, run
 
@@ -67,10 +67,10 @@ def test_episode_invariants(sc):
     for _ in range(int(round(horizon / sim.config.tick_s))):
         sim.step()
         # a driver holds an order exactly when it is not idle, and its
-        # occupied time lies within its online time
+        # occupied time lies within its online time, the clock
         fleet = sim.fleet
         assert np.array_equal(fleet.order_id >= 0, fleet.status != int(DriverStatus.IDLE))
-        assert np.all((0.0 <= fleet.occupied_s) & (fleet.occupied_s <= fleet.online_s))
+        assert np.all((0.0 <= fleet.occupied_s) & (fleet.occupied_s <= sim.clock))
     res = EpisodeResult(windows=sim.windows, summary=sim.summary(), matches=sim.matches)
     s = res.summary
 
@@ -106,3 +106,39 @@ def test_episode_invariants(sc):
     # stream object can be run again
     assert run(build_config(sc), stream, horizon) == res
     assert run(build_config(sc), build_stream(sc), horizon) == res
+
+
+class PerOrderBroadcast(Simulation):
+    """Reference broadcast: every order tests the whole fleet's status and a
+    ``bid`` mask over all drivers, with no idle set carried across orders."""
+
+    def _broadcast(self, t0):
+        cfg, s, fleet = self.config, self.stream, self.fleet
+        bid = np.zeros(len(fleet.x), dtype=bool)
+        for oid in self.open.tolist():
+            dist = np.hypot(fleet.x - s.ox[oid], fleet.y - s.oy[oid])
+            in_radius = (
+                (fleet.status == int(DriverStatus.IDLE)) & ~bid & (dist <= self.radii[s.cell[oid]])
+            )
+            cand = np.flatnonzero(in_radius)
+            accepters = cand[sample_accepts(cfg.acceptance, dist[cand], s.fare[oid], self.rng)]
+            if len(accepters) == 0:
+                continue
+            bid[accepters] = True
+            winner = int(accepters[int(self.rng.integers(len(accepters)))])
+            self._match(oid, winner, float(dist[winner]), t0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+def test_broadcast_matches_per_order_reference(sc):
+    # same matches, driver states and generator state after every tick, so
+    # the broadcast draws the same numbers in the same order as the reference
+    stream = build_stream(sc)
+    sim, ref = Simulation(build_config(sc), stream), PerOrderBroadcast(build_config(sc), stream)
+    for _ in range(sc["windows"] * sim.config.ticks_per_window):
+        sim.step()
+        ref.step()
+        assert sim.matches == ref.matches
+        assert np.array_equal(sim.fleet.status, ref.fleet.status)
+        assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
