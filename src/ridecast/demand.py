@@ -1,5 +1,5 @@
-"""Demand sources: CSV trip ingestion, synthetic Poisson demand generation,
-and feature normalization statistics.
+"""Demand: synthetic Poisson order generation and feature normalization
+statistics.
 
 Feature statistics cover only the ``N_BASE_FEATURES`` measured columns of a
 sequence row: counts, realized metrics and radius.  The grid and time-of-day
@@ -10,24 +10,14 @@ per column anyway.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
-from pathlib import Path
 
 import numpy as np
 
-from .market import GridSpec, LocalProjection, OrderStream, grid_index
+from .market import GridSpec, LocalProjection, OrderStream
 
-MALFORMED_FRACTION_LIMIT = 0.10
 N_BASE_FEATURES = 8  # measured feature columns, the only ones feature NormStats cover
-
-CSV_REQUIRED_COLUMNS = ("pickup_datetime", "pickup_lon", "pickup_lat", "dropoff_lon", "dropoff_lat")
-
-
-class IngestError(ValueError):
-    """Unusable demand file: bad header, or too many malformed rows."""
 
 
 @dataclass(frozen=True)
@@ -39,93 +29,6 @@ class FareModel:
 
     def fare(self, trip_km: float) -> float:
         return self.base + self.per_km * trip_km
-
-
-@dataclass(frozen=True)
-class IngestReport:
-    total_rows: int
-    emitted: int
-    malformed: int
-    out_of_area: int
-    out_of_range: int
-
-    def __post_init__(self) -> None:
-        if self.emitted + self.malformed + self.out_of_area + self.out_of_range != self.total_rows:
-            raise ValueError("ingest accounting does not add up")
-
-
-def _parse_dt(raw: str) -> datetime:
-    return datetime.fromisoformat(raw.strip().replace("Z", "+00:00"))
-
-
-def load_trips(
-    path: str | Path,
-    grid: GridSpec,
-    start: datetime,
-    end: datetime,
-    fare_model: FareModel = FareModel(),
-) -> tuple[OrderStream, IngestReport]:
-    """Read trip rows into a time-ordered order stream.
-
-    Creation times are seconds since ``start``.  Rows outside the box or the
-    [start, end) range are dropped and counted; rows that fail to parse, have
-    fewer or more fields than the header, or carry a non-finite coordinate or
-    fare are malformed, and are skipped unless they exceed 10% of the file,
-    which aborts the load.
-    Missing fares are filled from the fare model.
-    """
-    proj = LocalProjection(grid)
-    horizon_s = (end - start).total_seconds()
-    rows: list[tuple[float, int, float, float, float, float, float]] = []
-    total = malformed = out_area = out_range = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in CSV_REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise IngestError(f"missing required columns: {missing}")
-        for row in reader:
-            total += 1
-            try:
-                # DictReader fills a short row with None values, and keys a long row's extras by None
-                if None in row.values() or None in row:
-                    raise ValueError("row length differs from the header")
-                t = (_parse_dt(row["pickup_datetime"]) - start).total_seconds()
-                plon = float(row["pickup_lon"])
-                plat = float(row["pickup_lat"])
-                dlon = float(row["dropoff_lon"])
-                dlat = float(row["dropoff_lat"])
-                if not all(map(math.isfinite, (plon, plat, dlon, dlat))):
-                    raise ValueError("coordinates must be finite")
-                fare_raw = (row.get("fare_amount") or "").strip()
-                fare = float(fare_raw) if fare_raw else None
-                if fare is not None and not (math.isfinite(fare) and fare >= 0):
-                    raise ValueError("fare must be finite and >= 0")
-            except (ValueError, TypeError):
-                malformed += 1
-                continue
-            if not (0.0 <= t < horizon_s):
-                out_range += 1
-                continue
-            cell = grid_index(plon, plat, grid)
-            if cell < 0 or grid_index(dlon, dlat, grid) < 0:
-                out_area += 1
-                continue
-            if fare is None:
-                fare = fare_model.fare(proj.distance_km(plon, plat, dlon, dlat))
-            rows.append((t, cell, plon, plat, dlon, dlat, fare))
-    if total > 0 and malformed / total > MALFORMED_FRACTION_LIMIT:
-        raise IngestError(f"{malformed}/{total} rows malformed (limit {MALFORMED_FRACTION_LIMIT:.0%})")
-    rows.sort(key=lambda r: r[0])
-    orders = OrderStream(grid, *(zip(*rows) if rows else [()] * 7))
-    report = IngestReport(
-        total_rows=total,
-        emitted=len(orders),
-        malformed=malformed,
-        out_of_area=out_area,
-        out_of_range=out_range,
-    )
-    return orders, report
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +110,8 @@ def synth_demand(
     """
     if not (math.isfinite(duration_s) and duration_s >= 0):
         raise ValueError("duration must be finite and >= 0")
+    if not math.isfinite(day_start_s):
+        raise ValueError("day start must be finite")
     rng = np.random.default_rng(seed)
     proj = LocalProjection(grid)
     n_cells = grid.n_cells

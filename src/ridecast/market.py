@@ -14,9 +14,6 @@ from enum import IntEnum
 
 import numpy as np
 
-# Marker returned by grid_index for points outside the service area.
-OUT_OF_AREA = -1
-
 # km per degree of latitude; longitude is scaled by cos(latitude).
 KM_PER_DEG_LAT = 110.574
 KM_PER_DEG_LON_EQ = 111.320
@@ -57,8 +54,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.side_count < 1:
             raise ValueError("side_count must be >= 1")
-        if not (self.lon_max > self.lon_min and self.lat_max > self.lat_min):
-            raise ValueError("degenerate bounding box")
+        bounds = (self.lon_min, self.lat_min, self.lon_max, self.lat_max)
+        if not (all(map(math.isfinite, bounds)) and self.lon_max > self.lon_min and self.lat_max > self.lat_min):
+            raise ValueError("bounding box must be finite and not degenerate")
 
     @property
     def n_cells(self) -> int:
@@ -78,22 +76,6 @@ class GridSpec:
             self.lon_min + (col + 0.5) * self.cell_width,
             self.lat_min + (row + 0.5) * self.cell_height,
         )
-
-
-def grid_index(lon: float, lat: float, spec: GridSpec) -> int:
-    """Row-major cell index for a point, or OUT_OF_AREA.
-
-    Cells are half-open: a point on a cell's low edge belongs to that cell,
-    and the bounding box itself is treated as [min, max) on both axes.
-    """
-    if not (spec.lon_min <= lon < spec.lon_max and spec.lat_min <= lat < spec.lat_max):
-        return OUT_OF_AREA
-    col = int((lon - spec.lon_min) / spec.cell_width)
-    row = int((lat - spec.lat_min) / spec.cell_height)
-    # guard against fp spill on the high edge of the last cell
-    col = min(col, spec.side_count - 1)
-    row = min(row, spec.side_count - 1)
-    return row * spec.side_count + col
 
 
 class LocalProjection:

@@ -110,6 +110,8 @@ class SimConfig:
             raise ValueError("patience must be at least one tick")
         if not (math.isfinite(self.idle_walk_kmh) and self.idle_walk_kmh >= 0):
             raise ValueError("idle walk speed must be finite and >= 0")
+        if not math.isfinite(self.day_start_s):
+            raise ValueError("day start must be finite")
 
     @property
     def ticks_per_window(self) -> int:
@@ -434,8 +436,9 @@ def run(config: SimConfig, stream: OrderStream, horizon_s: float) -> EpisodeResu
     The horizon must be a whole number of metric windows so the log is clean.
     """
     ratio = horizon_s / config.window_s
-    if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
-        raise ValueError("horizon must be a positive multiple of the metric window")
+    # NaN would pass both comparisons after it, and round() raises on NaN and inf
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
+        raise ValueError("horizon must be a finite, positive multiple of the metric window")
     sim = Simulation(config, stream)
     for _ in range(int(round(horizon_s / config.tick_s))):
         sim.step()

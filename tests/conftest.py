@@ -70,6 +70,26 @@ def finite_difference_gradcheck(model: TransformerRegressor, x: np.ndarray, y: n
     return worst
 
 
+# Marker returned by grid_index for points outside the service area.
+OUT_OF_AREA = -1
+
+
+def grid_index(lon: float, lat: float, spec: GridSpec) -> int:
+    """Row-major cell index for a point, or OUT_OF_AREA.
+
+    Cells are half-open: a point on a cell's low edge belongs to that cell,
+    and the bounding box itself is treated as [min, max) on both axes.
+    """
+    if not (spec.lon_min <= lon < spec.lon_max and spec.lat_min <= lat < spec.lat_max):
+        return OUT_OF_AREA
+    col = int((lon - spec.lon_min) / spec.cell_width)
+    row = int((lat - spec.lat_min) / spec.cell_height)
+    # guard against fp spill on the high edge of the last cell
+    col = min(col, spec.side_count - 1)
+    row = min(row, spec.side_count - 1)
+    return row * spec.side_count + col
+
+
 def stream_from_rows(grid: GridSpec, rows: Iterable[tuple]) -> OrderStream:
     """OrderStream from (t_create, cell, origin_lon, origin_lat, dest_lon,
     dest_lat, fare) rows; row i becomes order id i."""

@@ -1,5 +1,5 @@
+import hashlib
 import math
-from datetime import datetime
 
 import numpy as np
 import pytest
@@ -9,133 +9,16 @@ from hypothesis import strategies as st
 from ridecast.demand import (
     N_BASE_FEATURES,
     DemandProfile,
-    FareModel,
-    IngestError,
     NormStats,
     apply_norm,
     default_profile,
     fit_norm_stats,
     invert_norm,
-    load_trips,
     synth_demand,
 )
 from ridecast.market import GridSpec, LocalProjection
 
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=4.0, lat_max=4.0, side_count=4)
-T0 = datetime(2015, 5, 1, 0, 0, 0)
-T1 = datetime(2015, 5, 2, 0, 0, 0)
-
-CSV_HEADER = "pickup_datetime,pickup_lon,pickup_lat,dropoff_lon,dropoff_lat,fare_amount\n"
-
-
-def write_csv(path, rows):
-    path.write_text(CSV_HEADER + "".join(rows))
-    return path
-
-
-class TestLoadTrips:
-    def test_out_of_area_rows_dropped_and_counted(self, tmp_path):
-        rows = [
-            "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n",
-            "2015-05-01 11:00:00,9.0,9.0,1.5,1.5,8.0\n",
-            "2015-05-01 12:00:00,2.5,2.5,3.5,3.5,6.0\n",
-        ]
-        orders, report = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-        assert len(orders) == 2
-        assert report.out_of_area == 1
-        assert report.total_rows == 3 and report.emitted == 2
-
-    def test_output_sorted_by_creation_time(self, tmp_path):
-        rows = [
-            "2015-05-01 12:00:00,0.5,0.5,1.5,1.5,7.5\n",
-            "2015-05-01 08:00:00,1.5,1.5,2.5,2.5,5.0\n",
-            "2015-05-01 10:00:00,2.5,2.5,0.5,0.5,6.0\n",
-        ]
-        orders, _ = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-        assert orders.t_create.tolist() == [8 * 3600.0, 10 * 3600.0, 12 * 3600.0]
-        assert orders.fare.tolist() == [5.0, 6.0, 7.5]  # row i is order id i, in creation order
-
-    def test_missing_fare_filled_by_fare_model(self, tmp_path):
-        # dropoff sits exactly 2 km north of pickup, so fare = 2.5 + 1.0 * 2
-        dlat = 0.5 + 2.0 / 110.574
-        rows = [f"2015-05-01 10:00:00,0.5,0.5,0.5,{dlat},\n"]
-        orders, _ = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1,
-                               fare_model=FareModel(base=2.5, per_km=1.0))
-        assert orders.fare[0] == pytest.approx(4.5, rel=1e-12)
-
-    def test_malformed_rows_skipped_with_count(self, tmp_path):
-        rows = [
-            "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n",
-            "not-a-date,0.5,0.5,1.5,1.5,7.5\n",
-        ] + ["2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"] * 18
-        orders, report = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-        assert report.malformed == 1
-        assert len(orders) == 19
-
-    def test_short_row_is_malformed(self, tmp_path):
-        # csv fills the fields a short row lacks with None; with the date
-        # last, the row must count as malformed rather than crash the parse
-        p = tmp_path / "t.csv"
-        p.write_text("pickup_lon,pickup_lat,dropoff_lon,dropoff_lat,fare_amount,pickup_datetime\n"
-                     + "0.5,0.5,1.5,1.5,7.5,2015-05-01 10:00:00\n" * 30 + "-73.98,40.75\n")
-        orders, report = load_trips(p, BOX, T0, T1)
-        assert (report.total_rows, report.malformed, report.emitted) == (31, 1, 30)
-        assert len(orders) == 30
-
-    def test_long_row_is_malformed(self, tmp_path):
-        # csv files the fields past the header under the key None; a row
-        # shifted by an unquoted comma must not load from its first six fields
-        rows = ["2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5,99,extra\n"] + ["2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"] * 19
-        orders, report = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-        assert (report.total_rows, report.malformed, report.emitted) == (20, 1, 19)
-
-    def test_non_finite_fares_are_malformed(self, tmp_path):
-        good = "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"
-        rows = [f"2015-05-01 10:00:00,0.5,0.5,1.5,1.5,{fare}\n" for fare in ("nan", "inf", "-inf")] + [good] * 37
-        orders, report = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-        assert report.malformed == 3 and report.emitted == 37
-        assert np.all(orders.fare == 7.5)
-
-    def test_non_finite_coordinates_are_malformed(self, tmp_path):
-        good = "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"
-        bad = [f"2015-05-01 10:00:00,{coords},7.5\n"
-               for coords in ("nan,0.5,1.5,1.5", "0.5,inf,1.5,1.5", "0.5,0.5,-inf,1.5", "0.5,0.5,1.5,nan")]
-        orders, report = load_trips(write_csv(tmp_path / "t.csv", bad + [good] * 36), BOX, T0, T1)
-        assert (report.malformed, report.out_of_area, report.emitted) == (4, 0, 36)
-        # a file of mostly non-finite coordinates fails instead of loading as a short stream
-        with pytest.raises(IngestError):
-            load_trips(write_csv(tmp_path / "u.csv", bad[:3] + [good]), BOX, T0, T1)
-
-    def test_too_many_malformed_rows_fails(self, tmp_path):
-        rows = ["2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n"] * 5 + ["garbage,x,y,z,w,v\n"]
-        with pytest.raises(IngestError):
-            load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-
-    def test_time_range_filter(self, tmp_path):
-        rows = [
-            "2015-04-30 23:00:00,0.5,0.5,1.5,1.5,7.5\n",
-            "2015-05-01 10:00:00,0.5,0.5,1.5,1.5,7.5\n",
-            "2015-05-02 00:00:00,0.5,0.5,1.5,1.5,7.5\n",
-        ]
-        orders, report = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-        assert len(orders) == 1
-        assert report.out_of_range == 2
-        assert orders.t_create[0] == 10 * 3600.0
-
-    def test_missing_header_rejected(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(IngestError):
-            load_trips(p, BOX, T0, T1)
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(OSError):
-            load_trips(tmp_path / "absent.csv", BOX, T0, T1)
-
-    def test_grid_assignment(self, tmp_path):
-        rows = ["2015-05-01 10:00:00,2.5,0.5,1.5,1.5,7.5\n"]
-        orders, _ = load_trips(write_csv(tmp_path / "t.csv", rows), BOX, T0, T1)
-        assert orders.cell[0] == 2
 
 
 class TestSynthDemand:
@@ -158,6 +41,20 @@ class TestSynthDemand:
         assert len(a) == len(b) > 0
         for name in ("t_create", "cell", "ox", "oy", "dx", "dy", "fare"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_stream_bytes_pinned(self):
+        # the simulator golden traces see only matched orders and window
+        # aggregates; this pins every column of every order.  07:45-08:15
+        # crosses an hour, so each grid draws from two Poisson slices.
+        # The fares come from math.hypot: np.hypot differs in the last bit
+        # on about 0.6 % of pairs and would move this digest.
+        stream = synth_demand(default_profile(BOX, daily_orders=2000), BOX, seed=21,
+                              duration_s=1800.0, day_start_s=7.75 * 3600)
+        assert len(stream) == 69 and (stream.t_create < 900.0).sum() == 31
+        digest = hashlib.sha256()
+        for name in ("t_create", "cell", "fare", "ox", "oy", "dx", "dy"):
+            digest.update(getattr(stream, name).tobytes())
+        assert digest.hexdigest() == "3ee8efda5d237691ff984c285eada1c35725e93e6b460e4ef1cf2adc075f6914"
 
     def test_orders_sorted_and_in_area(self):
         profile = default_profile(BOX, daily_orders=800)
@@ -207,11 +104,16 @@ class TestSynthDemand:
         with pytest.raises(ValueError, match="finite"):
             DemandProfile(rates=rates, dest_probs=np.full((16, 16), 1 / 16))
 
-    @pytest.mark.parametrize("duration_s", [math.nan, -1.0])
-    def test_bad_duration_rejected(self, duration_s):
+    @pytest.mark.parametrize(("duration_s", "day_start_s", "match"), [
+        (math.nan, 0.0, "duration"),
+        (-1.0, 0.0, "duration"),
+        (3600.0, math.nan, "day start"),
+        (3600.0, math.inf, "day start"),
+    ], ids=["nan", "-1.0", "day_start_nan", "day_start_inf"])
+    def test_bad_duration_rejected(self, duration_s, day_start_s, match):
         profile = default_profile(BOX, daily_orders=500)
-        with pytest.raises(ValueError, match="duration"):
-            synth_demand(profile, BOX, seed=1, duration_s=duration_s)
+        with pytest.raises(ValueError, match=match):
+            synth_demand(profile, BOX, seed=1, duration_s=duration_s, day_start_s=day_start_s)
 
 
 def _wide_matrix(rows, cols, magnitudes, constant, seed):

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import compute_window_metrics, stream_from_rows
+from conftest import OUT_OF_AREA, compute_window_metrics, grid_index, stream_from_rows
 
 from ridecast.market import (
-    OUT_OF_AREA,
     TOD_BY_HOUR,
     GridSpec,
     LocalProjection,
@@ -13,7 +12,6 @@ from ridecast.market import (
     MatchRecord,
     OrderStream,
     TimeOfDay,
-    grid_index,
     time_of_day,
 )
 from ridecast.behavior import AcceptanceModel
@@ -66,6 +64,8 @@ class TestGridIndex:
             GridSpec(0.0, 0.0, 4.0, 4.0, side_count=0)
         with pytest.raises(ValueError):
             GridSpec(1.0, 0.0, 1.0, 4.0, side_count=4)
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(0.0, 0.0, math.inf, 1.0, side_count=2)
 
 
 class TestTimeOfDay:

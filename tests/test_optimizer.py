@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     compute_window_metrics,
+    grid_index,
     identity_stats,
     reference_dataset,
     reference_features,
@@ -19,7 +20,7 @@ from conftest import (
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import NormStats, apply_norm, fit_norm_stats
-from ridecast.market import GridSpec, MarketWindow, TimeOfDay, grid_index
+from ridecast.market import GridSpec, MarketWindow, TimeOfDay
 from ridecast.optimizer import (
     COL_RADIUS,
     N_BASE_FEATURES,

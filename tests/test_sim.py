@@ -4,11 +4,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import stream_from_rows
+from conftest import grid_index, stream_from_rows
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import default_profile, synth_demand
-from ridecast.market import DriverStatus, GridSpec, grid_index
+from ridecast.market import DriverStatus, GridSpec
 from ridecast.sim import (
     EpisodeSummary,
     FixedRadius,
@@ -380,6 +380,9 @@ class TestRadiusSources:
             mkconfig(patience_s=5.0)
         with pytest.raises(ValueError):
             run(mkconfig(), EMPTY, horizon_s=450.0)  # not a whole window
+        for horizon_s in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                run(mkconfig(), EMPTY, horizon_s=horizon_s)
 
     @pytest.mark.parametrize("changes", [
         {"speed_kmh": float("nan")},
@@ -391,6 +394,8 @@ class TestRadiusSources:
         {"tick_s": 0.0},
         {"window_s": float("inf")},
         {"tick_s": -10.0, "window_s": -300.0, "patience_s": -5.0},  # a clock that runs backwards
+        {"day_start_s": float("nan")},  # no hour of day to look up
+        {"day_start_s": float("inf")},
     ])
     def test_invalid_physics_rejected(self, changes):
         assert mkconfig().idle_walk_kmh == 0.0  # standing idle drivers stay allowed

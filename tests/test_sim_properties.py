@@ -2,12 +2,12 @@
 from collections import Counter
 
 import numpy as np
-from conftest import compute_window_metrics
+from conftest import compute_window_metrics, grid_index
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ridecast.behavior import AcceptanceModel, sample_accepts
-from ridecast.market import DriverStatus, GridSpec, OrderStream, grid_index
+from ridecast.market import DriverStatus, GridSpec, OrderStream
 from ridecast.sim import EpisodeResult, FixedRadius, RandomRadius, SimConfig, Simulation, run
 
 WINDOW_S = 300.0
