@@ -112,6 +112,8 @@ def synth_demand(
         raise ValueError("duration must be finite and >= 0")
     if not math.isfinite(day_start_s):
         raise ValueError("day start must be finite")
+    if profile.rates.shape[0] != grid.n_cells:
+        raise ValueError(f"profile has {profile.rates.shape[0]} cells, grid has {grid.n_cells}")
     rng = np.random.default_rng(seed)
     proj = LocalProjection(grid)
     n_cells = grid.n_cells

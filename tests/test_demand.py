@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ridecast.demand import (
     N_BASE_FEATURES,
     DemandProfile,
+    FareModel,
     NormStats,
     apply_norm,
     default_profile,
@@ -114,6 +115,56 @@ class TestSynthDemand:
         profile = default_profile(BOX, daily_orders=500)
         with pytest.raises(ValueError, match=match):
             synth_demand(profile, BOX, seed=1, duration_s=duration_s, day_start_s=day_start_s)
+
+
+    @pytest.mark.parametrize("daily_orders", [500.0, 0.0], ids=["busy", "idle"])
+    def test_profile_for_another_grid_rejected(self, daily_orders):
+        # a 16-cell profile on a 3x3 grid: with orders rng.choice would fail
+        # on the first draw, and with none the stream would come back empty
+        profile = default_profile(BOX, daily_orders=daily_orders)
+        small = GridSpec(0.0, 0.0, 3.0, 3.0, side_count=3)
+        with pytest.raises(ValueError, match="16 cells, grid has 9"):
+            synth_demand(profile, small, seed=1, duration_s=3600.0)
+
+    @pytest.mark.parametrize(("day_start_h", "hour"), [(9.5, 10), (23.5, 0)], ids=["morning", "midnight"])
+    def test_day_start_anchors_hourly_rates(self, day_start_h, hour):
+        # demand only in one clock hour that starts half-way into the episode;
+        # the midnight case wraps the day
+        rates = np.zeros((16, 24))
+        rates[:, hour] = 50.0
+        profile = DemandProfile(rates=rates, dest_probs=np.full((16, 16), 1 / 16))
+        stream = synth_demand(profile, BOX, seed=8, duration_s=3600.0, day_start_s=day_start_h * 3600)
+        assert len(stream) > 0
+        assert np.all((1800.0 <= stream.t_create) & (stream.t_create < 3600.0))
+
+    def test_destinations_follow_dest_probs(self):
+        # every trip ends in cell 6 (row 1, column 2), at a point inside it
+        dest = np.zeros((16, 16))
+        dest[:, 6] = 1.0
+        profile = DemandProfile(rates=np.full((16, 24), 20.0), dest_probs=dest)
+        stream = synth_demand(profile, BOX, seed=2, duration_s=3600.0)
+        proj = LocalProjection(BOX)
+        cw, ch = proj.x_max / 4, proj.y_max / 4
+        assert len(stream) > 0 and len(np.unique(stream.cell)) > 1
+        assert np.all((2 * cw <= stream.dx) & (stream.dx < 3 * cw))
+        assert np.all((ch <= stream.dy) & (stream.dy < 2 * ch))
+
+    def test_fares_follow_profile_fare_model(self):
+        # fare = base + per_km * straight-line trip km, with the profile's model
+        profile = default_profile(BOX, daily_orders=800, fare_model=FareModel(base=1.0, per_km=2.0))
+        stream = synth_demand(profile, BOX, seed=9, duration_s=3600.0, day_start_s=8 * 3600)
+        assert len(stream) > 0
+        trip_km = np.hypot(stream.dx - stream.ox, stream.dy - stream.oy)
+        np.testing.assert_allclose(stream.fare, 1.0 + 2.0 * trip_km, rtol=1e-12)
+
+
+class TestFareModel:
+    def test_default_formula(self):
+        assert FareModel().fare(0.0) == 2.5
+        assert FareModel().fare(4.0) == 6.5
+
+    def test_custom_formula(self):
+        assert FareModel(base=1.0, per_km=2.0).fare(3.0) == 7.0
 
 
 def _wide_matrix(rows, cols, magnitudes, constant, seed):

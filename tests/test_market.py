@@ -302,6 +302,16 @@ class TestProjection:
         d = proj.distance_km(1.0, 1.0, 1.0, 1.0 + 1.0 / 110.574)
         assert math.isclose(d, 1.0, rel_tol=1e-12)
 
+    def test_distance_matches_projected_points(self):
+        # distance_km in degrees is the km distance between the projected points
+        proj = LocalProjection(GridSpec(-74.02, 40.70, -73.93, 40.80, side_count=10))
+        rng = np.random.default_rng(3)
+        for lon1, lat1, lon2, lat2 in zip(*(rng.uniform(lo, hi, 50) for lo, hi in
+                                           ((-74.02, -73.93), (40.70, 40.80)) * 2)):
+            (x1, x2), (y1, y2) = proj.to_xy([lon1, lon2], [lat1, lat2])
+            assert math.isclose(proj.distance_km(lon1, lat1, lon2, lat2), math.hypot(x2 - x1, y2 - y1),
+                                rel_tol=1e-9, abs_tol=1e-12)
+
     def test_cell_index_matches_degree_space(self):
         # the simulator bins drivers in km space; that must agree with grid_index in degrees
         rng = np.random.default_rng(11)
