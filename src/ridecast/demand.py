@@ -56,8 +56,10 @@ class DemandProfile:
     fare_model: FareModel = field(default_factory=FareModel)
 
     def __post_init__(self) -> None:
-        rates = np.asarray(self.rates, dtype=float)
-        dest = np.asarray(self.dest_probs, dtype=float)
+        # read-only copies, so that the checks below hold for the profile's life
+        rates = np.array(self.rates, dtype=float)
+        dest = np.array(self.dest_probs, dtype=float)
+        rates.flags.writeable = dest.flags.writeable = False
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "dest_probs", dest)
         if rates.ndim != 2 or rates.shape[1] != 24:
@@ -66,7 +68,7 @@ class DemandProfile:
             raise ValueError("rates must be finite and >= 0")
         if dest.shape != (rates.shape[0], rates.shape[0]):
             raise ValueError("dest_probs must be (n_cells, n_cells)")
-        if np.any(dest < 0) or not np.allclose(dest.sum(axis=1), 1.0, atol=1e-9):
+        if np.any(dest < 0) or not np.allclose(dest.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
             raise ValueError("destination rows must be distributions")
 
 
@@ -107,6 +109,10 @@ def synth_demand(
 
     Creation times are episode-relative seconds; ``day_start_s`` anchors the
     episode on the clock so hourly rates line up.  Deterministic per seed.
+    Each (grid, clock-hour slice) draws a Poisson count, then one row of six
+    uniforms per order: creation time, origin lon and lat, destination cell,
+    destination lon and lat.  Orders are sorted by creation time, then origin
+    cell, ties kept in draw order.
     """
     if not (math.isfinite(duration_s) and duration_s >= 0):
         raise ValueError("duration must be finite and >= 0")
@@ -115,34 +121,38 @@ def synth_demand(
     if profile.rates.shape[0] != grid.n_cells:
         raise ValueError(f"profile has {profile.rates.shape[0]} cells, grid has {grid.n_cells}")
     rng = np.random.default_rng(seed)
-    proj = LocalProjection(grid)
-    n_cells = grid.n_cells
-    cw, ch = grid.cell_width, grid.cell_height
-    draws: list[tuple[float, int, float, float, float, float, float]] = []
-    for g in range(n_cells):
-        row, col = divmod(g, grid.side_count)
-        lon0 = grid.lon_min + col * cw
-        lat0 = grid.lat_min + row * ch
-        t = 0.0
-        while t < duration_s:
-            hour = int(((day_start_s + t) % 86400.0) // 3600)
-            slice_end = min(duration_s, t + (3600.0 - (day_start_s + t) % 3600.0))
-            width = slice_end - t
+    side, cw, ch = grid.side_count, grid.cell_width, grid.cell_height
+    # the CDF that Generator.choice(p=...) inverts with one uniform draw
+    cdf = profile.dest_probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    # [0, duration_s) cut at clock-hour boundaries: (start, width, hour) per slice
+    slices, t = [], 0.0
+    while t < duration_s:
+        end = min(duration_s, t + (3600.0 - (day_start_s + t) % 3600.0))
+        slices.append((t, end - t, int(((day_start_s + t) % 86400.0) // 3600)))
+        t = end
+    if not slices:
+        return OrderStream(grid, *[()] * 7)
+    blocks, cells = [], []
+    for g in range(grid.n_cells):
+        for t, width, hour in slices:
             lam = profile.rates[g, hour] * width / 3600.0
-            count = int(rng.poisson(lam)) if lam > 0 else 0
-            for _ in range(count):
-                tc = t + rng.random() * width
-                olon = lon0 + rng.random() * cw
-                olat = lat0 + rng.random() * ch
-                dg = int(rng.choice(n_cells, p=profile.dest_probs[g]))
-                drow, dcol = divmod(dg, grid.side_count)
-                dlon = grid.lon_min + (dcol + rng.random()) * cw
-                dlat = grid.lat_min + (drow + rng.random()) * ch
-                fare = profile.fare_model.fare(proj.distance_km(olon, olat, dlon, dlat))
-                draws.append((tc, g, olon, olat, dlon, dlat, fare))
-            t = slice_end
-    draws.sort(key=lambda r: (r[0], r[1]))
-    return OrderStream(grid, *(zip(*draws) if draws else [()] * 7))
+            u = rng.random((int(rng.poisson(lam)) if lam > 0 else 0, 6))
+            u[:, 0] = t + u[:, 0] * width  # creation time
+            u[:, 3] = cdf[g].searchsorted(u[:, 3], side="right")  # destination cell
+            blocks.append(u)
+            cells.append(np.full(len(u), g))
+    u, cell = np.concatenate(blocks), np.concatenate(cells)
+    olon = grid.lon_min + cell % side * cw + u[:, 1] * cw
+    olat = grid.lat_min + cell // side * ch + u[:, 2] * ch
+    dlon = grid.lon_min + (u[:, 3] % side + u[:, 4]) * cw
+    dlat = grid.lat_min + (u[:, 3] // side + u[:, 5]) * ch
+    # math.hypot, not np.hypot: the two differ in the last bit on some pairs
+    proj = LocalProjection(grid)
+    fare = profile.fare_model.fare(np.fromiter(map(math.hypot, ((dlon - olon) * proj.km_per_deg_lon).tolist(),
+                                                   ((dlat - olat) * proj.km_per_deg_lat).tolist()), float, len(u)))
+    order = np.lexsort((cell, u[:, 0]))
+    return OrderStream(grid, *(c[order] for c in (u[:, 0], cell, olon, olat, dlon, dlat, fare)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ each window row's metrics from its match log (``Simulation._close_window``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -52,8 +53,8 @@ class GridSpec:
     side_count: int
 
     def __post_init__(self) -> None:
-        if self.side_count < 1:
-            raise ValueError("side_count must be >= 1")
+        if not isinstance(self.side_count, numbers.Integral) or self.side_count < 1:
+            raise ValueError(f"side_count must be an integer >= 1, got {self.side_count!r}")
         bounds = (self.lon_min, self.lat_min, self.lon_max, self.lat_max)
         if not (all(map(math.isfinite, bounds)) and self.lon_max > self.lon_min and self.lat_max > self.lat_min):
             raise ValueError("bounding box must be finite and not degenerate")
@@ -97,11 +98,6 @@ class LocalProjection:
         x = (np.asarray(lon) - self.spec.lon_min) * self.km_per_deg_lon
         y = (np.asarray(lat) - self.spec.lat_min) * self.km_per_deg_lat
         return x, y
-
-    def distance_km(self, lon1: float, lat1: float, lon2: float, lat2: float) -> float:
-        dx = (lon2 - lon1) * self.km_per_deg_lon
-        dy = (lat2 - lat1) * self.km_per_deg_lat
-        return math.hypot(dx, dy)
 
 
 class DriverStatus(IntEnum):

@@ -3,16 +3,18 @@
 Every tick: new orders are injected, stale ones expire, each open order is
 broadcast to idle drivers within its grid's radius (drivers sample a grab
 decision; one winner is drawn among accepters), moving drivers advance along
-straight segments, and time accounting is updated.  The broadcast takes the
-idle set once per tick and walks the open orders, oldest first, over it.  At
-metric-window boundaries, per-grid market rows are derived from the orders
-injected in the window, its slice of the match log and its driver time, and
-the radius source is asked for the next window's radii.  Orders come from a read-only
+straight segments, and time accounting is updated.  The broadcast computes
+one reach matrix per tick, open orders by idle drivers, and walks only the
+orders that reach some driver, oldest first.  At metric-window boundaries,
+per-grid market rows are derived from the orders injected in the window, its
+slice of the match log and its driver time, and the radius source is asked
+for the next window's radii.  Orders come from a read-only
 ``market.OrderStream``, and the run keeps its per-order state in arrays over it.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -97,8 +99,8 @@ class SimConfig:
     idle_walk_kmh: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_drivers < 1:
-            raise ValueError("need at least one driver")
+        if not isinstance(self.n_drivers, numbers.Integral) or self.n_drivers < 1:
+            raise ValueError(f"n_drivers must be an integer >= 1, got {self.n_drivers!r}")
         if not (math.isfinite(self.speed_kmh) and self.speed_kmh > 0):
             raise ValueError("vehicle speed must be finite and > 0")
         if not (self.tick_s > 0 and math.isfinite(self.window_s)):
@@ -301,25 +303,28 @@ class Simulation:
         """Offer each open order, oldest first, to the idle drivers within its
         grid's radius; one winner is drawn among its accepters.
 
-        The idle set is taken once per tick, and ``free`` marks the idle
-        drivers that have not bid this tick; accepters clear it.  Candidates
-        stay in driver-index order, so the draws are those of a per-order scan
-        of the whole fleet, and a winner maps back to its driver through
-        ``idle``.
+        One (open x idle) distance matrix and its ``reach`` mask are taken per
+        tick.  Only the rows that reach a driver get a round: a round without
+        candidates draws no numbers, so skipping it keeps every draw.  Accepters
+        have bid this tick, so their columns are cleared, and the rows still
+        ahead that reach nobody now drop out.  Candidates stay in driver-index
+        order, as in a scan of the whole fleet, and a winner maps back to its
+        driver through ``idle``.
         """
-        s, fleet = self.stream, self.fleet
+        s, fleet, orders = self.stream, self.fleet, self.open
         idle = np.flatnonzero(fleet.status == int(DriverStatus.IDLE))
-        x, y = fleet.x[idle], fleet.y[idle]
-        free = np.ones(len(idle), dtype=bool)
-        for oid in self.open.tolist():
-            dist = np.hypot(x - s.ox[oid], y - s.oy[oid])
-            cand = np.flatnonzero(free & (dist <= self.radii[s.cell[oid]]))
-            accepters = cand[sample_accepts(self.config.acceptance, dist[cand], s.fare[oid], self.rng)]
-            if len(accepters) == 0:
-                continue
-            free[accepters] = False
-            winner = int(accepters[int(self.rng.integers(len(accepters)))])
-            self._match(oid, int(idle[winner]), float(dist[winner]), t0)
+        dist = np.hypot(fleet.x[idle] - s.ox[orders, None], fleet.y[idle] - s.oy[orders, None])
+        reach = dist <= self.radii[s.cell[orders]][:, None]
+        live = np.flatnonzero(reach.any(axis=1))
+        while len(live):
+            row, live = live[0], live[1:]
+            cand = np.flatnonzero(reach[row])
+            accepters = cand[sample_accepts(self.config.acceptance, dist[row, cand], s.fare[orders[row]], self.rng)]
+            if len(accepters):
+                reach[:, accepters] = False
+                live = live[reach[live].any(axis=1)]
+                winner = int(accepters[int(self.rng.integers(len(accepters)))])
+                self._match(int(orders[row]), int(idle[winner]), float(dist[row, winner]), t0)
 
     def _move(self, step_km: float) -> None:
         """Step busy drivers; at its target a pickup heads for the destination, a drop-off idles."""

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import stream_from_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,62 @@ from ridecast.demand import (
 from ridecast.market import GridSpec, LocalProjection
 
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=4.0, lat_max=4.0, side_count=4)
+
+
+def per_order_synth_demand(profile, grid, seed, duration_s, day_start_s=0.0):
+    """Reference stream: each order draws its numbers one at a time, with
+    ``Generator.choice`` for its destination, and the orders are sorted as
+    tuples by (creation time, origin cell)."""
+    rng = np.random.default_rng(seed)
+    proj = LocalProjection(grid)
+    n_cells = grid.n_cells
+    cw, ch = grid.cell_width, grid.cell_height
+    draws = []
+    for g in range(n_cells):
+        row, col = divmod(g, grid.side_count)
+        lon0 = grid.lon_min + col * cw
+        lat0 = grid.lat_min + row * ch
+        t = 0.0
+        while t < duration_s:
+            hour = int(((day_start_s + t) % 86400.0) // 3600)
+            slice_end = min(duration_s, t + (3600.0 - (day_start_s + t) % 3600.0))
+            width = slice_end - t
+            lam = profile.rates[g, hour] * width / 3600.0
+            count = int(rng.poisson(lam)) if lam > 0 else 0
+            for _ in range(count):
+                tc = t + rng.random() * width
+                olon = lon0 + rng.random() * cw
+                olat = lat0 + rng.random() * ch
+                dg = int(rng.choice(n_cells, p=profile.dest_probs[g]))
+                drow, dcol = divmod(dg, grid.side_count)
+                dlon = grid.lon_min + (dcol + rng.random()) * cw
+                dlat = grid.lat_min + (drow + rng.random()) * ch
+                trip_km = math.hypot((dlon - olon) * proj.km_per_deg_lon, (dlat - olat) * proj.km_per_deg_lat)
+                draws.append((tc, g, olon, olat, dlon, dlat, profile.fare_model.fare(trip_km)))
+            t = slice_end
+    draws.sort(key=lambda r: (r[0], r[1]))
+    return stream_from_rows(grid, draws)
+
+
+@st.composite
+def demand_cases(draw):
+    side = draw(st.integers(1, 4))
+    n = side * side
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = rng.uniform(0.0, draw(st.sampled_from([20.0, 150.0])), (n, 24))
+    rates[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0  # cells without demand
+    dest = rng.dirichlet(np.full(n, draw(st.sampled_from([0.2, 1.0, 20.0]))), size=n)
+    one_hot = rng.random(n) < 0.3  # rows with zero-probability destinations
+    dest[one_hot] = np.eye(n)[rng.integers(n, size=int(one_hot.sum()))]
+    return dict(
+        profile=DemandProfile(rates=rates, dest_probs=dest,
+                              fare_model=FareModel(base=draw(st.sampled_from([0.0, 2.5])),
+                                                   per_km=draw(st.sampled_from([0.7, 1.0])))),
+        grid=GridSpec(lon_min=-74.02, lat_min=40.70, lon_max=-73.93, lat_max=40.80, side_count=side),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        duration_s=draw(st.sampled_from([0.0, 900.0, 3600.0, 5400.0, 7200.0]) | st.floats(600.0, 7200.0)),
+        day_start_s=draw(st.sampled_from([0.0, 7.75 * 3600, 23.5 * 3600, 86399.0]) | st.floats(0.0, 2 * 86400.0)),
+    )
 
 
 class TestSynthDemand:
@@ -97,6 +154,24 @@ class TestSynthDemand:
         with pytest.raises(ValueError):
             DemandProfile(rates=np.ones((16, 24)), dest_probs=np.full((16, 16), 0.5))
 
+    def test_profile_tables_are_read_only_copies(self):
+        # the checks made at construction hold for the profile's life
+        rates, dest = np.ones((16, 24)), np.full((16, 16), 1 / 16)
+        profile = DemandProfile(rates=rates, dest_probs=dest)
+        rates[0, 0], dest[0] = -1.0, 0.0
+        assert profile.rates[0, 0] == 1.0 and profile.dest_probs[0].sum() == 1.0
+        for table in (profile.rates, profile.dest_probs):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.5
+
+    def test_destination_rows_must_sum_to_one_within_1e_9(self):
+        # Generator.choice rejects sums off by more than 1.5e-8, and allclose's
+        # default relative tolerance would let 1e-6 through
+        dest = np.full((16, 16), 1 / 16)
+        dest[3, 0] += 1e-6
+        with pytest.raises(ValueError, match="distributions"):
+            DemandProfile(rates=np.ones((16, 24)), dest_probs=dest)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_rate_rejected(self, rate):
         # NaN passes a bare < 0 check, and its slot would then draw no orders
@@ -156,6 +231,18 @@ class TestSynthDemand:
         assert len(stream) > 0
         trip_km = np.hypot(stream.dx - stream.ox, stream.dy - stream.oy)
         np.testing.assert_allclose(stream.fare, 1.0 + 2.0 * trip_km, rtol=1e-12)
+
+    # derandomized so that the tier-1 suite gives the same verdict on every run
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(demand_cases())
+    # 4x4 from 23:15 for 2 h: crosses midnight and two hour boundaries
+    @example(dict(profile=default_profile(BOX, daily_orders=3000), grid=BOX, seed=5, duration_s=7200.0,
+                  day_start_s=23.25 * 3600))
+    def test_same_bytes_as_per_order_reference(self, case):
+        stream, ref = synth_demand(**case), per_order_synth_demand(**case)
+        assert len(stream) == len(ref)
+        for name in ("t_create", "cell", "fare", "ox", "oy", "dx", "dy"):
+            assert getattr(stream, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 class TestFareModel:

@@ -67,6 +67,13 @@ class TestGridIndex:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(0.0, 0.0, math.inf, 1.0, side_count=2)
 
+    @pytest.mark.parametrize("side", [2.5, 2.0])
+    def test_side_count_must_be_an_integer(self, side):
+        # 2.5 used to give n_cells == 6.25 and a TypeError far from the cause
+        with pytest.raises(ValueError, match="side_count"):
+            GridSpec(0.0, 0.0, 1.0, 1.0, side_count=side)
+        assert GridSpec(0.0, 0.0, 1.0, 1.0, side_count=np.int64(3)).n_cells == 9
+
 
 class TestTimeOfDay:
     def test_default_codes(self):
@@ -295,22 +302,6 @@ class TestProjection:
         x, y = proj.to_xy(2.3, 1.7)
         assert math.isclose(BOX.lon_min + x / proj.km_per_deg_lon, 2.3, abs_tol=1e-12)
         assert math.isclose(BOX.lat_min + y / proj.km_per_deg_lat, 1.7, abs_tol=1e-12)
-
-    def test_northward_km(self):
-        # a pure latitude displacement of 1/110.574 degrees is exactly 1 km
-        proj = LocalProjection(BOX)
-        d = proj.distance_km(1.0, 1.0, 1.0, 1.0 + 1.0 / 110.574)
-        assert math.isclose(d, 1.0, rel_tol=1e-12)
-
-    def test_distance_matches_projected_points(self):
-        # distance_km in degrees is the km distance between the projected points
-        proj = LocalProjection(GridSpec(-74.02, 40.70, -73.93, 40.80, side_count=10))
-        rng = np.random.default_rng(3)
-        for lon1, lat1, lon2, lat2 in zip(*(rng.uniform(lo, hi, 50) for lo, hi in
-                                           ((-74.02, -73.93), (40.70, 40.80)) * 2)):
-            (x1, x2), (y1, y2) = proj.to_xy([lon1, lon2], [lat1, lat2])
-            assert math.isclose(proj.distance_km(lon1, lat1, lon2, lat2), math.hypot(x2 - x1, y2 - y1),
-                                rel_tol=1e-9, abs_tol=1e-12)
 
     def test_cell_index_matches_degree_space(self):
         # the simulator bins drivers in km space; that must agree with grid_index in degrees

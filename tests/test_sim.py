@@ -294,6 +294,20 @@ class TestDeterminism:
         assert 0 < res.summary.matched < res.summary.created == 152
         assert trace_digest(res) == "d423875e50d79c3bdb43bc4fc73e94e0e70fa3da45f37e30795e0ca74cedd01d"
 
+    def test_golden_trace_at_production_scale(self):
+        # the exploration scenario at full size: a 10x10 grid, 1,000 drivers
+        # and 200k daily orders over 08:00-09:00, where a tick's reach matrix
+        # holds tens of thousands of cells and many rounds clear accepters
+        grid = GridSpec(lon_min=-74.02, lat_min=40.70, lon_max=-73.93, lat_max=40.80, side_count=10)
+        stream = synth_demand(default_profile(grid, daily_orders=200_000), grid, seed=1,
+                              duration_s=3600.0, day_start_s=8 * 3600.0)
+        config = SimConfig(grid=grid, n_drivers=1000, speed_kmh=25.0,
+                           radius_source=RandomRadius([0.5, 1.0, 1.5, 2.0, 3.0], grid.n_cells, seed=3),
+                           day_start_s=8 * 3600.0, seed=2)
+        res = run(config, stream, horizon_s=3600.0)
+        assert (res.summary.created, res.summary.matched) == (15612, 4958)
+        assert trace_digest(res) == "b02853ea0191f7ad49c04b4f458877462482b4d3a90751e9a0a4fe5733a009b1"
+
     def test_unsorted_stream_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             stream_from_rows(BOX, [mkrow(100.0, 0.05, 0.05), mkrow(50.0, 0.05, 0.05)])
@@ -383,6 +397,15 @@ class TestRadiusSources:
         for horizon_s in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 run(mkconfig(), EMPTY, horizon_s=horizon_s)
+
+    @pytest.mark.parametrize("drivers", [2.5, 2.0])
+    def test_driver_count_must_be_an_integer(self, drivers):
+        # 2.5 used to be accepted and fail in the fleet's set-up with a TypeError
+        with pytest.raises(ValueError, match="n_drivers"):
+            mkconfig(drivers=drivers)
+        sim = Simulation(mkconfig(drivers=np.int64(3)), EMPTY)
+        sim.step()
+        assert len(sim.fleet.x) == 3
 
     @pytest.mark.parametrize("changes", [
         {"speed_kmh": float("nan")},
