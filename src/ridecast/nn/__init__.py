@@ -1,5 +1,6 @@
 from .adam import Adam
-from .layers import add_layer_norm, add_position, mlp_forward, pooled_heads, self_attention, task_mse
+from .layers import (add_layer_norm, add_position, attention, embed, mlp_forward, pooled_heads, self_attention,
+                     task_mse)
 from .model import (
     Checkpoint,
     CheckpointError,
@@ -8,20 +9,19 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import Tensor, parameter
 
 __all__ = [
     "Adam",
     "Checkpoint",
     "CheckpointError",
     "ModelConfig",
-    "Tensor",
     "TransformerRegressor",
     "add_layer_norm",
     "add_position",
+    "attention",
+    "embed",
     "load_checkpoint",
     "mlp_forward",
-    "parameter",
     "pooled_heads",
     "save_checkpoint",
     "self_attention",

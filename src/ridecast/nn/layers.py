@@ -1,12 +1,17 @@
-"""Differentiable building blocks, each one graph node: the two-layer
+"""The forecaster's layers, each one link of the model's chain: the two-layer
 perceptron, the positional add, the pre-norm residual x + LayerNorm(x),
 single-head scaled dot-product self-attention, the mean-pooled stacked
 multi-task head and the per-task mean squared error.
 
-Each node has a hand-derived numpy backward.  It keeps only what its
-backward reads and gives gradient only to the parents that require it.
-Without a graph (inference) nothing is kept, and attention projects Q, K and
-V one at a time so that at most two of them are live.
+A layer takes ndarrays and returns ``(y, back)``.  ``back(g)`` maps the
+gradient of y to the gradients of the layer's input and parameters, in
+argument order, from a hand-derived numpy backward that reads only what the
+layer kept.  ``embed`` is the perceptron over the model's input, whose
+gradient nothing reads, so its back gives None for it; ``task_mse``'s back
+gives the predictions' gradient alone, as the targets are data.  Inference
+drops ``back`` at once, which frees what the layer kept, and runs attention
+through ``attention``, which keeps nothing and projects Q, K and V one at a
+time so that at most two of them are live.
 
 The encoder blocks reduce by BLAS matrix-vector products, several times
 faster than numpy's ``sum`` over a short axis: row means are
@@ -15,15 +20,13 @@ and beta gradients ``ones(R) @ rows``, each constant vector in the data's
 dtype.  Per-row scale and shift apply through (R, 1) columns.  The
 softmax's row maximum is T - 1 ``np.maximum`` passes over column slices,
 which keeps a NaN score as ``max`` does.  The positional, head and loss
-nodes reduce with numpy's ``sum`` over the batch or sequence axis.
+layers reduce with numpy's ``sum`` over the batch or sequence axis.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-from .tensor import Tensor, _send
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -41,60 +44,69 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return (_rows(a) @ np.ones(a.shape[-1], dtype=a.dtype)).reshape(*a.shape[:-1], 1)
 
 
-def mlp_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """y = relu(x @ w1 + b1) @ w2 + b2; keeps the input rows and the post-relu units."""
-    x2d = _rows(x.data)
-    h = x2d @ w1.data
-    h += b1.data
+def _perceptron(x, w1, b1, w2, b2, input_grad: bool):
+    """The two-layer perceptron; back computes x's gradient only with input_grad."""
+    x2d = _rows(x)
+    h = x2d @ w1
+    h += b1
     np.maximum(h, 0.0, out=h)
-    y = h @ w2.data
-    y += b2.data
+    y = h @ w2
+    y += b2
 
     def back(g):
         g = _rows(g)
-        gh = g @ w2.data.T
+        gh = g @ w2.T
         gh *= h > 0
-        _send((w2, lambda: h.T @ g), (b2, lambda: _column_sums(g)), (w1, lambda: x2d.T @ gh),
-              (b1, lambda: _column_sums(gh)), (x, lambda: (gh @ w1.data.T).reshape(x.shape)))
+        gx = (gh @ w1.T).reshape(x.shape) if input_grad else None
+        return gx, x2d.T @ gh, _column_sums(gh), h.T @ g, _column_sums(g)
 
-    return Tensor._result(y.reshape(*x.shape[:-1], -1), (x, w1, b1, w2, b2), back)
+    return y.reshape(*x.shape[:-1], -1), back
 
 
-def add_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """x + LayerNorm(x) over the last axis, as one node: the residual input of a block's sublayer.
+def mlp_forward(x, w1, b1, w2, b2):
+    """y = relu(x @ w1 + b1) @ w2 + b2; keeps the input rows and the post-relu units."""
+    return _perceptron(x, w1, b1, w2, b2, True)
+
+
+def embed(x, w1, b1, w2, b2):
+    """``mlp_forward`` over the model's input: back gives None for x."""
+    return _perceptron(x, w1, b1, w2, b2, False)
+
+
+def add_layer_norm(x, gamma, beta, eps: float = 1e-5):
+    """x + LayerNorm(x) over the last axis, as one layer: the residual input of a block's sublayer.
 
     LayerNorm scales each row to zero mean and unit spread, then by gamma and
     beta; the denominator is sqrt(var + eps), i.e. eps sits under the root.
     Keeps the normalized rows xhat and the (R, 1) column of 1/sigma.
     """
-    x2d = _rows(x.data)
+    x2d = _rows(x)
     n = x2d.shape[1]
     row_mean = np.full(n, 1.0 / n, dtype=x2d.dtype)
     xhat = x2d - (x2d @ row_mean)[:, None]
     y = xhat * xhat
     rstd = (1.0 / np.sqrt(y @ row_mean + eps))[:, None]
     xhat *= rstd
-    np.multiply(xhat, gamma.data, out=y)
-    y += beta.data
+    np.multiply(xhat, gamma, out=y)
+    y += beta
     y += x2d
 
     def back(g):
         g = _rows(g)
         g_xhat = g * xhat
-        _send((beta, lambda: _column_sums(g)), (gamma, lambda: _column_sums(g_xhat)))
-        if x.requires_grad:
-            # g + rstd * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)),
-            # the row means as mat-vecs with gamma/n; g_xhat is reused as scratch
-            gamma_n = gamma.data * (1.0 / n)
-            np.multiply(xhat, (g_xhat @ gamma_n)[:, None], out=g_xhat)
-            g_xhat += (g @ gamma_n)[:, None]
-            gx = g * gamma.data
-            gx -= g_xhat
-            gx *= rstd
-            gx += g
-            x._accumulate(gx.reshape(x.shape))
+        g_gamma, g_beta = _column_sums(g_xhat), _column_sums(g)
+        # g + rstd * (g*gamma - mean(g*gamma) - xhat * mean(g*gamma*xhat)),
+        # the row means as mat-vecs with gamma/n; g_xhat is reused as scratch
+        gamma_n = gamma * (1.0 / n)
+        np.multiply(xhat, (g_xhat @ gamma_n)[:, None], out=g_xhat)
+        g_xhat += (g @ gamma_n)[:, None]
+        gx = g * gamma
+        gx -= g_xhat
+        gx *= rstd
+        gx += g
+        return gx.reshape(x.shape), g_gamma, g_beta
 
-    return Tensor._result(y.reshape(x.shape), (x, gamma, beta), back)
+    return y.reshape(x.shape), back
 
 
 def _softmax_rows(scores: np.ndarray, scale: float) -> np.ndarray:
@@ -109,24 +121,31 @@ def _softmax_rows(scores: np.ndarray, scale: float) -> np.ndarray:
     return scores
 
 
-def self_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
-    """Encoder self-attention: softmax(Q K^T / sqrt(d_k)) V, no mask.
+def attention(x, w_q, w_k, w_v) -> np.ndarray:
+    """Encoder self-attention softmax(Q K^T / sqrt(d_k)) V, no mask, for
+    inference: returns y alone and keeps nothing.
 
     Works on (T, d) inputs or batched (B, T, d); the key width d_k is taken
-    from w_k's output dimension.  Keeps the projections and the softmax.
+    from w_k's output dimension.
+    """
+    x2d, lead = _rows(x), x.shape[:-1]
+    q, k = ((x2d @ w).reshape(*lead, -1) for w in (w_q, w_k))
+    s = _softmax_rows(np.matmul(q, np.swapaxes(k, -1, -2)), 1.0 / math.sqrt(w_k.shape[-1]))
+    del q, k
+    return np.matmul(s, (x2d @ w_v).reshape(*lead, -1))
+
+
+def self_attention(x, w_q, w_k, w_v):
+    """``attention`` for training, with its back; keeps the projections and the softmax.
+
+    Q, K and V come side by side from one GEMM, and their gradients are
+    stacked the same way, so back takes one GEMM for the input and one for
+    the weights.
     """
     scale = 1.0 / math.sqrt(w_k.shape[-1])
-    x2d, lead = _rows(x.data), x.shape[:-1]
+    x2d, lead = _rows(x), x.shape[:-1]
     weights = (w_q, w_k, w_v)
-    if not any(t.requires_grad for t in (x, *weights)):
-        q, k = ((x2d @ w.data).reshape(*lead, -1) for w in (w_q, w_k))
-        s = _softmax_rows(np.matmul(q, np.swapaxes(k, -1, -2)), scale)
-        del q, k
-        return Tensor(np.matmul(s, (x2d @ w_v.data).reshape(*lead, -1)))
-
-    # Q, K and V side by side from one GEMM; their gradients are stacked the
-    # same way, so backward takes one GEMM for the input and one for the weights
-    w_qkv = np.concatenate([w.data for w in weights], axis=1)
+    w_qkv = np.concatenate(weights, axis=1)
     edges = np.cumsum([0, *(w.shape[-1] for w in weights)])
     cols = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     qkv = (x2d @ w_qkv).reshape(*lead, -1)
@@ -144,22 +163,17 @@ def self_attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
         np.matmul(np.swapaxes(s, -1, -2), g, out=g_qkv[..., cols[2]])
         g2d = _rows(g_qkv)
         g_w = x2d.T @ g2d
-        _send((x, lambda: (g2d @ w_qkv.T).reshape(x.shape)),
-              *((w, lambda c=c: g_w[:, c].copy()) for w, c in zip(weights, cols)))
+        return (g2d @ w_qkv.T).reshape(x.shape), *(g_w[:, c].copy() for c in cols)
 
-    return Tensor._result(np.matmul(s, v), (x, *weights), back)
+    return np.matmul(s, v), back
 
 
-def add_position(x: Tensor, pos: Tensor) -> Tensor:
+def add_position(x, pos):
     """x + pos for a (B, T, d) batch and a (T, d) positional table."""
-
-    def back(g):
-        _send((x, lambda: g), (pos, lambda: g.sum(axis=0)))
-
-    return Tensor._result(x.data + pos.data, (x, pos), back)
+    return x + pos, lambda g: (g, g.sum(axis=0))
 
 
-def pooled_heads(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+def pooled_heads(x, w1, b1, w2, b2):
     """(B, m) task outputs of a (B, T, d) batch under the stacked head.
 
     The mean over T goes through relu(pooled @ w1 + b1), which gives each of
@@ -167,33 +181,33 @@ def pooled_heads(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     (d, m*h) w1); task i's output is the dot product of its units with row i
     of the (m, h) w2, plus b2[i].  Keeps the pooled rows and the units.
     """
-    inv_t = x.data.dtype.type(1.0 / x.shape[-2])
-    pooled = x.data.sum(axis=-2)
+    inv_t = x.dtype.type(1.0 / x.shape[-2])
+    pooled = x.sum(axis=-2)
     pooled *= inv_t
-    h = pooled @ w1.data
-    h += b1.data
+    h = pooled @ w1
+    h += b1
     np.maximum(h, 0.0, out=h)
     units = h.reshape(len(h), *w2.shape)
-    y = (units * w2.data).sum(axis=-1)
-    y += b2.data
+    y = (units * w2).sum(axis=-1)
+    y += b2
 
     def back(g):
-        g_units = g[:, :, None] * w2.data
+        g_units = g[:, :, None] * w2
         g_units *= units > 0
         g_h = g_units.reshape(h.shape)
-        _send((b2, lambda: g.sum(axis=0)), (w2, lambda: (g[:, :, None] * units).sum(axis=0)),
-              (b1, lambda: g_h.sum(axis=0)), (w1, lambda: pooled.T @ g_h))
-        if x.requires_grad:
-            g_pooled = g_h @ w1.data.T
-            g_pooled *= inv_t
-            x._accumulate(np.broadcast_to(g_pooled[:, None, :], x.shape).copy())
+        g_pooled = g_h @ w1.T
+        g_pooled *= inv_t
+        return (np.broadcast_to(g_pooled[:, None, :], x.shape).copy(), pooled.T @ g_h, g_h.sum(axis=0),
+                (g[:, :, None] * units).sum(axis=0), g.sum(axis=0))
 
-    return Tensor._result(y, (x, w1, b1, w2, b2), back)
+    return y, back
 
 
-def task_mse(pred: Tensor, target: Tensor) -> Tensor:
-    """(m,) mean squared error of each task's column over a (B, m) batch; keeps the errors."""
-    err = pred.data - target.data
+def task_mse(pred, target):
+    """(m,) mean squared error of each task's column over a (B, m) batch; keeps the errors.
+
+    back gives the gradient of pred alone."""
+    err = pred - target
     inv_b = err.dtype.type(1.0 / len(err))
     loss = (err * err).sum(axis=0)
     loss *= inv_b
@@ -201,6 +215,6 @@ def task_mse(pred: Tensor, target: Tensor) -> Tensor:
     def back(g):
         g_err = (g * inv_b) * err
         g_err += g_err
-        _send((pred, lambda: g_err), (target, lambda: -g_err))
+        return (g_err,)
 
-    return Tensor._result(loss, (pred, target), back)
+    return loss, back

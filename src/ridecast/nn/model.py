@@ -4,20 +4,23 @@ Input is a normalized (T, D) market feature sequence: measured columns
 z-scored, grid and time-of-day one-hots 0/1.  An embedding MLP lifts
 rows to model width and adds a learned positional table, n encoder blocks
 transform them and the sequence is mean-pooled.  One stacked head emits all
-m task predictions as a single (B, m) tensor: a (d, m*h) matmul gives each
+m task predictions as a single (B, m) array: a (d, m*h) matmul gives each
 task its own h relu units (task i in columns i*h..(i+1)*h), and task i's
 output is the dot product of its units with row i of an (m, h) weight.
 
-Each block feeds SelfAtten(o + LayerNorm(o)) and then MLP(h1 + LayerNorm(h1)):
-the normalized branch is added to the raw input *before* the sublayer, not
-after it.  Each o + LayerNorm(o) is one ``add_layer_norm`` node, so a block
-records four nodes: two residual norms, attention and the MLP.  Before the
-blocks come the embedding MLP and ``add_position``; after them one
-``pooled_heads`` node pools and applies the head, and in training one
-``task_mse`` node gives the per-task losses.  The weighted objective is not
-a node: ``backward_weighted`` seeds the loss node with the task weights.
-The layers keep NaN: a NaN anywhere in an input sequence reaches that
-sequence's predictions, and in training every task's loss.
+The model is one chain of layers (``layers.py``), each with its parameter
+names: the embedding MLP, ``add_position``, four layers per block and
+``pooled_heads``.  Each block feeds SelfAtten(o + LayerNorm(o)) and then
+MLP(h1 + LayerNorm(h1)): the normalized branch is added to the raw input
+*before* the sublayer, not after it, and each o + LayerNorm(o) is one
+``add_layer_norm`` layer.  The chain names each parameter in exactly one
+layer.  Training records a tape of each layer's ``back`` with its parameter
+names, ending in that of ``task_mse``, which gives the per-task losses.
+``backward_weighted`` runs the tape in reverse from the task weights, so the
+weighted objective is not a layer, and sets each parameter's gradient in
+``grads``.  Inference records no tape, which selects the graph-free
+``attention``.  The layers keep NaN: a NaN anywhere in an input sequence
+reaches that sequence's predictions, and in training every task's loss.
 
 ``predict`` runs a batch of ``SPLIT_MIN_SEQUENCES`` or more sequences as two
 halves at once, one on the calling thread and one on a worker thread, with
@@ -32,7 +35,7 @@ The BLAS thread count moves no bytes.  Smaller batches run whole on the
 calling thread.
 
 Parameters are drawn in float64 and stored as float32 (``PARAM_DTYPE``), so
-the forward pass, gradients and Adam moments are all float32.  Every op
+the forward pass, gradients and Adam moments are all float32.  Every layer
 follows its data's dtype: a model whose parameters are upcast to float64
 runs in float64 end to end, which is how the finite-difference gradcheck
 runs it.  Inputs built by the data layer (``normalized_features``, the radius
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -50,8 +54,8 @@ import numpy as np
 
 from ..demand import N_BASE_FEATURES, NormStats
 from .blas import in_parallel
-from .layers import add_layer_norm, add_position, mlp_forward, pooled_heads, self_attention, task_mse
-from .tensor import Tensor, parameter
+from .layers import (add_layer_norm, add_position, attention, embed, mlp_forward, pooled_heads, self_attention,
+                     task_mse)
 
 CHECKPOINT_VERSION = 3
 PARAM_DTYPE = np.float32
@@ -86,76 +90,80 @@ class ModelConfig:
     n_tasks: int = 4
 
     def __post_init__(self) -> None:
-        if min(asdict(self).values()) < 1:
-            raise ValueError("all model dimensions must be >= 1")
+        for name, value in asdict(self).items():
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class TransformerRegressor:
-    """Owns the parameter tensors and builds the forward/backward graph."""
+    """Owns the parameter arrays, their gradients and the layer chain."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
         c = config
-        p: dict[str, Tensor] = {}
-        p["embed.w1"] = parameter((c.input_dim, c.embed_hidden), rng, np.sqrt(2.0 / c.input_dim))
-        p["embed.b1"] = parameter(np.full(c.embed_hidden, BIAS_INIT))
-        p["embed.w2"] = parameter((c.embed_hidden, c.d_model), rng, np.sqrt(2.0 / c.embed_hidden))
-        p["embed.b2"] = parameter(np.zeros(c.d_model))
-        p["pos"] = parameter(rng.normal(0.0, 0.02, size=(c.seq_len, c.d_model)))
+        p: dict[str, np.ndarray] = {}
+        chain: list[tuple] = []
+
+        def normal(scale: float, *shape: int) -> np.ndarray:
+            return rng.normal(0.0, scale, size=shape)
+
+        def link(layer, prefix: str, **arrays: np.ndarray) -> None:
+            chain.append((layer, [prefix + k for k in arrays]))
+            p.update(zip(chain[-1][1], arrays.values()))
+
+        link(embed, "embed.", w1=normal(np.sqrt(2.0 / c.input_dim), c.input_dim, c.embed_hidden),
+             b1=np.full(c.embed_hidden, BIAS_INIT),
+             w2=normal(np.sqrt(2.0 / c.embed_hidden), c.embed_hidden, c.d_model), b2=np.zeros(c.d_model))
+        link(add_position, "", pos=normal(0.02, c.seq_len, c.d_model))
         for b in range(c.n_blocks):
             pre = f"block{b}."
-            p[pre + "ln1.gamma"] = parameter(np.ones(c.d_model))
-            p[pre + "ln1.beta"] = parameter(np.zeros(c.d_model))
-            p[pre + "wq"] = parameter((c.d_model, c.d_model), rng, np.sqrt(1.0 / c.d_model))
-            p[pre + "wk"] = parameter((c.d_model, c.d_model), rng, np.sqrt(1.0 / c.d_model))
-            p[pre + "wv"] = parameter((c.d_model, c.d_model), rng, np.sqrt(1.0 / c.d_model))
-            p[pre + "ln2.gamma"] = parameter(np.ones(c.d_model))
-            p[pre + "ln2.beta"] = parameter(np.zeros(c.d_model))
-            p[pre + "mlp.w1"] = parameter((c.d_model, c.block_hidden), rng, np.sqrt(2.0 / c.d_model))
-            p[pre + "mlp.b1"] = parameter(np.full(c.block_hidden, BIAS_INIT))
-            p[pre + "mlp.w2"] = parameter((c.block_hidden, c.d_model), rng, np.sqrt(2.0 / c.block_hidden))
-            p[pre + "mlp.b2"] = parameter(np.full(c.d_model, BIAS_INIT))
+            link(add_layer_norm, pre + "ln1.", gamma=np.ones(c.d_model), beta=np.zeros(c.d_model))
+            link(self_attention, pre, **{k: normal(np.sqrt(1.0 / c.d_model), c.d_model, c.d_model)
+                                         for k in ("wq", "wk", "wv")})
+            link(add_layer_norm, pre + "ln2.", gamma=np.ones(c.d_model), beta=np.zeros(c.d_model))
+            link(mlp_forward, pre + "mlp.", w1=normal(np.sqrt(2.0 / c.d_model), c.d_model, c.block_hidden),
+                 b1=np.full(c.block_hidden, BIAS_INIT),
+                 w2=normal(np.sqrt(2.0 / c.block_hidden), c.block_hidden, c.d_model),
+                 b2=np.full(c.d_model, BIAS_INIT))
         # draws go task by task, hidden weights before the output row; the
         # stacked head keeps each task's draws as its own slice
         w1, w2 = [], []
         for _ in range(c.n_tasks):
-            w1.append(rng.normal(0.0, np.sqrt(2.0 / c.d_model), size=(c.d_model, c.head_hidden)))
+            w1.append(normal(np.sqrt(2.0 / c.d_model), c.d_model, c.head_hidden))
             # small output weights keep initial predictions near zero, so the
             # first losses reflect target variance rather than random offsets
-            w2.append(rng.normal(0.0, 0.01, size=c.head_hidden))
-        p["head.w1"] = parameter(np.concatenate(w1, axis=1))
-        p["head.b1"] = parameter(np.full(c.n_tasks * c.head_hidden, BIAS_INIT))
-        p["head.w2"] = parameter(np.stack(w2))
-        p["head.b2"] = parameter(np.zeros(c.n_tasks))
-        for t in p.values():
-            t.data = t.data.astype(PARAM_DTYPE)
-        self.params = p
+            w2.append(normal(0.01, c.head_hidden))
+        link(pooled_heads, "head.", w1=np.concatenate(w1, axis=1), b1=np.full(c.n_tasks * c.head_hidden, BIAS_INIT),
+             w2=np.stack(w2), b2=np.zeros(c.n_tasks))
+        self.params = {k: v.astype(PARAM_DTYPE) for k, v in p.items()}
+        self.grads: dict[str, np.ndarray] = {}
+        self._chain = chain
 
     @property
     def dtype(self) -> np.dtype:
         """The parameters' dtype, which inputs and targets are cast to."""
-        return self.params["head.b2"].data.dtype
+        return self.params["head.b2"].dtype
 
     # -- forward -------------------------------------------------------------
 
-    def _forward(self, x: np.ndarray, p: dict[str, Tensor]) -> Tensor:
-        """(B, m) task outputs for a (B, T, D) batch under parameters p."""
-        x = np.asarray(x, dtype=self.dtype)
-        self._check_input(x)
-        o = mlp_forward(Tensor(x), p["embed.w1"], p["embed.b1"], p["embed.w2"], p["embed.b2"])
-        o = add_position(o, p["pos"])
-        for b in range(self.config.n_blocks):
-            pre = f"block{b}."
-            o = add_layer_norm(o, p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
-            o = self_attention(o, p[pre + "wq"], p[pre + "wk"], p[pre + "wv"])
-            o = add_layer_norm(o, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
-            o = mlp_forward(o, p[pre + "mlp.w1"], p[pre + "mlp.b1"], p[pre + "mlp.w2"], p[pre + "mlp.b2"])
-        return pooled_heads(o, p["head.w1"], p["head.b1"], p["head.w2"], p["head.b2"])
+    def _forward(self, x: np.ndarray, tape: Optional[list] = None) -> np.ndarray:
+        """(B, m) task outputs for a (B, T, D) batch.  With a tape, each layer
+        appends its (back, parameter names); without one each back is dropped
+        as its layer returns, and attention runs the graph-free ``attention``."""
+        o = np.asarray(x, dtype=self.dtype)
+        self._check_input(o)
+        for layer, names in self._chain:
+            w = [self.params[k] for k in names]
+            if tape is None:
+                o = attention(o, *w) if layer is self_attention else layer(o, *w)[0]
+            else:
+                o, back = layer(o, *w)
+                tape.append((back, names))
+        return o
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Pure inference on detached parameters, so no graph is recorded:
-        (T, D) -> (m,) or (B, T, D) -> (B, m).
+        """Pure inference, recording no tape: (T, D) -> (m,) or (B, T, D) -> (B, m).
 
         A batch of ``SPLIT_MIN_SEQUENCES`` or more runs as two halves on two
         threads with OpenBLAS held at one thread and restored after, cut at
@@ -166,13 +174,11 @@ class TransformerRegressor:
         single = x.ndim == 2
         if single:
             x = x[None, :, :]
-        p = {k: Tensor(v.data) for k, v in self.params.items()}
         cut = self._cut(len(x))
         if cut is None:
-            y = self._forward(x, p).data
+            y = self._forward(x)
         else:
-            y = np.concatenate(in_parallel(lambda: self._forward(x[:cut], p).data,
-                                           lambda: self._forward(x[cut:], p).data))
+            y = np.concatenate(in_parallel(lambda: self._forward(x[:cut]), lambda: self._forward(x[cut:])))
         return y[0] if single else y
 
     def _cut(self, n: int) -> Optional[int]:
@@ -184,18 +190,25 @@ class TransformerRegressor:
         unit = ROW_BLOCK // math.gcd(ROW_BLOCK, self.config.seq_len)
         return unit * ((n + unit - 1) // (2 * unit))
 
-    def task_losses(self, x: np.ndarray, y: np.ndarray) -> Tensor:
-        """Per-task mean squared errors over the batch, as one (m,) tensor."""
-        return task_mse(self._forward(x, self.params), Tensor(np.asarray(y, dtype=self.dtype)))
+    def task_losses(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list]:
+        """Per-task mean squared errors over the batch as one (m,) array, and
+        the tape that ``backward_weighted`` runs."""
+        tape: list = []
+        losses, back = task_mse(self._forward(x, tape), np.asarray(y, dtype=self.dtype))
+        tape.append((back, []))
+        return losses, tape
 
-    def backward_weighted(self, losses: Tensor, weights: np.ndarray) -> None:
-        """Backpropagate sum_i w_i * l_i, which seeds the loss node with w in
-        its dtype."""
-        losses.backward(np.asarray(weights, dtype=losses.data.dtype))
+    def backward_weighted(self, tape: list, weights: np.ndarray) -> None:
+        """Set ``grads`` to the gradients of sum_i w_i * l_i: the tape runs in
+        reverse from a copy of w in the model's dtype.  The chain names each
+        parameter in one layer, so each gradient is set, not summed."""
+        g = np.array(weights, dtype=self.dtype)
+        for back, names in reversed(tape):
+            g, *grads = back(g)
+            self.grads.update(zip(names, grads))
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        self.grads.clear()
 
     def _check_input(self, x: np.ndarray) -> None:
         c = self.config
@@ -205,22 +218,22 @@ class TransformerRegressor:
     # -- persistence ----------------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: p.data.copy() for k, p in self.params.items()}
+        return {k: p.copy() for k, p in self.params.items()}
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         if set(arrays) != set(self.params):
             raise CheckpointError("parameter name mismatch")
         for k, arr in arrays.items():
             p = self.params[k]
-            if p.data.shape != arr.shape:
+            if p.shape != arr.shape:
                 raise CheckpointError(f"shape mismatch for {k}")
             # checked after the cast: a finite float64 beyond the float32
             # range becomes inf there
             with np.errstate(over="ignore"):
-                cast = np.array(arr, dtype=p.data.dtype)
+                cast = np.array(arr, dtype=p.dtype)
             if not np.all(np.isfinite(cast)):
                 raise CheckpointError(f"non-finite values in {k}")
-            p.data = cast
+            self.params[k] = cast
 
 
 @dataclass(frozen=True)

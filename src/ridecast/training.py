@@ -13,6 +13,7 @@ last T steps; missing history during warmup counts as zero.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,14 @@ class TrainingDiverged(RuntimeError):
         self.last_losses = last_losses
 
 
+def _check_counts(cfg, *names: str) -> None:
+    """Raise unless each named field of cfg is an integer >= 1."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     kind: str = "WESM"
@@ -43,8 +52,7 @@ class StrategyConfig:
             raise ValueError(f"kind must be one of {STRATEGY_KINDS}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
-        if self.history_len < 1 or self.refresh_every < 1:
-            raise ValueError("history_len and refresh_every must be >= 1")
+        _check_counts(self, "history_len", "refresh_every")
 
 
 def aggregate_losses(cfg: StrategyConfig, recent: Sequence[np.ndarray], current: np.ndarray) -> np.ndarray:
@@ -99,8 +107,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
+        _check_counts(self, "batch_size", "epochs")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -158,16 +165,16 @@ def train(
             idx = order[lo : lo + cfg.batch_size]
             model.zero_grad()
             # the model casts the batch to its own dtype; curves stay float64
-            loss_tensor = model.task_losses(train_x[idx], train_y[idx])
-            losses = loss_tensor.data.astype(np.float64)
+            batch_losses, tape = model.task_losses(train_x[idx], train_y[idx])
+            losses = batch_losses.astype(np.float64)
             if not np.all(np.isfinite(losses)):
                 raise TrainingDiverged(step, last_finite)
             last_finite = losses
             if step % strategy.refresh_every == 0:
                 recent = curve_train[-strategy.history_len:][::-1]
                 weights = strategy_weights(strategy.kind, aggregate_losses(strategy, recent, losses))
-            model.backward_weighted(loss_tensor, weights)
-            optimizer.step()
+            model.backward_weighted(tape, weights)
+            optimizer.step(model.grads)
             steps.append(step)
             curve_train.append(losses)
             curve_w.append(weights.copy())

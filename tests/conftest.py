@@ -18,8 +18,8 @@ def float64_copy(model: TransformerRegressor) -> TransformerRegressor:
     """A deep copy of model with every parameter upcast to float64, so that it
     computes in float64 end to end; the source model is left as it is."""
     twin = copy.deepcopy(model)
-    for t in twin.params.values():
-        t.data = t.data.astype(np.float64)
+    for k, p in twin.params.items():
+        twin.params[k] = p.astype(np.float64)
     return twin
 
 
@@ -39,7 +39,7 @@ def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def weighted_loss_value(model: TransformerRegressor, x: np.ndarray, y: np.ndarray,
                         weights: np.ndarray) -> float:
-    """Objective value only (no graph): sum_i w_i * mean((y_i - yhat_i)^2)."""
+    """Objective value only (no tape): sum_i w_i * mean((y_i - yhat_i)^2)."""
     pred = model.predict(x)
     per_task = ((y - pred) ** 2).mean(axis=0)
     return float(np.dot(weights, per_task))
@@ -50,12 +50,11 @@ def finite_difference_gradcheck(model: TransformerRegressor, x: np.ndarray, y: n
     """Max relative error between analytic gradients and central differences,
     swept over every element of every parameter tensor."""
     model.zero_grad()
-    losses = model.task_losses(x, y)
-    model.backward_weighted(losses, weights)
+    model.backward_weighted(model.task_losses(x, y)[1], weights)
     worst = 0.0
     for name, p in model.params.items():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
+        analytic = model.grads[name]
+        flat = p.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + h

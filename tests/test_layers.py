@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad
-from ridecast.nn.layers import add_layer_norm, add_position, mlp_forward, pooled_heads, self_attention, task_mse
-from ridecast.nn.tensor import Tensor
+from ridecast.nn.layers import (add_layer_norm, add_position, attention, embed, mlp_forward, pooled_heads,
+                                self_attention, task_mse)
 
 
 def brute_mlp(x, w1, b1, w2, b2):
-    """Loop-level two-layer perceptron, independent of the Tensor graph."""
+    """Loop-level two-layer perceptron, independent of the layers' numpy."""
     n, d = x.shape
     h = np.zeros((n, w1.shape[1]))
     for i in range(n):
@@ -57,51 +57,54 @@ def brute_attention(x, wq, wk, wv):
 class TestMlp:
     def test_identity_network_under_relu(self):
         x = np.abs(np.random.default_rng(0).normal(size=(3, 4)))
-        eye = Tensor(np.eye(4))
-        zero = Tensor(np.zeros(4))
-        y = mlp_forward(Tensor(x), eye, zero, eye, zero)
-        np.testing.assert_array_equal(y.data, x)
+        eye, zero = np.eye(4), np.zeros(4)
+        y = mlp_forward(x, eye, zero, eye, zero)[0]
+        np.testing.assert_array_equal(y, x)
 
     def test_zero_weights_broadcast_bias(self):
         x = np.random.default_rng(1).normal(size=(5, 3))
         b2 = np.array([1.5, -2.0])
-        y = mlp_forward(Tensor(x), Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)),
-                        Tensor(np.zeros((4, 2))), Tensor(b2))
-        np.testing.assert_array_equal(y.data, np.tile(b2, (5, 1)))
+        y = mlp_forward(x, np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)), b2)[0]
+        np.testing.assert_array_equal(y, np.tile(b2, (5, 1)))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(3, 4))
         w1, b1 = rng.normal(size=(4, 6)), rng.normal(size=6)
         w2, b2 = rng.normal(size=(6, 5)), rng.normal(size=5)
-        y = mlp_forward(Tensor(x), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2))
-        np.testing.assert_allclose(y.data, brute_mlp(x, w1, b1, w2, b2), atol=1e-12)
+        y = mlp_forward(x, w1, b1, w2, b2)[0]
+        np.testing.assert_allclose(y, brute_mlp(x, w1, b1, w2, b2), atol=1e-12)
 
 
 class TestAddLayerNorm:
     def test_constant_row_returns_x_plus_beta(self):
         x = np.full((2, 5), 3.7)
         beta = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        y = add_layer_norm(Tensor(x), Tensor(np.ones(5)), Tensor(beta), eps=1e-5)
-        np.testing.assert_allclose(y.data, x + beta, atol=1e-12)
+        y = add_layer_norm(x, np.ones(5), beta, eps=1e-5)[0]
+        np.testing.assert_allclose(y, x + beta, atol=1e-12)
 
     def test_already_standardized_row(self):
-        y = add_layer_norm(Tensor(np.array([[-1.0, 1.0]])), Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=0.0)
-        np.testing.assert_allclose(y.data, [[-2.0, 2.0]], atol=1e-12)
+        y = add_layer_norm(np.array([[-1.0, 1.0]]), np.ones(2), np.zeros(2), eps=0.0)[0]
+        np.testing.assert_allclose(y, [[-2.0, 2.0]], atol=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 7)) * 3
         gamma, beta = rng.normal(size=7), rng.normal(size=7)
-        y = add_layer_norm(Tensor(x), Tensor(gamma), Tensor(beta), eps=1e-5)
-        np.testing.assert_allclose(y.data, x + brute_layer_norm(x, gamma, beta, 1e-5), atol=1e-12)
+        y = add_layer_norm(x, gamma, beta, eps=1e-5)[0]
+        np.testing.assert_allclose(y, x + brute_layer_norm(x, gamma, beta, 1e-5), atol=1e-12)
 
     def test_output_moments(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 32)) * 5
-        y = add_layer_norm(Tensor(x), Tensor(np.ones(32)), Tensor(np.zeros(32)), eps=1e-5).data - x
+        y = add_layer_norm(x, np.ones(32), np.zeros(32), eps=1e-5)[0] - x
         assert np.max(np.abs(y.mean(axis=-1))) < 1e-9
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-5)
+
+
+def attention_paths(x, wq, wk, wv) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs of the inference path and of the training path."""
+    return attention(x, wq, wk, wv), self_attention(x, wq, wk, wv)[0]
 
 
 class TestSelfAttention:
@@ -109,15 +112,15 @@ class TestSelfAttention:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(1, 4))
         wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
-        z = self_attention(Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv))
-        np.testing.assert_allclose(z.data, x @ wv, atol=1e-12)
+        z = attention(x, wq, wk, wv)
+        np.testing.assert_allclose(z, x @ wv, atol=1e-12)
 
     def test_identical_rows_attend_identically(self):
         rng = np.random.default_rng(6)
         row = rng.normal(size=4)
         x = np.tile(row, (3, 1))
         wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
-        z = self_attention(Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv)).data
+        z = attention(x, wq, wk, wv)
         np.testing.assert_allclose(z[0], z[1], atol=1e-12)
         np.testing.assert_allclose(z[1], z[2], atol=1e-12)
 
@@ -125,16 +128,15 @@ class TestSelfAttention:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(3, 5))
         wq, wk, wv = (rng.normal(size=(5, 5)) for _ in range(3))
-        for grad in (False, True):  # the graph-free and the recording path
-            z = self_attention(Tensor(x, requires_grad=grad), Tensor(wq), Tensor(wk), Tensor(wv))
-            np.testing.assert_allclose(z.data, brute_attention(x, wq, wk, wv), atol=1e-12)
+        for z in attention_paths(x, wq, wk, wv):
+            np.testing.assert_allclose(z, brute_attention(x, wq, wk, wv), atol=1e-12)
 
     def test_output_is_convex_combination_of_values(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(4, 3))
         wq, wk, wv = (rng.normal(size=(3, 3)) for _ in range(3))
         v = x @ wv
-        z = self_attention(Tensor(x), Tensor(wq), Tensor(wk), Tensor(wv)).data
+        z = attention(x, wq, wk, wv)
         # each output row lies inside the axis-aligned hull of value rows
         assert np.all(z <= v.max(axis=0) + 1e-12)
         assert np.all(z >= v.min(axis=0) - 1e-12)
@@ -143,9 +145,9 @@ class TestSelfAttention:
         rng = np.random.default_rng(9)
         xs = rng.normal(size=(2, 3, 4))
         wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
-        z = self_attention(Tensor(xs), Tensor(wq), Tensor(wk), Tensor(wv)).data
+        z = attention(xs, wq, wk, wv)
         for b in range(2):
-            zb = self_attention(Tensor(xs[b]), Tensor(wq), Tensor(wk), Tensor(wv)).data
+            zb = attention(xs[b], wq, wk, wv)
             np.testing.assert_allclose(z[b], zb, atol=1e-12)
 
     def test_softmax_weights_sum_to_one_at_large_scores(self):
@@ -160,8 +162,7 @@ class TestSelfAttention:
         wv[0] = 0.0
         scores = (x @ wq) @ (x @ wk).T / 2.0
         assert scores.max() > 1e3  # exp would overflow without the row shift
-        for grad in (False, True):
-            z = self_attention(Tensor(x, requires_grad=grad), Tensor(wq), Tensor(wk), Tensor(wv)).data
+        for z in attention_paths(x, wq, wk, wv):
             np.testing.assert_allclose(z, np.tile(x[0] @ wv, (5, 1)), rtol=1e-12, atol=1e-12)
 
 
@@ -186,7 +187,7 @@ class TestAddPosition:
     def test_adds_the_table_to_every_sequence(self):
         rng = np.random.default_rng(11)
         x, pos = rng.normal(size=(3, 4, 5)), rng.normal(size=(4, 5))
-        y = add_position(Tensor(x), Tensor(pos)).data
+        y = add_position(x, pos)[0]
         for b in range(3):
             np.testing.assert_array_equal(y[b], x[b] + pos)
 
@@ -197,8 +198,8 @@ class TestPooledHeads:
         x = rng.normal(size=(3, 4, 5))
         w1, b1 = rng.normal(size=(5, 6)), rng.normal(size=6)
         w2, b2 = rng.normal(size=(3, 2)), rng.normal(size=3)
-        y = pooled_heads(Tensor(x), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2))
-        np.testing.assert_allclose(y.data, brute_pooled_heads(x, w1, b1, w2, b2), atol=1e-12)
+        y = pooled_heads(x, w1, b1, w2, b2)[0]
+        np.testing.assert_allclose(y, brute_pooled_heads(x, w1, b1, w2, b2), atol=1e-12)
 
     def test_each_task_reads_only_its_own_units(self):
         # zeroing task 0's block of w1 leaves its units at relu(b1) and the
@@ -209,8 +210,8 @@ class TestPooledHeads:
         w2, b2 = rng.normal(size=(2, 3)), rng.normal(size=2)
         cut = w1.copy()
         cut[:, :3] = 0.0
-        y = pooled_heads(Tensor(x), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2)).data
-        y_cut = pooled_heads(Tensor(x), Tensor(cut), Tensor(b1), Tensor(w2), Tensor(b2)).data
+        y = pooled_heads(x, w1, b1, w2, b2)[0]
+        y_cut = pooled_heads(x, cut, b1, w2, b2)[0]
         np.testing.assert_array_equal(y_cut[:, 1], y[:, 1])
         np.testing.assert_allclose(y_cut[:, 0], b1[:3] @ w2[0] + b2[0], atol=1e-12)
 
@@ -219,17 +220,17 @@ class TestTaskMse:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(14)
         pred, target = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
-        loss = task_mse(Tensor(pred), Tensor(target)).data
+        loss = task_mse(pred, target)[0]
         want = [sum((pred[i, j] - target[i, j]) ** 2 for i in range(6)) / 6 for j in range(3)]
         np.testing.assert_allclose(loss, want, atol=1e-12)
 
 
 def layer_inputs(layer: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """The inputs of one node, by name: a batched (B, T, d) sequence input
-    and the node's parameters, or the loss node's (B, m) predictions and targets."""
+    """The arguments of one layer, by name: a batched (B, T, d) sequence input
+    and the layer's parameters, or the loss layer's (B, m) predictions and targets."""
     d = 4
     x = rng.normal(size=(2, 3, d))
-    if layer == "mlp":
+    if layer in ("mlp", "embed"):
         return {"x": x, "w1": rng.normal(size=(d, 5)), "b1": rng.normal(size=5),
                 "w2": rng.normal(size=(5, 3)), "b2": rng.normal(size=3)}
     if layer == "add_layer_norm":
@@ -245,30 +246,31 @@ def layer_inputs(layer: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
             "w_v": rng.normal(size=(d, 5))}
 
 
-LAYERS = {"mlp": mlp_forward, "add_layer_norm": add_layer_norm, "attention": self_attention,
+LAYERS = {"mlp": mlp_forward, "embed": embed, "add_layer_norm": add_layer_norm, "attention": self_attention,
           "add_position": add_position, "pooled_heads": pooled_heads, "task_mse": task_mse}
 
 
-def check_layer_grads(layer: str, constant: tuple[str, ...] = (), seed: int = 0) -> None:
-    """Gradients of (layer(...) * R).sum(), i.e. backward seeded with a
-    non-uniform R, against central differences; names in ``constant`` must
-    receive no gradient."""
+def check_layer_grads(layer: str, seed: int = 0) -> None:
+    """Gradients of (layer(...) * R).sum(), i.e. back seeded with a non-uniform
+    R, against central differences.  back returns one per argument, in order,
+    but none for task_mse's targets and None for embed's input."""
     rng = np.random.default_rng(seed)
     arrays = layer_inputs(layer, rng)
     fn = LAYERS[layer]
-    r = rng.normal(size=fn(*[Tensor(a) for a in arrays.values()]).shape)
-    tensors = {k: Tensor(a, requires_grad=k not in constant) for k, a in arrays.items()}
-    fn(*tensors.values()).backward(r)
+    y, back = fn(*arrays.values())
+    r = rng.normal(size=y.shape)
+    grads = back(r)
+    assert len(grads) == (1 if layer == "task_mse" else len(arrays))
 
     def value() -> float:
-        return float((fn(*[Tensor(a) for a in arrays.values()]).data * r).sum())
+        return float((fn(*arrays.values())[0] * r).sum())
 
-    for name, t in tensors.items():
-        if name in constant:
-            assert t.grad is None, name
+    for name, g in zip(arrays, grads):
+        if layer == "embed" and name == "x":
+            assert g is None
         else:
-            np.testing.assert_allclose(t.grad, numeric_grad(value, arrays[name]),
-                                       rtol=1e-6, atol=1e-8, err_msg=name)
+            assert g.shape == arrays[name].shape, name
+            np.testing.assert_allclose(g, numeric_grad(value, arrays[name]), rtol=1e-6, atol=1e-8, err_msg=name)
 
 
 class TestFusedGradients:
@@ -277,26 +279,14 @@ class TestFusedGradients:
         for seed in (0, 1):
             check_layer_grads(layer, seed=seed)
 
-    @pytest.mark.parametrize("layer, constant", [
-        ("mlp", ("x",)), ("mlp", ("w1", "b2")), ("mlp", ("x", "w1", "b1")),
-        ("add_layer_norm", ("x",)), ("add_layer_norm", ("gamma",)),
-        ("attention", ("x",)), ("attention", ("w_k",)), ("attention", ("w_q", "w_k", "w_v")),
-        ("add_position", ("x",)), ("add_position", ("pos",)),
-        ("pooled_heads", ("x",)), ("pooled_heads", ("w2", "b2")), ("pooled_heads", ("x", "w1", "b1")),
-        ("task_mse", ("target",)), ("task_mse", ("pred",)),
-    ])
-    def test_constants_get_no_gradient(self, layer, constant):
-        check_layer_grads(layer, constant=constant, seed=2)
-
     def test_fused_residual_matches_finite_differences_of_x_plus_norm(self):
-        # the node's x-gradient carries both the residual path and the norm's
+        # the layer's x-gradient carries both the residual path and the norm's
         rng = np.random.default_rng(3)
         x, gamma, beta = rng.normal(size=(2, 3, 4)) * 2, rng.normal(size=4), rng.normal(size=4)
         r = rng.normal(size=(2, 3, 4))
-        xt = Tensor(x, requires_grad=True)
-        add_layer_norm(xt, Tensor(gamma), Tensor(beta)).backward(r)
+        gx = add_layer_norm(x, gamma, beta)[1](r)[0]
 
         def value() -> float:
             return float(((x + brute_layer_norm(x.reshape(-1, 4), gamma, beta, 1e-5).reshape(x.shape)) * r).sum())
 
-        np.testing.assert_allclose(xt.grad, numeric_grad(value, x), rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(gx, numeric_grad(value, x), rtol=1e-6, atol=1e-8)

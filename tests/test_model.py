@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -21,8 +22,6 @@ from ridecast.nn.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from ridecast.nn.layers import mlp_forward
-from ridecast.nn.tensor import Tensor
 from ridecast.demand import N_BASE_FEATURES, NormStats
 
 TINY = ModelConfig(seq_len=3, input_dim=5, d_model=4, n_blocks=1, embed_hidden=5,
@@ -32,8 +31,8 @@ PRODUCTION = ModelConfig(seq_len=6, input_dim=112)
 
 
 def reference_forward(x: np.ndarray, p: dict[str, np.ndarray], cfg: ModelConfig) -> np.ndarray:
-    """Step-by-step numpy trace of the forward pass, independent of Tensor,
-    with each task's head sliced out of the stacked head parameters."""
+    """Step-by-step numpy trace of the forward pass, independent of the layer
+    chain, with each task's head sliced out of the stacked head parameters."""
 
     def np_mlp(a, w1, b1, w2, b2):
         return np.maximum(a @ w1 + b1, 0.0) @ w2 + b2
@@ -87,16 +86,16 @@ class TestForward:
         x[1, 2] = np.nan
         assert np.all(np.isnan(model.predict(x)))
 
-    def test_nan_input_gives_nan_losses_on_the_graph_path(self):
+    def test_nan_input_gives_nan_losses_on_the_tape_path(self):
         # the softmax's row maximum must keep NaN as .max does; np.fmax would drop it
         model = TransformerRegressor(TINY, seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 3, 5))
         x[2, 1, 2] = np.nan
-        losses = model.task_losses(x, rng.normal(size=(4, 4)))
-        assert not np.any(np.isfinite(losses.data))
-        model.backward_weighted(losses, np.full(4, 0.25))
-        assert not np.all(np.isfinite(model.params["embed.w1"].grad))
+        losses, tape = model.task_losses(x, rng.normal(size=(4, 4)))
+        assert not np.any(np.isfinite(losses))
+        model.backward_weighted(tape, np.full(4, 0.25))
+        assert not np.all(np.isfinite(model.grads["embed.w1"]))
 
     @pytest.mark.parametrize("cfg", [TINY, PRODUCTION], ids=["tiny", "production"])
     def test_matches_reference_trace(self, cfg):
@@ -104,7 +103,7 @@ class TestForward:
             model = float64_copy(TransformerRegressor(cfg, seed=seed))
             x = np.random.default_rng(seed + 10).normal(size=(cfg.seq_len, cfg.input_dim))
             got = model.predict(x)
-            want = reference_forward(x, {k: t.data for k, t in model.params.items()}, cfg)
+            want = reference_forward(x, model.params, cfg)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_stacked_head_replays_per_task_init_draws(self):
@@ -113,7 +112,7 @@ class TestForward:
         c, h = TINY, TINY.head_hidden
         for seed in (0, 1, 2):
             model = TransformerRegressor(TINY, seed=seed)
-            got = {k: t.data for k, t in model.params.items()}
+            got = model.params
             rng = np.random.default_rng(seed)
             want = {
                 "embed.w1": rng.normal(0.0, np.sqrt(2.0 / c.input_dim), size=(c.input_dim, c.embed_hidden)),
@@ -138,29 +137,26 @@ class TestForward:
             np.testing.assert_array_equal(got["head.b1"], np.full(c.n_tasks * h, 0.01, dtype=np.float32))
             np.testing.assert_array_equal(got["head.b2"], np.zeros(c.n_tasks))
 
-    def test_predict_records_no_graph(self, monkeypatch):
+    def test_predict_records_no_tape(self, monkeypatch):
+        # and runs the graph-free attention, which keeps at most two of Q, K and V live
         import ridecast.nn.model as model_mod
 
-        outputs = []
-
-        def spy_mlp(*args, **kwargs):
-            outputs.append(mlp_forward(*args, **kwargs))
-            return outputs[-1]
-
-        monkeypatch.setattr(model_mod, "mlp_forward", spy_mlp)
         model = TransformerRegressor(TINY, seed=2)
-        forward = model._forward
+        forward, attend = model._forward, model_mod.attention
+        tapes, attended = [], []
 
-        def spy_forward(x, p):
-            outputs.append(forward(x, p))
-            return outputs[-1]
+        def spy_forward(x, tape=None):
+            tapes.append(tape)
+            return forward(x, tape)
+
+        def spy_attention(*args):
+            attended.append(len(args[0]))
+            return attend(*args)
 
         monkeypatch.setattr(model, "_forward", spy_forward)
-        model.predict(np.random.default_rng(2).normal(size=(2, 3, 5)))
-        # embed, one block MLP and the stacked head's (B, m) output
-        assert len(outputs) == 3 and outputs[-1].shape == (2, 4)
-        assert all(o._parents == () and o._backward is None and not o.requires_grad for o in outputs)
-        assert all(p.grad is None and p.requires_grad for p in model.params.values())
+        monkeypatch.setattr(model_mod, "attention", spy_attention)
+        assert model.predict(np.random.default_rng(2).normal(size=(2, 3, 5))).shape == (2, 4)
+        assert tapes == [None] and model.grads == {} and attended == [2] * TINY.n_blocks
 
     def test_float32_output_matches_float64_copy(self):
         for seed in (0, 1, 2):
@@ -190,11 +186,6 @@ class TestForward:
             model.predict(np.zeros((2, 3, 6)))  # wrong input_dim
 
 
-def detached(model: TransformerRegressor) -> dict[str, Tensor]:
-    """The model's parameters as graph-free tensors, as ``predict`` passes them."""
-    return {k: Tensor(v.data) for k, v in model.params.items()}
-
-
 def production_batch(n: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(n, PRODUCTION.seq_len, PRODUCTION.input_dim)).astype(np.float32)
 
@@ -214,8 +205,8 @@ def spy_forward(monkeypatch, model: TransformerRegressor, calls: list, fail_at: 
     forward = model._forward
     pair = blas.openblas_threads()
 
-    def spy(x, p):
-        y = None if len(x) == fail_at else forward(x, p)
+    def spy(x, tape=None):
+        y = None if len(x) == fail_at else forward(x, tape)
         calls.append((threading.current_thread(), len(x), pair[0]() if pair else None))
         if y is None:
             raise RuntimeError("half failed")
@@ -241,7 +232,7 @@ class TestSplitPredict:
         if wide:
             model = float64_copy(model)
         x = production_batch(n, seed=n)
-        want = model._forward(x, detached(model)).data
+        want = model._forward(x)
         got = model.predict(x)
         assert got.dtype == want.dtype == model.dtype
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -322,7 +313,7 @@ class TestSplitPredict:
     def test_without_openblas_the_halves_run_in_order(self, monkeypatch):
         model = TransformerRegressor(PRODUCTION, seed=25)
         x = production_batch(self.N)
-        want = model._forward(x, detached(model)).data
+        want = model._forward(x)
         calls: list = []
         spy_forward(monkeypatch, model, calls)
         monkeypatch.setattr(blas, "openblas_threads", lambda: None)
@@ -370,10 +361,10 @@ class TestBackward:
         model = TransformerRegressor(TINY, seed=4)
         x = np.random.default_rng(4).normal(size=(2, 3, 5))
         y = model.predict(x)
-        losses = model.task_losses(x, y)
-        np.testing.assert_array_equal(losses.data, np.zeros(4))
-        model.backward_weighted(losses, np.full(4, 0.25))
-        assert all(np.all(p.grad == 0) for p in model.params.values() if p.grad is not None)
+        losses, tape = model.task_losses(x, y)
+        np.testing.assert_array_equal(losses, np.zeros(4))
+        model.backward_weighted(tape, np.full(4, 0.25))
+        assert all(np.all(g == 0) for g in model.grads.values())
 
     def test_one_hot_weights_isolate_heads(self):
         model = TransformerRegressor(TINY, seed=5)
@@ -384,9 +375,8 @@ class TestBackward:
         h = TINY.head_hidden
 
         model.zero_grad()
-        model.backward_weighted(model.task_losses(x, y), w)
-        grads = {k: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-                 for k, p in model.params.items()}
+        model.backward_weighted(model.task_losses(x, y)[1], w)
+        grads = model.grads
         for i in (0, 1, 3):
             cols = slice(i * h, (i + 1) * h)
             assert np.all(grads["head.w1"][:, cols] == 0)
@@ -400,9 +390,9 @@ class TestBackward:
         solo = TransformerRegressor(TINY, seed=5)
         y_solo = solo.predict(x)
         y_solo[:, 2] = y[:, 2]
-        solo.backward_weighted(solo.task_losses(x, y_solo), np.ones(4))
+        solo.backward_weighted(solo.task_losses(x, y_solo)[1], np.ones(4))
         for k, g in grads.items():
-            np.testing.assert_allclose(g, solo.params[k].grad, atol=1e-12, err_msg=k)
+            np.testing.assert_allclose(g, solo.grads[k], atol=1e-12, err_msg=k)
 
     def test_gradients_match_finite_differences(self):
         for seed in (0, 1, 2):
@@ -424,28 +414,84 @@ class TestBackward:
         model = TransformerRegressor(TINY, seed=13)
         twin = float64_copy(model)
         for m in (model, twin):
-            m.backward_weighted(m.task_losses(x, y), w)
-        for k, p in model.params.items():
-            want = twin.params[k].grad
-            assert p.grad.dtype == np.float32 and want.dtype == np.float64
-            assert np.linalg.norm(p.grad - want) <= 1e-3 * np.linalg.norm(want), k
+            m.backward_weighted(m.task_losses(x, y)[1], w)
+        for k, g in model.grads.items():
+            want = twin.grads[k]
+            assert g.dtype == np.float32 and want.dtype == np.float64
+            assert np.linalg.norm(g - want) <= 1e-3 * np.linalg.norm(want), k
 
     def test_per_task_losses_are_mean_squared_errors(self):
         model = TransformerRegressor(TINY, seed=6)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 3, 5))
         y = rng.normal(size=(4, 4))
-        losses = model.task_losses(x, y)
+        losses = model.task_losses(x, y)[0]
         assert losses.shape == (4,)
         want = ((y - model.predict(x)) ** 2).mean(axis=0)
-        np.testing.assert_allclose(losses.data, want, atol=1e-12)
+        np.testing.assert_allclose(losses, want, atol=1e-12)
 
     def test_non_finite_loss_detectable(self):
         model = TransformerRegressor(TINY, seed=7)
         x = np.random.default_rng(7).normal(size=(1, 3, 5))
         y = np.array([[0.0, np.nan, 0.0, 0.0]])
-        losses = model.task_losses(x, y)
-        assert np.isfinite(losses.data).tolist() == [True, False, True, True]
+        losses = model.task_losses(x, y)[0]
+        assert np.isfinite(losses).tolist() == [True, False, True, True]
+
+
+class TestChain:
+    """The model is one chain of layers, each naming its parameters."""
+
+    @pytest.mark.parametrize("cfg", [TINY, PRODUCTION], ids=["tiny", "production"])
+    def test_names_each_parameter_in_exactly_one_layer(self, cfg):
+        # what lets backward_weighted set each gradient instead of summing
+        model = TransformerRegressor(cfg)
+        names = [k for _, layer_names in model._chain for k in layer_names]
+        assert len(names) == len(set(names)) and set(names) == set(model.params)
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["float32", "float64"])
+    def test_backward_sets_a_gradient_for_every_parameter(self, wide):
+        model = TransformerRegressor(TINY, seed=16)
+        if wide:
+            model = float64_copy(model)
+        rng = np.random.default_rng(16)
+        model.backward_weighted(model.task_losses(rng.normal(size=(3, 3, 5)), rng.normal(size=(3, 4)))[1],
+                                np.full(4, 0.25))
+        assert set(model.grads) == set(model.params)
+        for k, p in model.params.items():
+            assert model.grads[k].shape == p.shape and model.grads[k].dtype == p.dtype, k
+
+    def test_weights_are_copied(self):
+        # float32 weights already have the model's dtype, so only a deliberate copy is a new array
+        model = TransformerRegressor(TINY, seed=17)
+        rng = np.random.default_rng(17)
+        losses, tape = model.task_losses(rng.normal(size=(3, 3, 5)), rng.normal(size=(3, 4)))
+        seeds = []
+        back, names = tape[-1]
+        tape[-1] = (lambda g: (seeds.append(g), back(g))[1], names)
+        w = np.full(4, 0.25, dtype=np.float32)
+        model.backward_weighted(tape, w)
+        assert len(seeds) == 1 and seeds[0] is not w and not np.shares_memory(seeds[0], w)
+        assert seeds[0].tobytes() == w.tobytes()
+
+    def test_zero_grad_clears_grads(self):
+        model = TransformerRegressor(TINY, seed=18)
+        rng = np.random.default_rng(18)
+        model.backward_weighted(model.task_losses(rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 4)))[1],
+                                np.full(4, 0.25))
+        assert model.grads
+        model.zero_grad()
+        assert model.grads == {}
+
+    @pytest.mark.parametrize("n", [500, 1024])
+    def test_tape_and_inference_attention_give_equal_bytes(self, n):
+        # predict runs the graph-free attention and training the fused one; the
+        # golden decision and training traces rely on their outputs agreeing
+        model = TransformerRegressor(PRODUCTION, seed=19)
+        x = production_batch(n, seed=n)
+        want = model._forward(x)
+        got = model._forward(x, [])
+        assert got.dtype == want.dtype == np.float32
+        assert got.shape == want.shape == (n, PRODUCTION.n_tasks) and got.tobytes() == want.tobytes()
 
 
 class TestAdam:
@@ -453,28 +499,25 @@ class TestAdam:
         model = TransformerRegressor(TINY, seed=8)
         before = model.state_arrays()
         opt = Adam(model.params, lr=1e-3)
-        model.zero_grad()
-        opt.step()
+        opt.step({k: np.zeros_like(p) for k, p in model.params.items()})
         after = model.state_arrays()
         for k in before:
             np.testing.assert_array_equal(before[k], after[k])
 
     def test_first_step_magnitude_is_learning_rate(self):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        p = np.array([1.0, -2.0])
         opt = Adam({"p": p}, lr=0.01)
-        p.grad = np.array([3.0, -7.0])
-        opt.step()
+        opt.step({"p": np.array([3.0, -7.0])})
         # bias-corrected first step moves each coordinate by ~lr against the sign
-        np.testing.assert_allclose(np.abs(np.array([1.0, -2.0]) - p.data), 0.01, rtol=1e-6)
+        np.testing.assert_allclose(np.abs(np.array([1.0, -2.0]) - p), 0.01, rtol=1e-6)
 
     def test_quadratic_bowl_descends(self):
-        x = Tensor(np.array([4.0, -3.0]), requires_grad=True)
+        x = np.array([4.0, -3.0])
         opt = Adam({"x": x}, lr=0.02)
         losses = []
         for _ in range(400):
-            losses.append(float((x.data * x.data).sum()))
-            x.grad = 2 * x.data
-            opt.step()
+            losses.append(float((x * x).sum()))
+            opt.step({"x": 2 * x})
         # monotone while far from the floor; Adam steps ~lr per coordinate,
         # so the loss can only chatter once |x| reaches that scale
         assert all(a >= b for a, b in zip(losses[10:150], losses[11:151]))
@@ -484,14 +527,20 @@ class TestAdam:
 class TestDtype:
     def test_training_step_and_predict_stay_float32(self, monkeypatch):
         # a silent upcast would keep every output correct and lose the speed
-        results = []
-        make = Tensor._result
+        import ridecast.nn.model as model_mod
 
-        def spy(data, parents, backward):
-            results.append(make(data, parents, backward))
-            return results[-1]
+        arrays = []
 
-        monkeypatch.setattr(Tensor, "_result", staticmethod(spy))
+        def spying(layer):
+            def spy(*args):
+                out = layer(*args)
+                arrays.append(out if isinstance(out, np.ndarray) else out[0])
+                return out
+            return spy
+
+        for name in ("embed", "add_position", "add_layer_norm", "self_attention", "attention", "mlp_forward",
+                     "pooled_heads", "task_mse"):
+            monkeypatch.setattr(model_mod, name, spying(getattr(model_mod, name)))
         cfg = ModelConfig(seq_len=6, input_dim=12)
         model = TransformerRegressor(cfg, seed=14)
         rng = np.random.default_rng(14)
@@ -499,16 +548,35 @@ class TestDtype:
         y = rng.normal(size=(5, cfg.n_tasks))
         opt = Adam(model.params)
         model.zero_grad()
-        model.backward_weighted(model.task_losses(x, y), np.full(cfg.n_tasks, 1.0 / cfg.n_tasks))
-        opt.step()
+        losses, tape = model.task_losses(x, y)
+        # every layer output of the chain (4 per block) and the losses
+        assert len(arrays) == 2 + 4 * cfg.n_blocks + 2
+        tape[:] = [(spying(back), names) for back, names in tape]
+        model.backward_weighted(tape, np.full(cfg.n_tasks, 1.0 / cfg.n_tasks))
+        opt.step(model.grads)
         pred = model.predict(x)
-        assert results and all(r.data.dtype == np.float32 for r in results)
+        assert len(arrays) == 2 * (2 + 4 * cfg.n_blocks + 2) + 3 + 4 * cfg.n_blocks
+        assert all(a is None or a.dtype == np.float32 for a in arrays)
         for k, p in model.params.items():
-            assert p.data.dtype == np.float32 and p.grad.dtype == np.float32, k
+            assert p.dtype == np.float32 and model.grads[k].dtype == np.float32, k
         for moments in (opt._m, opt._v):
             assert set(moments) == set(model.params)
             assert all(v.dtype == np.float32 for v in moments.values())
         assert pred.dtype == np.float32
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelConfig)])
+    @pytest.mark.parametrize("value", [4.5, 4.0, 0])
+    def test_sizes_must_be_integers_at_least_one(self, field, value):
+        # d_model=4.5 used to pass and fail later with a TypeError in the draws
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(TINY, **{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = ModelConfig(**{k: np.int64(v) for k, v in dataclasses.asdict(TINY).items()})
+        assert cfg == TINY
+        assert TransformerRegressor(cfg).predict(np.zeros((3, 5))).shape == (4,)
 
 
 class TestCheckpoint:
@@ -520,7 +588,7 @@ class TestCheckpoint:
         save_checkpoint(path, model, fstats, lstats, meta={"strategy": "WESM"})
         ck = load_checkpoint(path)
         for k, v in model.state_arrays().items():
-            np.testing.assert_array_equal(ck.model.params[k].data, v, err_msg=k, strict=True)
+            np.testing.assert_array_equal(ck.model.params[k], v, err_msg=k, strict=True)
         x = np.random.default_rng(9).normal(size=(3, 5))
         np.testing.assert_array_equal(ck.model.predict(x), model.predict(x))
         np.testing.assert_array_equal(ck.feature_stats.mean, fstats.mean)
@@ -617,6 +685,12 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_refuses_non_integer_config(self, tmp_path):
+        # used to escape as the TypeError of the parameter draws
+        path = self._edited(tmp_path, lambda p: p["config"].update(d_model=4.5))
+        with pytest.raises(CheckpointError, match="d_model"):
+            load_checkpoint(path)
+
     def test_refuses_missing_params(self, tmp_path):
         path = self._edited(tmp_path, lambda p: p.pop("params"))
         with pytest.raises(CheckpointError):
@@ -644,12 +718,12 @@ class TestCheckpoint:
         # into float32 parameters, rounded once
         rng = np.random.default_rng(15)
         wide = float64_copy(TransformerRegressor(TINY, seed=15))
-        for t in wide.params.values():
-            t.data = t.data + rng.normal(0.0, 1e-3, size=t.shape)
+        for k, p in wide.params.items():
+            wide.params[k] = p + rng.normal(0.0, 1e-3, size=p.shape)
         path = tmp_path / "model.json"
         save_checkpoint(path, wide, identity_stats(N_BASE_FEATURES), identity_stats(4))
         ck = load_checkpoint(path)
         for k, v in wide.state_arrays().items():
-            np.testing.assert_array_equal(ck.model.params[k].data, v.astype(np.float32), err_msg=k, strict=True)
+            np.testing.assert_array_equal(ck.model.params[k], v.astype(np.float32), err_msg=k, strict=True)
         x = rng.normal(size=(4, 3, 5))
         np.testing.assert_allclose(ck.model.predict(x), wide.predict(x), rtol=1e-5, atol=1e-6)

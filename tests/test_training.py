@@ -147,10 +147,21 @@ class TestConfigs:
         with pytest.raises(ValueError):
             StrategyConfig(refresh_every=0)
 
+    @pytest.mark.parametrize("field", ["history_len", "refresh_every"])
+    @pytest.mark.parametrize("value", [2.5, 2.0])
+    def test_strategy_counts_must_be_integers(self, field, value):
+        # refresh_every=2.5 used to train, refreshing every 5 steps, and
+        # history_len=2.5 to fail at the first refresh with a TypeError
+        with pytest.raises(ValueError, match=field):
+            StrategyConfig(**{field: value})
+        assert StrategyConfig(**{field: np.int64(3)}) == StrategyConfig(**{field: 3})
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"batch_size": 0}, "batch_size"), ({"batch_size": -4}, "batch_size"),
         ({"epochs": 0}, "epochs"), ({"lr": 0.0}, "lr"), ({"lr": -1e-3}, "lr"),
         ({"lr": float("nan")}, "lr"), ({"lr": float("inf")}, "lr"),
+        # 2.5 used to pass here and fail later with a TypeError
+        ({"batch_size": 2.5}, "batch_size"), ({"epochs": 1.5}, "epochs"), ({"batch_size": 64.0}, "batch_size"),
     ])
     def test_train_config_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
