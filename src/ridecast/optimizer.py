@@ -3,11 +3,12 @@ trained forecaster, score the predicted metrics, and commit the best radius
 per grid at each window boundary.  Also hosts the offline data collection
 that turns simulator window logs into supervised training examples.
 
-Both build their sequences with one array builder, ``build_feature_batch``,
-from a table of window rows and an index matrix of each sequence's history
-rows (-1 for leading padding).  A decision's history is its grid's last T-1
-logged windows; a training example's is the T-1 rows before it in its grid's
-window-sorted log, by position, so gaps in window numbers do not shorten it.
+Both read a window log as whole windows: G rows per window, grid 0..G-1 in
+order, with rising window numbers.  ``_window_block`` checks that and returns
+the log as one (W, G) block of window rows, so a sequence is T rows down one
+grid's column of it.  A decision's history is its grid's last T-1 windows, and
+a training example's the T-1 windows before its own; zero windows fill in
+front where the log is shorter.  ``_sequences`` turns those rows into features.
 
 Raw feature sequences are float32: each value is its float64 window metric
 rounded once.  ``normalize_features`` turns them into the forecaster's
@@ -22,6 +23,7 @@ float64.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -71,8 +73,10 @@ class FeatureLayout:
     side_count: int
 
     def __post_init__(self) -> None:
-        if self.seq_len < 2 or self.side_count < 1:
-            raise ValueError("need seq_len >= 2 and side_count >= 1")
+        for name, low in (("seq_len", 2), ("side_count", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
     @property
     def n_cells(self) -> int:
@@ -93,52 +97,46 @@ def _window_table(windows: Sequence[MarketWindow]) -> np.ndarray:
     return np.array([_WINDOW_FIELDS(w) for w in windows], dtype=float).reshape(-1, N_BASE_FEATURES + 3)
 
 
-def build_feature_batch(
-    table: np.ndarray,
-    table_grids: np.ndarray,
-    index: np.ndarray,
-    counts: np.ndarray,
-    radius: np.ndarray,
-    grids: np.ndarray,
-    tods: np.ndarray,
-    layout: FeatureLayout,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble N raw (seq_len, dim) sequences in one pass.
+def _window_block(windows: Sequence[MarketWindow], n_grids: int) -> np.ndarray:
+    """A log of whole windows as its (W, G, 11) ``_window_table`` block.
 
-    ``table`` holds n realized window rows in ``COL_*`` order and
-    ``table_grids`` their grids.  Row k of ``index`` (N, seq_len-1) names
-    the table rows that fill rows 0..seq_len-2 of sequence k, oldest first,
-    with -1 for leading padding rows, which stay zero.  Callers pick which
-    windows count as history; the builder only places them.  The final row
-    carries ``counts`` (N, 3) of idle drivers, open orders and total drivers,
-    zeroed metrics and ``radius``.  Every non-padding row also gets the
-    sequence's grid one-hot and time-of-day one-hot.  Returns the (N, T, D)
-    float32 matrix, each value rounded once from its float64 input, and the
-    (N,) number of padding rows.  A grid outside the layout or a time of day
-    outside 0..N_TOD-1 is rejected.
-    """
-    t, n_cells = layout.seq_len, layout.n_cells
-    index, grids, tods = (np.asarray(a, dtype=np.int64) for a in (index, grids, tods))
-    bad = np.flatnonzero((grids < 0) | (grids >= n_cells))
+    The log must hold G rows per window: row k is grid k % G, the G rows of a
+    window share its window number, and window numbers rise, with gaps
+    allowed.  Any other log is rejected."""
+    block = _window_table(windows)
+    if len(block) % n_grids:
+        raise ValueError(f"window log has {len(block)} rows, not whole windows of {n_grids} grids")
+    block = block.reshape(-1, n_grids, block.shape[1])
+    grids, wins = block[:, :, N_BASE_FEATURES], block[:, :, N_BASE_FEATURES + 1]
+    bad = np.argwhere(grids != np.arange(n_grids))
     if len(bad):
-        raise ValueError(f"window row for grid {grids[bad[0]]} outside 0..{n_cells - 1}")
+        w, g = bad[0]
+        raise ValueError(f"window log row {w * n_grids + g} is grid {grids[w, g]:g}, expected grid {g}")
+    if np.any(wins != wins[:, :1]):
+        raise ValueError("the rows of one window must share its window number")
+    if np.any(wins[1:, 0] <= wins[:-1, 0]):
+        raise ValueError("window numbers must rise from window to window")
+    return block
+
+
+def _sequences(rows: np.ndarray, n_pad: np.ndarray, layout: FeatureLayout) -> np.ndarray:
+    """(N, T, D) float32 feature sequences from (N, T, 11) window rows, each value rounded once from float64.
+
+    The first ``n_pad`` rows of sequence k are zero padding.  Its final row keeps its counts and radius
+    with its metrics zeroed, and every real row gets the final row's grid and time-of-day one-hots.  A
+    time of day outside 0..N_TOD-1 is rejected."""
+    t = layout.seq_len
+    grids, tods = (rows[:, -1, N_BASE_FEATURES + c].astype(np.int64) for c in (0, 2))
     bad = np.flatnonzero((tods < 0) | (tods >= N_TOD))
     if len(bad):
         raise ValueError(f"time of day {tods[bad[0]]} outside 0..{N_TOD - 1}")
-    pad = index < 0
-    seq, row = np.nonzero(~pad)
-    src = index[seq, row]
-    if np.any(np.asarray(table_grids)[src] != grids[seq]):
-        raise ValueError("history rows must belong to the decision grid")
-    x = np.zeros((len(grids), t, layout.dim), dtype=np.float32)
-    x[seq, row, :N_BASE_FEATURES] = np.asarray(table)[src]
-    x[:, -1, COL_IDLE:COL_TOTAL + 1] = counts
-    x[:, -1, COL_RADIUS] = radius
-    n_pad = np.count_nonzero(pad, axis=1)
+    x = np.zeros((len(rows), t, layout.dim), dtype=np.float32)
+    x[:, :, :N_BASE_FEATURES] = rows[:, :, :N_BASE_FEATURES]
+    x[:, -1, COL_OFR:COL_RADIUS] = 0.0
     seq, row = np.nonzero(_real_row_mask(n_pad, t))
     x[seq, row, N_BASE_FEATURES + grids[seq]] = 1.0
-    x[seq, row, N_BASE_FEATURES + n_cells + tods[seq]] = 1.0
-    return x, n_pad
+    x[seq, row, N_BASE_FEATURES + layout.n_cells + tods[seq]] = 1.0
+    return x
 
 
 def composite_score(predictions: np.ndarray, label_stats: NormStats) -> np.ndarray:
@@ -224,24 +222,6 @@ def normalize_features(features: np.ndarray, pad_rows: np.ndarray, stats: NormSt
     return out
 
 
-def _recent_rows(history: Sequence[MarketWindow], n_grids: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each grid's last ``depth`` windows of ``history``: an (n, 11) ``_window_table`` sorted by grid, stably,
-    so each grid's rows keep their log order, and its (n_grids,) row counts.  Only a tail of the history is
-    read: it starts at ``depth * n_grids`` rows and doubles until every grid has ``depth`` rows in it or it
-    is the whole history."""
-    n = depth * n_grids
-    while True:
-        table = _window_table(history[-n:])
-        grids = table[:, N_BASE_FEATURES].astype(np.int64)
-        bad = np.flatnonzero((grids < 0) | (grids >= n_grids))
-        if len(bad):
-            raise ValueError(f"history row for grid {grids[bad[0]]} outside 0..{n_grids - 1}")
-        counts = np.bincount(grids, minlength=n_grids)
-        if n >= len(history) or counts.min() >= depth:
-            return table[np.argsort(grids, kind="stable")], counts
-        n *= 2
-
-
 class PredictorRadiusSource:
     """Radius source driven by a predictor, one batched prediction per
     window; keeps a full decision audit log in ``decisions``."""
@@ -268,20 +248,21 @@ class PredictorRadiusSource:
     def _batch(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
         """(G*K, T, D) model input, grid-major (row g*K + j: grid g, candidate j in its final row).  The G
         sequences go through ``normalize_features`` before the K copies, and each copy's final radius is
-        z-scored from its float64 candidate.  Built apart from ``radii`` to be freed once predicted."""
+        z-scored from its float64 candidate.  Only the last T-1 windows of ``history`` are read, and only
+        they are checked to be whole windows.  Built apart from ``radii`` to be freed once predicted."""
         n_grids, t = self.layout.n_cells, self.layout.seq_len
         for name in ("n_idle", "n_open", "n_total"):
             shape = np.shape(getattr(snapshot, name))
             if shape != (n_grids,):  # a shorter array would broadcast one grid's count to every grid
                 raise ValueError(f"snapshot {name} has shape {shape}, expected ({n_grids},)")
-        counts = np.stack([snapshot.n_idle, snapshot.n_open, snapshot.n_total], axis=1)
-        table, lens = _recent_rows(history, n_grids, t - 1)
-        # grid g's rows end at table row cumsum(lens)[g]; column k takes the row T-1-k before that end
-        ends = np.cumsum(lens)
-        prev = ends[:, None] - np.arange(t - 1, 0, -1)
-        index = np.where(prev >= (ends - lens)[:, None], prev, -1)
-        base, pads = build_feature_batch(table[:, :N_BASE_FEATURES], table[:, N_BASE_FEATURES], index, counts,
-                                         0.0, np.arange(n_grids), np.full(n_grids, snapshot.tod), self.layout)
+        tail = _window_block(history[-(t - 1) * n_grids:], n_grids)
+        rows = np.zeros((t, n_grids, tail.shape[2]))  # zero windows in front of a short history
+        rows[t - 1 - len(tail):-1] = tail
+        rows[-1, :, COL_IDLE:COL_TOTAL + 1] = np.stack([snapshot.n_idle, snapshot.n_open, snapshot.n_total], axis=1)
+        rows[-1, :, N_BASE_FEATURES] = np.arange(n_grids)
+        rows[-1, :, N_BASE_FEATURES + 2] = snapshot.tod
+        pads = np.full(n_grids, t - 1 - len(tail))
+        base = _sequences(rows.transpose(1, 0, 2), pads, self.layout)
         stats = self.feature_stats
         # normalize_features' arithmetic on the radius column alone
         final_radii = (self.candidates.as_array() - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
@@ -372,30 +353,29 @@ def dataset_from_windows(
 ) -> TrainingData:
     """One labeled example per (grid, window) of a completed episode log.
 
-    Examples are ordered by grid, then window; rows that tie on both keep
-    their log order.  The example for a row uses the up to T-1 rows before it
-    in that order within its grid as realized history (positional: a gap in
+    The log must be whole windows, as ``_window_block`` checks.  Examples are
+    ordered by grid, then window.  The example for a row uses the up to T-1
+    windows before it in the log as realized history (positional: a gap in
     window numbers does not shorten it), the row's start-of-window counts
     plus its actual radius as the final row, and its realized metrics as the
-    label.  A row whose grid lies outside the layout is rejected.
+    label.
     """
-    rows = _window_table(windows)
-    grids, wins = rows[:, N_BASE_FEATURES].astype(int), rows[:, N_BASE_FEATURES + 1].astype(int)
-    order = np.lexsort((wins, grids))
-    rows, grids, wins = rows[order], grids[order], wins[order]
-    n, t = len(rows), layout.seq_len
-    prev = np.arange(n)[:, None] - np.arange(t - 1, 0, -1)  # column k: the row T-1-k positions back
-    # kept while it lies in the row's own grid, whose rows start at searchsorted(grids, g)
-    index = np.where(prev >= np.searchsorted(grids, grids)[:, None], prev, -1)
-    features, pads = build_feature_batch(rows[:, :N_BASE_FEATURES], grids, index, rows[:, COL_IDLE:COL_TOTAL + 1],
-                                         rows[:, COL_RADIUS], grids, rows[:, N_BASE_FEATURES + 2], layout)
+    block = _window_block(windows, layout.n_cells)
+    n_windows, n_grids, width = block.shape
+    t = layout.seq_len
+    # T zero windows in front: the view then has a first, all-padding sequence to drop even for an empty log
+    padded = np.concatenate([np.zeros((t, n_grids, width)), block])
+    rows = np.lib.stride_tricks.sliding_window_view(padded, t, axis=0)[1:]  # (W, G, 11, T)
+    rows = rows.transpose(1, 0, 3, 2).reshape(-1, t, width)                 # grid-major (G*W, T, 11)
+    pads = np.tile(np.maximum(t - 1 - np.arange(n_windows), 0), n_grids)
+    final = rows[:, -1]
     return TrainingData(
-        features=features,
-        labels=rows[:, COL_OFR:COL_RADIUS].copy(),
+        features=_sequences(rows, pads, layout),
+        labels=final[:, COL_OFR:COL_RADIUS].copy(),
         pad_rows=pads,
-        grids=grids,
-        windows=wins,
-        episodes=np.full(n, episode, dtype=int),
+        grids=np.repeat(np.arange(n_grids), n_windows),
+        windows=final[:, N_BASE_FEATURES + 1].astype(np.int64),
+        episodes=np.full(len(rows), episode, dtype=int),
         layout=layout,
     )
 

@@ -47,7 +47,9 @@ class WindowSnapshot:
 class RadiusSource(Protocol):
     """Supplies per-grid radii (km) for the window about to begin."""
 
-    def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray: ...
+    def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
+        """``history`` is the run's window log so far, whole windows oldest first: one row per grid,
+        grid 0..G-1 in order, with rising window numbers."""
 
 
 class ScheduleRadius:
@@ -76,6 +78,8 @@ class RandomRadius:
         c = np.array(candidates, dtype=float)
         if c.ndim != 1 or not len(c) or not np.all(np.isfinite(c) & (c > 0)):
             raise ValueError("candidates must be a non-empty 1-D list of finite radii > 0")
+        if not isinstance(n_cells, numbers.Integral) or n_cells < 1:
+            raise ValueError(f"n_cells must be an integer >= 1, got {n_cells!r}")
         self._candidates = c
         self._n_cells = n_cells
         self._rng = np.random.default_rng(seed)

@@ -5,6 +5,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The digest of every self-check operation, per workload, untraced and traced:
+# byte drift in what the benchmark feeds the code or reads back shows here
+# without a benchmark run.  Like the golden traces, these were taken with
+# numpy's OpenBLAS on x86-64; a BLAS that orders float32 sums differently may
+# move the decide and train digests.
+SELF_CHECK_DIGESTS = {"explore": "f105f2203ae5f87d", "decide": "c6c87ff7968caa58", "train": "d68ad186bedca02e"}
+
 
 def test_bench_self_check_passes_without_failed_operations():
     # the bench times the model through a proxy of zero_grad, task_losses,
@@ -16,6 +23,9 @@ def test_bench_self_check_passes_without_failed_operations():
     tail = run.stdout[-3000:] + run.stderr[-3000:]
     assert run.returncode == 0, tail
     records = [json.loads(line) for line in run.stdout.splitlines() if line.startswith('{"attempted"')]
-    assert sorted({r["workload"] for r in records}) == ["decide", "explore", "train"], tail
+    assert sorted((r["workload"], r["trace"]) for r in records) == [(w, t) for w in sorted(SELF_CHECK_DIGESTS)
+                                                                    for t in (0, 1)], tail
     for r in records:
         assert r["failed"] == 0 and not r["errors"] and r["attempted"] > 0, (r["workload"], r["trace"], r["errors"])
+        digests = {d for ops in r["digests"]["ops"] for d in ops}
+        assert digests == {SELF_CHECK_DIGESTS[r["workload"]]}, (r["workload"], r["trace"], digests)

@@ -31,7 +31,6 @@ from ridecast.optimizer import (
     PredictorRadiusSource,
     RadiusDecision,
     TrainingData,
-    build_feature_batch,
     collect_training_data,
     composite_score,
     dataset_from_windows,
@@ -70,46 +69,56 @@ def mkwindow(grid=2, window=0, ofr=0.5, apd=1.2, dur=0.4, rev=30.0, radius=2.0,
                         revenue=rev, radius_km=radius, tod=tod)
 
 
+def whole(windows, n_cells=16, **fields):
+    """A log of whole windows: every grid logs each window number in ``windows``, in grid order."""
+    return [mkwindow(grid=g, window=w, **fields) for w in windows for g in range(n_cells)]
+
+
 def build_one(history, n_idle, n_open, n_total, tod, grid, candidate_radius, layout=LAYOUT):
-    """One sequence through the batched builder: the history rows right-aligned
-    in the index row, -1 before them."""
-    table = np.array([[w.n_idle, w.n_open, w.n_total, w.ofr, w.apd_km, w.dur, w.revenue, w.radius_km]
-                      for w in history]).reshape(-1, 8)
-    index = [-1] * (layout.seq_len - 1 - len(history)) + list(range(len(history)))
-    x, pads = build_feature_batch(table, [w.grid for w in history], [index], [[n_idle, n_open, n_total]],
-                                  [candidate_radius], [grid], [tod], layout)
-    return x[0], int(pads[0])
+    """Grid ``grid``'s sequence of a one-candidate decision batch under identity stats, which leaves
+    the raw float32 features: ``history`` holds that grid's rows, one per window, and every other grid
+    logs default rows beside them."""
+    log = [w if g == grid else mkwindow(grid=g, window=w.window) for w in history for g in range(layout.n_cells)]
+    src = PredictorRadiusSource(PinnedRadiusPredictor(candidate_radius), CandidateSet((candidate_radius,)), layout,
+                                FEATURE_IDENT, IDENT)
+    snapshot = mksnapshot(window=len(history), tod=tod, n_idle=n_idle, n_open=n_open, n_total=n_total,
+                          n_cells=layout.n_cells)
+    return src._batch(snapshot, log)[grid]  # K = 1: grid g is row g
+
+
+@pytest.mark.parametrize("seq_len, side_count, field", [(2.5, 3, "seq_len"), (3, 2.0, "side_count"),
+                                                         (3.0, 2, "seq_len"), (1, 3, "seq_len"), (3, 0, "side_count")])
+def test_layout_sizes_are_whole_numbers_in_range(seq_len, side_count, field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+        FeatureLayout(seq_len=seq_len, side_count=side_count)
 
 
 class TestBuildFeatures:
     def test_cold_start_pads_with_zeros(self):
-        x, n_pad = build_one([], 5, 7, 9, tod=3, grid=2, candidate_radius=1.5)
+        x = build_one([], 5, 7, 9, tod=3, grid=2, candidate_radius=1.5)
         assert x.shape == (4, LAYOUT.dim)
-        assert n_pad == 3
         np.testing.assert_array_equal(x[:3], 0.0)
         assert x[-1, 0] == 5 and x[-1, 1] == 7 and x[-1, 2] == 9
         assert x[-1, COL_RADIUS] == 1.5
         assert x[-1, 8 + 2] == 1.0                 # grid one-hot
         assert x[-1, 8 + 16 + 3] == 1.0            # time-of-day one-hot
 
-    def test_padding_stays_zero_after_normalization(self):
-        # the decision batch normalizes real rows only; grid 2 has one past
-        # window (2 padding rows), every other grid none (3 padding rows)
+    @pytest.mark.parametrize("n_windows", [0, 1, 2])
+    def test_padding_stays_zero_after_normalization(self, n_windows):
+        # the decision batch normalizes real rows only; every grid has
+        # n_windows past windows and 3 - n_windows padding rows
         stats = NormStats(mean=np.full(N_BASE_FEATURES, 7.5), std=np.full(N_BASE_FEATURES, 2.0))
         src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), LAYOUT, stats, IDENT)
-        x = src._batch(mksnapshot(window=1), [mkwindow(grid=2, window=0)])
+        x = src._batch(mksnapshot(window=n_windows), whole(range(n_windows)))
         assert x.shape == (16 * 2, 4, LAYOUT.dim)
-        grid2 = x[2 * 2: 3 * 2]  # grid-major: row g*K + j
-        np.testing.assert_array_equal(grid2[:, :2], 0.0)
-        assert np.all(grid2[:, 2:, :N_BASE_FEATURES] != 0.0)  # centered away from zero by the stats
-        others = np.delete(x, [4, 5], axis=0)
-        np.testing.assert_array_equal(others[:, :3], 0.0)
-        assert np.all(others[:, 3, :N_BASE_FEATURES] != 0.0)
+        n_pad = 3 - n_windows
+        np.testing.assert_array_equal(x[:, :n_pad], 0.0)
+        assert np.all(x[:, n_pad:, :N_BASE_FEATURES] != 0.0)  # centered away from zero by the stats
 
     def test_candidate_isolated_to_final_row_radius(self):
         hist = [mkwindow(window=w) for w in range(3)]
-        a, _ = build_one(hist, 2, 2, 2, tod=1, grid=2, candidate_radius=1.0)
-        b, _ = build_one(hist, 2, 2, 2, tod=1, grid=2, candidate_radius=2.0)
+        a = build_one(hist, 2, 2, 2, tod=1, grid=2, candidate_radius=1.0)
+        b = build_one(hist, 2, 2, 2, tod=1, grid=2, candidate_radius=2.0)
         diff = np.argwhere(a != b)
         assert diff.tolist() == [[3, COL_RADIUS]]
 
@@ -118,8 +127,7 @@ class TestBuildFeatures:
                       n_idle=1, n_open=2, n_total=3)
         h1 = mkwindow(window=6, ofr=0.75, apd=1.0, dur=0.6, rev=20.0, radius=4.0,
                       n_idle=4, n_open=5, n_total=6)
-        x, n_pad = build_one([h0, h1], 7, 8, 9, tod=2, grid=2, candidate_radius=2.5)
-        assert n_pad == 1
+        x = build_one([h0, h1], 7, 8, 9, tod=2, grid=2, candidate_radius=2.5)
         grid_onehot = np.eye(16)[2]
         tod_onehot = np.eye(4)[2]
         want = np.zeros((4, LAYOUT.dim))
@@ -131,7 +139,7 @@ class TestBuildFeatures:
         np.testing.assert_array_equal(x, want.astype(np.float32))
 
     def test_history_longer_than_window_keeps_most_recent(self):
-        hist = [mkwindow(window=w, rev=float(w)) for w in range(10)]
+        hist = [mkwindow(grid=g, window=w, rev=float(w)) for w in range(10) for g in range(16)]
         data = dataset_from_windows(hist, LAYOUT)
         assert data.pad_rows[-1] == 0
         np.testing.assert_array_equal(data.features[-1, :3, 6], [6.0, 7.0, 8.0])
@@ -139,36 +147,70 @@ class TestBuildFeatures:
         x = src._batch(mksnapshot(window=10), hist)
         np.testing.assert_array_equal(x[2, :3, 6], [7.0, 8.0, 9.0])  # K = 1: grid g is row g
 
-    def test_wrong_grid_history_rejected(self):
-        with pytest.raises(ValueError):
-            build_one([mkwindow(grid=1)], 1, 1, 1, tod=0, grid=2, candidate_radius=1.0)
-
+    @pytest.mark.parametrize("path", ["training", "decision"])
     @pytest.mark.parametrize("tod", [-1, N_TOD, 9])
-    def test_time_of_day_outside_the_one_hots_rejected(self, tod):
+    def test_time_of_day_outside_the_one_hots_rejected(self, tod, path):
         with pytest.raises(ValueError, match=f"time of day {tod} outside 0..{N_TOD - 1}"):
-            build_one([mkwindow()], 1, 1, 1, tod=tod, grid=2, candidate_radius=1.0)
+            if path == "training":
+                dataset_from_windows(whole([0], tod=tod), LAYOUT)
+            else:
+                build_one([mkwindow()], 1, 1, 1, tod=tod, grid=2, candidate_radius=1.0)
 
 
-WINDOW_ROWS = st.tuples(
-    st.integers(0, 3), st.integers(0, 12),                      # grid, window
+# logs that break one rule of whole windows each, within the decision batch's last T-1 windows, and the
+# error each gets
+BROKEN_LOGS = {
+    "partial window": (lambda: whole([0, 1]) + [mkwindow(grid=0, window=2)], "not whole windows"),
+    "missing grid": (lambda: [w for w in whole([0, 1]) if (w.window, w.grid) != (1, 5)], "not whole windows"),
+    "shuffled grids": (lambda: [whole([0])[g] for g in [1, 0, *range(2, 16)]], "row 0 is grid 1, expected grid 0"),
+    "foreign grid": (lambda: whole([0])[:-1] + [mkwindow(grid=16, window=0)], "row 15 is grid 16, expected grid 15"),
+    "split window": (lambda: [mkwindow(grid=g, window=int(g == 7)) for g in range(16)], "share its window number"),
+    "falling windows": (lambda: whole([1, 0]), "must rise"),
+    "repeated window": (lambda: whole([3, 3]), "must rise"),
+}
+
+
+class TestWholeWindows:
+    """Both entry points read a log as whole windows and reject any other."""
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_LOGS))
+    def test_dataset_rejects(self, name):
+        log, match = BROKEN_LOGS[name]
+        with pytest.raises(ValueError, match=match):
+            dataset_from_windows(log(), LAYOUT)
+
+    @pytest.mark.parametrize("name", sorted(BROKEN_LOGS))
+    def test_radii_rejects_and_records_nothing(self, name):
+        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), LAYOUT, FEATURE_IDENT, IDENT)
+        log, match = BROKEN_LOGS[name]
+        with pytest.raises(ValueError, match=match):
+            src.radii(mksnapshot(window=4), log())
+        assert len(src.decisions) == 0
+
+
+ROW_VALUES = st.tuples(
     st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),    # n_idle, n_open, extra drivers
     st.floats(0, 1), st.floats(0, 4), st.floats(0, 1),          # ofr, apd, dur
     st.floats(0, 60), st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from(list(TimeOfDay)),
 )
+# whole windows of a 2 x 2 layout: each the step up from the last window number, then its four grids' rows
+WINDOWS = st.lists(st.tuples(st.integers(1, 3), st.lists(ROW_VALUES, min_size=4, max_size=4)), max_size=10)
 
 
 class TestDatasetFromWindows:
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(rows=st.lists(WINDOW_ROWS, max_size=40), seq_len=st.integers(2, 5))
-    @example(rows=[], seq_len=4)
-    def test_matches_per_example_oracle(self, rows, seq_len):
-        # rows come in any order, with gaps in window numbers, duplicate
-        # (grid, window) pairs and grids with fewer than T-1 windows; the
-        # empty log must give (0, T, D) features and (0, 4) labels
+    @given(windows=WINDOWS, seq_len=st.integers(2, 5))
+    @example(windows=[], seq_len=4)
+    def test_matches_per_example_oracle(self, windows, seq_len):
+        # 0..10 windows with random rising gaps in window numbers, so some
+        # logs hold fewer than T-1 windows; the empty log must give (0, T, D)
+        # features and (0, 4) labels
         layout = FeatureLayout(seq_len=seq_len, side_count=2)
-        log = [mkwindow(grid=g, window=w, n_idle=i, n_open=o, n_total=i + extra, ofr=ofr, apd=apd, dur=dur,
+        numbers = np.cumsum([step for step, _ in windows], dtype=int) - 1
+        log = [mkwindow(grid=g, window=int(w), n_idle=i, n_open=o, n_total=i + extra, ofr=ofr, apd=apd, dur=dur,
                         rev=rev, radius=r, tod=tod)
-               for g, w, i, o, extra, ofr, apd, dur, rev, r, tod in rows]
+               for w, (_, rows) in zip(numbers, windows)
+               for g, (i, o, extra, ofr, apd, dur, rev, r, tod) in enumerate(rows)]
         got, want = dataset_from_windows(log, layout, episode=7), reference_dataset(log, layout, episode=7)
         want.features = want.features.astype(np.float32)  # raw features: the float64 values rounded once
         for name in ("features", "labels", "pad_rows", "grids", "windows", "episodes"):
@@ -177,16 +219,11 @@ class TestDatasetFromWindows:
         assert got.labels.flags.c_contiguous
 
     def test_raw_features_are_float32(self):
-        data = dataset_from_windows([mkwindow(window=w, apd=1.2, dur=0.1 * w) for w in range(6)], LAYOUT)
+        data = dataset_from_windows([mkwindow(grid=g, window=w, apd=1.2, dur=0.1 * w)
+                                     for w in range(6) for g in range(16)], LAYOUT)
         assert data.features.dtype == data.real_rows().dtype == np.float32
         assert data.labels.dtype == np.float64  # labels keep their float64 values
         assert data.labels[0, 1] == 1.2
-
-    @pytest.mark.parametrize("grid", [-1, LAYOUT.n_cells])
-    def test_grid_outside_the_layout_rejected(self, grid):
-        log = [mkwindow(grid=3, window=0), mkwindow(grid=grid, window=1, radius=2.0)]
-        with pytest.raises(ValueError, match=f"grid {grid} outside"):
-            dataset_from_windows(log, LAYOUT)
 
 
 class TestCompositeScore:
@@ -305,12 +342,6 @@ class TestChooseRadius:
             src.radii(snapshot, [])
         assert len(src.decisions) == 0
 
-    @pytest.mark.parametrize("grid", [-1, 16])
-    def test_history_row_outside_the_layout_rejected(self, grid):
-        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0,)), LAYOUT, FEATURE_IDENT, IDENT)
-        with pytest.raises(ValueError, match="outside"):
-            src.radii(mksnapshot(), [mkwindow(grid=3), mkwindow(grid=grid)])
-
 
 def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapshot, history):
     """Per-grid decisions: one reference_features sequence per candidate, rounded
@@ -334,13 +365,9 @@ def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapsh
 
 
 class TestPredictorRadiusSource:
-    # short: grid g has min(g, 5) past windows, so some grids have none and
-    # several fewer than T-1; gappy: every grid has T-1 or more, but grids skip
-    # different windows, so they fill their last T-1 at different scan depths
-    HISTORIES = {
-        "short": lambda w, g: w >= 8 - min(g, 5),
-        "gappy": lambda w, g: (w + g) % 3 != 0 and not (g % 5 == 1 and w >= 5),
-    }
+    # the window numbers of whole-window histories: short has fewer than T-1
+    # windows, so every sequence pads; gappy has more, with gaps in the numbers
+    HISTORIES = {"short": [5, 6], "gappy": [0, 2, 3, 5, 7]}
 
     # LAYOUT.dim is the width of stats that z-score the one-hots too
     @pytest.mark.parametrize("feature_width, label_width", [(1, 4), (LAYOUT.dim, 4), (N_BASE_FEATURES, 1),
@@ -355,10 +382,9 @@ class TestPredictorRadiusSource:
     def test_batched_matches_per_grid_reference(self, shape, with_stats):
         rng = np.random.default_rng(7)
         history = []
-        for w in range(8):
-            grids = [g for g in range(16) if self.HISTORIES[shape](w, g)]
-            for g in rng.permutation(grids):  # grids interleaved out of order within a window
-                history.append(mkwindow(grid=int(g), window=w, ofr=rng.uniform(), apd=rng.uniform(0, 3),
+        for w in self.HISTORIES[shape]:
+            for g in range(16):
+                history.append(mkwindow(grid=g, window=w, ofr=rng.uniform(), apd=rng.uniform(0, 3),
                                         dur=rng.uniform(), rev=rng.uniform(0, 50),
                                         radius=float(rng.choice([1.0, 2.0, 3.0])),
                                         n_idle=int(rng.integers(0, 5)), n_open=int(rng.integers(0, 5)),
@@ -409,7 +435,7 @@ class TestPredictorRadiusSource:
         assert calls == [16 * 3] * 3  # one batched prediction per boundary
 
     def test_batch_is_the_float64_batch_cast_to_float32(self):
-        history = [mkwindow(grid=g, window=w, rev=3.0 * g + w, radius=0.5 + w) for w in range(2) for g in (1, 2, 9)]
+        history = [mkwindow(grid=g, window=w, rev=3.0 * g + w, radius=0.5 + w) for w in range(2) for g in range(16)]
         stats = NormStats(mean=np.linspace(-1.0, 2.0, N_BASE_FEATURES), std=np.linspace(0.3, 3.0, N_BASE_FEATURES))
         cands = CandidateSet((0.1, 0.7, 1.3))
         src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), cands, LAYOUT, stats, IDENT)
@@ -461,28 +487,27 @@ class TestOneHotsPassThrough:
     STATS = NormStats(mean=np.linspace(-3.0, 5.0, N_BASE_FEATURES), std=np.linspace(0.2, 4.0, N_BASE_FEATURES))
 
     @staticmethod
-    def log():
-        # grid g logs windows g % 4..4 only, 2 to 5 rows, so some sequences pad; the time of day is window % 4
+    def log(n_windows):
+        # whole windows; the time of day is window % 4
         rng = np.random.default_rng(8)
         return [mkwindow(grid=g, window=w, ofr=rng.uniform(), apd=rng.uniform(0, 3), rev=rng.uniform(0, 50),
                          tod=TimeOfDay(w % 4))
-                for w in range(5) for g in range(LAYOUT.n_cells) if w >= g % 4]
+                for w in range(n_windows) for g in range(LAYOUT.n_cells)]
 
     @pytest.mark.parametrize("path", ["training", "decision"])
     def test_one_hots_are_0_1_and_padding_is_zero(self, path):
-        t, log = LAYOUT.seq_len, self.log()
-        if path == "training":
-            data = dataset_from_windows(log, LAYOUT)
+        t = LAYOUT.seq_len
+        if path == "training":  # 5 windows: the first three pad 3, 2 and 1 rows
+            data = dataset_from_windows(self.log(5), LAYOUT)
             x, pads, grids, tods = data.normalized_features(self.STATS), data.pad_rows, data.grids, data.windows % 4
-        else:
+        else:  # 2 windows: every sequence pads 1 row
             k = 3
             src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((0.5, 1.0, 2.0)), LAYOUT,
                                         self.STATS, IDENT)
-            x = src._batch(mksnapshot(window=5, tod=1), log)
-            lens = np.bincount([w.grid for w in log], minlength=LAYOUT.n_cells)
-            pads = np.repeat(np.maximum(t - 1 - lens, 0), k)
+            x = src._batch(mksnapshot(window=2, tod=1), self.log(2))
+            pads = np.full(LAYOUT.n_cells * k, 1)
             grids, tods = np.repeat(np.arange(LAYOUT.n_cells), k), np.full(LAYOUT.n_cells * k, 1)
-        assert set(pads.tolist()) >= {0, 1} and x.dtype == np.float32
+        assert x.dtype == np.float32
         real = np.arange(t) >= pads[:, None]
         want = np.zeros((len(x), t, LAYOUT.dim - N_BASE_FEATURES), dtype=np.float32)
         seq, row = np.nonzero(real)
@@ -496,10 +521,9 @@ def golden_day():
     """Radii and predictions of a 12-window generated day on a 10 x 10 layout.
 
     Feature and label stats are fitted on a generated three-window log.  In
-    the day, grid g logs window w unless (w + g) % 4 == 0, and grids 90..99
-    log nothing before window 6, so some grids have fewer than T-1 past rows
-    and others fill them at different depths.  Metrics are drawn from
-    continuous distributions, so most raw values are not exact in float32.
+    the day, every grid logs every window, so the first T-1 decisions pad
+    their sequences.  Metrics are drawn from continuous distributions, so
+    most raw values are not exact in float32.
     """
     layout = FeatureLayout(seq_len=6, side_count=10)
     g = layout.n_cells
@@ -525,7 +549,7 @@ def golden_day():
         snapshot = WindowSnapshot(window=w, start_s=w * 300.0, tod=w % 4, n_idle=rng.integers(0, 8, g),
                                   n_open=rng.integers(0, 8, g), n_total=rng.integers(8, 16, g))
         chosen.append(src.radii(snapshot, history))
-        history += rows(w, [i for i in range(g) if (w + i) % 4 and (i < 90 or w >= 6)])
+        history += rows(w, range(g))
     return np.concatenate(chosen), np.array([d.predictions for d in src.decisions])
 
 
@@ -536,8 +560,8 @@ class TestGoldenDecisionTrace:
     may move the prediction bytes.  Each day's 500-sequence batches run as two
     halves cut at a 16-row boundary, the bytes of one whole pass there."""
 
-    RADII = "223d1045a753ca6725a0bbfcd5e6aeebd7c9bb1cd3f9d1b932702f3ed03dacbe"
-    PREDICTIONS = "8055e3bb136ca975ace980775bb48ab921fb922217b278ebd91deac988b3e005"
+    RADII = "d962913049c840934e5fdb5e8773b44edcadd79dca997b2809a176838ef99c01"
+    PREDICTIONS = "46b84eedb7effd822fb3f30bcbb8095f91a57db121c88c986b7cba3683071640"
 
     def test_day(self):
         radii, preds = golden_day()

@@ -387,6 +387,11 @@ class TestRadiusSources:
         with pytest.raises(ValueError, match="finite radii > 0"):
             RandomRadius(candidates, 16, seed=0)
 
+    @pytest.mark.parametrize("n_cells", [2.5, 16.0, 0, -1])
+    def test_random_source_rejects_a_cell_count_that_is_not_a_whole_number_above_zero(self, n_cells):
+        with pytest.raises(ValueError, match="n_cells must be an integer >= 1"):
+            RandomRadius([1.0, 2.0], n_cells, seed=0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             mkconfig(tick_s=7.0)  # does not divide 300

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ridecast.behavior import AcceptanceModel, sample_accepts
 from ridecast.market import DriverStatus, GridSpec, OrderStream
+from ridecast.optimizer import FeatureLayout, dataset_from_windows
 from ridecast.sim import EpisodeResult, FixedRadius, RandomRadius, SimConfig, Simulation, run
 
 WINDOW_S = 300.0
@@ -94,8 +95,14 @@ def test_episode_invariants(sc):
     assert max(Counter((m.t_match, m.driver_id) for m in res.matches).values(), default=0) <= 1
     assert len({m.order_id for m in res.matches}) == len(res.matches)
 
+    # the window log is whole windows: grid 0..G-1 in every window, numbered
+    # 0, 1, 2, ..., which is what training reads
+    n_cells = sc["grid"].n_cells
+    assert [(w.window, w.grid) for w in res.windows] == [(i, g) for i in range(sc["windows"]) for g in range(n_cells)]
+    layout = FeatureLayout(seq_len=3, side_count=sc["grid"].side_count)
+    assert len(dataset_from_windows(res.windows, layout)) == n_cells * sc["windows"]
+
     # rates in [0, 1]
-    assert len(res.windows) == sc["windows"] * sc["grid"].n_cells
     for w in res.windows:
         assert 0.0 <= w.ofr <= 1.0 and 0.0 <= w.dur <= 1.0
     assert 0.0 <= s.ofr <= 1.0 and 0.0 <= s.dur <= 1.0
