@@ -1,10 +1,16 @@
 """Core market domain types: grids, time-of-day codes, driver status codes,
 the order stream, match records and the per-grid window row.
 
-Everything here is a plain value type, a read-only table or a pure function;
-nothing holds simulator state: the simulator keeps its fleet and its per-order
-run state column-wise (``sim.DriverFleet``, ``sim.Simulation``), and derives
-each window row's metrics from its match log (``Simulation._close_window``).
+``GridSpec`` is a frozen value type and ``OrderStream`` a read-only table.
+The two log rows, ``MatchRecord`` and ``MarketWindow``, are slotted records
+that the simulator writes once.  They are not frozen: a frozen dataclass's
+``__init__`` sets every field through ``object.__setattr__`` into a
+per-instance dict, which made a day's window rows take more than twice as long
+to build and more memory to hold, and the logs that hold them are plain lists,
+which were never read-only.  Nothing here holds simulator state: the
+simulator keeps its fleet and its per-order run state column-wise
+(``sim.DriverFleet``, ``sim.Simulation``), and derives each window row's
+metrics from its match log (``Simulation._close_window``).
 """
 from __future__ import annotations
 
@@ -146,9 +152,11 @@ class OrderStream:
         return len(self.t_create)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MatchRecord:
-    """One order won by one driver; the only record of a match."""
+    """One order won by one driver; the only record of a match.
+
+    A slotted log row, written once per match (see the module docstring)."""
 
     order_id: int
     driver_id: int
@@ -159,12 +167,18 @@ class MatchRecord:
     radius_km: float
 
 
-@dataclass(frozen=True)
+# TimeOfDay codes, as enum members and as the plain ints they equal
+_TOD_CODES = frozenset(TimeOfDay)
+
+
+@dataclass(slots=True)
 class MarketWindow:
     """Per-grid aggregation over one metric window.
 
     n_idle / n_open / n_total are snapshots taken at the window start; the
     o/d/u/p metrics summarize what happened inside the window under radius r.
+    A slotted log row, written once per grid and window (see the module
+    docstring); a day's log holds tens of thousands of them.
     """
 
     grid: int
@@ -181,6 +195,12 @@ class MarketWindow:
     tod: TimeOfDay
 
     def __post_init__(self) -> None:
+        if not self.grid >= 0:
+            raise ValueError(f"grid must be >= 0, got {self.grid!r}")
+        if not self.window >= 0:
+            raise ValueError(f"window must be >= 0, got {self.window!r}")
+        if self.tod not in _TOD_CODES:
+            raise ValueError(f"tod must be a TimeOfDay code, got {self.tod!r}")
         if not (0.0 <= self.ofr <= 1.0 and 0.0 <= self.dur <= 1.0):
             raise ValueError("rates must lie in [0, 1]")
         # NaN fails every comparison, and inf the upper bound

@@ -173,7 +173,7 @@ class ModelPredictor:
         return invert_norm(self.model.predict(features), self.label_stats)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RadiusDecision:
     grid: int
     window: int

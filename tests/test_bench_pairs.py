@@ -1,0 +1,75 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+# tools/ is not a package: load the script by path, as its command line does
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "setup_s", "better": "lower"}, {"name": "items_per_s", "better": "higher"},
+           {"name": "peak_rss_mb", "better": "lower"}]
+
+
+def run(setup_s, items_per_s, peak_rss_mb, correct=True, failed=0):
+    """A last line of the benchmark, as its JSON object."""
+    values = {"setup_s": setup_s, "items_per_s": items_per_s, "peak_rss_mb": peak_rss_mb}
+    return {"correct": correct, "attempted": 4, "failed": failed,
+            "metrics": {k: {"value": v, "unit": "?"} for k, v in values.items()}}
+
+
+# ten pairs, then one whose change run printed no last line
+PARENT = [run(0.1 * (k + 1), 100.0, 61.0 + 0.1 * k) for k in range(10)]
+CHANGE = [run(0.1 * (k + 1) - 0.05, 100.0 if k < 5 else 110.0, 62.5 if k == 2 else 59.0 + 0.1 * k)
+          for k in range(10)]
+PAIRS = list(zip(PARENT, CHANGE)) + [(run(0.5, 100.0, 61.5), {"correct": False, "failed": None, "metrics": {}})]
+
+
+def test_summarize_medians_quartiles_wins_and_claims():
+    got = {s["name"]: s for s in bench_pairs.summarize(PAIRS, METRICS)}
+    assert all(s["pairs"] == 10 for s in got.values())  # the pair without a change value is left out
+    rss = got["peak_rss_mb"]
+    # linear quartiles of 61.0..61.9, and of 59.0..59.9 with 59.2 replaced by 62.5
+    assert rss["parent"] == pytest.approx((61.225, 61.45, 61.675))
+    assert rss["change"] == pytest.approx((59.325, 59.55, 59.775))
+    assert rss["wins"] == 9 and rss["gap"] == pytest.approx(-1.9) and rss["parent_iqr"] == pytest.approx(0.45)
+    assert rss["resolved"] and rss["claimable"]
+    # ties count for neither side: 5 wins of 10, so a resolved gain cannot be claimed
+    rate = got["items_per_s"]
+    assert rate["wins"] == 5 and rate["gap"] == pytest.approx(5.0) and rate["parent_iqr"] == 0.0
+    assert rate["resolved"] and not rate["claimable"]
+    # every pair won, but the gap is inside the parent's spread
+    setup = got["setup_s"]
+    assert setup["wins"] == 10 and setup["gap"] == pytest.approx(-0.05) and setup["parent_iqr"] == pytest.approx(0.45)
+    assert not setup["resolved"] and not setup["claimable"]
+
+
+def test_a_resolved_loss_is_not_claimable():
+    worse = [(run(1.0, 100.0, 60.0), run(2.0, 50.0, 70.0 + k)) for k in range(10)]
+    for s in bench_pairs.summarize(worse, METRICS):
+        assert s["wins"] == 0 and s["resolved"] and not s["claimable"]
+
+
+def test_no_reported_value_gives_an_empty_summary():
+    empty = {"correct": False, "failed": None, "metrics": {}}
+    assert [s["pairs"] for s in bench_pairs.summarize([(empty, empty)], METRICS)] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("last_line, is_flagged", [
+    (run(0.1, 1.0, 1.0), False),
+    (run(0.1, 1.0, 1.0, correct=False), True),
+    (run(0.1, 1.0, 1.0, failed=1), True),
+    ({"correct": False, "failed": None, "metrics": {}}, True),
+])
+def test_flagged_runs(last_line, is_flagged):
+    assert bench_pairs.flagged(last_line) is is_flagged
+
+
+def test_table_has_one_row_per_pair_with_flags():
+    rows = bench_pairs.table("decide", list(range(11, 22)), PAIRS, [m["name"] for m in METRICS])
+    assert len(rows) == 2 + len(PAIRS)
+    assert rows[2] == "| decide | 1 | 11 | parent | 0.100 | 0.050 | 100.00 | 100.00 | 61.00 | 59.00 |  |"
+    assert rows[3].split(" | ")[3] == "change"
+    assert rows[-1] == "| decide | 11 | 21 | parent | 0.500 | null | 100.00 | null | 61.50 | null | change |"

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -225,6 +228,11 @@ def with_value(column, value):
     return ROW[:column] + (value,) + ROW[column + 1:]
 
 
+# a valid MarketWindow row, as keyword arguments
+WINDOW_ROW = dict(grid=0, window=0, start_s=0.0, n_idle=1, n_open=0, n_total=3, ofr=0.5,
+                  apd_km=1.0, dur=0.5, revenue=1.0, radius_km=1.0, tod=TimeOfDay.OTHER)
+
+
 class TestOrderDriverInvariants:
     def test_order_is_frozen(self):
         # the columns are read-only, and the stream keeps its own copy of its inputs
@@ -288,11 +296,39 @@ class TestOrderDriverInvariants:
     @pytest.mark.parametrize("name", ["apd_km", "revenue", "radius_km", "n_idle", "n_open", "n_total"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_market_window_amount_must_be_finite_and_non_negative(self, name, value):
-        row = dict(grid=0, window=0, start_s=0.0, n_idle=1, n_open=0, n_total=3, ofr=0.5,
-                   apd_km=1.0, dur=0.5, revenue=1.0, radius_km=1.0, tod=TimeOfDay.OTHER)
-        MarketWindow(**row)
+        MarketWindow(**WINDOW_ROW)
         with pytest.raises(ValueError, match="finite and >= 0"):
-            MarketWindow(**{**row, name: value})
+            MarketWindow(**{**WINDOW_ROW, name: value})
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("grid", -1, ">= 0"), ("grid", math.nan, ">= 0"), ("window", -5, ">= 0"),
+        ("tod", -1, "a TimeOfDay code"), ("tod", len(TimeOfDay), "a TimeOfDay code"), ("tod", 9, "a TimeOfDay code"),
+        ("tod", 2.5, "a TimeOfDay code"),
+    ])
+    def test_market_window_key_out_of_range_rejected(self, name, value, rule):
+        # the bad value is named where the row is made, not later where the optimizer reads the log
+        with pytest.raises(ValueError, match=f"{name} must be {rule}, got {value}"):
+            MarketWindow(**{**WINDOW_ROW, name: value})
+
+    @pytest.mark.parametrize("tod", [*TimeOfDay, *map(int, TimeOfDay)])
+    def test_market_window_accepts_every_time_of_day_code(self, tod):
+        assert MarketWindow(**{**WINDOW_ROW, "tod": tod}).tod == tod
+
+    @pytest.mark.parametrize("row", [MarketWindow(**WINDOW_ROW), MatchRecord(order_id=7, driver_id=3, grid=2,
+                                                                             t_match=61.0, pickup_km=0.8, fare=12.5,
+                                                                             radius_km=1.5)],
+                             ids=["MarketWindow", "MatchRecord"])
+    def test_log_rows_are_slotted_records(self, row):
+        # a day holds tens of thousands of rows: none may carry a per-instance dict
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(AttributeError):
+            row.note = 1
+        values = tuple(getattr(row, f.name) for f in dataclasses.fields(row))
+        assert dataclasses.astuple(row) == values
+        assert row == type(row)(*values) and row != dataclasses.replace(row, grid=row.grid + 1)
+        assert dataclasses.replace(row, radius_km=9.0).radius_km == 9.0
+        for clone in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+            assert clone == row and clone is not row and dataclasses.astuple(clone) == values
 
 
 class TestProjection:
