@@ -22,18 +22,6 @@ weighted objective is not a layer, and sets each parameter's gradient in
 ``attention``.  The layers keep NaN: a NaN anywhere in an input sequence
 reaches that sequence's predictions, and in training every task's loss.
 
-``predict`` runs a batch of ``SPLIT_MIN_SEQUENCES`` or more sequences as two
-halves at once, one on the calling thread and one on a worker thread, with
-numpy's OpenBLAS held at one thread (``blas.in_parallel``), and concatenates
-their outputs.  The cut is the multiple of ``ROW_BLOCK`` input rows (sequences
-x T) nearest the batch's middle.  OpenBLAS's matrix kernels take rows 16 at
-a time and a final partial block through narrower kernels, whose last bits
-can differ, so an aligned cut leaves every row in the block the whole batch
-put it in and the output bytes are those of one whole forward pass; cutting
-500 sequences at 250 instead of 248 moves one sequence's float32 outputs.
-The BLAS thread count moves no bytes.  Smaller batches run whole on the
-calling thread.
-
 Parameters are drawn in float64 and stored as float32 (``PARAM_DTYPE``), so
 the forward pass, gradients and Adam moments are all float32.  Every layer
 follows its data's dtype: a model whose parameters are upcast to float64
@@ -44,7 +32,6 @@ source's batches) are ``PARAM_DTYPE`` whatever the model's dtype.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -53,20 +40,11 @@ from typing import Optional
 import numpy as np
 
 from ..demand import N_BASE_FEATURES, NormStats
-from .blas import in_parallel
 from .layers import (add_layer_norm, add_position, attention, embed, mlp_forward, pooled_heads, self_attention,
                      task_mse)
 
 CHECKPOINT_VERSION = 3
 PARAM_DTYPE = np.float32
-# ``predict`` cuts a batch only at a multiple of this many input rows (sequences x T).
-ROW_BLOCK = 16
-# ``predict`` splits batches of at least this many sequences.  At the default
-# ModelConfig on a 2-core x86-64 box, the two halves took 0.77-0.85 of a whole
-# pass at 320 sequences, 0.85-1.12 at 192-288 and 1.27-1.45 at 128: both
-# halves run the layers' Python under one GIL, so the split pays only once
-# the BLAS work dominates.
-SPLIT_MIN_SEQUENCES = 320
 
 # Small constant bias init keeps relu units active at step 0.  With the
 # block wiring the MLP output *replaces* the block input, so a fully dead
@@ -163,38 +141,20 @@ class TransformerRegressor:
         return o
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Pure inference, recording no tape: (T, D) -> (m,) or (B, T, D) -> (B, m).
-
-        A batch of ``SPLIT_MIN_SEQUENCES`` or more runs as two halves on two
-        threads with OpenBLAS held at one thread and restored after, cut at
-        the ``ROW_BLOCK``-row boundary nearest the middle, so the output bytes
-        equal one whole ``_forward``'s.  Without numpy's bundled OpenBLAS the
-        halves run one after the other."""
+        """Pure inference, recording no tape: (T, D) -> (m,) or (B, T, D) -> (B, m)."""
         x = np.asarray(x, dtype=self.dtype)
         single = x.ndim == 2
-        if single:
-            x = x[None, :, :]
-        cut = self._cut(len(x))
-        if cut is None:
-            y = self._forward(x)
-        else:
-            y = np.concatenate(in_parallel(lambda: self._forward(x[:cut]), lambda: self._forward(x[cut:])))
+        y = self._forward(x[None, :, :] if single else x)
         return y[0] if single else y
-
-    def _cut(self, n: int) -> Optional[int]:
-        """The sequence count of ``predict``'s first half for a batch of n, or
-        None to run it whole: the count nearest n / 2 whose rows (count x T)
-        are a multiple of ``ROW_BLOCK``, the lower one on a tie."""
-        if n < SPLIT_MIN_SEQUENCES:
-            return None
-        unit = ROW_BLOCK // math.gcd(ROW_BLOCK, self.config.seq_len)
-        return unit * ((n + unit - 1) // (2 * unit))
 
     def task_losses(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list]:
         """Per-task mean squared errors over the batch as one (m,) array, and
         the tape that ``backward_weighted`` runs."""
         tape: list = []
-        losses, back = task_mse(self._forward(x, tape), np.asarray(y, dtype=self.dtype))
+        pred, target = self._forward(x, tape), np.asarray(y, dtype=self.dtype)
+        if target.shape != pred.shape:
+            raise ValueError(f"expected labels of shape {pred.shape}, got {target.shape}")
+        losses, back = task_mse(pred, target)
         tape.append((back, []))
         return losses, tape
 

@@ -149,6 +149,9 @@ def train(
         raise ValueError(f"inputs and labels differ in length: train {len(train_x)} vs {len(train_y)}, "
                          f"test {len(test_x)} vs {len(test_y)}")
     m = model.config.n_tasks
+    for name, y in (("train", train_y), ("test", test_y)):
+        if np.shape(y) != (len(y), m):
+            raise ValueError(f"{name} labels must have shape (N, {m}), got {np.shape(y)}")
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, lr=cfg.lr)
     weights = np.full(m, 1.0 / m)

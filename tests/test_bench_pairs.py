@@ -9,8 +9,9 @@ _spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "setup_s", "better": "lower"}, {"name": "items_per_s", "better": "higher"},
-           {"name": "peak_rss_mb", "better": "lower"}]
+METRICS = [{"name": "setup_s", "better": "lower", "bound": 0.25},
+           {"name": "items_per_s", "better": "higher", "bound": 0.25},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
 
 
 def run(setup_s, items_per_s, peak_rss_mb, correct=True, failed=0):
@@ -50,6 +51,24 @@ def test_a_resolved_loss_is_not_claimable():
     worse = [(run(1.0, 100.0, 60.0), run(2.0, 50.0, 70.0 + k)) for k in range(10)]
     for s in bench_pairs.summarize(worse, METRICS):
         assert s["wins"] == 0 and s["resolved"] and not s["claimable"]
+
+
+@pytest.mark.parametrize("rate, rss, rate_within, rss_within", [
+    (75.5, 110.1, True, False),   # rate -24.5 % of a 25 % bound, RSS +10.1 % of a 10 % bound
+    (74.5, 109.9, False, True),   # rate -25.5 %, RSS +9.9 %
+    (150.0, 50.0, True, True),    # better by any amount is within
+])
+def test_bound_verdict_in_both_directions(rate, rss, rate_within, rss_within):
+    pairs = [(run(0.2, 100.0, 100.0), run(0.2, rate, rss)) for _ in range(10)]
+    got = {s["name"]: s for s in bench_pairs.summarize(pairs, METRICS)}
+    assert got["items_per_s"]["rel_change"] == pytest.approx(rate / 100.0 - 1.0)
+    assert got["peak_rss_mb"]["rel_change"] == pytest.approx(rss / 100.0 - 1.0)
+    assert (got["items_per_s"]["within_bound"], got["peak_rss_mb"]["within_bound"]) == (rate_within, rss_within)
+    assert got["setup_s"]["rel_change"] == 0.0 and got["setup_s"]["within_bound"]
+    lines = dict(zip([m["name"] for m in METRICS], bench_pairs.report(list(got.values()))))
+    for name, within in (("items_per_s", rate_within), ("peak_rss_mb", rss_within)):
+        assert lines[name].endswith(f"{got[name]['rel_change']:+.1%} against bound {got[name]['bound']:.0%}: "
+                                    + ("within bound" if within else "exceeds bound"))
 
 
 def test_no_reported_value_gives_an_empty_summary():

@@ -1,21 +1,15 @@
 import dataclasses
 import json
-import os
-import signal
-import sys
+import re
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from conftest import finite_difference_gradcheck, float64_copy, identity_stats, weighted_loss_value
-from ridecast.nn import blas
 from ridecast.nn.adam import Adam
 from ridecast.nn.model import (
     CHECKPOINT_VERSION,
-    ROW_BLOCK,
-    SPLIT_MIN_SEQUENCES,
     CheckpointError,
     ModelConfig,
     TransformerRegressor,
@@ -190,170 +184,25 @@ def production_batch(n: int, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=(n, PRODUCTION.seq_len, PRODUCTION.input_dim)).astype(np.float32)
 
 
-@pytest.fixture
-def blas_count():
-    """The (get, set) thread-count pair of numpy's bundled OpenBLAS; skips where there is none."""
-    pair = blas.openblas_threads()
-    if pair is None:
-        pytest.skip("numpy has no bundled OpenBLAS")
-    return pair
-
-
-def spy_forward(monkeypatch, model: TransformerRegressor, calls: list, fail_at: int = -1) -> None:
-    """Record (thread, sequences, OpenBLAS count or None) as each ``_forward``
-    call ends; raise on a batch of ``fail_at`` sequences."""
-    forward = model._forward
-    pair = blas.openblas_threads()
-
-    def spy(x, tape=None):
-        y = None if len(x) == fail_at else forward(x, tape)
-        calls.append((threading.current_thread(), len(x), pair[0]() if pair else None))
-        if y is None:
-            raise RuntimeError("half failed")
-        return y
-
-    monkeypatch.setattr(model, "_forward", spy)
-
-
-class TestSplitPredict:
-    """``predict`` runs large batches as two row-aligned halves on two threads.
-
-    The byte-identity cases were checked on numpy's OpenBLAS on x86-64, as
-    the golden traces were: a BLAS whose kernels block float rows otherwise
-    may move the bytes of a cut batch.  CI also runs this class under
-    OPENBLAS_NUM_THREADS=1."""
-
-    N, CUT = 500, 248   # a decision batch of 100 grids x 5 candidates
-
-    @pytest.mark.parametrize("n", [1, SPLIT_MIN_SEQUENCES - 1, SPLIT_MIN_SEQUENCES, 37, 500, 1025, 2400])
-    @pytest.mark.parametrize("wide", [False, True], ids=["float32", "float64"])
-    def test_equals_one_whole_forward(self, n, wide):
+class TestPredictIsOneWholePass:
+    def test_decision_batch_runs_whole_on_the_calling_thread(self, monkeypatch):
+        # a decision batch of 100 grids x 5 candidates: one _forward over all
+        # of it, and no thread started
         model = TransformerRegressor(PRODUCTION, seed=21)
-        if wide:
-            model = float64_copy(model)
-        x = production_batch(n, seed=n)
+        x = production_batch(500)
         want = model._forward(x)
+        forward, calls = model._forward, []
+
+        def spy(x, tape=None):
+            calls.append((threading.current_thread(), len(x)))
+            return forward(x, tape)
+
+        monkeypatch.setattr(model, "_forward", spy)
+        threads = threading.enumerate()
         got = model.predict(x)
-        assert got.dtype == want.dtype == model.dtype
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-    def test_cut_is_the_aligned_boundary_nearest_the_middle(self):
-        # T = 6: a 16-row boundary falls every 8 sequences
-        model = TransformerRegressor(PRODUCTION)
-        assert model._cut(SPLIT_MIN_SEQUENCES - 1) is None
-        assert [model._cut(n) for n in (self.N, 1025, 2400)] == [self.CUT, 512, 1200]
-        for seq_len in range(1, 40):
-            model = TransformerRegressor(ModelConfig(seq_len=seq_len, input_dim=1, d_model=1, embed_hidden=1,
-                                                     block_hidden=1, head_hidden=1))
-            for n in range(SPLIT_MIN_SEQUENCES, SPLIT_MIN_SEQUENCES + 40):
-                aligned = [c for c in range(1, n) if c * seq_len % ROW_BLOCK == 0]
-                assert model._cut(n) == min(aligned, key=lambda c: (abs(2 * c - n), c)), (seq_len, n)
-
-    def test_holds_openblas_at_one_thread_and_restores_it(self, blas_count, monkeypatch):
-        get, _ = blas_count
-        model = TransformerRegressor(PRODUCTION, seed=22)
-        calls: list = []
-        spy_forward(monkeypatch, model, calls)
-        before = get()
-        model.predict(production_batch(self.N))
-        assert get() == before
-        assert sorted(n for _, n, _ in calls) == [self.CUT, self.N - self.CUT]
-        assert [count for _, _, count in calls] == [1, 1]
-        assert {thread for thread, _, _ in calls} == {threading.current_thread(), blas._worker.thread}
-
-    def test_leaves_no_thread_but_the_one_worker(self, blas_count):
-        model = TransformerRegressor(PRODUCTION, seed=22)
-        x = production_batch(self.N)
-        threads = set(threading.enumerate())
-        for _ in range(3):
-            model.predict(x)
-            assert set(threading.enumerate()) - threads <= {blas._worker.thread}
-        assert blas._worker.thread.daemon
-
-    @pytest.mark.parametrize("half", [0, 1], ids=["worker", "caller"])
-    def test_error_in_either_half_propagates_and_restores(self, blas_count, monkeypatch, half):
-        get, _ = blas_count
-        model = TransformerRegressor(PRODUCTION, seed=23)
-        calls: list = []
-        spy_forward(monkeypatch, model, calls, fail_at=(self.CUT, self.N - self.CUT)[half])
-        before = get()
-        with pytest.raises(RuntimeError, match="half failed"):
-            model.predict(production_batch(self.N))
-        assert len(calls) == 2  # the other half had ended
-        assert get() == before
-        threads = set(threading.enumerate())
-        assert blas.in_parallel(lambda: 1, lambda: 2) == (1, 2)  # the worker still serves
-        assert set(threading.enumerate()) == threads
-
-    def test_concurrent_calls_restore_the_count(self, blas_count):
-        # more callers than cores and a short switch interval; the count starts
-        # at 2, so a hold that restored another hold's 1 would leave 1 behind
-        get, set_ = blas_count
-        model = TransformerRegressor(PRODUCTION, seed=24)
-        x = production_batch(self.N)
-        want = model.predict(x)
-        results: list = []
-        outer, interval = get(), sys.getswitchinterval()
-        threads = [threading.Thread(target=lambda: results.append(model.predict(x))) for _ in range(4)]
-        try:
-            set_(2)
-            sys.setswitchinterval(1e-5)
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert get() == 2
-        finally:
-            sys.setswitchinterval(interval)
-            set_(outer)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == len(threads)
-        assert all(r.tobytes() == want.tobytes() for r in results)
-
-    def test_without_openblas_the_halves_run_in_order(self, monkeypatch):
-        model = TransformerRegressor(PRODUCTION, seed=25)
-        x = production_batch(self.N)
-        want = model._forward(x)
-        calls: list = []
-        spy_forward(monkeypatch, model, calls)
-        monkeypatch.setattr(blas, "openblas_threads", lambda: None)
-        got = model.predict(x)
-        me = threading.current_thread()
-        assert [(thread, n) for thread, n, _ in calls] == [(me, self.CUT), (me, self.N - self.CUT)]
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_fork_waits_for_a_hold_and_the_child_starts_its_own_worker(self, blas_count):
-        # a child forked mid-hold would start with the lock taken and the count
-        # at 1; one handed the parent's worker would wait for it forever
-        get, _ = blas_count
-        before = get()
-        entered, release = threading.Event(), threading.Event()
-
-        def first():
-            entered.set()
-            release.wait(10)
-
-        holder = threading.Thread(target=blas.in_parallel, args=(first, lambda: None))
-        holder.start()
-        assert entered.wait(10)
-        timer = threading.Timer(0.2, release.set)
-        timer.start()
-        pid = os.fork()
-        if pid == 0:
-            ok = not blas._lock.locked() and get() == before and blas.in_parallel(lambda: 1, lambda: 2) == (1, 2)
-            os._exit(0 if ok and get() == before else 1)
-        deadline = time.monotonic() + 30
-        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        if done[0] == 0:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        holder.join(10)
-        timer.join(10)
-        assert not holder.is_alive() and not timer.is_alive()
-        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
-        assert get() == before
+        assert threading.enumerate() == threads
+        assert calls == [(threading.current_thread(), 500)]
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBackward:
@@ -365,6 +214,14 @@ class TestBackward:
         np.testing.assert_array_equal(losses, np.zeros(4))
         model.backward_weighted(tape, np.full(4, 0.25))
         assert all(np.all(g == 0) for g in model.grads.values())
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3), (4, 5), (3, 4)])
+    def test_task_losses_rejects_labels_that_are_not_batch_by_tasks(self, shape):
+        # the batch holds m = 4 sequences, so 1-D labels would broadcast across the tasks
+        model = TransformerRegressor(TINY, seed=6)
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError, match=re.escape(f"expected labels of shape (4, 4), got {shape}")):
+            model.task_losses(rng.normal(size=(4, 3, 5)), rng.normal(size=shape))
 
     def test_one_hot_weights_isolate_heads(self):
         model = TransformerRegressor(TINY, seed=5)

@@ -560,8 +560,7 @@ class TestGoldenDecisionTrace:
     """Pins the bytes of a fixed-seed day's decisions.  A change that moves
     them must say why in CHANGES.md and re-pin.  The pins were taken with
     numpy's OpenBLAS on x86-64; a BLAS that orders float32 sums differently
-    may move the prediction bytes.  Each day's 500-sequence batches run as two
-    halves cut at a 16-row boundary, the bytes of one whole pass there."""
+    may move the prediction bytes."""
 
     RADII = "d962913049c840934e5fdb5e8773b44edcadd79dca997b2809a176838ef99c01"
     PREDICTIONS = "46b84eedb7effd822fb3f30bcbb8095f91a57db121c88c986b7cba3683071640"

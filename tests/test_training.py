@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,17 @@ class TestTrainLoop:
             train(_small_model(7), x[:6], y, x[6:], y[6:], StrategyConfig(), TrainConfig())
         with pytest.raises(ValueError, match="differ in length"):
             train(_small_model(7), x[:6], y[:6], x[6:], y[6:7], StrategyConfig(), TrainConfig())
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    @pytest.mark.parametrize("cols", [(1,), (), (3,), (5,)], ids=["N,1", "N", "N,3", "N,5"])
+    def test_rejects_labels_that_are_not_n_by_tasks(self, side, cols):
+        # (N, 1) or (N,) labels would broadcast across all four heads
+        x, y = _synthetic_tasks(7, 10)
+        labels = {"train": y[:6], "test": y[6:]}
+        labels[side] = np.zeros((len(labels[side]), *cols))
+        with pytest.raises(ValueError, match=re.escape(f"{side} labels must have shape (N, 4), "
+                                                       f"got {labels[side].shape}")):
+            train(_small_model(7), x[:6], labels["train"], x[6:], labels["test"], StrategyConfig(), TrainConfig())
 
     @pytest.mark.parametrize("kind", ["FW", "AM", "WAM", "ESM", "WESM"])
     def test_weights_recomputed_from_the_loss_curve(self, kind):

@@ -4,8 +4,9 @@ Runs the benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``)
 untraced in two checkouts, one pair of runs per seed, alternating which side
 runs first, and reads each run's last line.  It prints the per-run table, then
 for each end-to-end metric of ``BENCHMARK.json``: each side's median and
-quartiles, how many pairs the change wins (ties count for neither), and whether
-the medians differ by more than the parent's interquartile range.  A run whose
+quartiles, how many pairs the change wins (ties count for neither), whether
+the medians differ by more than the parent's interquartile range, and whether
+the change's median stays within the metric's ``bound``.  A run whose
 last line has ``correct: false``, a failed operation, or no such line is
 flagged.  Standard library only; run from anywhere:
 
@@ -58,7 +59,9 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     A pair counts toward a metric only when both runs report it.  ``wins`` counts the pairs where the change is
     strictly better in the metric's ``better`` direction.  ``resolved`` says whether the medians differ by more than
     the parent's interquartile range, and ``claimable`` whether a gain may be claimed: resolved, in the better
-    direction, and won in at least nine tenths of the pairs."""
+    direction, and won in at least nine tenths of the pairs.  ``rel_change`` is the medians' gap over the parent's
+    median, and ``within_bound`` says that the change's median is not worse than the parent's, in the ``better``
+    direction, by more than ``bound`` times the parent's median."""
     out = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -73,8 +76,12 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         iqr = sides["parent"][2] - sides["parent"][0]
         resolved = abs(gap) > iqr
         claimable = resolved and (gap < 0) == lower and 10 * wins >= 9 * len(both)
+        base = sides["parent"][1]
+        within = (gap if lower else -gap) <= m["bound"] * abs(base)
         out.append({"name": name, "pairs": len(both), "parent": sides["parent"], "change": sides["change"],
-                    "wins": wins, "gap": gap, "parent_iqr": iqr, "resolved": resolved, "claimable": claimable})
+                    "wins": wins, "gap": gap, "parent_iqr": iqr, "resolved": resolved, "claimable": claimable,
+                    "rel_change": gap / base if base else float("nan"), "bound": m["bound"],
+                    "within_bound": within})
     return out
 
 
@@ -104,7 +111,10 @@ def report(summary: list[dict]) -> list[str]:
         lines.append(f"{s['name']}: parent {_fmt(p[1])} [{_fmt(p[0])}-{_fmt(p[2])}], "
                      f"change {_fmt(c[1])} [{_fmt(c[0])}-{_fmt(c[2])}], change wins {s['wins']}/{s['pairs']}, "
                      f"gap {s['gap']:+.4g} vs parent IQR {s['parent_iqr']:.4g} "
-                     f"({'exceeds' if s['resolved'] else 'within'}), gain claimable: {'yes' if s['claimable'] else 'no'}")
+                     f"({'exceeds' if s['resolved'] else 'within'}), "
+                     f"gain claimable: {'yes' if s['claimable'] else 'no'}, "
+                     f"change {s['rel_change']:+.1%} against bound {s['bound']:.0%}: "
+                     f"{'within bound' if s['within_bound'] else 'exceeds bound'}")
     return lines
 
 
