@@ -204,6 +204,22 @@ class TestPredictIsOneWholePass:
         assert calls == [(threading.current_thread(), 500)]
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 319, 320, 37, 500, 1025, 2400])
+    @pytest.mark.parametrize("wide", [False, True], ids=["float32", "float64"])
+    def test_equals_one_whole_forward(self, n, wide):
+        # batches on both sides of the size predict once split at, in the
+        # model's dtype whatever the input's
+        model = TransformerRegressor(PRODUCTION, seed=21)
+        if wide:
+            model = float64_copy(model)
+        x = production_batch(n, seed=n)
+        want = model._forward(x.astype(model.dtype))
+        got = model.predict(x)
+        assert got.dtype == want.dtype == model.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if n == 1:
+            assert model.predict(x[0]).tobytes() == want[0].tobytes()
+
 
 class TestBackward:
     def test_zero_loss_zero_gradients_at_exact_fit(self):
