@@ -2,5 +2,3 @@
 radii: a transformer-encoder metric forecaster picks, per grid and per time
 window, the broadcast radius with the best predicted composite performance.
 """
-
-__version__ = "0.1.0"

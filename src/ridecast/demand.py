@@ -11,24 +11,15 @@ per column anyway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .market import GridSpec, LocalProjection, OrderStream
 
 N_BASE_FEATURES = 8  # measured feature columns, the only ones feature NormStats cover
-
-
-@dataclass(frozen=True)
-class FareModel:
-    """fare = base + per_km * straight-line trip distance."""
-
-    base: float = 2.5
-    per_km: float = 1.0
-
-    def fare(self, trip_km: float) -> float:
-        return self.base + self.per_km * trip_km
+FARE_BASE = 2.5      # flag-fall of every fare, in currency units
+FARE_PER_KM = 1.0    # fare per km of straight-line trip distance
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +44,6 @@ class DemandProfile:
 
     rates: np.ndarray          # (n_cells, 24)
     dest_probs: np.ndarray     # (n_cells, n_cells), rows sum to 1
-    fare_model: FareModel = field(default_factory=FareModel)
 
     def __post_init__(self) -> None:
         # read-only copies, so that the checks below hold for the profile's life
@@ -76,7 +66,6 @@ def default_profile(
     grid: GridSpec,
     daily_orders: float,
     core_concentration: float = 1.2,
-    fare_model: FareModel = FareModel(),
 ) -> DemandProfile:
     """Bimodal-in-time, core-concentrated-in-space synthetic profile.
 
@@ -95,7 +84,7 @@ def default_profile(
     rates = daily_orders * np.outer(spatial, hourly)
     dest = np.tile(spatial, (grid.n_cells, 1))
     dest /= dest.sum(axis=1, keepdims=True)
-    return DemandProfile(rates=rates, dest_probs=dest, fare_model=fare_model)
+    return DemandProfile(rates=rates, dest_probs=dest)
 
 
 def synth_demand(
@@ -111,7 +100,8 @@ def synth_demand(
     episode on the clock so hourly rates line up.  Deterministic per seed.
     Each (grid, clock-hour slice) draws a Poisson count, then one row of six
     uniforms per order: creation time, origin lon and lat, destination cell,
-    destination lon and lat.  Orders are sorted by creation time, then origin
+    destination lon and lat.  Each fare is ``FARE_BASE`` plus ``FARE_PER_KM``
+    per straight-line trip km.  Orders are sorted by creation time, then origin
     cell, ties kept in draw order.
     """
     if not (math.isfinite(duration_s) and duration_s >= 0):
@@ -149,8 +139,9 @@ def synth_demand(
     dlat = grid.lat_min + (u[:, 3] // side + u[:, 5]) * ch
     # math.hypot, not np.hypot: the two differ in the last bit on some pairs
     proj = LocalProjection(grid)
-    fare = profile.fare_model.fare(np.fromiter(map(math.hypot, ((dlon - olon) * proj.km_per_deg_lon).tolist(),
-                                                   ((dlat - olat) * proj.km_per_deg_lat).tolist()), float, len(u)))
+    trip_km = np.fromiter(map(math.hypot, ((dlon - olon) * proj.km_per_deg_lon).tolist(),
+                              ((dlat - olat) * proj.km_per_deg_lat).tolist()), float, len(u))
+    fare = FARE_BASE + FARE_PER_KM * trip_km
     order = np.lexsort((cell, u[:, 0]))
     return OrderStream(grid, *(c[order] for c in (u[:, 0], cell, olon, olat, dlon, dlat, fare)))
 

@@ -1,5 +1,5 @@
 """Core market domain types: grids, time-of-day codes, driver status codes,
-the order stream, match records and the per-grid window row.
+the order stream, match records, the per-grid window row and ``check_count``.
 
 ``GridSpec`` is a frozen value type and ``OrderStream`` a read-only table.
 The two log rows, ``MatchRecord`` and ``MarketWindow``, are slotted records
@@ -41,6 +41,12 @@ TOD_BY_HOUR = (
 )
 
 
+def check_count(name: str, value, low: int = 1) -> None:
+    """Raise unless value is an integer (Python or numpy) >= low."""
+    if not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def time_of_day(clock_s: float) -> TimeOfDay:
     """Map seconds-of-day to the four-segment day code."""
     return TOD_BY_HOUR[int((clock_s % 86400.0) / 3600.0)]
@@ -59,8 +65,7 @@ class GridSpec:
     side_count: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.side_count, numbers.Integral) or self.side_count < 1:
-            raise ValueError(f"side_count must be an integer >= 1, got {self.side_count!r}")
+        check_count("side_count", self.side_count)
         bounds = (self.lon_min, self.lat_min, self.lon_max, self.lat_max)
         if not (all(map(math.isfinite, bounds)) and self.lon_max > self.lon_min and self.lat_max > self.lat_min):
             raise ValueError("bounding box must be finite and not degenerate")

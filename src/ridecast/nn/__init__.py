@@ -1,6 +1,4 @@
 from .adam import Adam
-from .layers import (add_layer_norm, add_position, attention, embed, mlp_forward, pooled_heads, self_attention,
-                     task_mse)
 from .model import (
     Checkpoint,
     CheckpointError,
@@ -16,14 +14,6 @@ __all__ = [
     "CheckpointError",
     "ModelConfig",
     "TransformerRegressor",
-    "add_layer_norm",
-    "add_position",
-    "attention",
-    "embed",
     "load_checkpoint",
-    "mlp_forward",
-    "pooled_heads",
     "save_checkpoint",
-    "self_attention",
-    "task_mse",
 ]

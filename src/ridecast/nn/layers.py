@@ -11,7 +11,8 @@ gradient nothing reads, so its back gives None for it; ``task_mse``'s back
 gives the predictions' gradient alone, as the targets are data.  Inference
 drops ``back`` at once, which frees what the layer kept, and runs attention
 through ``attention``, which keeps nothing and projects Q, K and V one at a
-time so that at most two of them are live.
+time so that at most two of them are live: through ``self_attention``, a
+500-sequence ``predict`` would peak at 3.8 instead of 2.3 MiB traced.
 
 The encoder blocks reduce by BLAS matrix-vector products, several times
 faster than numpy's ``sum`` over a short axis: row means are

@@ -1,7 +1,7 @@
 """Multi-task transformer-encoder forecaster.
 
-Input is a normalized (T, D) market feature sequence: measured columns
-z-scored, grid and time-of-day one-hots 0/1.  An embedding MLP lifts
+Input is a (B, T, D) batch of normalized market feature sequences: measured
+columns z-scored, grid and time-of-day one-hots 0/1.  An embedding MLP lifts
 rows to model width and adds a learned positional table, n encoder blocks
 transform them and the sequence is mean-pooled.  One stacked head emits all
 m task predictions as a single (B, m) array: a (d, m*h) matmul gives each
@@ -32,7 +32,6 @@ source's batches) are ``PARAM_DTYPE`` whatever the model's dtype.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -40,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from ..demand import N_BASE_FEATURES, NormStats
+from ..market import check_count
 from .layers import (add_layer_norm, add_position, attention, embed, mlp_forward, pooled_heads, self_attention,
                      task_mse)
 
@@ -69,8 +69,7 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            check_count(name, value)
 
 
 class TransformerRegressor:
@@ -141,11 +140,8 @@ class TransformerRegressor:
         return o
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Pure inference, recording no tape: (T, D) -> (m,) or (B, T, D) -> (B, m)."""
-        x = np.asarray(x, dtype=self.dtype)
-        single = x.ndim == 2
-        y = self._forward(x[None, :, :] if single else x)
-        return y[0] if single else y
+        """Pure inference, recording no tape: (B, T, D) -> (B, m)."""
+        return self._forward(x)
 
     def task_losses(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list]:
         """Per-task mean squared errors over the batch as one (m,) array, and

@@ -23,7 +23,6 @@ float64.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -32,7 +31,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .demand import N_BASE_FEATURES, NormStats, apply_norm, invert_norm
-from .market import MarketWindow, OrderStream
+from .market import MarketWindow, OrderStream, check_count
 from .nn.model import PARAM_DTYPE
 from .sim import EpisodeResult, SimConfig, WindowSnapshot, run
 
@@ -73,10 +72,8 @@ class FeatureLayout:
     side_count: int
 
     def __post_init__(self) -> None:
-        for name, low in (("seq_len", 2), ("side_count", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_count("seq_len", self.seq_len, 2)
+        check_count("side_count", self.side_count)
 
     @property
     def n_cells(self) -> int:
@@ -140,16 +137,13 @@ def _sequences(rows: np.ndarray, n_pad: np.ndarray, layout: FeatureLayout) -> np
 
 
 def composite_score(predictions: np.ndarray, label_stats: NormStats) -> np.ndarray:
-    """Scalar ranking of predicted (ofr, apd, dur, revenue) rows.
+    """Scalar ranking of predicted (ofr, apd, dur, revenue) rows: one score per row, (4,) -> () or (N, 4) -> (N,).
 
     Each metric is z-scored against the training-label distribution so the
     sum is unit-free; pickup distance enters negatively since it is the one
     metric being minimized.
     """
-    pred = np.atleast_2d(np.asarray(predictions, dtype=float))
-    z = apply_norm(pred, label_stats)
-    scores = z @ METRIC_SENSE
-    return scores if np.asarray(predictions).ndim > 1 else scores[0]
+    return apply_norm(predictions, label_stats) @ METRIC_SENSE
 
 
 class Predictor(Protocol):
@@ -247,9 +241,10 @@ class PredictorRadiusSource:
 
     def _batch(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
         """(G*K, T, D) model input, grid-major (row g*K + j: grid g, candidate j in its final row).  The G
-        sequences go through ``normalize_features`` before the K copies, and each copy's final radius is
-        z-scored from its float64 candidate.  Only the last T-1 windows of ``history`` are read, and only
-        they are checked to be whole windows.  Built apart from ``radii`` to be freed once predicted."""
+        sequences go through ``normalize_features`` before the K copies, so that it z-scores G sequences, not
+        G*K, and each copy's final radius is z-scored from its float64 candidate.  Only the last T-1 windows of
+        ``history`` are read, and only they are checked to be whole windows.  Built apart from ``radii`` to be
+        freed once predicted."""
         n_grids, t = self.layout.n_cells, self.layout.seq_len
         for name in ("n_idle", "n_open", "n_total"):
             shape = np.shape(getattr(snapshot, name))
@@ -273,7 +268,7 @@ class PredictorRadiusSource:
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
         n_grids, k, radii = self.layout.n_cells, len(self.candidates), self.candidates.as_array()
         preds = self.predictor.predict_for(self._batch(snapshot, history), np.tile(radii, n_grids))
-        scores = np.asarray(composite_score(preds, self.label_stats), dtype=float)
+        scores = composite_score(preds, self.label_stats)
         preds, scores = preds.reshape(n_grids, k, -1), scores.reshape(n_grids, k)
         bad = ~(np.isfinite(preds).all(axis=2) & np.isfinite(scores)).all(axis=1)
         if np.any(bad):

@@ -14,7 +14,6 @@ for the next window's radii.  Orders come from a read-only
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -28,6 +27,7 @@ from .market import (
     MarketWindow,
     MatchRecord,
     OrderStream,
+    check_count,
     time_of_day,
 )
 
@@ -78,8 +78,7 @@ class RandomRadius:
         c = np.array(candidates, dtype=float)
         if c.ndim != 1 or not len(c) or not np.all(np.isfinite(c) & (c > 0)):
             raise ValueError("candidates must be a non-empty 1-D list of finite radii > 0")
-        if not isinstance(n_cells, numbers.Integral) or n_cells < 1:
-            raise ValueError(f"n_cells must be an integer >= 1, got {n_cells!r}")
+        check_count("n_cells", n_cells)
         self._candidates = c
         self._n_cells = n_cells
         self._rng = np.random.default_rng(seed)
@@ -103,8 +102,7 @@ class SimConfig:
     idle_walk_kmh: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_drivers, numbers.Integral) or self.n_drivers < 1:
-            raise ValueError(f"n_drivers must be an integer >= 1, got {self.n_drivers!r}")
+        check_count("n_drivers", self.n_drivers)
         if not (math.isfinite(self.speed_kmh) and self.speed_kmh > 0):
             raise ValueError("vehicle speed must be finite and > 0")
         if not (self.tick_s > 0 and math.isfinite(self.window_s)):

@@ -13,12 +13,12 @@ last T steps; missing history during warmup counts as zero.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .market import check_count
 from .nn.adam import Adam
 from .nn.model import TransformerRegressor
 
@@ -30,14 +30,6 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"non-finite loss at step {step}; last finite per-task losses {last_losses}")
         self.step = step
         self.last_losses = last_losses
-
-
-def _check_counts(cfg, *names: str) -> None:
-    """Raise unless each named field of cfg is an integer >= 1."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +44,8 @@ class StrategyConfig:
             raise ValueError(f"kind must be one of {STRATEGY_KINDS}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0, 1)")
-        _check_counts(self, "history_len", "refresh_every")
+        check_count("history_len", self.history_len)
+        check_count("refresh_every", self.refresh_every)
 
 
 def aggregate_losses(cfg: StrategyConfig, recent: Sequence[np.ndarray], current: np.ndarray) -> np.ndarray:
@@ -107,7 +100,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_counts(self, "batch_size", "epochs")
+        check_count("batch_size", self.batch_size)
+        check_count("epochs", self.epochs)
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
 
@@ -140,7 +134,8 @@ def train(
     ``refresh_every`` steps the weights are recomputed from this step's losses
     and the curve's last ``history_len`` entries, and held constant in
     between; the weighted loss sum is backpropagated and an adaptive-moment
-    step applied.  Non-finite losses abort.  The test set is evaluated once
+    step applied.  Non-finite features or labels are refused before the first
+    step, and non-finite losses abort.  The test set is evaluated once
     after each epoch.
     """
     if len(train_x) == 0 or len(test_x) == 0:
@@ -152,6 +147,11 @@ def train(
     for name, y in (("train", train_y), ("test", test_y)):
         if np.shape(y) != (len(y), m):
             raise ValueError(f"{name} labels must have shape (N, {m}), got {np.shape(y)}")
+    for name, arrays in (("train", (train_x, train_y)), ("test", (test_x, test_y))):
+        for kind, a in zip(("features", "labels"), arrays):
+            # min and max propagate NaN and reach inf without a full-size temporary, unlike isfinite
+            if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+                raise ValueError(f"{name} {kind} are not all finite")
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, lr=cfg.lr)
     weights = np.full(m, 1.0 / m)

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ridecast.demand import (
+    FARE_BASE,
+    FARE_PER_KM,
     N_BASE_FEATURES,
     DemandProfile,
-    FareModel,
     NormStats,
     apply_norm,
     default_profile,
@@ -52,7 +53,7 @@ def per_order_synth_demand(profile, grid, seed, duration_s, day_start_s=0.0):
                 dlon = grid.lon_min + (dcol + rng.random()) * cw
                 dlat = grid.lat_min + (drow + rng.random()) * ch
                 trip_km = math.hypot((dlon - olon) * proj.km_per_deg_lon, (dlat - olat) * proj.km_per_deg_lat)
-                draws.append((tc, g, olon, olat, dlon, dlat, profile.fare_model.fare(trip_km)))
+                draws.append((tc, g, olon, olat, dlon, dlat, FARE_BASE + FARE_PER_KM * trip_km))
             t = slice_end
     draws.sort(key=lambda r: (r[0], r[1]))
     return stream_from_rows(grid, draws)
@@ -69,9 +70,7 @@ def demand_cases(draw):
     one_hot = rng.random(n) < 0.3  # rows with zero-probability destinations
     dest[one_hot] = np.eye(n)[rng.integers(n, size=int(one_hot.sum()))]
     return dict(
-        profile=DemandProfile(rates=rates, dest_probs=dest,
-                              fare_model=FareModel(base=draw(st.sampled_from([0.0, 2.5])),
-                                                   per_km=draw(st.sampled_from([0.7, 1.0])))),
+        profile=DemandProfile(rates=rates, dest_probs=dest),
         grid=GridSpec(lon_min=-74.02, lat_min=40.70, lon_max=-73.93, lat_max=40.80, side_count=side),
         seed=draw(st.integers(0, 2**32 - 1)),
         duration_s=draw(st.sampled_from([0.0, 900.0, 3600.0, 5400.0, 7200.0]) | st.floats(600.0, 7200.0)),
@@ -224,13 +223,13 @@ class TestSynthDemand:
         assert np.all((2 * cw <= stream.dx) & (stream.dx < 3 * cw))
         assert np.all((ch <= stream.dy) & (stream.dy < 2 * ch))
 
-    def test_fares_follow_profile_fare_model(self):
-        # fare = base + per_km * straight-line trip km, with the profile's model
-        profile = default_profile(BOX, daily_orders=800, fare_model=FareModel(base=1.0, per_km=2.0))
+    def test_fares_follow_fare_constants(self):
+        # fare = 2.5 + 1.0 per straight-line trip km
+        profile = default_profile(BOX, daily_orders=800)
         stream = synth_demand(profile, BOX, seed=9, duration_s=3600.0, day_start_s=8 * 3600)
         assert len(stream) > 0
         trip_km = np.hypot(stream.dx - stream.ox, stream.dy - stream.oy)
-        np.testing.assert_allclose(stream.fare, 1.0 + 2.0 * trip_km, rtol=1e-12)
+        np.testing.assert_allclose(stream.fare, 2.5 + 1.0 * trip_km, rtol=1e-12)
 
     # derandomized so that the tier-1 suite gives the same verdict on every run
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -243,15 +242,6 @@ class TestSynthDemand:
         assert len(stream) == len(ref)
         for name in ("t_create", "cell", "fare", "ox", "oy", "dx", "dy"):
             assert getattr(stream, name).tobytes() == getattr(ref, name).tobytes(), name
-
-
-class TestFareModel:
-    def test_default_formula(self):
-        assert FareModel().fare(0.0) == 2.5
-        assert FareModel().fare(4.0) == 6.5
-
-    def test_custom_formula(self):
-        assert FareModel(base=1.0, per_km=2.0).fare(3.0) == 7.0
 
 
 def _wide_matrix(rows, cols, magnitudes, constant, seed):

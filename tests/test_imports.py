@@ -1,5 +1,6 @@
 """Every module-level import of a ridecast module (``__init__`` files aside,
-since they re-export) is used somewhere in that module, and every module the
+since they re-export) is used somewhere in that module, a package's
+``__all__`` names exactly what its ``__init__`` imports, and every module the
 package imports is in the standard library or a declared dependency."""
 import ast
 import re
@@ -11,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ridecast"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+INITS = sorted(p for p in SRC.rglob("__init__.py") if "__all__" in p.read_text())
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -55,6 +57,19 @@ def test_no_unused_module_level_imports(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.relative_to(SRC)}: unused imports (name: line) {unused}"
+
+
+def test_inits_with_all_found():
+    assert SRC / "nn" / "__init__.py" in INITS
+
+
+@pytest.mark.parametrize("path", INITS, ids=lambda p: str(p.relative_to(SRC)))
+def test_all_names_exactly_the_imports(path):
+    # a name in __all__ that is not imported breaks ``import *``; an import missing from it is a stale export
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+    assert set(exported) == set(imported_names(tree)), f"{path.relative_to(SRC)}: __all__ and imports differ"
 
 
 def declared_dependencies() -> set[str]:

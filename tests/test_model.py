@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,9 +61,9 @@ def reference_forward(x: np.ndarray, p: dict[str, np.ndarray], cfg: ModelConfig)
 class TestForward:
     def test_output_length_matches_task_count(self):
         model = TransformerRegressor(TINY, seed=0)
-        x = np.random.default_rng(0).normal(size=(3, 5))
-        assert model.predict(x).shape == (4,)
-        assert model.predict(np.stack([x, x])).shape == (2, 4)
+        x = np.random.default_rng(0).normal(size=(1, 3, 5))
+        assert model.predict(x).shape == (1, 4)
+        assert model.predict(np.concatenate([x, x])).shape == (2, 4)
 
     def test_pure_function_of_input(self):
         model = TransformerRegressor(TINY, seed=1)
@@ -76,8 +77,8 @@ class TestForward:
     def test_nan_input_gives_nan_prediction(self):
         # a relu that maps NaN to 0 would return exactly head.b2 here
         model = TransformerRegressor(TINY, seed=0)
-        x = np.random.default_rng(0).normal(size=(3, 5))
-        x[1, 2] = np.nan
+        x = np.random.default_rng(0).normal(size=(1, 3, 5))
+        x[0, 1, 2] = np.nan
         assert np.all(np.isnan(model.predict(x)))
 
     def test_nan_input_gives_nan_losses_on_the_tape_path(self):
@@ -96,7 +97,7 @@ class TestForward:
         for seed in (0, 1, 2):
             model = float64_copy(TransformerRegressor(cfg, seed=seed))
             x = np.random.default_rng(seed + 10).normal(size=(cfg.seq_len, cfg.input_dim))
-            got = model.predict(x)
+            got = model.predict(x[None])[0]
             want = reference_forward(x, model.params, cfg)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -175,7 +176,9 @@ class TestForward:
     def test_rejects_wrong_shape(self):
         model = TransformerRegressor(TINY)
         with pytest.raises(ValueError):
-            model.predict(np.zeros((4, 5)))  # wrong seq_len
+            model.predict(np.zeros((3, 5)))  # one (T, D) sequence, not a batch
+        with pytest.raises(ValueError):
+            model.predict(np.zeros((1, 4, 5)))  # wrong seq_len
         with pytest.raises(ValueError):
             model.predict(np.zeros((2, 3, 6)))  # wrong input_dim
 
@@ -217,8 +220,21 @@ class TestPredictIsOneWholePass:
         got = model.predict(x)
         assert got.dtype == want.dtype == model.dtype
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        if n == 1:
-            assert model.predict(x[0]).tobytes() == want[0].tobytes()
+
+    def test_traced_peak_stays_under_three_mib(self):
+        # a decision batch through the graph-free attention peaks 2.3 MiB over
+        # its start; routed through self_attention it peaks 3.8 MiB
+        model = TransformerRegressor(PRODUCTION, seed=21)
+        x = production_batch(500)
+        model.predict(x)  # warm-up
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 3 * 2**20
 
 
 class TestBackward:
@@ -449,7 +465,7 @@ class TestModelConfig:
     def test_numpy_integers_are_accepted(self):
         cfg = ModelConfig(**{k: np.int64(v) for k, v in dataclasses.asdict(TINY).items()})
         assert cfg == TINY
-        assert TransformerRegressor(cfg).predict(np.zeros((3, 5))).shape == (4,)
+        assert TransformerRegressor(cfg).predict(np.zeros((1, 3, 5))).shape == (1, 4)
 
 
 class TestCheckpoint:
@@ -462,7 +478,7 @@ class TestCheckpoint:
         ck = load_checkpoint(path)
         for k, v in model.state_arrays().items():
             np.testing.assert_array_equal(ck.model.params[k], v, err_msg=k, strict=True)
-        x = np.random.default_rng(9).normal(size=(3, 5))
+        x = np.random.default_rng(9).normal(size=(2, 3, 5))
         np.testing.assert_array_equal(ck.model.predict(x), model.predict(x))
         np.testing.assert_array_equal(ck.feature_stats.mean, fstats.mean)
         np.testing.assert_array_equal(ck.label_stats.mean, lstats.mean)

@@ -251,12 +251,14 @@ class TestTrainLoop:
         np.testing.assert_array_equal(res.test_losses[-1], _test_losses(model, x[192:], y[192:]))
 
     def test_divergence_aborts_with_diagnostics(self):
+        # one Adam step at this rate throws the weights far enough that the
+        # next batch's losses overflow
         x, y = _synthetic_tasks(5, 128)
-        y[:, 1] = np.nan
-        with pytest.raises(TrainingDiverged) as exc:
+        with pytest.raises(TrainingDiverged) as exc, np.errstate(over="ignore", invalid="ignore"):
             train(_small_model(5), x[:96], y[:96], x[96:], y[96:],
-                  StrategyConfig(), TrainConfig(batch_size=32, epochs=1))
-        assert exc.value.step == 0
+                  StrategyConfig(), TrainConfig(batch_size=32, lr=1e10, epochs=1))
+        assert exc.value.step == 1
+        assert np.all(np.isfinite(exc.value.last_losses)) and np.all(exc.value.last_losses > 0)
 
     def test_deterministic_given_seed(self):
         x, y = _synthetic_tasks(6, 192)
@@ -291,6 +293,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=re.escape(f"{side} labels must have shape (N, 4), "
                                                        f"got {labels[side].shape}")):
             train(_small_model(7), x[:6], labels["train"], x[6:], labels["test"], StrategyConfig(), TrainConfig())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["features", "labels"])
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_rejects_non_finite_inputs(self, side, kind, value):
+        # unchecked, a NaN test feature gives all-NaN test losses, and a NaN
+        # train value a TrainingDiverged that blames the training
+        x, y = _synthetic_tasks(7, 10)
+        arrays = {("train", "features"): x[:6], ("train", "labels"): y[:6],
+                  ("test", "features"): x[6:], ("test", "labels"): y[6:]}  # train's argument order
+        bad = arrays[side, kind].copy()
+        bad.flat[bad.size // 2] = value
+        arrays[side, kind] = bad
+        with pytest.raises(ValueError, match=f"{side} {kind} are not all finite"):
+            train(_small_model(7), *arrays.values(), StrategyConfig(), TrainConfig())
 
     @pytest.mark.parametrize("kind", ["FW", "AM", "WAM", "ESM", "WESM"])
     def test_weights_recomputed_from_the_loss_curve(self, kind):
