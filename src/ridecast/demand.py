@@ -1,12 +1,13 @@
 """Demand: synthetic Poisson order generation and feature normalization
 statistics.
 
-Feature statistics cover only the ``N_BASE_FEATURES`` measured columns of a
-sequence row: counts, realized metrics and radius.  The grid and time-of-day
-one-hot columns reach the forecaster as exact 0/1.  Z-scoring a one-hot only
-rescales it (on a 10 x 10 grid a hot grid column becomes about +9.9 and a
-cold one -0.1), and the embedding's first linear layer learns its own weight
-per column anyway.
+A feature row holds ``N_INPUT_COLUMNS`` columns: the ``N_BASE_FEATURES``
+measured ones (counts, realized metrics and radius), then the grid index
+(``COL_GRID``) and the ``TimeOfDay`` code (``COL_TOD``) as exact whole
+numbers, -1 in both on padding rows.  Feature statistics cover only the
+measured columns.  The forecaster's embedding turns each index into a learned
+row of its first layer, which is what a linear layer over a one-hot computes,
+so the indices are never z-scored.
 """
 from __future__ import annotations
 
@@ -15,11 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import GridSpec, LocalProjection, OrderStream
+from .market import GridSpec, LocalProjection, OrderStream, TimeOfDay
 
-N_BASE_FEATURES = 8  # measured feature columns, the only ones feature NormStats cover
-FARE_BASE = 2.5      # flag-fall of every fare, in currency units
-FARE_PER_KM = 1.0    # fare per km of straight-line trip distance
+N_BASE_FEATURES = 8     # measured feature columns, the only ones feature NormStats cover
+N_TOD = len(TimeOfDay)  # time-of-day codes
+COL_GRID, COL_TOD = N_BASE_FEATURES, N_BASE_FEATURES + 1  # the index columns, after the measured ones
+N_INPUT_COLUMNS = N_BASE_FEATURES + 2
+FARE_BASE = 2.5         # flag-fall of every fare, in currency units
+FARE_PER_KM = 1.0       # fare per km of straight-line trip distance
 
 
 # ---------------------------------------------------------------------------

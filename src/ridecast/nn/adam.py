@@ -9,7 +9,7 @@ EPS = 1e-8     # added to the root of the second moment
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0

@@ -8,7 +8,15 @@ gradient of y to the gradients of the layer's input and parameters, in
 argument order, from a hand-derived numpy backward that reads only what the
 layer kept.  ``embed`` is the perceptron over the model's input, whose
 gradient nothing reads, so its back gives None for it; ``task_mse``'s back
-gives the predictions' gradient alone, as the targets are data.  Inference
+gives the predictions' gradient alone, as the targets are data.
+
+The input carries the grid and the time of day as two index columns, and
+``embed`` looks up their rows of its first weight instead of multiplying a
+one-hot block.  On numpy's OpenBLAS a GEMM sums its inner dimension in order,
+so the lookup gives the bytes of the one-hot product (tests pin this at
+hidden widths 16 and 64; at width 5 OpenBLAS's small-matrix path reorders
+the float32 sum).  The weight's gradient comes from that product's GEMM, over
+a one-hot block that back rebuilds and drops again.  Inference
 drops ``back`` at once, which frees what the layer kept, and runs attention
 through ``attention``, which keeps nothing and projects Q, K and V one at a
 time so that at most two of them are live: through ``self_attention``, a
@@ -29,6 +37,8 @@ import math
 
 import numpy as np
 
+from ..demand import COL_GRID, N_BASE_FEATURES, N_TOD
+
 
 def _rows(a: np.ndarray) -> np.ndarray:
     """View the leading axes of a as one row axis."""
@@ -45,10 +55,11 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return (_rows(a) @ np.ones(a.shape[-1], dtype=a.dtype)).reshape(*a.shape[:-1], 1)
 
 
-def _perceptron(x, w1, b1, w2, b2, input_grad: bool):
-    """The two-layer perceptron; back computes x's gradient only with input_grad."""
-    x2d = _rows(x)
-    h = x2d @ w1
+def _perceptron(h, b1, w2, b2, first_back):
+    """relu(h + b1) @ w2 + b2 from the first layer's (R, n) product h, updated in place.
+
+    back hands the first layer's gradient gh to first_back, which returns
+    the gradients of the input and w1."""
     h += b1
     np.maximum(h, 0.0, out=h)
     y = h @ w2
@@ -58,20 +69,52 @@ def _perceptron(x, w1, b1, w2, b2, input_grad: bool):
         g = _rows(g)
         gh = g @ w2.T
         gh *= h > 0
-        gx = (gh @ w1.T).reshape(x.shape) if input_grad else None
-        return gx, x2d.T @ gh, _column_sums(gh), h.T @ g, _column_sums(g)
+        return (*first_back(gh), _column_sums(gh), h.T @ g, _column_sums(g))
 
-    return y.reshape(*x.shape[:-1], -1), back
+    return y, back
 
 
 def mlp_forward(x, w1, b1, w2, b2):
     """y = relu(x @ w1 + b1) @ w2 + b2; keeps the input rows and the post-relu units."""
-    return _perceptron(x, w1, b1, w2, b2, True)
+    x2d = _rows(x)
+    y, back = _perceptron(x2d @ w1, b1, w2, b2, lambda gh: ((gh @ w1.T).reshape(x.shape), x2d.T @ gh))
+    return y.reshape(*x.shape[:-1], -1), back
+
+
+def _one_hot_block(measured, rows, n_in):
+    """The (R, n_in) input that ``embed``'s lookup stands for: the measured
+    columns, then a 1 at each of a row's two ``rows`` entries below n_in."""
+    wide = np.zeros((len(measured), n_in), dtype=measured.dtype)
+    wide[:, :N_BASE_FEATURES] = measured
+    real = np.flatnonzero(rows[:, 0] < n_in)
+    for col in rows.T:
+        wide[real, col[real]] = 1.0
+    return wide
 
 
 def embed(x, w1, b1, w2, b2):
-    """``mlp_forward`` over the model's input: back gives None for x."""
-    return _perceptron(x, w1, b1, w2, b2, False)
+    """The perceptron over the model's (..., ``N_INPUT_COLUMNS``) input.
+
+    w1 has a row per measured column, then one per grid and one per time of
+    day.  The first layer is the measured columns' product with their rows,
+    plus the grid's and then the time of day's row, in the order a product
+    with the one-hot block would sum them; padding rows (-1 in both index
+    columns) add the zero row appended after w1.  Keeps the input rows and
+    the two row indices; back rebuilds the one-hot block to form w1's
+    gradient as that product's gradient, and gives None for x.
+    """
+    x2d = _rows(x)
+    n_in = len(w1)
+    rows = x2d[:, COL_GRID:].astype(np.intp)
+    rows += (N_BASE_FEATURES, n_in - N_TOD)
+    rows[x2d[:, COL_GRID] < 0] = n_in
+    table = np.concatenate([w1, np.zeros((1, w1.shape[1]), dtype=w1.dtype)])
+    h = x2d[:, :N_BASE_FEATURES] @ w1[:N_BASE_FEATURES]
+    for col in rows.T:
+        h += table[col]
+    y, back = _perceptron(h, b1, w2, b2,
+                          lambda gh: (None, _one_hot_block(x2d[:, :N_BASE_FEATURES], rows, n_in).T @ gh))
+    return y.reshape(*x.shape[:-1], -1), back
 
 
 def add_layer_norm(x, gamma, beta, eps: float = 1e-5):

@@ -1,9 +1,13 @@
 """Multi-task transformer-encoder forecaster.
 
-Input is a (B, T, D) batch of normalized market feature sequences: measured
-columns z-scored, grid and time-of-day one-hots 0/1.  An embedding MLP lifts
-rows to model width and adds a learned positional table, n encoder blocks
-transform them and the sequence is mean-pooled.  One stacked head emits all
+Input is a (B, T, ``N_INPUT_COLUMNS``) batch of normalized market feature
+sequences: the measured columns z-scored, then the grid index and the time of
+day's code as whole numbers, -1 in both on padding rows.  An embedding MLP
+lifts rows to model width; its first layer holds a learned row per measured
+column, per grid and per time of day, ``ModelConfig.input_dim`` rows in all,
+as many as the one-hot input it stands for would have columns.  A learned
+positional table is added, n encoder blocks transform the rows and the
+sequence is mean-pooled.  One stacked head emits all
 m task predictions as a single (B, m) array: a (d, m*h) matmul gives each
 task its own h relu units (task i in columns i*h..(i+1)*h), and task i's
 output is the dot product of its units with row i of an (m, h) weight.
@@ -19,8 +23,9 @@ names, ending in that of ``task_mse``, which gives the per-task losses.
 ``backward_weighted`` runs the tape in reverse from the task weights, so the
 weighted objective is not a layer, and sets each parameter's gradient in
 ``grads``.  Inference records no tape, which selects the graph-free
-``attention``.  The layers keep NaN: a NaN anywhere in an input sequence
-reaches that sequence's predictions, and in training every task's loss.
+``attention``.  The index columns are checked on the way in; the layers keep
+NaN, so a NaN in a measured column reaches that sequence's predictions, and
+in training every task's loss.
 
 Parameters are drawn in float64 and stored as float32 (``PARAM_DTYPE``), so
 the forward pass, gradients and Adam moments are all float32.  Every layer
@@ -38,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..demand import N_BASE_FEATURES, NormStats
+from ..demand import COL_GRID, COL_TOD, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD, NormStats
 from ..market import check_count
 from .layers import (add_layer_norm, add_position, attention, embed, mlp_forward, pooled_heads, self_attention,
                      task_mse)
@@ -70,6 +75,12 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for name, value in asdict(self).items():
             check_count(name, value)
+        check_count("input_dim", self.input_dim, N_BASE_FEATURES + N_TOD + 1)
+
+    @property
+    def n_cells(self) -> int:
+        """Grids with an embedding row: input_dim less the measured and time-of-day rows."""
+        return self.input_dim - N_BASE_FEATURES - N_TOD
 
 
 class TransformerRegressor:
@@ -167,9 +178,19 @@ class TransformerRegressor:
         self.grads.clear()
 
     def _check_input(self, x: np.ndarray) -> None:
+        """The shape, and index columns of whole numbers in range, -1 in both or in neither."""
         c = self.config
-        if x.ndim != 3 or x.shape[1] != c.seq_len or x.shape[2] != c.input_dim:
-            raise ValueError(f"expected (B, {c.seq_len}, {c.input_dim}), got {x.shape}")
+        if x.ndim != 3 or x.shape[1:] != (c.seq_len, N_INPUT_COLUMNS):
+            raise ValueError(f"expected (B, {c.seq_len}, {N_INPUT_COLUMNS}), got {x.shape}")
+        grid, tod = x[..., COL_GRID], x[..., COL_TOD]
+        for name, col, n in (("grid", grid, c.n_cells), ("time-of-day", tod, N_TOD)):
+            # NaN fails every comparison, and floor leaves it and +-inf as they are
+            bad = ~((col >= -1) & (col < n) & (np.floor(col) == col))
+            if np.any(bad):
+                raise ValueError(f"{name} index column holds {float(col[bad][0]):g}, "
+                                 f"expected a whole number in -1..{n - 1}")
+        if np.any((grid < 0) != (tod < 0)):
+            raise ValueError("grid and time-of-day index columns must be -1 together, on padding rows only")
 
     # -- persistence ----------------------------------------------------------
 

@@ -10,15 +10,16 @@ grid's column of it.  A decision's history is its grid's last T-1 windows, and
 a training example's the T-1 windows before its own; zero windows fill in
 front where the log is shorter.  ``_sequences`` turns those rows into features.
 
-Raw feature sequences are float32: each value is its float64 window metric
-rounded once.  ``normalize_features`` turns them into the forecaster's
-``PARAM_DTYPE`` input for training (``TrainingData.normalized_features``) and
-for decisions (the radius source's batch).  It z-scores only the
-``N_BASE_FEATURES`` measured columns, in float64 from the float32 values, and
-passes the grid and time-of-day one-hots through as exact 0/1: a linear
-embedding over a one-hot is already a learned per-grid (or per-period) row,
-so z-scoring it adds nothing but a scale.  Labels and candidate radii stay
-float64.
+Raw feature sequences are (N, T, ``N_INPUT_COLUMNS``) float32: each measured
+value is its float64 window metric rounded once, and each real row carries
+its sequence's grid index and time-of-day code as whole numbers, which
+padding rows hold as -1.  ``normalize_features`` turns them into the
+forecaster's ``PARAM_DTYPE`` input for training
+(``TrainingData.normalized_features``) and for decisions (the radius source's
+batch).  It z-scores only the ``N_BASE_FEATURES`` measured columns, in
+float64 from the float32 values, and passes the two index columns through:
+the forecaster's embedding looks each index up as a learned row, so a scale
+would mean nothing.  Labels and candidate radii stay float64.
 """
 from __future__ import annotations
 
@@ -30,14 +31,13 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .demand import N_BASE_FEATURES, NormStats, apply_norm, invert_norm
+from .demand import COL_GRID, COL_TOD, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD, NormStats, apply_norm, invert_norm
 from .market import MarketWindow, OrderStream, check_count
 from .nn.model import PARAM_DTYPE
 from .sim import EpisodeResult, SimConfig, WindowSnapshot, run
 
 # feature columns, per sequence row
 COL_IDLE, COL_OPEN, COL_TOTAL, COL_OFR, COL_APD, COL_DUR, COL_REV, COL_RADIUS = range(N_BASE_FEATURES)
-N_TOD = 4
 METRIC_NAMES = ("ofr", "apd", "dur", "revenue")
 # composite sense: pickup distance is minimized, everything else maximized
 METRIC_SENSE = np.array([1.0, -1.0, 1.0, 1.0])
@@ -81,6 +81,8 @@ class FeatureLayout:
 
     @property
     def dim(self) -> int:
+        """The forecaster's ``ModelConfig.input_dim``: the rows of its first layer, one per measured column,
+        per grid and per time of day."""
         return N_BASE_FEATURES + self.n_cells + N_TOD
 
 
@@ -117,22 +119,22 @@ def _window_block(windows: Sequence[MarketWindow], n_grids: int) -> np.ndarray:
 
 
 def _sequences(rows: np.ndarray, n_pad: np.ndarray, layout: FeatureLayout) -> np.ndarray:
-    """(N, T, D) float32 feature sequences from (N, T, 11) window rows, each value rounded once from float64.
+    """(N, T, ``N_INPUT_COLUMNS``) float32 feature sequences from (N, T, 11) window rows, each value rounded
+    once from float64.
 
-    The first ``n_pad`` rows of sequence k are zero padding.  Its final row keeps its counts and radius
-    with its metrics zeroed, and every real row gets the final row's grid and time-of-day one-hots.  A
-    time of day outside 0..N_TOD-1 is rejected."""
-    t = layout.seq_len
-    grids, tods = (rows[:, -1, N_BASE_FEATURES + c].astype(np.int64) for c in (0, 2))
-    bad = np.flatnonzero((tods < 0) | (tods >= N_TOD))
+    The first ``n_pad`` rows of sequence k are zero padding, -1 in the index columns.  Its final row keeps
+    its counts and radius with its metrics zeroed, and every real row gets the final row's grid index and
+    time-of-day code.  A time of day that is not a ``TimeOfDay`` code is rejected."""
+    grids, tods = rows[:, -1, N_BASE_FEATURES], rows[:, -1, N_BASE_FEATURES + 2]
+    bad = np.flatnonzero(~np.isin(tods, np.arange(N_TOD)))
     if len(bad):
-        raise ValueError(f"time of day {tods[bad[0]]} outside 0..{N_TOD - 1}")
-    x = np.zeros((len(rows), t, layout.dim), dtype=np.float32)
+        raise ValueError(f"time of day must be a TimeOfDay code, got {tods[bad[0]]:g}")
+    x = np.empty((len(rows), layout.seq_len, N_INPUT_COLUMNS), dtype=np.float32)
     x[:, :, :N_BASE_FEATURES] = rows[:, :, :N_BASE_FEATURES]
     x[:, -1, COL_OFR:COL_RADIUS] = 0.0
-    seq, row = np.nonzero(_real_row_mask(n_pad, t))
-    x[seq, row, N_BASE_FEATURES + grids[seq]] = 1.0
-    x[seq, row, N_BASE_FEATURES + layout.n_cells + tods[seq]] = 1.0
+    real = _real_row_mask(n_pad, layout.seq_len)
+    for col, index in ((COL_GRID, grids), (COL_TOD, tods)):
+        x[:, :, col] = np.where(real, index[:, None], -1.0)
     return x
 
 
@@ -149,9 +151,10 @@ def composite_score(predictions: np.ndarray, label_stats: NormStats) -> np.ndarr
 class Predictor(Protocol):
     """Maps normalized feature sequences to raw-unit metric predictions.
 
-    ``features`` is an (N, T, D) float32 (``PARAM_DTYPE``) batch whatever the
-    model's dtype, and ``candidates`` holds one radius (km) per row.  The
-    result is (N, 4), one column per ``METRIC_NAMES`` entry, in raw units."""
+    ``features`` is an (N, T, ``N_INPUT_COLUMNS``) float32 (``PARAM_DTYPE``)
+    batch whatever the model's dtype, and ``candidates`` holds one radius
+    (km) per row.  The result is (N, 4), one column per ``METRIC_NAMES``
+    entry, in raw units."""
 
     def predict_for(self, features: np.ndarray, candidates: np.ndarray) -> np.ndarray: ...
 
@@ -203,16 +206,18 @@ def _real_row_mask(pad_rows: np.ndarray, seq_len: int) -> np.ndarray:
 
 
 def normalize_features(features: np.ndarray, pad_rows: np.ndarray, stats: NormStats) -> np.ndarray:
-    """(N, T, D) raw sequences as ``PARAM_DTYPE`` model input, whatever the model's dtype.
+    """(N, T, ``N_INPUT_COLUMNS``) raw sequences as ``PARAM_DTYPE`` model input, whatever the model's dtype.
 
     The ``N_BASE_FEATURES`` measured columns of the real rows are z-scored in float64 and then cast;
-    padding rows get +0.0 there.  The one-hot columns are only cast, so they stay exactly 0/1 on real
-    rows and 0 on padding rows.  The float64 temporary covers the measured columns only."""
+    padding rows get +0.0 there.  The index columns are only cast, so they keep their whole numbers and
+    the padding rows' -1.  One float64 temporary covers the measured columns."""
     if stats.mean.shape != (N_BASE_FEATURES,):
         raise ValueError(f"feature stats have shape {stats.mean.shape}, expected ({N_BASE_FEATURES},)")
     out = features.astype(PARAM_DTYPE)
-    real = _real_row_mask(pad_rows, out.shape[1])[:, :, None]
-    out[:, :, :N_BASE_FEATURES] = np.where(real, (features[:, :, :N_BASE_FEATURES] - stats.mean) / stats.std, 0.0)
+    z = features[:, :, :N_BASE_FEATURES] - stats.mean
+    z /= stats.std
+    z[~_real_row_mask(pad_rows, out.shape[1])] = 0.0
+    out[:, :, :N_BASE_FEATURES] = z
     return out
 
 
@@ -240,11 +245,11 @@ class PredictorRadiusSource:
         self.decisions = DecisionLog(candidates.radii, layout.n_cells)
 
     def _batch(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
-        """(G*K, T, D) model input, grid-major (row g*K + j: grid g, candidate j in its final row).  The G
-        sequences go through ``normalize_features`` before the K copies, so that it z-scores G sequences, not
-        G*K, and each copy's final radius is z-scored from its float64 candidate.  Only the last T-1 windows of
-        ``history`` are read, and only they are checked to be whole windows.  Built apart from ``radii`` to be
-        freed once predicted."""
+        """(G*K, T, ``N_INPUT_COLUMNS``) model input, grid-major (row g*K + j: grid g, candidate j in its final
+        row).  The G sequences go through ``normalize_features`` before the K copies, so that it z-scores G
+        sequences, not G*K, and each copy's final radius is z-scored from its float64 candidate.  Only the last
+        T-1 windows of ``history`` are read, and only they are checked to be whole windows.  A time of day that
+        is not a ``TimeOfDay`` code is rejected.  Built apart from ``radii`` to be freed once predicted."""
         n_grids, t = self.layout.n_cells, self.layout.seq_len
         for name in ("n_idle", "n_open", "n_total"):
             shape = np.shape(getattr(snapshot, name))
@@ -287,13 +292,13 @@ class PredictorRadiusSource:
 class TrainingData:
     """Raw (unnormalized) supervised examples extracted from window logs.
 
-    ``dataset_from_windows`` stores ``features`` as float32, each value its
-    float64 window metric rounded once.  Feature stats are fitted on the
+    ``dataset_from_windows`` stores ``features`` as float32, each measured
+    value its float64 window metric rounded once, then the grid index and
+    time-of-day code (-1 on padding rows).  Feature stats are fitted on the
     measured columns alone (``real_rows``), and ``normalized_features``
-    z-scores only those columns: the grid and time-of-day one-hots stay 0/1.
-    Labels stay float64."""
+    z-scores only those columns.  Labels stay float64."""
 
-    features: np.ndarray    # (N, T, D) float32
+    features: np.ndarray    # (N, T, N_INPUT_COLUMNS) float32
     labels: np.ndarray      # (N, 4) realized (ofr, apd, dur, revenue)
     pad_rows: np.ndarray    # (N,) leading zero rows per sequence
     grids: np.ndarray       # (N,)
@@ -303,8 +308,8 @@ class TrainingData:
 
     def __post_init__(self) -> None:
         n, t = len(self.features), self.layout.seq_len
-        if self.features.shape != (n, t, self.layout.dim):
-            raise ValueError(f"features have shape {self.features.shape}, expected (N, {t}, {self.layout.dim})")
+        if self.features.shape != (n, t, N_INPUT_COLUMNS):
+            raise ValueError(f"features have shape {self.features.shape}, expected (N, {t}, {N_INPUT_COLUMNS})")
         if self.labels.shape != (n, len(METRIC_NAMES)):
             raise ValueError(f"labels have shape {self.labels.shape}, expected ({n}, {len(METRIC_NAMES)})")
         for name in ("pad_rows", "grids", "windows", "episodes"):
@@ -318,12 +323,13 @@ class TrainingData:
 
     def real_rows(self) -> np.ndarray:
         """The measured columns of all non-padding rows, stacked to (M, ``N_BASE_FEATURES``) in the features'
-        dtype, for fitting feature stats.  Only those columns are masked, so no (M, D) copy is made."""
+        dtype, for fitting feature stats.  Only those columns are masked, so no (M, ``N_INPUT_COLUMNS``) copy
+        is made."""
         return self.features[:, :, :N_BASE_FEATURES][_real_row_mask(self.pad_rows, self.layout.seq_len)]
 
     def normalized_features(self, stats: NormStats) -> np.ndarray:
-        """``normalize_features`` of the whole set: (N, T, D) ``PARAM_DTYPE``, the measured columns z-scored
-        under ``stats`` (fitted on ``real_rows``), the one-hots 0/1 and padding rows zero."""
+        """``normalize_features`` of the whole set: (N, T, ``N_INPUT_COLUMNS``) ``PARAM_DTYPE``, the measured
+        columns z-scored under ``stats`` (fitted on ``real_rows``), the index columns as they are."""
         return normalize_features(self.features, self.pad_rows, stats)
 
     def split_by_episode(self, test_fraction: float = 0.2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -3,10 +3,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ridecast.demand import NormStats
+from ridecast.demand import COL_GRID, COL_TOD, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD, NormStats
 from ridecast.market import GridSpec, MarketWindow, MatchRecord, OrderStream
-from ridecast.nn.model import TransformerRegressor
-from ridecast.optimizer import COL_RADIUS, COL_TOTAL, N_BASE_FEATURES, FeatureLayout, TrainingData
+from ridecast.nn.layers import mlp_forward
+from ridecast.nn.model import ModelConfig, TransformerRegressor
+from ridecast.optimizer import COL_RADIUS, COL_TOTAL, FeatureLayout, TrainingData
 
 
 def identity_stats(dim: int) -> NormStats:
@@ -20,6 +21,46 @@ def float64_copy(model: TransformerRegressor) -> TransformerRegressor:
     twin = copy.deepcopy(model)
     for k, p in twin.params.items():
         twin.params[k] = p.astype(np.float64)
+    return twin
+
+
+def model_input(rng: np.random.Generator, n: int, config: ModelConfig, padded: bool = False) -> np.ndarray:
+    """(n, T, ``N_INPUT_COLUMNS``) float64 model input: standard-normal measured columns, and per sequence
+    one grid index and one time-of-day code, drawn uniformly, in all its rows.  With ``padded``, sequence k
+    opens with a drawn 0..T-1 padding rows, zero in the measured columns and -1 in both index columns."""
+    t = config.seq_len
+    x = np.empty((n, t, N_INPUT_COLUMNS))
+    x[..., :N_BASE_FEATURES] = rng.normal(size=(n, t, N_BASE_FEATURES))
+    x[..., COL_GRID] = rng.integers(0, config.n_cells, n)[:, None]
+    x[..., COL_TOD] = rng.integers(0, N_TOD, n)[:, None]
+    if padded:
+        pad = np.arange(t) < rng.integers(0, t, n)[:, None]
+        x[pad] = 0.0
+        x[pad, COL_GRID:] = -1.0
+    return x
+
+
+def one_hot_rows(x: np.ndarray, n_cells: int) -> np.ndarray:
+    """Oracle: the one-hot form of index-column input x, (..., ``N_BASE_FEATURES`` + n_cells + ``N_TOD``) in
+    x's dtype: the measured columns, then a 1 in the row's grid column and one in its time-of-day column;
+    a padding row (-1 in both index columns) has no 1."""
+    out = np.zeros((*x.shape[:-1], N_BASE_FEATURES + n_cells + N_TOD), dtype=x.dtype)
+    out[..., :N_BASE_FEATURES] = x[..., :N_BASE_FEATURES]
+    for row in np.ndindex(x.shape[:-1]):
+        grid, tod = x[row][COL_GRID], x[row][COL_TOD]
+        if grid >= 0:
+            out[row][N_BASE_FEATURES + int(grid)] = 1
+            out[row][N_BASE_FEATURES + n_cells + int(tod)] = 1
+    return out
+
+
+def one_hot_reference(model: TransformerRegressor) -> TransformerRegressor:
+    """A deep copy of model whose embedding multiplies ``one_hot_rows`` of its input by the whole first
+    weight through ``mlp_forward``: the product that the embedding's lookup stands for.  Every other
+    layer, and the input check, is the model's own."""
+    twin = copy.deepcopy(model)
+    n_cells = model.config.n_cells
+    twin._chain[0] = (lambda x, *w: mlp_forward(one_hot_rows(x, n_cells), *w), twin._chain[0][1])
     return twin
 
 
@@ -149,16 +190,16 @@ def reference_features(
     candidate_radius: float,
     layout: FeatureLayout,
 ) -> tuple[np.ndarray, int]:
-    """Oracle: one (seq_len, dim) sequence assembled row by row.
+    """Oracle: one (seq_len, ``N_INPUT_COLUMNS``) sequence assembled row by row.
 
     The last seq_len-1 windows of ``history`` fill the rows before the final
-    one, oldest first, after leading zero rows; the final row carries the
+    one, oldest first, after leading padding rows; the final row carries the
     counts, zeroed metrics and the candidate radius; every non-padding row
-    gets the grid and time-of-day one-hots.  Returns the matrix and the
-    number of padding rows.
+    gets the grid index and the time-of-day code, and padding rows are zero
+    with -1 in both.  Returns the matrix and the number of padding rows.
     """
     t = layout.seq_len
-    x = np.zeros((t, layout.dim))
+    x = np.zeros((t, N_INPUT_COLUMNS))
     recent = list(history)[-(t - 1):]
     n_pad = (t - 1) - len(recent)
     for k, w in enumerate(recent):
@@ -168,8 +209,9 @@ def reference_features(
                                           w.revenue, w.radius_km]
     x[-1, :COL_TOTAL + 1] = [n_idle, n_open, n_total]
     x[-1, COL_RADIUS] = candidate_radius
-    x[n_pad:, N_BASE_FEATURES + grid] = 1.0
-    x[n_pad:, N_BASE_FEATURES + layout.n_cells + tod] = 1.0
+    x[:n_pad, COL_GRID:] = -1.0
+    x[n_pad:, COL_GRID] = grid
+    x[n_pad:, COL_TOD] = tod
     return x, n_pad
 
 
@@ -195,7 +237,7 @@ def reference_dataset(windows: Iterable[MarketWindow], layout: FeatureLayout, ep
             grids.append(g)
             wins.append(w.window)
     return TrainingData(
-        features=np.array(feats).reshape(-1, layout.seq_len, layout.dim),
+        features=np.array(feats).reshape(-1, layout.seq_len, N_INPUT_COLUMNS),
         labels=np.array(labels).reshape(-1, 4),
         pad_rows=np.array(pads, dtype=int),
         grids=np.array(grids, dtype=int),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import numeric_grad
+from conftest import numeric_grad, one_hot_rows
+from ridecast.demand import COL_GRID, COL_TOD, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD
 from ridecast.nn.layers import (add_layer_norm, add_position, attention, embed, mlp_forward, pooled_heads,
                                 self_attention, task_mse)
 
@@ -74,6 +75,48 @@ class TestMlp:
         w2, b2 = rng.normal(size=(6, 5)), rng.normal(size=5)
         y = mlp_forward(x, w1, b1, w2, b2)[0]
         np.testing.assert_allclose(y, brute_mlp(x, w1, b1, w2, b2), atol=1e-12)
+
+
+def index_input(rng: np.random.Generator, n_cells: int) -> np.ndarray:
+    """A (2, 3, ``N_INPUT_COLUMNS``) embedding input: sequence 0 opens with a padding row (zeros, -1 in both
+    index columns), and the real rows carry their sequence's grid index and time-of-day code."""
+    x = np.zeros((2, 3, N_INPUT_COLUMNS))
+    x[..., :N_BASE_FEATURES] = rng.normal(size=(2, 3, N_BASE_FEATURES))
+    x[..., COL_GRID] = rng.integers(0, n_cells, 2)[:, None]
+    x[..., COL_TOD] = rng.integers(0, N_TOD, 2)[:, None]
+    x[0, 0] = 0.0
+    x[0, 0, COL_GRID:] = -1.0
+    return x
+
+
+class TestEmbed:
+    N_CELLS = 3
+
+    def params(self, rng):
+        return (rng.normal(size=(N_BASE_FEATURES + self.N_CELLS + N_TOD, 5)), rng.normal(size=5),
+                rng.normal(size=(5, 3)), rng.normal(size=3))
+
+    def test_matches_brute_force_on_the_one_hot_block(self):
+        rng = np.random.default_rng(15)
+        x, params = index_input(rng, self.N_CELLS), self.params(rng)
+        y = embed(x, *params)[0]
+        want = brute_mlp(one_hot_rows(x, self.N_CELLS).reshape(6, -1), *params).reshape(2, 3, -1)
+        np.testing.assert_allclose(y, want, atol=1e-12)
+
+    def test_rows_read_only_their_own_indices(self):
+        # a padding row reads no index row, and a real row only its grid's and its time of day's
+        rng = np.random.default_rng(16)
+        x = index_input(rng, self.N_CELLS)
+        w1, b1, w2, b2 = self.params(rng)
+        y = embed(x, w1, b1, w2, b2)[0]
+        used = {N_BASE_FEATURES + int(g) for g in x[:, -1, COL_GRID]}
+        used |= {N_BASE_FEATURES + self.N_CELLS + int(t) for t in x[:, -1, COL_TOD]}
+        spare = w1.copy()
+        spare[[k for k in range(N_BASE_FEATURES, len(w1)) if k not in used]] = 1e6
+        np.testing.assert_array_equal(embed(x, spare, b1, w2, b2)[0], y)
+        padding = w1.copy()
+        padding[N_BASE_FEATURES:] = 1e6
+        np.testing.assert_array_equal(embed(x, padding, b1, w2, b2)[0][0, 0], y[0, 0])
 
 
 class TestAddLayerNorm:
@@ -227,10 +270,14 @@ class TestTaskMse:
 
 def layer_inputs(layer: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """The arguments of one layer, by name: a batched (B, T, d) sequence input
-    and the layer's parameters, or the loss layer's (B, m) predictions and targets."""
+    (``index_input`` for the embedding) and the layer's parameters, or the
+    loss layer's (B, m) predictions and targets."""
     d = 4
     x = rng.normal(size=(2, 3, d))
-    if layer in ("mlp", "embed"):
+    if layer == "embed":  # two grids, so the first layer has N_BASE_FEATURES + 2 + N_TOD rows
+        return {"x": index_input(rng, 2), "w1": rng.normal(size=(N_BASE_FEATURES + 2 + N_TOD, 5)),
+                "b1": rng.normal(size=5), "w2": rng.normal(size=(5, 3)), "b2": rng.normal(size=3)}
+    if layer == "mlp":
         return {"x": x, "w1": rng.normal(size=(d, 5)), "b1": rng.normal(size=5),
                 "w2": rng.normal(size=(5, 3)), "b2": rng.normal(size=3)}
     if layer == "add_layer_norm":

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import threading
@@ -7,7 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradcheck, float64_copy, identity_stats, weighted_loss_value
+from conftest import (
+    finite_difference_gradcheck,
+    float64_copy,
+    identity_stats,
+    model_input,
+    one_hot_reference,
+    one_hot_rows,
+    weighted_loss_value,
+)
 from ridecast.nn.adam import Adam
 from ridecast.nn.model import (
     CHECKPOINT_VERSION,
@@ -17,9 +26,10 @@ from ridecast.nn.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from ridecast.demand import N_BASE_FEATURES, NormStats
+from ridecast.demand import COL_GRID, COL_TOD, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD, NormStats
 
-TINY = ModelConfig(seq_len=3, input_dim=5, d_model=4, n_blocks=1, embed_hidden=5,
+# two grids: the smallest input_dim, 13, leaves one
+TINY = ModelConfig(seq_len=3, input_dim=N_BASE_FEATURES + 2 + N_TOD, d_model=4, n_blocks=1, embed_hidden=5,
                    block_hidden=6, head_hidden=3, n_tasks=4)
 # the width and depth the decision and training paths run at
 PRODUCTION = ModelConfig(seq_len=6, input_dim=112)
@@ -61,15 +71,13 @@ def reference_forward(x: np.ndarray, p: dict[str, np.ndarray], cfg: ModelConfig)
 class TestForward:
     def test_output_length_matches_task_count(self):
         model = TransformerRegressor(TINY, seed=0)
-        x = np.random.default_rng(0).normal(size=(1, 3, 5))
+        x = model_input(np.random.default_rng(0), 1, TINY)
         assert model.predict(x).shape == (1, 4)
         assert model.predict(np.concatenate([x, x])).shape == (2, 4)
 
     def test_pure_function_of_input(self):
         model = TransformerRegressor(TINY, seed=1)
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(3, 5))
-        batch = np.stack([x, rng.normal(size=(3, 5)), x])
+        batch = model_input(np.random.default_rng(1), 2, TINY)[[0, 1, 0]]
         y = model.predict(batch)
         np.testing.assert_array_equal(y[0], y[2])
         np.testing.assert_array_equal(model.predict(batch), y)
@@ -77,7 +85,7 @@ class TestForward:
     def test_nan_input_gives_nan_prediction(self):
         # a relu that maps NaN to 0 would return exactly head.b2 here
         model = TransformerRegressor(TINY, seed=0)
-        x = np.random.default_rng(0).normal(size=(1, 3, 5))
+        x = model_input(np.random.default_rng(0), 1, TINY)
         x[0, 1, 2] = np.nan
         assert np.all(np.isnan(model.predict(x)))
 
@@ -85,7 +93,7 @@ class TestForward:
         # the softmax's row maximum must keep NaN as .max does; np.fmax would drop it
         model = TransformerRegressor(TINY, seed=0)
         rng = np.random.default_rng(0)
-        x = rng.normal(size=(4, 3, 5))
+        x = model_input(rng, 4, TINY)
         x[2, 1, 2] = np.nan
         losses, tape = model.task_losses(x, rng.normal(size=(4, 4)))
         assert not np.any(np.isfinite(losses))
@@ -93,12 +101,14 @@ class TestForward:
         assert not np.all(np.isfinite(model.grads["embed.w1"]))
 
     @pytest.mark.parametrize("cfg", [TINY, PRODUCTION], ids=["tiny", "production"])
-    def test_matches_reference_trace(self, cfg):
+    @pytest.mark.parametrize("padded", [False, True], ids=["real", "padded"])
+    def test_matches_reference_trace(self, cfg, padded):
+        # the reference multiplies the one-hot form of the input by the whole first weight
         for seed in (0, 1, 2):
             model = float64_copy(TransformerRegressor(cfg, seed=seed))
-            x = np.random.default_rng(seed + 10).normal(size=(cfg.seq_len, cfg.input_dim))
-            got = model.predict(x[None])[0]
-            want = reference_forward(x, model.params, cfg)
+            x = model_input(np.random.default_rng(seed + 10), 1, cfg, padded=padded)
+            got = model.predict(x)[0]
+            want = reference_forward(one_hot_rows(x[0], cfg.n_cells), model.params, cfg)
             np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_stacked_head_replays_per_task_init_draws(self):
@@ -150,13 +160,13 @@ class TestForward:
 
         monkeypatch.setattr(model, "_forward", spy_forward)
         monkeypatch.setattr(model_mod, "attention", spy_attention)
-        assert model.predict(np.random.default_rng(2).normal(size=(2, 3, 5))).shape == (2, 4)
+        assert model.predict(model_input(np.random.default_rng(2), 2, TINY)).shape == (2, 4)
         assert tapes == [None] and model.grads == {} and attended == [2] * TINY.n_blocks
 
     def test_float32_output_matches_float64_copy(self):
         for seed in (0, 1, 2):
             model = TransformerRegressor(TINY, seed=seed)
-            x = np.random.default_rng(seed + 20).normal(size=(4, 3, 5))
+            x = model_input(np.random.default_rng(seed + 20), 4, TINY)
             got = model.predict(x)
             assert got.dtype == np.float32
             np.testing.assert_allclose(got, float64_copy(model).predict(x), rtol=1e-5)
@@ -167,7 +177,7 @@ class TestForward:
         # near 0, where that is 1e-5..1e-4 of the element itself
         for seed in (0, 1, 2):
             model = TransformerRegressor(PRODUCTION, seed=seed)
-            x = np.random.default_rng(seed + 20).normal(size=(4, PRODUCTION.seq_len, PRODUCTION.input_dim))
+            x = model_input(np.random.default_rng(seed + 20), 4, PRODUCTION)
             got = model.predict(x)
             want = float64_copy(model).predict(x)
             assert got.dtype == np.float32
@@ -176,15 +186,64 @@ class TestForward:
     def test_rejects_wrong_shape(self):
         model = TransformerRegressor(TINY)
         with pytest.raises(ValueError):
-            model.predict(np.zeros((3, 5)))  # one (T, D) sequence, not a batch
+            model.predict(np.zeros((3, N_INPUT_COLUMNS)))  # one (T, D) sequence, not a batch
         with pytest.raises(ValueError):
-            model.predict(np.zeros((1, 4, 5)))  # wrong seq_len
+            model.predict(np.zeros((1, 4, N_INPUT_COLUMNS)))  # wrong seq_len
         with pytest.raises(ValueError):
-            model.predict(np.zeros((2, 3, 6)))  # wrong input_dim
+            model.predict(np.zeros((2, 3, N_INPUT_COLUMNS + 1)))  # wrong width
+        with pytest.raises(ValueError, match=re.escape(f"expected (B, 3, {N_INPUT_COLUMNS})")):
+            model.predict(one_hot_rows(model_input(np.random.default_rng(3), 2, TINY), TINY.n_cells))  # one-hots
+
+
+class TestCheckInput:
+    """The index columns must hold whole numbers in range, -1 in both on padding rows; each bad value
+    raises a ValueError that names its column, before any layer runs."""
+
+    @pytest.mark.parametrize("col, name, n", [(COL_GRID, "grid", TINY.n_cells), (COL_TOD, "time-of-day", N_TOD)],
+                             ids=["grid", "tod"])
+    @pytest.mark.parametrize("value", ["n", -2.0, 1.5, np.nan, np.inf, -np.inf], ids=["n", "-2", "1.5", "nan", "inf",
+                                                                                    "-inf"])
+    @pytest.mark.parametrize("path", ["predict", "task_losses"])
+    def test_bad_index_names_its_column(self, col, name, n, value, path):
+        model = TransformerRegressor(TINY, seed=20)
+        x = model_input(np.random.default_rng(20), 4, TINY)
+        x[2, 1, col] = n if value == "n" else value
+        want = f"{x[2, 1, col]:g}"
+        with pytest.raises(ValueError, match=re.escape(f"{name} index column holds {want}, expected a whole "
+                                                       f"number in -1..{n - 1}")):
+            if path == "predict":
+                model.predict(x)
+            else:
+                model.task_losses(x, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("col", [COL_GRID, COL_TOD], ids=["grid", "tod"])
+    def test_minus_one_in_one_index_column_only(self, col):
+        model = TransformerRegressor(TINY, seed=20)
+        x = model_input(np.random.default_rng(20), 4, TINY)
+        x[1, 0, col] = -1.0
+        with pytest.raises(ValueError, match="grid and time-of-day index columns must be -1 together"):
+            model.predict(x)
+
+    def test_accepts_every_index_and_padding(self):
+        model = TransformerRegressor(TINY, seed=20)
+        x = np.zeros((TINY.n_cells * N_TOD + 1, TINY.seq_len, N_INPUT_COLUMNS))
+        x[:-1, :, COL_GRID] = np.repeat(np.arange(TINY.n_cells), N_TOD)[:, None]
+        x[:-1, :, COL_TOD] = np.tile(np.arange(N_TOD), TINY.n_cells)[:, None]
+        x[-1, :, COL_GRID:] = -1.0  # all padding
+        assert np.all(np.isfinite(model.predict(x)))
+
+    def test_nan_in_a_measured_column_is_not_an_index_error(self):
+        # it reaches the predictions and the losses (TestForward's NaN tests), and only that sequence's predictions
+        model = TransformerRegressor(TINY, seed=20)
+        x = model_input(np.random.default_rng(20), 4, TINY)
+        x[1, 2, N_BASE_FEATURES - 1] = np.nan
+        pred = model.predict(x)
+        assert np.all(np.isnan(pred[1])) and np.all(np.isfinite(np.delete(pred, 1, axis=0)))
+        assert np.all(np.isnan(model.task_losses(x, np.zeros((4, 4)))[0]))
 
 
 def production_batch(n: int, seed: int = 0) -> np.ndarray:
-    return np.random.default_rng(seed).normal(size=(n, PRODUCTION.seq_len, PRODUCTION.input_dim)).astype(np.float32)
+    return model_input(np.random.default_rng(seed), n, PRODUCTION, padded=True).astype(np.float32)
 
 
 class TestPredictIsOneWholePass:
@@ -237,10 +296,41 @@ class TestPredictIsOneWholePass:
         assert peak - start < 3 * 2**20
 
 
+class TestIndexLookupMatchesOneHots:
+    """The embedding's lookup of the grid and time-of-day rows gives the bytes of the one-hot product it
+    replaced: predictions, per-task losses and every gradient equal those of ``one_hot_reference``, which
+    runs ``mlp_forward`` over ``one_hot_rows`` of the same padded batch.  Byte equality rests on the BLAS
+    summing a GEMM's inner dimension in order, as numpy's OpenBLAS does on x86-64 at these hidden widths."""
+
+    @pytest.mark.parametrize("n", [1, 7, 37, 64, 96, 320, 500, 1024, 2400])
+    @pytest.mark.parametrize("embed_hidden", [16, 64])
+    @pytest.mark.parametrize("wide", [False, True], ids=["float32", "float64"])
+    def test_predictions_losses_and_gradients(self, n, embed_hidden, wide):
+        model = TransformerRegressor(dataclasses.replace(PRODUCTION, embed_hidden=embed_hidden), seed=n)
+        if wide:
+            model = float64_copy(model)
+        ref = one_hot_reference(model)
+        rng = np.random.default_rng(n)
+        x = model_input(rng, n, model.config, padded=True).astype(np.float32)
+        y = rng.normal(size=(n, model.config.n_tasks))
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        got, want = model.predict(x), ref.predict(x)
+        assert got.dtype == want.dtype == model.dtype and got.tobytes() == want.tobytes()
+        losses = []
+        for m in (model, ref):
+            loss, tape = m.task_losses(x, y)
+            losses.append(loss.tobytes())
+            m.backward_weighted(tape, w)
+        assert losses[0] == losses[1]
+        assert set(model.grads) == set(ref.grads) == set(model.params)
+        for k, g in model.grads.items():
+            assert g.dtype == ref.grads[k].dtype and g.tobytes() == ref.grads[k].tobytes(), k
+
+
 class TestBackward:
     def test_zero_loss_zero_gradients_at_exact_fit(self):
         model = TransformerRegressor(TINY, seed=4)
-        x = np.random.default_rng(4).normal(size=(2, 3, 5))
+        x = model_input(np.random.default_rng(4), 2, TINY)
         y = model.predict(x)
         losses, tape = model.task_losses(x, y)
         np.testing.assert_array_equal(losses, np.zeros(4))
@@ -253,12 +343,12 @@ class TestBackward:
         model = TransformerRegressor(TINY, seed=6)
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match=re.escape(f"expected labels of shape (4, 4), got {shape}")):
-            model.task_losses(rng.normal(size=(4, 3, 5)), rng.normal(size=shape))
+            model.task_losses(model_input(rng, 4, TINY), rng.normal(size=shape))
 
     def test_one_hot_weights_isolate_heads(self):
         model = TransformerRegressor(TINY, seed=5)
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(3, 3, 5))
+        x = model_input(rng, 3, TINY)
         y = rng.normal(size=(3, 4))
         w = np.array([0.0, 0.0, 1.0, 0.0])
         h = TINY.head_hidden
@@ -285,19 +375,21 @@ class TestBackward:
 
     def test_gradients_match_finite_differences(self):
         for seed in (0, 1, 2):
-            cfg = ModelConfig(seq_len=3, input_dim=4, d_model=4, n_blocks=1, embed_hidden=4,
-                              block_hidden=5, head_hidden=3, n_tasks=2)
+            # one grid, and padding rows, so that w1's grid, time-of-day and measured rows all see gradients
+            # from real rows and none from padding rows
+            cfg = ModelConfig(seq_len=3, input_dim=N_BASE_FEATURES + 1 + N_TOD, d_model=4, n_blocks=1,
+                              embed_hidden=4, block_hidden=5, head_hidden=3, n_tasks=2)
             model = float64_copy(TransformerRegressor(cfg, seed=seed))
             rng = np.random.default_rng(seed + 100)
-            x = rng.normal(size=(2, 3, 4))
-            y = rng.normal(size=(2, 2))
+            x = model_input(rng, 3, cfg, padded=True)
+            y = rng.normal(size=(3, 2))
             w = rng.uniform(0.2, 1.0, size=2)
             w /= w.sum()
             assert finite_difference_gradcheck(model, x, y, w) < 1e-4
 
     def test_float32_gradients_match_float64_copy(self):
         rng = np.random.default_rng(13)
-        x = rng.normal(size=(8, 3, 5))
+        x = model_input(rng, 8, TINY, padded=True)
         y = rng.normal(size=(8, 4))
         w = np.array([0.1, 0.2, 0.3, 0.4])
         model = TransformerRegressor(TINY, seed=13)
@@ -312,7 +404,7 @@ class TestBackward:
     def test_per_task_losses_are_mean_squared_errors(self):
         model = TransformerRegressor(TINY, seed=6)
         rng = np.random.default_rng(6)
-        x = rng.normal(size=(4, 3, 5))
+        x = model_input(rng, 4, TINY)
         y = rng.normal(size=(4, 4))
         losses = model.task_losses(x, y)[0]
         assert losses.shape == (4,)
@@ -321,7 +413,7 @@ class TestBackward:
 
     def test_non_finite_loss_detectable(self):
         model = TransformerRegressor(TINY, seed=7)
-        x = np.random.default_rng(7).normal(size=(1, 3, 5))
+        x = model_input(np.random.default_rng(7), 1, TINY)
         y = np.array([[0.0, np.nan, 0.0, 0.0]])
         losses = model.task_losses(x, y)[0]
         assert np.isfinite(losses).tolist() == [True, False, True, True]
@@ -343,7 +435,7 @@ class TestChain:
         if wide:
             model = float64_copy(model)
         rng = np.random.default_rng(16)
-        model.backward_weighted(model.task_losses(rng.normal(size=(3, 3, 5)), rng.normal(size=(3, 4)))[1],
+        model.backward_weighted(model.task_losses(model_input(rng, 3, TINY), rng.normal(size=(3, 4)))[1],
                                 np.full(4, 0.25))
         assert set(model.grads) == set(model.params)
         for k, p in model.params.items():
@@ -353,7 +445,7 @@ class TestChain:
         # float32 weights already have the model's dtype, so only a deliberate copy is a new array
         model = TransformerRegressor(TINY, seed=17)
         rng = np.random.default_rng(17)
-        losses, tape = model.task_losses(rng.normal(size=(3, 3, 5)), rng.normal(size=(3, 4)))
+        losses, tape = model.task_losses(model_input(rng, 3, TINY), rng.normal(size=(3, 4)))
         seeds = []
         back, names = tape[-1]
         tape[-1] = (lambda g: (seeds.append(g), back(g))[1], names)
@@ -365,7 +457,7 @@ class TestChain:
     def test_zero_grad_clears_grads(self):
         model = TransformerRegressor(TINY, seed=18)
         rng = np.random.default_rng(18)
-        model.backward_weighted(model.task_losses(rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 4)))[1],
+        model.backward_weighted(model.task_losses(model_input(rng, 2, TINY), rng.normal(size=(2, 4)))[1],
                                 np.full(4, 0.25))
         assert model.grads
         model.zero_grad()
@@ -430,12 +522,12 @@ class TestDtype:
         for name in ("embed", "add_position", "add_layer_norm", "self_attention", "attention", "mlp_forward",
                      "pooled_heads", "task_mse"):
             monkeypatch.setattr(model_mod, name, spying(getattr(model_mod, name)))
-        cfg = ModelConfig(seq_len=6, input_dim=12)
+        cfg = ModelConfig(seq_len=6, input_dim=N_BASE_FEATURES + 4 + N_TOD)
         model = TransformerRegressor(cfg, seed=14)
         rng = np.random.default_rng(14)
-        x = rng.normal(size=(5, 6, 12))
+        x = model_input(rng, 5, cfg, padded=True)
         y = rng.normal(size=(5, cfg.n_tasks))
-        opt = Adam(model.params)
+        opt = Adam(model.params, lr=1e-3)
         model.zero_grad()
         losses, tape = model.task_losses(x, y)
         # every layer output of the chain (4 per block) and the losses
@@ -465,7 +557,14 @@ class TestModelConfig:
     def test_numpy_integers_are_accepted(self):
         cfg = ModelConfig(**{k: np.int64(v) for k, v in dataclasses.asdict(TINY).items()})
         assert cfg == TINY
-        assert TransformerRegressor(cfg).predict(np.zeros((1, 3, 5))).shape == (1, 4)
+        assert TransformerRegressor(cfg).predict(np.zeros((1, 3, N_INPUT_COLUMNS))).shape == (1, 4)
+
+    @pytest.mark.parametrize("input_dim", [1, N_BASE_FEATURES, N_BASE_FEATURES + N_TOD])
+    def test_input_dim_leaves_a_grid_row(self, input_dim):
+        # the first layer needs a row per measured column, per time of day and for at least one grid
+        with pytest.raises(ValueError, match=f"input_dim must be an integer >= {N_BASE_FEATURES + N_TOD + 1}"):
+            dataclasses.replace(TINY, input_dim=input_dim)
+        assert dataclasses.replace(TINY, input_dim=N_BASE_FEATURES + N_TOD + 1).n_cells == 1
 
 
 class TestCheckpoint:
@@ -478,11 +577,27 @@ class TestCheckpoint:
         ck = load_checkpoint(path)
         for k, v in model.state_arrays().items():
             np.testing.assert_array_equal(ck.model.params[k], v, err_msg=k, strict=True)
-        x = np.random.default_rng(9).normal(size=(2, 3, 5))
+        x = model_input(np.random.default_rng(9), 2, TINY, padded=True)
         np.testing.assert_array_equal(ck.model.predict(x), model.predict(x))
         np.testing.assert_array_equal(ck.feature_stats.mean, fstats.mean)
         np.testing.assert_array_equal(ck.label_stats.mean, lstats.mean)
         assert ck.meta["strategy"] == "WESM"
+
+    # a production-width checkpoint as save_checkpoint wrote it while the model's input held the one-hot
+    # columns, and that model's predictions on the one-hot form of a padded 37-sequence batch
+    V3_FILE = "ac987be5422f850e471a50b06cf669f4ff9699d4ca3a236116a7e14830b74ce5"
+    V3_PREDICTIONS = "1ef19f2ef3a8dc28432bbb1278fcc541ebb285967fe428c991d3775fca4e3cc3"
+
+    def test_v3_layout_predicts_the_one_hot_bytes_on_index_input(self, tmp_path):
+        path = tmp_path / "model.json"
+        fstats = NormStats(mean=np.linspace(-1.0, 1.0, N_BASE_FEATURES), std=np.full(N_BASE_FEATURES, 2.0))
+        lstats = NormStats(mean=np.array([0.5, 2.0, 0.4, 30.0]), std=np.array([0.2, 1.0, 0.1, 10.0]))
+        save_checkpoint(path, TransformerRegressor(PRODUCTION, seed=23), fstats, lstats, meta={"strategy": "WESM"})
+        assert CHECKPOINT_VERSION == 3
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.V3_FILE
+        x = model_input(np.random.default_rng(23), 37, PRODUCTION, padded=True).astype(np.float32)
+        pred = load_checkpoint(path, expect={"input_dim": 112}).model.predict(x)
+        assert pred.dtype == np.float32 and hashlib.sha256(pred.tobytes()).hexdigest() == self.V3_PREDICTIONS
 
     def test_refuses_architecture_mismatch(self, tmp_path):
         model = TransformerRegressor(TINY, seed=10)
@@ -490,9 +605,9 @@ class TestCheckpoint:
         save_checkpoint(path, model, identity_stats(N_BASE_FEATURES), identity_stats(4))
         with pytest.raises(CheckpointError):
             load_checkpoint(path, expect={"input_dim": 9})
-        load_checkpoint(path, expect={"input_dim": 5, "n_tasks": 4})  # compatible
+        load_checkpoint(path, expect={"input_dim": TINY.input_dim, "n_tasks": 4})  # compatible
 
-    # feature stats cover the measured columns, not the model's input width (TINY's is 5)
+    # feature stats cover the measured columns, not the model's input width (TINY's is 14)
     @pytest.mark.parametrize("feature_width, label_width", [(1, 4), (TINY.input_dim, 4), (N_BASE_FEATURES, 1),
                                                             (N_BASE_FEATURES, 3)])
     def test_refuses_stats_of_the_wrong_width(self, tmp_path, feature_width, label_width):
@@ -614,5 +729,5 @@ class TestCheckpoint:
         ck = load_checkpoint(path)
         for k, v in wide.state_arrays().items():
             np.testing.assert_array_equal(ck.model.params[k], v.astype(np.float32), err_msg=k, strict=True)
-        x = rng.normal(size=(4, 3, 5))
+        x = model_input(rng, 4, TINY)
         np.testing.assert_allclose(ck.model.predict(x), wide.predict(x), rtol=1e-5, atol=1e-6)

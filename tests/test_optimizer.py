@@ -22,8 +22,11 @@ from ridecast.behavior import AcceptanceModel
 from ridecast.demand import NormStats, apply_norm, fit_norm_stats
 from ridecast.market import GridSpec, MarketWindow, TimeOfDay
 from ridecast.optimizer import (
+    COL_GRID,
     COL_RADIUS,
+    COL_TOD,
     N_BASE_FEATURES,
+    N_INPUT_COLUMNS,
     N_TOD,
     CandidateSet,
     FeatureLayout,
@@ -96,12 +99,13 @@ def test_layout_sizes_are_whole_numbers_in_range(seq_len, side_count, field):
 class TestBuildFeatures:
     def test_cold_start_pads_with_zeros(self):
         x = build_one([], 5, 7, 9, tod=3, grid=2, candidate_radius=1.5)
-        assert x.shape == (4, LAYOUT.dim)
-        np.testing.assert_array_equal(x[:3], 0.0)
+        assert x.shape == (4, N_INPUT_COLUMNS)
+        np.testing.assert_array_equal(x[:3, :N_BASE_FEATURES], 0.0)
+        np.testing.assert_array_equal(x[:3, COL_GRID:], -1.0)  # padding rows index nothing
         assert x[-1, 0] == 5 and x[-1, 1] == 7 and x[-1, 2] == 9
         assert x[-1, COL_RADIUS] == 1.5
-        assert x[-1, 8 + 2] == 1.0                 # grid one-hot
-        assert x[-1, 8 + 16 + 3] == 1.0            # time-of-day one-hot
+        assert x[-1, COL_GRID] == 2.0              # grid index
+        assert x[-1, COL_TOD] == 3.0               # time-of-day code
 
     @pytest.mark.parametrize("n_windows", [0, 1, 2])
     def test_padding_stays_zero_after_normalization(self, n_windows):
@@ -110,9 +114,10 @@ class TestBuildFeatures:
         stats = NormStats(mean=np.full(N_BASE_FEATURES, 7.5), std=np.full(N_BASE_FEATURES, 2.0))
         src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), LAYOUT, stats, IDENT)
         x = src._batch(mksnapshot(window=n_windows), whole(range(n_windows)))
-        assert x.shape == (16 * 2, 4, LAYOUT.dim)
+        assert x.shape == (16 * 2, 4, N_INPUT_COLUMNS)
         n_pad = 3 - n_windows
-        np.testing.assert_array_equal(x[:, :n_pad], 0.0)
+        np.testing.assert_array_equal(x[:, :n_pad, :N_BASE_FEATURES], 0.0)
+        np.testing.assert_array_equal(x[:, :n_pad, COL_GRID:], -1.0)
         assert np.all(x[:, n_pad:, :N_BASE_FEATURES] != 0.0)  # centered away from zero by the stats
 
     def test_candidate_isolated_to_final_row_radius(self):
@@ -128,12 +133,10 @@ class TestBuildFeatures:
         h1 = mkwindow(window=6, ofr=0.75, apd=1.0, dur=0.6, rev=20.0, radius=4.0,
                       n_idle=4, n_open=5, n_total=6)
         x = build_one([h0, h1], 7, 8, 9, tod=2, grid=2, candidate_radius=2.5)
-        grid_onehot = np.eye(16)[2]
-        tod_onehot = np.eye(4)[2]
-        want = np.zeros((4, LAYOUT.dim))
-        want[1] = np.concatenate([[1, 2, 3, 0.25, 2.0, 0.5, 12.0, 3.0], grid_onehot, tod_onehot])
-        want[2] = np.concatenate([[4, 5, 6, 0.75, 1.0, 0.6, 20.0, 4.0], grid_onehot, tod_onehot])
-        want[3] = np.concatenate([[7, 8, 9, 0, 0, 0, 0, 2.5], grid_onehot, tod_onehot])
+        want = np.array([[0, 0, 0, 0, 0, 0, 0, 0, -1, -1],
+                         [1, 2, 3, 0.25, 2.0, 0.5, 12.0, 3.0, 2, 2],
+                         [4, 5, 6, 0.75, 1.0, 0.6, 20.0, 4.0, 2, 2],
+                         [7, 8, 9, 0, 0, 0, 0, 2.5, 2, 2]])
         # raw features are float32: each value is the float64 one rounded once
         assert x.dtype == np.float32
         np.testing.assert_array_equal(x, want.astype(np.float32))
@@ -148,16 +151,23 @@ class TestBuildFeatures:
         np.testing.assert_array_equal(x[2, :3, 6], [7.0, 8.0, 9.0])  # K = 1: grid g is row g
 
     @pytest.mark.parametrize("path", ["training", "decision"])
-    @pytest.mark.parametrize("tod", [-1, N_TOD, 9])
-    def test_time_of_day_outside_the_one_hots_rejected(self, tod, path):
+    @pytest.mark.parametrize("tod", [-1, N_TOD, 9, 1.5, 2.9, math.nan])
+    def test_time_of_day_that_is_no_code_rejected(self, tod, path):
         # a training log cannot hold such a row, because the row rejects it where it is made; a decision's
-        # time of day comes from its snapshot and meets the one-hots' own check
+        # time of day comes from its snapshot and meets the sequences' own check, where a cast to an integer
+        # would make 1.5 code 1 and 2.9 code 2
         if path == "training":
             with pytest.raises(ValueError, match=f"tod must be a TimeOfDay code, got {tod}"):
                 dataset_from_windows(whole([0], tod=tod), LAYOUT)
         else:
-            with pytest.raises(ValueError, match=f"time of day {tod} outside 0..{N_TOD - 1}"):
+            with pytest.raises(ValueError, match=f"time of day must be a TimeOfDay code, got {tod:g}"):
                 build_one([mkwindow()], 1, 1, 1, tod=tod, grid=2, candidate_radius=1.0)
+
+    @pytest.mark.parametrize("tod", list(TimeOfDay))
+    def test_every_time_of_day_code_is_kept(self, tod):
+        # an IntEnum member, a float of its value and a numpy integer alike
+        for value in (tod, float(tod), np.int64(tod)):
+            assert build_one([mkwindow()], 1, 1, 1, tod=value, grid=2, candidate_radius=1.0)[-1, COL_TOD] == tod
 
 
 # logs that break one rule of whole windows each, within the decision batch's last T-1 windows, and the
@@ -225,6 +235,7 @@ class TestDatasetFromWindows:
         data = dataset_from_windows([mkwindow(grid=g, window=w, apd=1.2, dur=0.1 * w)
                                      for w in range(6) for g in range(16)], LAYOUT)
         assert data.features.dtype == data.real_rows().dtype == np.float32
+        assert data.features.shape == (16 * 6, LAYOUT.seq_len, N_INPUT_COLUMNS) == (96, 4, 10)
         assert data.labels.dtype == np.float64  # labels keep their float64 values
         assert data.labels[0, 1] == 1.2
 
@@ -372,7 +383,7 @@ class TestPredictorRadiusSource:
     # windows, so every sequence pads; gappy has more, with gaps in the numbers
     HISTORIES = {"short": [5, 6], "gappy": [0, 2, 3, 5, 7]}
 
-    # LAYOUT.dim is the width of stats that z-score the one-hots too
+    # LAYOUT.dim is the width of stats that would z-score a one-hot input too
     @pytest.mark.parametrize("feature_width, label_width", [(1, 4), (LAYOUT.dim, 4), (N_BASE_FEATURES, 1),
                                                             (N_BASE_FEATURES, 5)])
     def test_rejects_stats_of_the_wrong_width(self, feature_width, label_width):
@@ -483,9 +494,10 @@ class TestPredictorRadiusSource:
         assert not np.array_equal(np.delete(moved, 5, axis=0), np.delete(base, 5, axis=0))
 
 
-class TestOneHotsPassThrough:
-    """Training and decision inputs z-score the measured columns only: whatever the stats, the grid and
-    time-of-day one-hots reach the model as exact 0/1 on real rows, and padding rows are all +0.0."""
+class TestIndexColumnsPassThrough:
+    """Training and decision inputs z-score the measured columns only: whatever the stats, the grid index
+    and time-of-day code reach the model as exact whole numbers on real rows, and padding rows are +0.0
+    with -1 in both index columns."""
 
     STATS = NormStats(mean=np.linspace(-3.0, 5.0, N_BASE_FEATURES), std=np.linspace(0.2, 4.0, N_BASE_FEATURES))
 
@@ -498,7 +510,7 @@ class TestOneHotsPassThrough:
                 for w in range(n_windows) for g in range(LAYOUT.n_cells)]
 
     @pytest.mark.parametrize("path", ["training", "decision"])
-    def test_one_hots_are_0_1_and_padding_is_zero(self, path):
+    def test_indices_are_exact_and_padding_is_minus_one(self, path):
         t = LAYOUT.seq_len
         if path == "training":  # 5 windows: the first three pad 3, 2 and 1 rows
             data = dataset_from_windows(self.log(5), LAYOUT)
@@ -510,14 +522,11 @@ class TestOneHotsPassThrough:
             x = src._batch(mksnapshot(window=2, tod=1), self.log(2))
             pads = np.full(LAYOUT.n_cells * k, 1)
             grids, tods = np.repeat(np.arange(LAYOUT.n_cells), k), np.full(LAYOUT.n_cells * k, 1)
-        assert x.dtype == np.float32
+        assert x.dtype == np.float32 and x.shape == (len(grids), t, N_INPUT_COLUMNS)
         real = np.arange(t) >= pads[:, None]
-        want = np.zeros((len(x), t, LAYOUT.dim - N_BASE_FEATURES), dtype=np.float32)
-        seq, row = np.nonzero(real)
-        want[seq, row, grids[seq]] = 1.0
-        want[seq, row, LAYOUT.n_cells + tods[seq]] = 1.0
-        assert x[:, :, N_BASE_FEATURES:].tobytes() == want.tobytes()
-        assert x[~real].tobytes() == np.zeros_like(x[~real]).tobytes()
+        want = np.where(real[..., None], np.stack([grids, tods], axis=1)[:, None, :], -1.0).astype(np.float32)
+        assert x[:, :, COL_GRID:].tobytes() == want.tobytes()
+        assert x[~real, :N_BASE_FEATURES].tobytes() == np.zeros((np.sum(~real), N_BASE_FEATURES), np.float32).tobytes()
 
 
 def golden_day():
@@ -750,7 +759,8 @@ class TestCollect:
         normed = data.normalized_features(stats)
         assert normed.dtype == np.float32
         for i in range(len(data)):
-            np.testing.assert_array_equal(normed[i, : data.pad_rows[i]], 0.0)
+            np.testing.assert_array_equal(normed[i, : data.pad_rows[i], :N_BASE_FEATURES], 0.0)
+            np.testing.assert_array_equal(normed[i, : data.pad_rows[i], COL_GRID:], -1.0)
         flat = np.concatenate([normed[i, data.pad_rows[i]:] for i in range(len(data))]).astype(np.float64)
         base = flat[:, :N_BASE_FEATURES]
         # the float32 cast moves each z-score by at most half an ulp
@@ -758,8 +768,8 @@ class TestCollect:
         assert np.max(np.abs(base.mean(axis=0))) < tol
         std = base.std(axis=0)
         assert np.all((np.abs(std - 1.0) < tol) | (std == 0.0))  # constant columns z-score to 0
-        onehots = np.concatenate([data.features[i, data.pad_rows[i]:, N_BASE_FEATURES:] for i in range(len(data))])
-        np.testing.assert_array_equal(flat[:, N_BASE_FEATURES:], onehots)  # passed through as 0/1
+        indices = np.concatenate([data.features[i, data.pad_rows[i]:, COL_GRID:] for i in range(len(data))])
+        np.testing.assert_array_equal(flat[:, COL_GRID:], indices)  # passed through as whole numbers
 
     def test_dataset_helpers_match_per_example_loop(self):
         data, _ = collect_training_data(
@@ -776,7 +786,7 @@ class TestCollect:
         assert real.dtype == np.float32
         assert real.tobytes() == rows.tobytes()
         stats = NormStats(mean=np.full(N_BASE_FEATURES, 0.25), std=np.full(N_BASE_FEATURES, 3.0))
-        want = data.features.astype(np.float64)  # padding rows are all zero, the one-hots 0/1
+        want = data.features.astype(np.float64)  # padding rows are zero, -1 in the index columns
         for i in range(len(data)):
             p = data.pad_rows[i]
             want[i, p:, :N_BASE_FEATURES] = (data.features[i, p:, :N_BASE_FEATURES] - stats.mean) / stats.std
@@ -787,8 +797,8 @@ class TestCollect:
 
 def mkdata(n=4, layout=LAYOUT, **fields):
     """n all-zero sequences with consistent fields; ``fields`` override them."""
-    t, d = layout.seq_len, layout.dim
-    base = dict(features=np.zeros((n, t, d)), labels=np.zeros((n, 4)), pad_rows=np.zeros(n, dtype=int),
+    t = layout.seq_len
+    base = dict(features=np.zeros((n, t, N_INPUT_COLUMNS)), labels=np.zeros((n, 4)), pad_rows=np.zeros(n, dtype=int),
                 grids=np.zeros(n, dtype=int), windows=np.arange(n), episodes=np.arange(n), layout=layout)
     return TrainingData(**{**base, **fields})
 
@@ -797,9 +807,10 @@ class TestTrainingData:
     @pytest.mark.parametrize("field, value, match", [
         ("labels", np.zeros((7, 4)), "labels"),
         ("labels", np.zeros((4, 3)), "labels"),
-        ("features", np.zeros((4, LAYOUT.seq_len + 1, LAYOUT.dim)), "features"),
-        ("features", np.zeros((4, LAYOUT.seq_len, LAYOUT.dim - 1)), "features"),
-        ("features", np.zeros((4, LAYOUT.seq_len * LAYOUT.dim)), "features"),
+        ("features", np.zeros((4, LAYOUT.seq_len + 1, N_INPUT_COLUMNS)), "features"),
+        ("features", np.zeros((4, LAYOUT.seq_len, N_INPUT_COLUMNS - 1)), "features"),
+        ("features", np.zeros((4, LAYOUT.seq_len * N_INPUT_COLUMNS)), "features"),
+        ("features", np.zeros((4, LAYOUT.seq_len, LAYOUT.dim)), "features"),  # the one-hot width
         ("pad_rows", np.zeros(5, dtype=int), "pad_rows"),
         ("grids", np.zeros((4, 1), dtype=int), "grids"),
         ("windows", np.arange(3), "windows"),
@@ -815,19 +826,19 @@ class TestTrainingData:
         data = mkdata(pad_rows=np.full(4, LAYOUT.seq_len - 1))
         assert data.real_rows().shape == (4, N_BASE_FEATURES)
 
-    # LAYOUT.dim is the width of stats that z-score the one-hots too
-    @pytest.mark.parametrize("width", [1, N_BASE_FEATURES - 1, N_BASE_FEATURES + 1, LAYOUT.dim])
+    # N_INPUT_COLUMNS and LAYOUT.dim are the widths of stats that would z-score the indices or one-hots too
+    @pytest.mark.parametrize("width", [1, N_BASE_FEATURES - 1, N_INPUT_COLUMNS, LAYOUT.dim])
     def test_normalized_features_rejects_stats_of_the_wrong_width(self, width):
         with pytest.raises(ValueError, match=f"expected \\({N_BASE_FEATURES},\\)"):
             mkdata().normalized_features(identity_stats(width))
 
     @pytest.mark.parametrize("n", [1, 3, 130, 259])
     def test_normalized_features_is_the_float64_result_cast(self, n):
-        # every column is drawn, the one-hot ones and the padding rows too, so a column that is
+        # every column is drawn, the index ones and the padding rows too, so a column that is
         # z-scored or not, or a padding row that is zeroed or not, shows
         rng = np.random.default_rng(n)
         pads = rng.integers(0, LAYOUT.seq_len, n)
-        features = rng.normal(size=(n, LAYOUT.seq_len, LAYOUT.dim)) * 10.0 ** rng.uniform(-6, 6, LAYOUT.dim)
+        features = rng.normal(size=(n, LAYOUT.seq_len, N_INPUT_COLUMNS)) * 10.0 ** rng.uniform(-6, 6, N_INPUT_COLUMNS)
         stats = NormStats(mean=rng.normal(size=N_BASE_FEATURES), std=10.0 ** rng.uniform(-3, 3, N_BASE_FEATURES))
         got = mkdata(n, features=features, pad_rows=pads).normalized_features(stats)
         want = features.copy()
@@ -841,7 +852,7 @@ class TestTrainingData:
         rng = np.random.default_rng(5)
         n = 2000
         pads = rng.integers(0, layout.seq_len, n)
-        data = mkdata(n, layout, features=rng.normal(size=(n, layout.seq_len, layout.dim)).astype(np.float32),
+        data = mkdata(n, layout, features=rng.normal(size=(n, layout.seq_len, N_INPUT_COLUMNS)).astype(np.float32),
                       pad_rows=pads)
         m = int(np.sum(layout.seq_len - pads))
         tracemalloc.start()
@@ -851,14 +862,15 @@ class TestTrainingData:
         finally:
             tracemalloc.stop()
         assert rows.shape == (m, N_BASE_FEATURES) and rows.dtype == np.float32
-        # the (M, 8) result is 8/112 of an (M, D) copy; the (N, T) mask adds less than that
-        assert peak < 0.2 * m * layout.dim * 4
+        # the (M, 8) result, the (N, T) mask and the masking's own scratch read about 1.6x the result; an
+        # (M, N_INPUT_COLUMNS) copy beside the result would make 2.25x
+        assert peak < 2 * rows.nbytes
 
     def test_normalized_features_peak_memory(self):
         layout = FeatureLayout(seq_len=6, side_count=10)
         rng = np.random.default_rng(3)
         n = 2000
-        data = mkdata(n, layout, features=rng.normal(size=(n, layout.seq_len, layout.dim)),
+        data = mkdata(n, layout, features=rng.normal(size=(n, layout.seq_len, N_INPUT_COLUMNS)),
                       pad_rows=rng.integers(0, layout.seq_len, n))
         stats = NormStats(mean=np.full(N_BASE_FEATURES, 0.5), std=np.full(N_BASE_FEATURES, 2.0))
         tracemalloc.start()
@@ -867,9 +879,10 @@ class TestTrainingData:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a float64 result alone would be 1.0x the features' bytes; a float32
-        # one is 0.5x
-        assert peak < 0.85 * data.features.nbytes
+        # the float32 result and one float64 temporary of the measured columns; a second temporary would
+        # make about 1.6x their bytes, and a float64 result 1.4x
+        result, scratch = n * layout.seq_len * N_INPUT_COLUMNS * 4, n * layout.seq_len * N_BASE_FEATURES * 8
+        assert peak < 1.2 * (result + scratch)
 
     @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -0.5, math.nan])
     def test_split_rejects_fractions_outside_the_open_unit_interval(self, fraction):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from ridecast.demand import COL_GRID, COL_TOD, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD
 from ridecast.nn.model import ModelConfig, TransformerRegressor
 from ridecast.training import (
     StrategyConfig,
@@ -178,13 +179,15 @@ class TestConfigs:
 
 
 def _synthetic_tasks(seed: int, n: int, scales=(1.0, 1.0, 1.0, 1.0)):
-    """Four regression tasks on (T=4, D=6) sequences with per-task scales.
+    """Four regression tasks on T=4 sequences of six normal measured columns, the other two zero, with
+    per-task scales; every row is grid 0 at time of day 0.
 
     Task weight vectors are unit-norm so equal scales give exchangeable tasks.
     """
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, 4, 6))
-    pooled = x.mean(axis=1)
+    x = np.zeros((n, 4, N_INPUT_COLUMNS))
+    x[..., :6] = rng.normal(size=(n, 4, 6))
+    pooled = x[..., :6].mean(axis=1)
     w = rng.normal(size=(6, 4))
     w /= np.linalg.norm(w, axis=0)
     y = pooled @ w + 0.05 * rng.normal(size=(n, 4))
@@ -193,7 +196,7 @@ def _synthetic_tasks(seed: int, n: int, scales=(1.0, 1.0, 1.0, 1.0)):
 
 
 def _small_model(seed: int = 0) -> TransformerRegressor:
-    cfg = ModelConfig(seq_len=4, input_dim=6, d_model=8, n_blocks=1, embed_hidden=8,
+    cfg = ModelConfig(seq_len=4, input_dim=N_BASE_FEATURES + 1 + N_TOD, d_model=8, n_blocks=1, embed_hidden=8,
                       block_hidden=8, head_hidden=8, n_tasks=4)
     return TransformerRegressor(cfg, seed=seed)
 
@@ -336,19 +339,20 @@ GOLDEN_STRATEGY = StrategyConfig(kind="WESM", refresh_every=3)
 def golden_run():
     """A fixed-seed WESM run of the production-width forecaster.
 
-    320 training and 64 test sequences of (T=6, D=112) float32 inputs laid out
-    as the data layer builds them: eight z-scored measured columns, then a
-    grid one-hot over 100 cells and a time-of-day one-hot over 4.  Labels
-    are four tasks read off the pooled measured columns plus noise.
+    320 training and 64 test sequences of (T=6) float32 inputs laid out as
+    the data layer builds them: eight z-scored measured columns, then a grid
+    index over 100 cells and a time-of-day code, the same in every row of a
+    sequence.  Labels are four tasks read off the pooled measured columns
+    plus noise.  The one-hot form of the same inputs gives the same bytes
+    (``TestIndexLookupMatchesOneHots``).
     """
     rng = np.random.default_rng(31)
     n, t = 384, 6
-    x = np.zeros((n, t, 112), dtype=np.float32)
-    x[..., :8] = rng.normal(size=(n, t, 8))
-    rows = np.arange(n)
-    x[rows, :, 8 + rng.integers(0, 100, n)] = 1.0
-    x[rows, :, 108 + rng.integers(0, 4, n)] = 1.0
-    y = x[..., :8].mean(axis=1) @ rng.normal(size=(8, 4)) + 0.1 * rng.normal(size=(n, 4))
+    x = np.zeros((n, t, N_INPUT_COLUMNS), dtype=np.float32)
+    x[..., :N_BASE_FEATURES] = rng.normal(size=(n, t, N_BASE_FEATURES))
+    x[..., COL_GRID] = rng.integers(0, 100, n)[:, None]
+    x[..., COL_TOD] = rng.integers(0, N_TOD, n)[:, None]
+    y = x[..., :N_BASE_FEATURES].mean(axis=1) @ rng.normal(size=(8, 4)) + 0.1 * rng.normal(size=(n, 4))
     model = TransformerRegressor(ModelConfig(seq_len=t, input_dim=112), seed=31)
     return train(model, x[:320], y[:320], x[320:], y[320:], GOLDEN_STRATEGY,
                  TrainConfig(batch_size=64, epochs=2, seed=31))
