@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import numeric_grad, one_hot_rows
-from ridecast.demand import COL_GRID, COL_TOD, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD
+from conftest import model_input, numeric_grad, one_hot_rows
+from ridecast.demand import COL_GRID, COL_TOD, N_BASE_FEATURES, N_TOD
 from ridecast.nn.layers import (add_layer_norm, add_position, attention, embed, mlp_forward, pooled_heads,
                                 self_attention, task_mse)
+from ridecast.nn.model import ModelConfig
 
 
 def brute_mlp(x, w1, b1, w2, b2):
@@ -78,12 +79,8 @@ class TestMlp:
 
 
 def index_input(rng: np.random.Generator, n_cells: int) -> np.ndarray:
-    """A (2, 3, ``N_INPUT_COLUMNS``) embedding input: sequence 0 opens with a padding row (zeros, -1 in both
-    index columns), and the real rows carry their sequence's grid index and time-of-day code."""
-    x = np.zeros((2, 3, N_INPUT_COLUMNS))
-    x[..., :N_BASE_FEATURES] = rng.normal(size=(2, 3, N_BASE_FEATURES))
-    x[..., COL_GRID] = rng.integers(0, n_cells, 2)[:, None]
-    x[..., COL_TOD] = rng.integers(0, N_TOD, 2)[:, None]
+    """A (2, 3, ``N_INPUT_COLUMNS``) ``model_input`` whose sequence 0 opens with a padding row."""
+    x = model_input(rng, 2, ModelConfig(seq_len=3, input_dim=N_BASE_FEATURES + n_cells + N_TOD))
     x[0, 0] = 0.0
     x[0, 0, COL_GRID:] = -1.0
     return x
