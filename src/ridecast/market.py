@@ -42,8 +42,8 @@ TOD_BY_HOUR = (
 
 
 def check_count(name: str, value, low: int = 1) -> None:
-    """Raise unless value is an integer (Python or numpy) >= low."""
-    if not isinstance(value, numbers.Integral) or value < low:
+    """Raise unless value is an integer (Python or numpy), not a bool, >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

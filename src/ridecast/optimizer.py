@@ -7,16 +7,16 @@ Both read a window log as whole windows: G rows per window, grid 0..G-1 in
 order, with rising window numbers.  ``_window_block`` checks that and returns
 the log as one (W, G) block of window rows, so a sequence is T rows down one
 grid's column of it.  A decision's history is its grid's last T-1 windows, and
-a training example's the T-1 windows before its own; zero windows fill in
-front where the log is shorter.  ``_sequences`` turns those rows into features.
+a training example's the T-1 windows before its own; zero windows of grid -1
+fill in front where the log is shorter.  ``_sequences`` turns them into features.
 
 Raw feature sequences are (N, T, ``N_INPUT_COLUMNS``) float32: each measured
 value is its float64 window metric rounded once, and each real row carries
-its sequence's grid index and time-of-day code as whole numbers, which
-padding rows hold as -1.  ``normalize_features`` turns them into the
-forecaster's ``PARAM_DTYPE`` input for training
-(``TrainingData.normalized_features``) and for decisions (the radius source's
-batch).  It z-scores only the ``N_BASE_FEATURES`` measured columns, in
+its sequence's grid index and time-of-day code as whole numbers.  Padding
+rows hold -1 there, the one record of which rows are padding.
+``normalize_features`` turns them into the forecaster's ``PARAM_DTYPE`` input
+for training (``TrainingData.normalized_features``) and for decisions (the
+radius source's batch).  It z-scores only the ``N_BASE_FEATURES`` measured columns, in
 float64 from the float32 values, and passes the two index columns through:
 the forecaster's embedding looks each index up as a learned row, so a scale
 would mean nothing.  Labels and candidate radii stay float64.
@@ -118,21 +118,18 @@ def _window_block(windows: Sequence[MarketWindow], n_grids: int) -> np.ndarray:
     return block
 
 
-def _sequences(rows: np.ndarray, n_pad: np.ndarray, layout: FeatureLayout) -> np.ndarray:
+def _sequences(rows: np.ndarray, layout: FeatureLayout) -> np.ndarray:
     """(N, T, ``N_INPUT_COLUMNS``) float32 feature sequences from (N, T, 11) window rows, each value rounded
     once from float64.
 
-    The first ``n_pad`` rows of sequence k are zero padding, -1 in the index columns.  Its final row keeps
-    its counts and radius with its metrics zeroed, and every real row gets the final row's grid index and
-    time-of-day code.  A time of day that is not a ``TimeOfDay`` code is rejected."""
+    A row whose grid is -1 is zero padding and keeps -1 in both index columns.  The final row keeps its counts
+    and radius with its metrics zeroed, and every real row gets the final row's grid index and time-of-day
+    code, which its ``MarketWindow`` or ``WindowSnapshot`` has checked."""
     grids, tods = rows[:, -1, N_BASE_FEATURES], rows[:, -1, N_BASE_FEATURES + 2]
-    bad = np.flatnonzero(~np.isin(tods, np.arange(N_TOD)))
-    if len(bad):
-        raise ValueError(f"time of day must be a TimeOfDay code, got {tods[bad[0]]:g}")
     x = np.empty((len(rows), layout.seq_len, N_INPUT_COLUMNS), dtype=np.float32)
     x[:, :, :N_BASE_FEATURES] = rows[:, :, :N_BASE_FEATURES]
     x[:, -1, COL_OFR:COL_RADIUS] = 0.0
-    real = _real_row_mask(n_pad, layout.seq_len)
+    real = rows[:, :, N_BASE_FEATURES] >= 0
     for col, index in ((COL_GRID, grids), (COL_TOD, tods)):
         x[:, :, col] = np.where(real, index[:, None], -1.0)
     return x
@@ -200,23 +197,18 @@ class DecisionLog(Sequence[RadiusDecision]):
                               candidates=self.candidates, predictions=preds[g], scores=scores[g])
 
 
-def _real_row_mask(pad_rows: np.ndarray, seq_len: int) -> np.ndarray:
-    """(N, T) mask of the non-padding rows of N sequences."""
-    return np.arange(seq_len) >= np.asarray(pad_rows)[:, None]
-
-
-def normalize_features(features: np.ndarray, pad_rows: np.ndarray, stats: NormStats) -> np.ndarray:
+def normalize_features(features: np.ndarray, stats: NormStats) -> np.ndarray:
     """(N, T, ``N_INPUT_COLUMNS``) raw sequences as ``PARAM_DTYPE`` model input, whatever the model's dtype.
 
-    The ``N_BASE_FEATURES`` measured columns of the real rows are z-scored in float64 and then cast;
-    padding rows get +0.0 there.  The index columns are only cast, so they keep their whole numbers and
-    the padding rows' -1.  One float64 temporary covers the measured columns."""
+    The ``N_BASE_FEATURES`` measured columns of the real rows are z-scored in float64 and then cast; padding
+    rows, those whose grid index is negative, get +0.0 there.  The index columns are only cast, so they keep
+    their whole numbers and the padding rows' -1.  One float64 temporary covers the measured columns."""
     if stats.mean.shape != (N_BASE_FEATURES,):
         raise ValueError(f"feature stats have shape {stats.mean.shape}, expected ({N_BASE_FEATURES},)")
     out = features.astype(PARAM_DTYPE)
     z = features[:, :, :N_BASE_FEATURES] - stats.mean
     z /= stats.std
-    z[~_real_row_mask(pad_rows, out.shape[1])] = 0.0
+    z[features[:, :, COL_GRID] < 0] = 0.0
     out[:, :, :N_BASE_FEATURES] = z
     return out
 
@@ -248,25 +240,24 @@ class PredictorRadiusSource:
         """(G*K, T, ``N_INPUT_COLUMNS``) model input, grid-major (row g*K + j: grid g, candidate j in its final
         row).  The G sequences go through ``normalize_features`` before the K copies, so that it z-scores G
         sequences, not G*K, and each copy's final radius is z-scored from its float64 candidate.  Only the last
-        T-1 windows of ``history`` are read, and only they are checked to be whole windows.  A time of day that
-        is not a ``TimeOfDay`` code is rejected.  Built apart from ``radii`` to be freed once predicted."""
+        T-1 windows of ``history`` are read, and only they are checked to be whole windows.  Built apart from
+        ``radii`` to be freed once predicted."""
         n_grids, t = self.layout.n_cells, self.layout.seq_len
-        for name in ("n_idle", "n_open", "n_total"):
-            shape = np.shape(getattr(snapshot, name))
-            if shape != (n_grids,):  # a shorter array would broadcast one grid's count to every grid
-                raise ValueError(f"snapshot {name} has shape {shape}, expected ({n_grids},)")
+        shape = np.shape(snapshot.n_idle)  # the snapshot's three counts share it
+        if shape != (n_grids,):  # a shorter array would broadcast one grid's count to every grid
+            raise ValueError(f"snapshot counts have shape {shape}, expected ({n_grids},)")
         tail = _window_block(history[-(t - 1) * n_grids:], n_grids)
-        rows = np.zeros((t, n_grids, tail.shape[2]))  # zero windows in front of a short history
+        rows = np.zeros((t, n_grids, tail.shape[2]))  # padding windows, grid -1, in front of a short history
+        rows[:, :, N_BASE_FEATURES] = -1.0
         rows[t - 1 - len(tail):-1] = tail
         rows[-1, :, COL_IDLE:COL_TOTAL + 1] = np.stack([snapshot.n_idle, snapshot.n_open, snapshot.n_total], axis=1)
         rows[-1, :, N_BASE_FEATURES] = np.arange(n_grids)
         rows[-1, :, N_BASE_FEATURES + 2] = snapshot.tod
-        pads = np.full(n_grids, t - 1 - len(tail))
-        base = _sequences(rows.transpose(1, 0, 2), pads, self.layout)
+        base = _sequences(rows.transpose(1, 0, 2), self.layout)
         stats = self.feature_stats
         # normalize_features' arithmetic on the radius column alone
         final_radii = (self.candidates.as_array() - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
-        x = np.repeat(normalize_features(base, pads, stats), len(final_radii), axis=0)
+        x = np.repeat(normalize_features(base, stats), len(final_radii), axis=0)
         x[:, -1, COL_RADIUS] = np.tile(final_radii, n_grids)
         return x
 
@@ -294,13 +285,15 @@ class TrainingData:
 
     ``dataset_from_windows`` stores ``features`` as float32, each measured
     value its float64 window metric rounded once, then the grid index and
-    time-of-day code (-1 on padding rows).  Feature stats are fitted on the
-    measured columns alone (``real_rows``), and ``normalized_features``
-    z-scores only those columns.  Labels stay float64."""
+    time-of-day code (-1 on padding rows, the marker everything here reads).
+    Feature stats are fitted on the measured columns alone (``real_rows``),
+    and ``normalized_features`` z-scores only those columns.  Labels stay
+    float64.  ``pad_rows`` and ``grids`` restate the index columns, and
+    nothing here reads them."""
 
     features: np.ndarray    # (N, T, N_INPUT_COLUMNS) float32
     labels: np.ndarray      # (N, 4) realized (ofr, apd, dur, revenue)
-    pad_rows: np.ndarray    # (N,) leading zero rows per sequence
+    pad_rows: np.ndarray    # (N,) leading padding rows per sequence
     grids: np.ndarray       # (N,)
     windows: np.ndarray     # (N,)
     episodes: np.ndarray    # (N,)
@@ -315,8 +308,6 @@ class TrainingData:
         for name in ("pad_rows", "grids", "windows", "episodes"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected ({n},)")
-        if np.any((self.pad_rows < 0) | (self.pad_rows >= t)):
-            raise ValueError(f"pad_rows must lie in 0..{t - 1}")
 
     def __len__(self) -> int:
         return len(self.features)
@@ -325,12 +316,12 @@ class TrainingData:
         """The measured columns of all non-padding rows, stacked to (M, ``N_BASE_FEATURES``) in the features'
         dtype, for fitting feature stats.  Only those columns are masked, so no (M, ``N_INPUT_COLUMNS``) copy
         is made."""
-        return self.features[:, :, :N_BASE_FEATURES][_real_row_mask(self.pad_rows, self.layout.seq_len)]
+        return self.features[:, :, :N_BASE_FEATURES][self.features[:, :, COL_GRID] >= 0]
 
     def normalized_features(self, stats: NormStats) -> np.ndarray:
         """``normalize_features`` of the whole set: (N, T, ``N_INPUT_COLUMNS``) ``PARAM_DTYPE``, the measured
         columns z-scored under ``stats`` (fitted on ``real_rows``), the index columns as they are."""
-        return normalize_features(self.features, self.pad_rows, stats)
+        return normalize_features(self.features, stats)
 
     def split_by_episode(self, test_fraction: float = 0.2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Boolean train/test row masks from an episode-level shuffle; each
@@ -364,16 +355,16 @@ def dataset_from_windows(
     block = _window_block(windows, layout.n_cells)
     n_windows, n_grids, width = block.shape
     t = layout.seq_len
-    # T zero windows in front: the view then has a first, all-padding sequence to drop even for an empty log
+    # T padding windows of grid -1 in front: the view has a first, all-padding sequence to drop even for no log
     padded = np.concatenate([np.zeros((t, n_grids, width)), block])
+    padded[:t, :, N_BASE_FEATURES] = -1.0
     rows = np.lib.stride_tricks.sliding_window_view(padded, t, axis=0)[1:]  # (W, G, 11, T)
     rows = rows.transpose(1, 0, 3, 2).reshape(-1, t, width)                 # grid-major (G*W, T, 11)
-    pads = np.tile(np.maximum(t - 1 - np.arange(n_windows), 0), n_grids)
     final = rows[:, -1]
     return TrainingData(
-        features=_sequences(rows, pads, layout),
+        features=_sequences(rows, layout),
         labels=final[:, COL_OFR:COL_RADIUS].copy(),
-        pad_rows=pads,
+        pad_rows=np.count_nonzero(rows[:, :, N_BASE_FEATURES] < 0, axis=1),
         grids=np.repeat(np.arange(n_grids), n_windows),
         windows=final[:, N_BASE_FEATURES + 1].astype(np.int64),
         episodes=np.full(len(rows), episode, dtype=int),

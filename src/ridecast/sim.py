@@ -27,6 +27,8 @@ from .market import (
     MarketWindow,
     MatchRecord,
     OrderStream,
+    TimeOfDay,
+    _TOD_CODES,
     check_count,
     time_of_day,
 )
@@ -34,14 +36,25 @@ from .market import (
 
 @dataclass(frozen=True)
 class WindowSnapshot:
-    """Per-grid market state captured at a window start."""
+    """Per-grid market state captured at a window start, checked as ``MarketWindow`` checks the same counts."""
 
     window: int
     start_s: float
-    tod: int
+    tod: TimeOfDay
     n_idle: np.ndarray    # (n_cells,)
     n_open: np.ndarray
     n_total: np.ndarray
+
+    def __post_init__(self) -> None:
+        check_count("window", self.window, 0)
+        if self.tod not in _TOD_CODES:
+            raise ValueError(f"tod must be a TimeOfDay code, got {self.tod!r}")
+        n_idle, n_open, n_total = (np.asarray(c) for c in (self.n_idle, self.n_open, self.n_total))
+        if not (n_idle.ndim == 1 and n_idle.shape == n_open.shape == n_total.shape):
+            raise ValueError(f"counts must be 1-D and of one length, got {n_idle.shape, n_open.shape, n_total.shape}")
+        # NaN fails every comparison, and inf the upper bound
+        if not np.all((0 <= n_idle) & (n_idle <= n_total) & (n_total < np.inf) & (0 <= n_open) & (n_open < np.inf)):
+            raise ValueError("counts must be finite and >= 0, and idle cannot exceed total")
 
 
 class RadiusSource(Protocol):
@@ -138,8 +151,8 @@ class DriverFleet:
     """Column-wise driver state in projected km coordinates.
 
     A driver holds an order (``order_id >= 0``) exactly when it is not idle.
-    Every driver is online every tick, so its online time is the run's clock,
-    and ``0 <= occupied_s <= clock`` holds exactly at whole-second ticks.
+    Every driver is online every tick, so its online time is the run's clock;
+    the fleet's occupied time is one run total, ``Simulation.occupied_s``.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -149,7 +162,6 @@ class DriverFleet:
         self.target_x = np.zeros_like(self.x)
         self.target_y = np.zeros_like(self.x)
         self.order_id = np.full(len(x), -1, dtype=np.int64)
-        self.occupied_s = np.zeros_like(self.x)
 
 
 class Simulation:
@@ -162,7 +174,8 @@ class Simulation:
     ``_open`` marks the ones still open.  Each match has one record, so
     ``matched == len(matches)``.  The current window injected orders
     ``[_win_first_order, injected)`` and made matches
-    ``matches[_win_first_match:]``.
+    ``matches[_win_first_match:]``, and ``snapshot`` holds its number, start
+    and time of day.  ``occupied_s`` is the run's occupied driver time.
     """
 
     def __init__(self, config: SimConfig, stream: OrderStream):
@@ -186,7 +199,7 @@ class Simulation:
         self.windows: list[MarketWindow] = []
         self.matches: list[MatchRecord] = []
         self.expired = 0
-        self.window_index = 0
+        self.occupied_s = 0.0
         self._begin_window()
 
     @property
@@ -207,16 +220,18 @@ class Simulation:
         return row * n + col
 
     def _take_snapshot(self) -> WindowSnapshot:
-        g = self.config.grid.n_cells
+        cfg, g = self.config, self.config.grid.n_cells
         cells = self._driver_cells()
         idle_mask = self.fleet.status == int(DriverStatus.IDLE)
         n_idle = np.bincount(cells[idle_mask], minlength=g)
         n_total = np.bincount(cells, minlength=g)
         n_open = np.bincount(self.stream.cell[self.open], minlength=g)
+        window = self.tick_count // cfg.ticks_per_window
+        start = window * cfg.window_s
         return WindowSnapshot(
-            window=self.window_index,
-            start_s=self.clock,
-            tod=int(time_of_day(self.config.day_start_s + self.clock)),
+            window=window,
+            start_s=start,
+            tod=time_of_day(cfg.day_start_s + start),
             n_idle=n_idle,
             n_open=n_open,
             n_total=n_total,
@@ -267,7 +282,7 @@ class Simulation:
         # 5. accumulate occupied / online driver time, attributed by position
         cells = self._driver_cells()
         occupied_mask = self.fleet.status != int(DriverStatus.IDLE)
-        self.fleet.occupied_s[occupied_mask] += tick
+        self.occupied_s += np.count_nonzero(occupied_mask) * tick
         self._win_online += np.bincount(cells, minlength=cfg.grid.n_cells) * tick
         self._win_occupied += np.bincount(cells[occupied_mask], minlength=cfg.grid.n_cells) * tick
 
@@ -374,42 +389,39 @@ class Simulation:
         Created orders are those injected during the window, and every match
         in its slice of the match log counts towards pickup distance and
         revenue.  The fulfilment rate counts only the matches of orders created
-        inside the window (``t_create >= start``), which keeps it in [0, 1]
-        when orders carried over from earlier windows match here.  Empty
-        denominators give zeros.  Pickup distance is ``np.mean`` over a grid's
-        pickups in match order, and revenue sums its fares in that order.
+        inside the window (``t_create >= snapshot.start_s``), which keeps it
+        in [0, 1] when orders carried over from earlier windows match here.
+        Empty denominators give zeros.  Pickup distance is ``np.mean`` over a
+        grid's pickups in match order, and revenue sums its fares in that order.
         """
-        cfg, s, n = self.config, self.stream, self.config.grid.n_cells
-        start = self.window_index * cfg.window_s
+        s, snap, n = self.stream, self.snapshot, self.config.grid.n_cells
         created = np.bincount(s.cell[self._win_first_order:self.injected], minlength=n)
         matches = self.matches[self._win_first_match:]
         oid = np.array([m.order_id for m in matches], dtype=np.int64)
         pickup_km = np.array([m.pickup_km for m in matches], dtype=float)
         grid = s.cell[oid]
-        cohort = np.bincount(grid[s.t_create[oid] >= start], minlength=n)
+        cohort = np.bincount(grid[s.t_create[oid] >= snap.start_s], minlength=n)
         revenue = np.bincount(grid, weights=s.fare[oid], minlength=n)
         n_matched = np.bincount(grid, minlength=n)
         pickups = np.split(pickup_km[np.argsort(grid, kind="stable")], np.cumsum(n_matched)[:-1])
-        tod = time_of_day(cfg.day_start_s + start)
         for g in range(n):
             occupied, online = float(self._win_occupied[g]), float(self._win_online[g])
             self.windows.append(
                 MarketWindow(
                     grid=g,
-                    window=self.window_index,
-                    start_s=start,
-                    n_idle=int(self.snapshot.n_idle[g]),
-                    n_open=int(self.snapshot.n_open[g]),
-                    n_total=int(self.snapshot.n_total[g]),
+                    window=snap.window,
+                    start_s=snap.start_s,
+                    n_idle=int(snap.n_idle[g]),
+                    n_open=int(snap.n_open[g]),
+                    n_total=int(snap.n_total[g]),
                     ofr=int(cohort[g]) / int(created[g]) if created[g] else 0.0,
                     apd_km=float(np.mean(pickups[g])) if n_matched[g] else 0.0,
                     dur=occupied / online if online > 0 else 0.0,
                     revenue=float(revenue[g]),
                     radius_km=float(self.radii[g]),
-                    tod=tod,
+                    tod=snap.tod,
                 )
             )
-        self.window_index += 1
         self._begin_window()
 
     # -- episode -------------------------------------------------------------
@@ -420,7 +432,7 @@ class Simulation:
         online = self.config.n_drivers * self.clock
         return EpisodeSummary(
             ofr=self.matched / self.injected if self.injected else 0.0,
-            dur=float(self.fleet.occupied_s.sum()) / online if online > 0 else 0.0,
+            dur=self.occupied_s / online if online > 0 else 0.0,
             revenue=float(sum(m.fare for m in self.matches)),
             apd_km=float(np.mean(pickups)) if pickups else 0.0,
             created=self.injected,

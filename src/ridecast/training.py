@@ -155,13 +155,10 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(model.params, lr=cfg.lr)
     weights = np.full(m, 1.0 / m)
-    last_finite = np.zeros(m)
-    steps: list[int] = []
     curve_train: list[np.ndarray] = []
     curve_test: list[np.ndarray] = []
     curve_w: list[np.ndarray] = []
 
-    step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(len(train_x))
         for lo in range(0, len(order), cfg.batch_size):
@@ -170,22 +167,20 @@ def train(
             # the model casts the batch to its own dtype; curves stay float64
             batch_losses, tape = model.task_losses(train_x[idx], train_y[idx])
             losses = batch_losses.astype(np.float64)
+            step = len(curve_train)
             if not np.all(np.isfinite(losses)):
-                raise TrainingDiverged(step, last_finite)
-            last_finite = losses
+                raise TrainingDiverged(step, curve_train[-1] if curve_train else np.zeros(m))
             if step % strategy.refresh_every == 0:
                 recent = curve_train[-strategy.history_len:][::-1]
                 weights = strategy_weights(strategy.kind, aggregate_losses(strategy, recent, losses))
             model.backward_weighted(tape, weights)
             optimizer.step(model.grads)
-            steps.append(step)
             curve_train.append(losses)
             curve_w.append(weights.copy())
-            step += 1
         curve_test.append(_test_losses(model, test_x, test_y))
 
     return TrainResult(
-        steps=np.array(steps),
+        steps=np.arange(len(curve_train)),
         train_losses=np.array(curve_train),
         test_losses=np.array(curve_test),
         weights=np.array(curve_w),

@@ -92,3 +92,33 @@ def test_table_has_one_row_per_pair_with_flags():
     assert rows[2] == "| decide | 1 | 11 | parent | 0.100 | 0.050 | 100.00 | 100.00 | 61.00 | 59.00 |  |"
     assert rows[3].split(" | ")[3] == "change"
     assert rows[-1] == "| decide | 11 | 21 | parent | 0.500 | null | 100.00 | null | 61.50 | null | change |"
+
+
+# a setup time whose median is 0.19 s and whose interquartile range, 0.07 s, is more than a third of it: wider than
+# the 25 % bound, so the runs cannot show a change of that size
+WIDE = [0.14, 0.15, 0.16, 0.17, 0.18, 0.20, 0.21, 0.24, 0.26, 0.30]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    pairs = [(run(p, 100.0, 60.0), run(c, 100.0, 60.0)) for p, c in zip(WIDE, WIDE[::-1])]
+    got = {s["name"]: s for s in bench_pairs.summarize(pairs, METRICS)}
+    setup = got["setup_s"]
+    assert setup["parent_iqr"] == pytest.approx(0.07) and setup["parent"][1] == pytest.approx(0.19)
+    assert setup["within_bound"] and setup["unresolved"]  # equal medians, yet not shown to be unchanged
+    assert not got["items_per_s"]["unresolved"] and not got["peak_rss_mb"]["unresolved"]  # no spread at all
+    lines = bench_pairs.report(list(got.values()))
+    assert lines[0].endswith("within bound, unresolved: parent IQR 0.07 is wider than 25% of its median")
+    assert "unresolved" not in lines[1] + lines[2]
+
+
+def test_a_change_better_in_every_run_is_resolved_despite_the_spread():
+    # every change run beats every parent run, in both directions of better
+    pairs = [(run(p, 100.0 * p, 60.0), run(p / 2.2, 100.0 * p + 17.0, 60.0)) for p in WIDE]
+    got = {s["name"]: s for s in bench_pairs.summarize(pairs, METRICS)}
+    assert got["setup_s"]["parent_iqr"] > 0.25 * got["setup_s"]["parent"][1]
+    assert got["items_per_s"]["parent_iqr"] > 0.25 * got["items_per_s"]["parent"][1]
+    assert not got["setup_s"]["unresolved"] and not got["items_per_s"]["unresolved"]
+    # one change run no better than the slowest parent run leaves it unresolved again
+    pairs[0] = (pairs[0][0], run(0.30, 14.0, 60.0))
+    got = {s["name"]: s for s in bench_pairs.summarize(pairs, METRICS)}
+    assert got["setup_s"]["unresolved"] and got["items_per_s"]["unresolved"]

@@ -18,7 +18,9 @@ from ridecast.market import (
     time_of_day,
 )
 from ridecast.behavior import AcceptanceModel
+from ridecast.nn.model import ModelConfig
 from ridecast.sim import FixedRadius, SimConfig, Simulation
+from ridecast.training import StrategyConfig, TrainConfig
 
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=4.0, lat_max=4.0, side_count=4)
 # ~11 km square in 2x2 cells; cell 0 holds lon and lat in [0, 0.05)
@@ -76,6 +78,25 @@ class TestGridIndex:
         with pytest.raises(ValueError, match="side_count"):
             GridSpec(0.0, 0.0, 1.0, 1.0, side_count=side)
         assert GridSpec(0.0, 0.0, 1.0, 1.0, side_count=np.int64(3)).n_cells == 9
+
+
+# every count of a config goes through check_count; a bool is an Integral, and True used to pass as 1
+COUNTS = {
+    "side_count": lambda v: GridSpec(0.0, 0.0, 1.0, 1.0, side_count=v),
+    "n_drivers": lambda v: SimConfig(grid=SMALL, n_drivers=v, speed_kmh=20.0,
+                                     radius_source=FixedRadius(1.0, SMALL.n_cells)),
+    "n_blocks": lambda v: ModelConfig(seq_len=3, input_dim=16, n_blocks=v),
+    "epochs": lambda v: TrainConfig(epochs=v),
+    "history_len": lambda v: StrategyConfig(history_len=v),
+}
+
+
+@pytest.mark.parametrize("field", sorted(COUNTS))
+def test_a_bool_is_not_a_count(field):
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {flag}"):
+            COUNTS[field](flag)
+    COUNTS[field](1)
 
 
 class TestTimeOfDay:

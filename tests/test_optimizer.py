@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -153,14 +152,12 @@ class TestBuildFeatures:
     @pytest.mark.parametrize("path", ["training", "decision"])
     @pytest.mark.parametrize("tod", [-1, N_TOD, 9, 1.5, 2.9, math.nan])
     def test_time_of_day_that_is_no_code_rejected(self, tod, path):
-        # a training log cannot hold such a row, because the row rejects it where it is made; a decision's
-        # time of day comes from its snapshot and meets the sequences' own check, where a cast to an integer
-        # would make 1.5 code 1 and 2.9 code 2
-        if path == "training":
-            with pytest.raises(ValueError, match=f"tod must be a TimeOfDay code, got {tod}"):
+        # neither a training row nor a decision's snapshot can hold such a code, because each rejects it
+        # where it is made; a cast to an integer would make 1.5 code 1 and 2.9 code 2
+        with pytest.raises(ValueError, match=f"tod must be a TimeOfDay code, got {tod}"):
+            if path == "training":
                 dataset_from_windows(whole([0], tod=tod), LAYOUT)
-        else:
-            with pytest.raises(ValueError, match=f"time of day must be a TimeOfDay code, got {tod:g}"):
+            else:
                 build_one([mkwindow()], 1, 1, 1, tod=tod, grid=2, candidate_radius=1.0)
 
     @pytest.mark.parametrize("tod", list(TimeOfDay))
@@ -305,17 +302,6 @@ class TestChooseRadius:
         with pytest.raises(ValueError, match="finite and > 0"):
             CandidateSet((0.5, radius))
 
-    def test_nan_snapshot_count_names_the_grid(self):
-        # a NaN input reaches the model's output instead of being zeroed by the
-        # head's relu, so the non-finite guard names the grid
-        model = TransformerRegressor(ModelConfig(seq_len=LAYOUT.seq_len, input_dim=LAYOUT.dim, d_model=8,
-                                                 embed_hidden=8, block_hidden=8, head_hidden=4), seed=3)
-        src = PredictorRadiusSource(ModelPredictor(model, IDENT), CandidateSet((0.5, 1.0)), LAYOUT,
-                                    FEATURE_IDENT, IDENT)
-        n_idle = np.where(np.arange(LAYOUT.n_cells) == 3, np.nan, 1.0)
-        with pytest.raises(ValueError, match=r"grids \[3\]"):
-            src.radii(mksnapshot(n_idle=n_idle), [])
-
     def test_argmax_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(0)
 
@@ -345,15 +331,14 @@ class TestChooseRadius:
             src.radii(mksnapshot(), [])
         assert len(src.decisions) == 0
 
-    @pytest.mark.parametrize("field", ["n_idle", "n_open", "n_total"])
-    @pytest.mark.parametrize("value", [[3], np.ones(5), np.ones((4, 1))])
-    def test_snapshot_counts_not_one_per_grid_rejected(self, field, value):
+    @pytest.mark.parametrize("n_cells", [1, 5, 16])
+    def test_snapshot_counts_not_one_per_grid_rejected(self, n_cells):
+        # the snapshot's three counts share one length, which must be the layout's grid count
         layout = FeatureLayout(seq_len=4, side_count=2)
         src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), layout,
                                     identity_stats(N_BASE_FEATURES), IDENT)
-        snapshot = dataclasses.replace(mksnapshot(n_cells=4), **{field: np.asarray(value)})
-        with pytest.raises(ValueError, match=rf"{field} has shape \({np.shape(value)[0]},.*expected \(4,\)"):
-            src.radii(snapshot, [])
+        with pytest.raises(ValueError, match=rf"counts have shape \({n_cells},\), expected \(4,\)"):
+            src.radii(mksnapshot(n_cells=n_cells), [])
         assert len(src.decisions) == 0
 
 
@@ -803,6 +788,14 @@ def mkdata(n=4, layout=LAYOUT, **fields):
     return TrainingData(**{**base, **fields})
 
 
+def mark_padding(features, pads):
+    """Drawn ``features`` as sequences: the index columns made non-negative, so that no real row reads as
+    padding, then -1 in both on the first ``pads[k]`` rows of sequence k, the padding marker."""
+    features[..., COL_GRID:] = np.abs(features[..., COL_GRID:])
+    features[np.arange(features.shape[1]) < pads[:, None], COL_GRID:] = -1.0
+    return features
+
+
 class TestTrainingData:
     @pytest.mark.parametrize("field, value, match", [
         ("labels", np.zeros((7, 4)), "labels"),
@@ -815,15 +808,14 @@ class TestTrainingData:
         ("grids", np.zeros((4, 1), dtype=int), "grids"),
         ("windows", np.arange(3), "windows"),
         ("episodes", np.arange(5), "episodes"),
-        ("pad_rows", np.array([0, 1, LAYOUT.seq_len, 0]), "pad_rows"),
-        ("pad_rows", np.array([0, -1, 0, 0]), "pad_rows"),
     ])
     def test_rejects_inconsistent_arrays(self, field, value, match):
         with pytest.raises(ValueError, match=match):
             mkdata(**{field: value})
 
     def test_accepts_the_largest_padding(self):
-        data = mkdata(pad_rows=np.full(4, LAYOUT.seq_len - 1))
+        pads = np.full(4, LAYOUT.seq_len - 1)
+        data = mkdata(features=mark_padding(np.zeros((4, LAYOUT.seq_len, N_INPUT_COLUMNS)), pads), pad_rows=pads)
         assert data.real_rows().shape == (4, N_BASE_FEATURES)
 
     # N_INPUT_COLUMNS and LAYOUT.dim are the widths of stats that would z-score the indices or one-hots too
@@ -834,11 +826,12 @@ class TestTrainingData:
 
     @pytest.mark.parametrize("n", [1, 3, 130, 259])
     def test_normalized_features_is_the_float64_result_cast(self, n):
-        # every column is drawn, the index ones and the padding rows too, so a column that is
-        # z-scored or not, or a padding row that is zeroed or not, shows
+        # every column is drawn, the padding rows' measured ones too, and the real rows' index values are
+        # not whole numbers, so a column that is z-scored or not, or a padding row that is zeroed or not, shows
         rng = np.random.default_rng(n)
         pads = rng.integers(0, LAYOUT.seq_len, n)
         features = rng.normal(size=(n, LAYOUT.seq_len, N_INPUT_COLUMNS)) * 10.0 ** rng.uniform(-6, 6, N_INPUT_COLUMNS)
+        features = mark_padding(features, pads)
         stats = NormStats(mean=rng.normal(size=N_BASE_FEATURES), std=10.0 ** rng.uniform(-3, 3, N_BASE_FEATURES))
         got = mkdata(n, features=features, pad_rows=pads).normalized_features(stats)
         want = features.copy()
@@ -852,8 +845,8 @@ class TestTrainingData:
         rng = np.random.default_rng(5)
         n = 2000
         pads = rng.integers(0, layout.seq_len, n)
-        data = mkdata(n, layout, features=rng.normal(size=(n, layout.seq_len, N_INPUT_COLUMNS)).astype(np.float32),
-                      pad_rows=pads)
+        features = mark_padding(rng.normal(size=(n, layout.seq_len, N_INPUT_COLUMNS)).astype(np.float32), pads)
+        data = mkdata(n, layout, features=features, pad_rows=pads)
         m = int(np.sum(layout.seq_len - pads))
         tracemalloc.start()
         try:
@@ -870,8 +863,9 @@ class TestTrainingData:
         layout = FeatureLayout(seq_len=6, side_count=10)
         rng = np.random.default_rng(3)
         n = 2000
-        data = mkdata(n, layout, features=rng.normal(size=(n, layout.seq_len, N_INPUT_COLUMNS)),
-                      pad_rows=rng.integers(0, layout.seq_len, n))
+        pads = rng.integers(0, layout.seq_len, n)
+        data = mkdata(n, layout, features=mark_padding(rng.normal(size=(n, layout.seq_len, N_INPUT_COLUMNS)), pads),
+                      pad_rows=pads)
         stats = NormStats(mean=np.full(N_BASE_FEATURES, 0.5), std=np.full(N_BASE_FEATURES, 2.0))
         tracemalloc.start()
         try:

@@ -8,7 +8,7 @@ from conftest import grid_index, stream_from_rows
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import default_profile, synth_demand
-from ridecast.market import DriverStatus, GridSpec
+from ridecast.market import DriverStatus, GridSpec, TimeOfDay
 from ridecast.sim import (
     EpisodeSummary,
     FixedRadius,
@@ -16,6 +16,7 @@ from ridecast.sim import (
     ScheduleRadius,
     SimConfig,
     Simulation,
+    WindowSnapshot,
     run,
 )
 
@@ -178,7 +179,7 @@ class TestLifecycleAndConservation:
         assert sim.fleet.status[0] == int(DriverStatus.IDLE)
         assert sim.fleet.order_id[0] == -1
         assert sim.fleet.y[0] == pytest.approx(sim.proj.to_xy(0.05, 0.05 + KM_LAT)[1], abs=1e-9)
-        assert 0 < sim.fleet.occupied_s[0] <= sim.clock
+        assert 0 < sim.occupied_s <= sim.clock  # the one driver's occupied time
 
     def test_conservation_every_tick(self):
         rng = np.random.default_rng(1)
@@ -328,6 +329,56 @@ class TestDeterminism:
         other = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=0.2, lat_max=0.1, side_count=4)
         with pytest.raises(ValueError, match="another grid"):
             Simulation(mkconfig(), stream_from_rows(other, [mkrow(0.0, 0.05, 0.05)]))
+
+
+def mksnapshot(**changes):
+    """A two-grid snapshot with valid fields; ``changes`` override them."""
+    fields = dict(window=0, start_s=0.0, tod=TimeOfDay.MORNING, n_idle=np.array([1, 0]), n_open=np.array([2, 0]),
+                  n_total=np.array([3, 0]))
+    return WindowSnapshot(**{**fields, **changes})
+
+
+class TestWindowSnapshot:
+    """A snapshot checks its counts as ``MarketWindow`` checks the same counts, so that no radius source
+    reads a negative window, a time of day that is no code, or counts that no market could show."""
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"window": -1}, "window must be an integer >= 0"),  # ScheduleRadius would read its table's last row
+        ({"window": 1.0}, "window must be an integer >= 0"),
+        ({"window": True}, "window must be an integer >= 0"),
+        ({"tod": 4}, "tod must be a TimeOfDay code"),
+        ({"tod": 1.5}, "tod must be a TimeOfDay code"),
+        ({"n_idle": np.array([1])}, "1-D and of one length"),
+        ({"n_open": np.ones((2, 1))}, "1-D and of one length"),
+        ({"n_idle": np.ones((1, 2)), "n_open": np.ones((1, 2)), "n_total": np.ones((1, 2))}, "1-D"),
+        ({"n_idle": np.array([-5, 0]), "n_total": np.array([-1, 0])}, "finite and >= 0"),
+        ({"n_idle": np.array([np.nan, 0.0])}, "finite and >= 0"),
+        ({"n_open": np.array([0.0, np.inf])}, "finite and >= 0"),
+        ({"n_open": np.array([-1, 0])}, "finite and >= 0"),
+        ({"n_idle": np.array([np.inf, 0.0]), "n_total": np.array([np.inf, 0.0])}, "finite and >= 0"),
+        ({"n_idle": np.array([4, 0])}, "idle cannot exceed total"),
+    ])
+    def test_rejects(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            mksnapshot(**changes)
+
+    def test_accepts_numpy_and_enum_values(self):
+        snap = mksnapshot(window=np.int64(2), tod=1, n_idle=np.array([0.0, 3.0]), n_total=np.array([0.0, 3.0]))
+        assert snap.window == 2 and snap.tod == TimeOfDay.MORNING
+
+    def test_rows_take_the_window_facts_from_its_snapshot(self):
+        # from 06:55 a day runs OTHER, then MORNING from 07:00 on, in the second window
+        sim = Simulation(mkconfig(day_start_s=6 * 3600.0 + 55 * 60.0), EMPTY)
+        snaps = []
+        for _ in range(3):
+            snaps.append(sim.snapshot)
+            for _ in range(sim.config.ticks_per_window):
+                sim.step()
+        want = [(0, 0.0, TimeOfDay.OTHER), (1, 300.0, TimeOfDay.MORNING), (2, 600.0, TimeOfDay.MORNING)]
+        assert [(s.window, s.start_s, s.tod) for s in snaps] == want
+        assert all(type(s.tod) is TimeOfDay for s in snaps)
+        assert [(w.window, w.start_s, w.tod) for w in sim.windows] == [f for f in want for _ in range(BOX.n_cells)]
+        assert sim.snapshot.window == 3 and sim.snapshot.start_s == sim.clock == 900.0
 
 
 class TestRadiusSources:

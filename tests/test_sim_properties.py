@@ -1,4 +1,5 @@
 """Property tests: the simulator's stated invariants over random small scenarios."""
+import math
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ridecast.behavior import AcceptanceModel, sample_accepts
 from ridecast.market import DriverStatus, GridSpec, OrderStream
-from ridecast.optimizer import FeatureLayout, dataset_from_windows
+from ridecast.optimizer import COL_GRID, FeatureLayout, dataset_from_windows
 from ridecast.sim import EpisodeResult, FixedRadius, RandomRadius, SimConfig, Simulation, run
 
 WINDOW_S = 300.0
@@ -72,11 +73,11 @@ def test_episode_invariants(sc):
     sim = Simulation(build_config(sc), stream)
     for _ in range(int(round(horizon / sim.config.tick_s))):
         sim.step()
-        # a driver holds an order exactly when it is not idle, and its
-        # occupied time lies within its online time, the clock
+        # a driver holds an order exactly when it is not idle, and the
+        # fleet's occupied time lies within its online time
         fleet = sim.fleet
         assert np.array_equal(fleet.order_id >= 0, fleet.status != int(DriverStatus.IDLE))
-        assert np.all((0.0 <= fleet.occupied_s) & (fleet.occupied_s <= sim.clock))
+        assert 0.0 <= sim.occupied_s <= sim.config.n_drivers * sim.clock
     res = EpisodeResult(windows=sim.windows, summary=sim.summary(), matches=sim.matches)
     s = res.summary
 
@@ -84,6 +85,9 @@ def test_episode_invariants(sc):
     assert s.created == np.count_nonzero(stream.t_create < horizon)
     assert s.created == s.matched + s.expired + s.open_at_end
     assert s.matched == len(res.matches)
+
+    # every match's fare is in exactly one window row's revenue
+    assert math.isclose(sum(w.revenue for w in res.windows), s.revenue, rel_tol=1e-12)
 
     # pickup within the radius the order's grid had in that window
     radius = {(w.grid, w.window): w.radius_km for w in res.windows}
@@ -100,7 +104,12 @@ def test_episode_invariants(sc):
     n_cells = sc["grid"].n_cells
     assert [(w.window, w.grid) for w in res.windows] == [(i, g) for i in range(sc["windows"]) for g in range(n_cells)]
     layout = FeatureLayout(seq_len=3, side_count=sc["grid"].side_count)
-    assert len(dataset_from_windows(res.windows, layout)) == n_cells * sc["windows"]
+    data = dataset_from_windows(res.windows, layout)
+    assert len(data) == n_cells * sc["windows"]
+    # pad_rows restates the padding marker, and the marked rows lead each sequence
+    marked = data.features[..., COL_GRID] < 0
+    np.testing.assert_array_equal(data.pad_rows, marked.sum(axis=1))
+    np.testing.assert_array_equal(marked, np.arange(layout.seq_len) < data.pad_rows[:, None])
 
     # rates in [0, 1]
     for w in res.windows:

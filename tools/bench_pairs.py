@@ -5,8 +5,9 @@ untraced in two checkouts, one pair of runs per seed, alternating which side
 runs first, and reads each run's last line.  It prints the per-run table, then
 for each end-to-end metric of ``BENCHMARK.json``: each side's median and
 quartiles, how many pairs the change wins (ties count for neither), whether
-the medians differ by more than the parent's interquartile range, and whether
-the change's median stays within the metric's ``bound``.  A run whose
+the medians differ by more than the parent's interquartile range, whether
+the change's median stays within the metric's ``bound``, and whether the
+parent's spread leaves that verdict unresolved.  A run whose
 last line has ``correct: false``, a failed operation, or no such line is
 flagged.  Standard library only; run from anywhere:
 
@@ -61,16 +62,19 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     the parent's interquartile range, and ``claimable`` whether a gain may be claimed: resolved, in the better
     direction, and won in at least nine tenths of the pairs.  ``rel_change`` is the medians' gap over the parent's
     median, and ``within_bound`` says that the change's median is not worse than the parent's, in the ``better``
-    direction, by more than ``bound`` times the parent's median."""
+    direction, by more than ``bound`` times the parent's median.  ``unresolved`` says that the parent's interquartile
+    range is wider than ``bound`` times its median, so the runs cannot show a change of the bound's size, unless every
+    change run is better than every parent run."""
     out = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         both = [(value(p, name), value(c, name)) for p, c in pairs]
         both = [(p, c) for p, c in both if p is not None and c is not None]
         if not both:
-            out.append({"name": name, "pairs": 0, "resolved": False, "claimable": False})
+            out.append({"name": name, "pairs": 0, "resolved": False, "claimable": False, "unresolved": True})
             continue
-        sides = {side: quartiles([pc[k] for pc in both]) for k, side in enumerate(SIDES)}
+        runs = dict(zip(SIDES, zip(*both)))
+        sides = {side: quartiles(runs[side]) for side in SIDES}
         wins = sum(c < p if lower else c > p for p, c in both)
         gap = sides["change"][1] - sides["parent"][1]
         iqr = sides["parent"][2] - sides["parent"][0]
@@ -78,10 +82,12 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         claimable = resolved and (gap < 0) == lower and 10 * wins >= 9 * len(both)
         base = sides["parent"][1]
         within = (gap if lower else -gap) <= m["bound"] * abs(base)
+        separated = max(runs["change"]) < min(runs["parent"]) if lower else min(runs["change"]) > max(runs["parent"])
+        unresolved = iqr > m["bound"] * abs(base) and not separated
         out.append({"name": name, "pairs": len(both), "parent": sides["parent"], "change": sides["change"],
                     "wins": wins, "gap": gap, "parent_iqr": iqr, "resolved": resolved, "claimable": claimable,
                     "rel_change": gap / base if base else float("nan"), "bound": m["bound"],
-                    "within_bound": within})
+                    "within_bound": within, "unresolved": unresolved})
     return out
 
 
@@ -114,7 +120,9 @@ def report(summary: list[dict]) -> list[str]:
                      f"({'exceeds' if s['resolved'] else 'within'}), "
                      f"gain claimable: {'yes' if s['claimable'] else 'no'}, "
                      f"change {s['rel_change']:+.1%} against bound {s['bound']:.0%}: "
-                     f"{'within bound' if s['within_bound'] else 'exceeds bound'}")
+                     f"{'within bound' if s['within_bound'] else 'exceeds bound'}"
+                     + (f", unresolved: parent IQR {s['parent_iqr']:.4g} is wider than {s['bound']:.0%} of its median"
+                        if s["unresolved"] else ""))
     return lines
 
 
