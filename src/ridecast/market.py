@@ -1,5 +1,5 @@
 """Core market domain types: grids, time-of-day codes, driver status codes,
-the order stream, match records, the per-grid window row and ``check_count``.
+the order stream, match records, the per-grid window row and their checks.
 
 ``GridSpec`` is a frozen value type and ``OrderStream`` a read-only table.
 The two log rows, ``MatchRecord`` and ``MarketWindow``, are slotted records
@@ -176,6 +176,16 @@ class MatchRecord:
 _TOD_CODES = frozenset(TimeOfDay)
 
 
+def check_window_start(tod, n_idle, n_open, n_total) -> None:
+    """Raise unless tod is a ``TimeOfDay`` code and the counts, numbers or arrays, are finite, >= 0, idle <= total."""
+    if tod not in _TOD_CODES:
+        raise ValueError(f"tod must be a TimeOfDay code, got {tod!r}")
+    # NaN fails every comparison, and inf the upper bound; & joins Python bools as it joins numpy ones
+    ok = (0 <= n_idle) & (n_idle <= n_total) & (n_total < math.inf) & (0 <= n_open) & (n_open < math.inf)
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        raise ValueError("counts must be finite and >= 0, and idle cannot exceed total")
+
+
 @dataclass(slots=True)
 class MarketWindow:
     """Per-grid aggregation over one metric window.
@@ -204,13 +214,10 @@ class MarketWindow:
             raise ValueError(f"grid must be >= 0, got {self.grid!r}")
         if not self.window >= 0:
             raise ValueError(f"window must be >= 0, got {self.window!r}")
-        if self.tod not in _TOD_CODES:
-            raise ValueError(f"tod must be a TimeOfDay code, got {self.tod!r}")
         if not (0.0 <= self.ofr <= 1.0 and 0.0 <= self.dur <= 1.0):
             raise ValueError("rates must lie in [0, 1]")
         # NaN fails every comparison, and inf the upper bound
         if not (0.0 <= self.apd_km < math.inf and 0.0 <= self.revenue < math.inf
                 and 0.0 <= self.radius_km < math.inf):
             raise ValueError("distance, revenue and radius must be finite and >= 0")
-        if not (0 <= self.n_idle <= self.n_total < math.inf and 0 <= self.n_open < math.inf):
-            raise ValueError("counts must be finite and >= 0, and idle cannot exceed total")
+        check_window_start(self.tod, self.n_idle, self.n_open, self.n_total)

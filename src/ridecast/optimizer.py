@@ -288,8 +288,8 @@ class TrainingData:
     time-of-day code (-1 on padding rows, the marker everything here reads).
     Feature stats are fitted on the measured columns alone (``real_rows``),
     and ``normalized_features`` z-scores only those columns.  Labels stay
-    float64.  ``pad_rows`` and ``grids`` restate the index columns, and
-    nothing here reads them."""
+    float64.  ``pad_rows`` and ``grids`` restate the index columns: only
+    ``pad_rows``' range is checked, and no computation reads either."""
 
     features: np.ndarray    # (N, T, N_INPUT_COLUMNS) float32
     labels: np.ndarray      # (N, 4) realized (ofr, apd, dur, revenue)
@@ -308,6 +308,8 @@ class TrainingData:
         for name in ("pad_rows", "grids", "windows", "episodes"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected ({n},)")
+        if np.any((self.pad_rows < 0) | (self.pad_rows >= t)):
+            raise ValueError(f"pad_rows must lie in 0..{t - 1}")
 
     def __len__(self) -> int:
         return len(self.features)

@@ -28,15 +28,15 @@ from .market import (
     MatchRecord,
     OrderStream,
     TimeOfDay,
-    _TOD_CODES,
     check_count,
+    check_window_start,
     time_of_day,
 )
 
 
 @dataclass(frozen=True)
 class WindowSnapshot:
-    """Per-grid market state captured at a window start, checked as ``MarketWindow`` checks the same counts."""
+    """Per-grid market state captured at a window start, checked by ``check_window_start`` as a ``MarketWindow``."""
 
     window: int
     start_s: float
@@ -47,14 +47,10 @@ class WindowSnapshot:
 
     def __post_init__(self) -> None:
         check_count("window", self.window, 0)
-        if self.tod not in _TOD_CODES:
-            raise ValueError(f"tod must be a TimeOfDay code, got {self.tod!r}")
         n_idle, n_open, n_total = (np.asarray(c) for c in (self.n_idle, self.n_open, self.n_total))
         if not (n_idle.ndim == 1 and n_idle.shape == n_open.shape == n_total.shape):
             raise ValueError(f"counts must be 1-D and of one length, got {n_idle.shape, n_open.shape, n_total.shape}")
-        # NaN fails every comparison, and inf the upper bound
-        if not np.all((0 <= n_idle) & (n_idle <= n_total) & (n_total < np.inf) & (0 <= n_open) & (n_open < np.inf)):
-            raise ValueError("counts must be finite and >= 0, and idle cannot exceed total")
+        check_window_start(self.tod, n_idle, n_open, n_total)
 
 
 class RadiusSource(Protocol):
@@ -228,14 +224,8 @@ class Simulation:
         n_open = np.bincount(self.stream.cell[self.open], minlength=g)
         window = self.tick_count // cfg.ticks_per_window
         start = window * cfg.window_s
-        return WindowSnapshot(
-            window=window,
-            start_s=start,
-            tod=time_of_day(cfg.day_start_s + start),
-            n_idle=n_idle,
-            n_open=n_open,
-            n_total=n_total,
-        )
+        return WindowSnapshot(window=window, start_s=start, tod=time_of_day(cfg.day_start_s + start),
+                              n_idle=n_idle, n_open=n_open, n_total=n_total)
 
     def _begin_window(self) -> None:
         """Mark the window's first order and first match, zero its driver

@@ -302,6 +302,23 @@ class TestChooseRadius:
         with pytest.raises(ValueError, match="finite and > 0"):
             CandidateSet((0.5, radius))
 
+    def test_nan_snapshot_count_names_the_grid(self):
+        # a NaN count stops at the snapshot, before any grid is scored; the NaN a model would then have
+        # predicted for that grid, from a stub here, still meets the non-finite guard, which names the grid
+        n_idle = np.where(np.arange(LAYOUT.n_cells) == 3, np.nan, 1.0)
+        with pytest.raises(ValueError, match="counts must be finite"):
+            mksnapshot(n_idle=n_idle)
+
+        class NanForGrid3:
+            def predict_for(self, features, candidates):
+                pred = np.ones((len(candidates), 4))
+                pred[3 * 2:4 * 2] = np.nan   # both candidates of grid 3
+                return pred
+
+        src = PredictorRadiusSource(NanForGrid3(), CandidateSet((0.5, 1.0)), LAYOUT, FEATURE_IDENT, IDENT)
+        with pytest.raises(ValueError, match=r"grids \[3\]"):
+            src.radii(mksnapshot(), [])
+
     def test_argmax_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(0)
 
@@ -808,6 +825,8 @@ class TestTrainingData:
         ("grids", np.zeros((4, 1), dtype=int), "grids"),
         ("windows", np.arange(3), "windows"),
         ("episodes", np.arange(5), "episodes"),
+        ("pad_rows", np.array([0, 1, LAYOUT.seq_len, 0]), "pad_rows"),
+        ("pad_rows", np.array([0, -1, 0, 0]), "pad_rows"),
     ])
     def test_rejects_inconsistent_arrays(self, field, value, match):
         with pytest.raises(ValueError, match=match):
