@@ -224,8 +224,14 @@ class Simulation:
         n_open = np.bincount(self.stream.cell[self.open], minlength=g)
         window = self.tick_count // cfg.ticks_per_window
         start = window * cfg.window_s
-        return WindowSnapshot(window=window, start_s=start, tod=time_of_day(cfg.day_start_s + start),
-                              n_idle=n_idle, n_open=n_open, n_total=n_total)
+        return WindowSnapshot(
+            window=window,
+            start_s=start,
+            tod=time_of_day(cfg.day_start_s + start),
+            n_idle=n_idle,
+            n_open=n_open,
+            n_total=n_total,
+        )
 
     def _begin_window(self) -> None:
         """Mark the window's first order and first match, zero its driver
