@@ -6,9 +6,13 @@ multi-task head and the per-task mean squared error.
 A layer takes ndarrays and returns ``(y, back)``.  ``back(g)`` maps the
 gradient of y to the gradients of the layer's input and parameters, in
 argument order, from a hand-derived numpy backward that reads only what the
-layer kept.  ``embed`` is the perceptron over the model's input, whose
-gradient nothing reads, so its back gives None for it; ``task_mse``'s back
-gives the predictions' gradient alone, as the targets are data.
+layer kept.  A back keeps only what it reads: ``add_layer_norm`` and
+``pooled_heads`` keep their input's shape, not the input, so the arrays a
+training step holds for a layer are freed once the model's backward has
+run and dropped its back.  ``embed`` is the perceptron over the model's
+input, whose gradient nothing reads, so its back gives None for it;
+``task_mse``'s back gives the predictions' gradient alone, as the targets
+are data.
 
 The input carries the grid and the time of day as two index columns, and
 ``embed`` looks up their rows of its first weight instead of multiplying a
@@ -124,7 +128,7 @@ def add_layer_norm(x, gamma, beta, eps: float = 1e-5):
     beta; the denominator is sqrt(var + eps), i.e. eps sits under the root.
     Keeps the normalized rows xhat and the (R, 1) column of 1/sigma.
     """
-    x2d = _rows(x)
+    shape, x2d = x.shape, _rows(x)
     n = x2d.shape[1]
     row_mean = np.full(n, 1.0 / n, dtype=x2d.dtype)
     xhat = x2d - (x2d @ row_mean)[:, None]
@@ -148,9 +152,9 @@ def add_layer_norm(x, gamma, beta, eps: float = 1e-5):
         gx -= g_xhat
         gx *= rstd
         gx += g
-        return gx.reshape(x.shape), g_gamma, g_beta
+        return gx.reshape(shape), g_gamma, g_beta
 
-    return y.reshape(x.shape), back
+    return y.reshape(shape), back
 
 
 def _softmax_rows(scores: np.ndarray, scale: float) -> np.ndarray:
@@ -225,7 +229,7 @@ def pooled_heads(x, w1, b1, w2, b2):
     (d, m*h) w1); task i's output is the dot product of its units with row i
     of the (m, h) w2, plus b2[i].  Keeps the pooled rows and the units.
     """
-    inv_t = x.dtype.type(1.0 / x.shape[-2])
+    shape, inv_t = x.shape, x.dtype.type(1.0 / x.shape[-2])
     pooled = x.sum(axis=-2)
     pooled *= inv_t
     h = pooled @ w1
@@ -241,7 +245,7 @@ def pooled_heads(x, w1, b1, w2, b2):
         g_h = g_units.reshape(h.shape)
         g_pooled = g_h @ w1.T
         g_pooled *= inv_t
-        return (np.broadcast_to(g_pooled[:, None, :], x.shape).copy(), pooled.T @ g_h, g_h.sum(axis=0),
+        return (np.broadcast_to(g_pooled[:, None, :], shape).copy(), pooled.T @ g_h, g_h.sum(axis=0),
                 (g[:, :, None] * units).sum(axis=0), g.sum(axis=0))
 
     return y, back

@@ -20,9 +20,11 @@ MLP(h1 + LayerNorm(h1)): the normalized branch is added to the raw input
 ``add_layer_norm`` layer.  The chain names each parameter in exactly one
 layer.  Training records a tape of each layer's ``back`` with its parameter
 names, ending in that of ``task_mse``, which gives the per-task losses.
-``backward_weighted`` runs the tape in reverse from the task weights, so the
-weighted objective is not a layer, and sets each parameter's gradient in
-``grads``.  Inference records no tape, which selects the graph-free
+``backward_weighted`` consumes the tape from the task weights: it pops and
+runs the last entry until none is left, so the weighted objective is not a
+layer, and sets each parameter's gradient in ``grads``.  What a layer kept
+is freed once its gradients exist, and a training step holds one tape at a
+time.  Inference records no tape, which selects the graph-free
 ``attention``.  The index columns are checked on the way in; the layers keep
 NaN, so a NaN in a measured column reaches that sequence's predictions, and
 in training every task's loss.
@@ -166,11 +168,21 @@ class TransformerRegressor:
         return losses, tape
 
     def backward_weighted(self, tape: list, weights: np.ndarray) -> None:
-        """Set ``grads`` to the gradients of sum_i w_i * l_i: the tape runs in
-        reverse from a copy of w in the model's dtype.  The chain names each
-        parameter in one layer, so each gradient is set, not summed."""
+        """Set ``grads`` to the gradients of sum_i w_i * l_i, consuming the tape.
+
+        w must be a finite (m,) array; a copy in the model's dtype seeds the
+        tape's last back.  Each entry is popped as it runs, so what its layer
+        kept is freed once its gradients exist, and the tape is empty on
+        return; an empty tape is refused.  The chain names each parameter in
+        one layer, so each gradient is set, not summed."""
         g = np.array(weights, dtype=self.dtype)
-        for back, names in reversed(tape):
+        m = self.config.n_tasks
+        if g.shape != (m,) or not np.all(np.isfinite(g)):
+            raise ValueError(f"weights must be a finite ({m},) array, got {g.tolist()!r}")
+        if not tape:
+            raise ValueError("the tape is empty: each backward consumes the tape of one task_losses call")
+        while tape:
+            back, names = tape.pop()
             g, *grads = back(g)
             self.grads.update(zip(names, grads))
 

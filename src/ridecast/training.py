@@ -133,10 +133,11 @@ def train(
     Per step: batch losses are computed and appended to the loss curve; every
     ``refresh_every`` steps the weights are recomputed from this step's losses
     and the curve's last ``history_len`` entries, and held constant in
-    between; the weighted loss sum is backpropagated and an adaptive-moment
-    step applied.  Non-finite features or labels are refused before the first
-    step, and non-finite losses abort.  The test set is evaluated once
-    after each epoch.
+    between; the weighted loss sum is backpropagated, consuming the step's
+    tape so that one step's activations are alive at a time, and an
+    adaptive-moment step applied.  Non-finite features or labels are
+    refused before the first step, and non-finite losses abort.  The test
+    set is evaluated once after each epoch.
     """
     if len(train_x) == 0 or len(test_x) == 0:
         raise ValueError("train and test sets must be nonempty")

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -334,3 +335,16 @@ class TestFusedGradients:
             return float(((x + brute_layer_norm(x.reshape(-1, 4), gamma, beta, 1e-5).reshape(x.shape)) * r).sum())
 
         np.testing.assert_allclose(gx, numeric_grad(value, x), rtol=1e-6, atol=1e-8)
+
+
+class TestBacksKeepOnlyWhatTheyRead:
+    @pytest.mark.parametrize("layer", ["add_layer_norm", "pooled_heads", "add_position"])
+    def test_back_keeps_no_input_it_does_not_read(self, layer):
+        # these backs read their input for its shape alone; training holds each back until backward
+        # pops it, so a back that kept the input would hold the whole array through the step
+        arrays = layer_inputs(layer, np.random.default_rng(5))
+        x = weakref.ref(arrays["x"])
+        y, back = LAYERS[layer](*arrays.values())
+        shape = arrays.pop("x").shape
+        assert x() is None
+        assert back(np.ones_like(y))[0].shape == shape

@@ -296,6 +296,37 @@ class TestPredictIsOneWholePass:
         assert peak - start < 3 * 2**20
 
 
+class TestTrainingHoldsOneTape:
+    def test_two_steps_peak_under_one_and_a_half_tapes(self):
+        # a training step as train runs it, keeping its tape variable into the next step's forward;
+        # backward consumes the tape, so that forward does not run with the last step's graph alive
+        model = TransformerRegressor(PRODUCTION, seed=21)
+        rng = np.random.default_rng(21)
+        x, y = production_batch(256, seed=21), rng.normal(size=(256, PRODUCTION.n_tasks))
+        w = np.full(PRODUCTION.n_tasks, 1.0 / PRODUCTION.n_tasks)
+        optimizer = Adam(model.params, lr=1e-3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            losses, tape = model.task_losses(x, y)
+            tape_bytes = tracemalloc.get_traced_memory()[0] - before
+            model.backward_weighted(tape, w)  # warm-up: Adam's moments now exist
+            optimizer.step(model.grads)
+            del losses, tape
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(2):
+                model.zero_grad()
+                losses, tape = model.task_losses(x, y)
+                model.backward_weighted(tape, w)
+                assert tape == []
+                optimizer.step(model.grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * tape_bytes
+
+
 class TestIndexLookupMatchesOneHots:
     """The embedding's lookup of the grid and time-of-day rows gives the bytes of the one-hot product it
     replaced: predictions, per-task losses and every gradient equal those of ``one_hot_reference``, which
@@ -336,6 +367,27 @@ class TestBackward:
         np.testing.assert_array_equal(losses, np.zeros(4))
         model.backward_weighted(tape, np.full(4, 0.25))
         assert all(np.all(g == 0) for g in model.grads.values())
+
+    @pytest.mark.parametrize("weights", [np.array([0.5]), 0.5, np.array([np.nan, 0.0, 0.0, 1.0]),
+                                         np.array([0.2, 0.3, 0.5])], ids=["one", "scalar", "nan", "three"])
+    def test_rejects_weights_that_are_not_finite_per_task(self, weights):
+        # one weight or a scalar would broadcast over the 4 tasks, and NaN would reach every gradient
+        model = TransformerRegressor(TINY, seed=8)
+        rng = np.random.default_rng(8)
+        tape = model.task_losses(model_input(rng, 3, TINY), rng.normal(size=(3, 4)))[1]
+        with pytest.raises(ValueError, match=re.escape("weights must be a finite (4,) array")):
+            model.backward_weighted(tape, weights)
+        assert model.grads == {}
+
+    def test_consumed_tape_is_refused(self):
+        # a second backward over the same tape would run nothing and leave the first one's gradients
+        model = TransformerRegressor(TINY, seed=9)
+        rng = np.random.default_rng(9)
+        tape = model.task_losses(model_input(rng, 3, TINY), rng.normal(size=(3, 4)))[1]
+        model.backward_weighted(tape, np.full(4, 0.25))
+        assert tape == [] and set(model.grads) == set(model.params)
+        with pytest.raises(ValueError, match="the tape is empty"):
+            model.backward_weighted(tape, np.full(4, 0.25))
 
     @pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3), (4, 5), (3, 4)])
     def test_task_losses_rejects_labels_that_are_not_batch_by_tasks(self, shape):
