@@ -29,6 +29,11 @@ time.  Inference records no tape, which selects the graph-free
 NaN, so a NaN in a measured column reaches that sequence's predictions, and
 in training every task's loss.
 
+Importing this module pins glibc's malloc thresholds (``keep_freed_heap``):
+a training step or a ``predict`` frees arrays that the next call allocates
+again, and glibc would otherwise return that freed heap to the kernel after
+each call and page-fault it back in the next.
+
 Parameters are drawn in float64 and stored as float32 (``PARAM_DTYPE``), so
 the forward pass, gradients and Adam moments are all float32.  Every layer
 follows its data's dtype: a model whose parameters are upcast to float64
@@ -38,7 +43,9 @@ source's batches) are ``PARAM_DTYPE`` whatever the model's dtype.
 """
 from __future__ import annotations
 
+import ctypes
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -57,6 +64,39 @@ PARAM_DTYPE = np.float32
 # block wiring the MLP output *replaces* the block input, so a fully dead
 # hidden row would zero the whole sequence position.
 BIAS_INIT = 0.01
+
+# glibc's mallopt parameters (malloc.h) and the values pinned for them.  32 MiB
+# is the highest mmap threshold glibc's own dynamic threshold reaches, and the
+# trim threshold is twice it, as glibc sets it dynamically: the process starts
+# where glibc settles once it has freed a large mmapped chunk.  Arrays under
+# 32 MiB then come from the heap, and up to 64 MiB of its freed top is kept.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MALLOC_THRESHOLDS = ((M_MMAP_THRESHOLD, 32 << 20), (M_TRIM_THRESHOLD, 64 << 20))
+
+
+def libc_version() -> Optional[str]:
+    """glibc's "glibc X.Y", or None where the C library is another one."""
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+        return None
+    return os.confstr("CS_GNU_LIBC_VERSION")
+
+
+def keep_freed_heap(version: Optional[str], libc=None) -> None:
+    """Set ``MALLOC_THRESHOLDS`` through ``mallopt`` where ``version`` names glibc; elsewhere do nothing.
+
+    ``libc`` defaults to the process's own C library.  glibc's ``mallopt``
+    returns 0 on error, which raises ``OSError``; other C libraries' (musl's
+    is a stub returning 0) are never called."""
+    if not (version or "").startswith("glibc"):
+        return
+    mallopt = (libc or ctypes.CDLL(None)).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in MALLOC_THRESHOLDS:
+        if mallopt(param, value) == 0:
+            raise OSError(f"glibc {version} refused mallopt({param}, {value})")
+
+
+keep_freed_heap(libc_version())
 
 
 class CheckpointError(ValueError):

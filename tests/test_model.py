@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import re
+import resource
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +22,12 @@ from conftest import (
 from ridecast.nn.adam import Adam
 from ridecast.nn.model import (
     CHECKPOINT_VERSION,
+    MALLOC_THRESHOLDS,
     CheckpointError,
     ModelConfig,
     TransformerRegressor,
+    keep_freed_heap,
+    libc_version,
     load_checkpoint,
     save_checkpoint,
 )
@@ -325,6 +330,72 @@ class TestTrainingHoldsOneTape:
         finally:
             tracemalloc.stop()
         assert peak - start < 1.5 * tape_bytes
+
+
+def warm_minor_faults(call) -> int:
+    """Minor page faults of two calls after one warm-up call."""
+    call()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(2):
+        call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(not (libc_version() or "").startswith("glibc"), reason="the pinned malloc thresholds are glibc's")
+class TestWarmCallsReuseTheHeap:
+    """With glibc's thresholds pinned on import, a warmed training step or ``predict`` allocates from the heap
+    the last call freed; with glibc's defaults each call page-faulted it back, thousands of faults a step."""
+
+    def test_predict(self):
+        model = TransformerRegressor(PRODUCTION, seed=21)
+        x = production_batch(500)
+        assert warm_minor_faults(lambda: model.predict(x)) < 64
+
+    def test_training_step(self):
+        model = TransformerRegressor(PRODUCTION, seed=21)
+        rng = np.random.default_rng(21)
+        x, y = production_batch(1024, seed=21), rng.normal(size=(1024, PRODUCTION.n_tasks))
+        w = np.full(PRODUCTION.n_tasks, 1.0 / PRODUCTION.n_tasks)
+        optimizer = Adam(model.params, lr=1e-3)
+
+        def step():
+            model.zero_grad()
+            _, tape = model.task_losses(x, y)
+            model.backward_weighted(tape, w)
+            optimizer.step(model.grads)
+
+        assert warm_minor_faults(step) < 256
+
+
+class TestKeepFreedHeap:
+    """``keep_freed_heap`` against a stand-in C library whose ``mallopt`` returns ``result``."""
+
+    @staticmethod
+    def libc(result: int) -> tuple[SimpleNamespace, list]:
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return result
+
+        return SimpleNamespace(mallopt=mallopt), calls
+
+    @pytest.mark.parametrize("version", [None, "", "musl 1.2"])
+    def test_other_libc_is_left_alone(self, version):
+        libc, calls = self.libc(0)  # musl's mallopt is a stub returning 0
+        keep_freed_heap(version, libc)
+        assert calls == []
+
+    def test_glibc_gets_both_thresholds(self):
+        libc, calls = self.libc(1)
+        keep_freed_heap("glibc 2.36", libc)
+        assert calls == list(MALLOC_THRESHOLDS)
+
+    def test_glibc_refusal_raises(self):
+        libc, calls = self.libc(0)
+        with pytest.raises(OSError, match="refused mallopt"):
+            keep_freed_heap("glibc 2.36", libc)
+        assert calls == [MALLOC_THRESHOLDS[0]]
 
 
 class TestIndexLookupMatchesOneHots:
