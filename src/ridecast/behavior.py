@@ -52,8 +52,6 @@ def sample_accepts(
     """
     pickup_kms = np.asarray(pickup_kms, dtype=float)
     n = pickup_kms.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
     eps = rng.normal(0.0, model.sigma, size=n) if model.sigma > 0 else np.zeros(n)
     p = accept_probability(model, pickup_kms, fare, eps)
     return rng.random(n) < p

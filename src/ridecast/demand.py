@@ -18,10 +18,11 @@ import numpy as np
 
 from .market import GridSpec, LocalProjection, OrderStream, TimeOfDay
 
-N_BASE_FEATURES = 8     # measured feature columns, the only ones feature NormStats cover
+# the feature row: the measured columns, then the two index columns
+COL_IDLE, COL_OPEN, COL_TOTAL, COL_OFR, COL_APD, COL_DUR, COL_REV, COL_RADIUS, COL_GRID, COL_TOD = range(10)
+N_BASE_FEATURES = COL_GRID  # measured feature columns, the only ones feature NormStats cover
+N_INPUT_COLUMNS = COL_TOD + 1
 N_TOD = len(TimeOfDay)  # time-of-day codes
-COL_GRID, COL_TOD = N_BASE_FEATURES, N_BASE_FEATURES + 1  # the index columns, after the measured ones
-N_INPUT_COLUMNS = N_BASE_FEATURES + 2
 FARE_BASE = 2.5         # flag-fall of every fare, in currency units
 FARE_PER_KM = 1.0       # fare per km of straight-line trip distance
 
@@ -131,7 +132,7 @@ def synth_demand(
     for g in range(grid.n_cells):
         for t, width, hour in slices:
             lam = profile.rates[g, hour] * width / 3600.0
-            u = rng.random((int(rng.poisson(lam)) if lam > 0 else 0, 6))
+            u = rng.random((int(rng.poisson(lam)), 6))
             u[:, 0] = t + u[:, 0] * width  # creation time
             u[:, 3] = cdf[g].searchsorted(u[:, 3], side="right")  # destination cell
             blocks.append(u)

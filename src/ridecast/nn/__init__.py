@@ -1,19 +1,3 @@
-from .adam import Adam
-from .model import (
-    Checkpoint,
-    CheckpointError,
-    ModelConfig,
-    TransformerRegressor,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import ModelConfig, TransformerRegressor
 
-__all__ = [
-    "Adam",
-    "Checkpoint",
-    "CheckpointError",
-    "ModelConfig",
-    "TransformerRegressor",
-    "load_checkpoint",
-    "save_checkpoint",
-]
+__all__ = ["ModelConfig", "TransformerRegressor"]

@@ -5,10 +5,14 @@ that turns simulator window logs into supervised training examples.
 
 Both read a window log as whole windows: G rows per window, grid 0..G-1 in
 order, with rising window numbers.  ``_window_block`` checks that and returns
-the log as one (W, G) block of window rows, so a sequence is T rows down one
-grid's column of it.  A decision's history is its grid's last T-1 windows, and
-a training example's the T-1 windows before its own; zero windows of grid -1
-fill in front where the log is shorter.  ``_sequences`` turns them into features.
+the log as one (W, G, 11) block of window rows.  A row's first
+``N_INPUT_COLUMNS`` columns are the feature row (the eight measured columns,
+grid index, time-of-day code), and ``COL_WINDOW`` holds the window number.
+``_windows`` cuts the block into sequences of T rows down one grid's column,
+with T zero windows of grid -1 in front.  A training example's sequence ends
+at its own window, and a decision's at the snapshot's row appended to the
+log's last T-1 windows, so both inputs come from the same view.
+``_sequences`` turns them into features.
 
 Raw feature sequences are (N, T, ``N_INPUT_COLUMNS``) float32: each measured
 value is its float64 window metric rounded once, and each real row carries
@@ -31,13 +35,12 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .demand import COL_GRID, COL_TOD, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD, NormStats, apply_norm, invert_norm
+from .demand import (COL_GRID, COL_OFR, COL_RADIUS, COL_TOD, COL_TOTAL, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD,
+                     NormStats, apply_norm, invert_norm)
 from .market import MarketWindow, OrderStream, check_count
 from .nn.model import PARAM_DTYPE
 from .sim import EpisodeResult, SimConfig, WindowSnapshot, run
 
-# feature columns, per sequence row
-COL_IDLE, COL_OPEN, COL_TOTAL, COL_OFR, COL_APD, COL_DUR, COL_REV, COL_RADIUS = range(N_BASE_FEATURES)
 METRIC_NAMES = ("ofr", "apd", "dur", "revenue")
 # composite sense: pickup distance is minimized, everything else maximized
 METRIC_SENSE = np.array([1.0, -1.0, 1.0, 1.0])
@@ -87,26 +90,23 @@ class FeatureLayout:
 
 
 _WINDOW_FIELDS = attrgetter("n_idle", "n_open", "n_total", "ofr", "apd_km", "dur", "revenue", "radius_km",
-                            "grid", "window", "tod")
-
-
-def _window_table(windows: Sequence[MarketWindow]) -> np.ndarray:
-    """(n, 11) float rows: the eight ``COL_*`` metrics, then grid, window and
-    time of day, read with one ``np.array`` over attribute tuples."""
-    return np.array([_WINDOW_FIELDS(w) for w in windows], dtype=float).reshape(-1, N_BASE_FEATURES + 3)
+                            "grid", "tod", "window")
+COL_WINDOW = N_INPUT_COLUMNS  # the window table's one column past the feature row
 
 
 def _window_block(windows: Sequence[MarketWindow], n_grids: int) -> np.ndarray:
-    """A log of whole windows as its (W, G, 11) ``_window_table`` block.
+    """A log of whole windows as a (W, G, 11) float block, read with one ``np.array`` over attribute tuples:
+    each row is its window's feature row (the eight measured ``COL_*`` columns, ``COL_GRID``, ``COL_TOD``), then
+    its window number at ``COL_WINDOW``.
 
     The log must hold G rows per window: row k is grid k % G, the G rows of a
     window share its window number, and window numbers rise, with gaps
     allowed.  Any other log is rejected."""
-    block = _window_table(windows)
+    block = np.array([_WINDOW_FIELDS(w) for w in windows], dtype=float).reshape(-1, COL_WINDOW + 1)
     if len(block) % n_grids:
         raise ValueError(f"window log has {len(block)} rows, not whole windows of {n_grids} grids")
-    block = block.reshape(-1, n_grids, block.shape[1])
-    grids, wins = block[:, :, N_BASE_FEATURES], block[:, :, N_BASE_FEATURES + 1]
+    block = block.reshape(-1, n_grids, COL_WINDOW + 1)
+    grids, wins = block[:, :, COL_GRID], block[:, :, COL_WINDOW]
     bad = np.argwhere(grids != np.arange(n_grids))
     if len(bad):
         w, g = bad[0]
@@ -118,20 +118,25 @@ def _window_block(windows: Sequence[MarketWindow], n_grids: int) -> np.ndarray:
     return block
 
 
-def _sequences(rows: np.ndarray, layout: FeatureLayout) -> np.ndarray:
-    """(N, T, ``N_INPUT_COLUMNS``) float32 feature sequences from (N, T, 11) window rows, each value rounded
-    once from float64.
+def _windows(block: np.ndarray, t: int) -> np.ndarray:
+    """The (W, G, T, 11) sliding view of a (W, G, 11) ``_window_block``: [w, g] is the T rows of grid g's column
+    ending at window w, with T zero windows of grid -1 in front (the view's first, all-padding sequence is
+    dropped, so an empty block gives W = 0)."""
+    padded = np.concatenate([np.zeros((t, *block.shape[1:])), block])
+    padded[:t, :, COL_GRID] = -1.0
+    return np.lib.stride_tricks.sliding_window_view(padded, t, axis=0)[1:].transpose(0, 1, 3, 2)
 
-    A row whose grid is -1 is zero padding and keeps -1 in both index columns.  The final row keeps its counts
-    and radius with its metrics zeroed, and every real row gets the final row's grid index and time-of-day
-    code, which its ``MarketWindow`` or ``WindowSnapshot`` has checked."""
-    grids, tods = rows[:, -1, N_BASE_FEATURES], rows[:, -1, N_BASE_FEATURES + 2]
-    x = np.empty((len(rows), layout.seq_len, N_INPUT_COLUMNS), dtype=np.float32)
-    x[:, :, :N_BASE_FEATURES] = rows[:, :, :N_BASE_FEATURES]
+
+def _sequences(rows: np.ndarray) -> np.ndarray:
+    """(N, T, ``N_INPUT_COLUMNS``) float32 feature sequences from (N, T, 11) ``_windows`` rows, each value
+    rounded once from float64.
+
+    The final row keeps its counts and radius with its metrics zeroed.  Every real row gets the final row's
+    time-of-day code, which its ``MarketWindow`` or ``WindowSnapshot`` has checked, and a padding row, whose
+    grid is -1, gets -1 there too."""
+    x = rows[:, :, :N_INPUT_COLUMNS].astype(np.float32)
     x[:, -1, COL_OFR:COL_RADIUS] = 0.0
-    real = rows[:, :, N_BASE_FEATURES] >= 0
-    for col, index in ((COL_GRID, grids), (COL_TOD, tods)):
-        x[:, :, col] = np.where(real, index[:, None], -1.0)
+    x[:, :, COL_TOD] = np.where(rows[:, :, COL_GRID] >= 0, rows[:, -1:, COL_TOD], -1.0)
     return x
 
 
@@ -239,21 +244,18 @@ class PredictorRadiusSource:
     def _batch(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
         """(G*K, T, ``N_INPUT_COLUMNS``) model input, grid-major (row g*K + j: grid g, candidate j in its final
         row).  The G sequences go through ``normalize_features`` before the K copies, so that it z-scores G
-        sequences, not G*K, and each copy's final radius is z-scored from its float64 candidate.  Only the last
-        T-1 windows of ``history`` are read, and only they are checked to be whole windows.  Built apart from
-        ``radii`` to be freed once predicted."""
+        sequences, not G*K, and each copy's final radius is z-scored from its float64 candidate.  The snapshot's
+        row follows the last T-1 windows of ``history``, the only ones read and checked to be whole windows, and
+        is windowed as a training example's window is.  Built apart from ``radii`` to be freed once predicted."""
         n_grids, t = self.layout.n_cells, self.layout.seq_len
         shape = np.shape(snapshot.n_idle)  # the snapshot's three counts share it
         if shape != (n_grids,):  # a shorter array would broadcast one grid's count to every grid
             raise ValueError(f"snapshot counts have shape {shape}, expected ({n_grids},)")
         tail = _window_block(history[-(t - 1) * n_grids:], n_grids)
-        rows = np.zeros((t, n_grids, tail.shape[2]))  # padding windows, grid -1, in front of a short history
-        rows[:, :, N_BASE_FEATURES] = -1.0
-        rows[t - 1 - len(tail):-1] = tail
-        rows[-1, :, COL_IDLE:COL_TOTAL + 1] = np.stack([snapshot.n_idle, snapshot.n_open, snapshot.n_total], axis=1)
-        rows[-1, :, N_BASE_FEATURES] = np.arange(n_grids)
-        rows[-1, :, N_BASE_FEATURES + 2] = snapshot.tod
-        base = _sequences(rows.transpose(1, 0, 2), self.layout)
+        now = np.zeros((1, n_grids, COL_WINDOW + 1))  # the snapshot's row: counts, grid and time of day
+        now[0, :, :COL_TOTAL + 1] = np.stack([snapshot.n_idle, snapshot.n_open, snapshot.n_total], axis=1)
+        now[0, :, COL_GRID], now[0, :, COL_TOD] = np.arange(n_grids), snapshot.tod
+        base = _sequences(_windows(np.concatenate([tail, now]), t)[-1])
         stats = self.feature_stats
         # normalize_features' arithmetic on the radius column alone
         final_radii = (self.candidates.as_array() - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
@@ -356,19 +358,14 @@ def dataset_from_windows(
     """
     block = _window_block(windows, layout.n_cells)
     n_windows, n_grids, width = block.shape
-    t = layout.seq_len
-    # T padding windows of grid -1 in front: the view has a first, all-padding sequence to drop even for no log
-    padded = np.concatenate([np.zeros((t, n_grids, width)), block])
-    padded[:t, :, N_BASE_FEATURES] = -1.0
-    rows = np.lib.stride_tricks.sliding_window_view(padded, t, axis=0)[1:]  # (W, G, 11, T)
-    rows = rows.transpose(1, 0, 3, 2).reshape(-1, t, width)                 # grid-major (G*W, T, 11)
+    rows = _windows(block, layout.seq_len).swapaxes(0, 1).reshape(-1, layout.seq_len, width)  # grid-major
     final = rows[:, -1]
     return TrainingData(
-        features=_sequences(rows, layout),
+        features=_sequences(rows),
         labels=final[:, COL_OFR:COL_RADIUS].copy(),
-        pad_rows=np.count_nonzero(rows[:, :, N_BASE_FEATURES] < 0, axis=1),
+        pad_rows=np.count_nonzero(rows[:, :, COL_GRID] < 0, axis=1),
         grids=np.repeat(np.arange(n_grids), n_windows),
-        windows=final[:, N_BASE_FEATURES + 1].astype(np.int64),
+        windows=final[:, COL_WINDOW].astype(np.int64),
         episodes=np.full(len(rows), episode, dtype=int),
         layout=layout,
     )

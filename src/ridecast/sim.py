@@ -364,8 +364,6 @@ class Simulation:
     def _idle_walk(self, step_km: float) -> None:
         fleet = self.fleet
         idle = np.flatnonzero(fleet.status == int(DriverStatus.IDLE))
-        if len(idle) == 0:
-            return
         theta = self.rng.uniform(0.0, 2 * np.pi, size=len(idle))
         nx = np.clip(fleet.x[idle] + step_km * np.cos(theta), 0.0, np.nextafter(self.proj.x_max, 0))
         ny = np.clip(fleet.y[idle] + step_km * np.sin(theta), 0.0, np.nextafter(self.proj.y_max, 0))

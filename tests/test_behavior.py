@@ -86,3 +86,11 @@ class TestSampleAccept:
     def test_sigma_zero_is_noise_free(self):
         m = AcceptanceModel(beta0=50.0, beta1=0.0, beta2=0.0, sigma=0.0)
         assert sample_accepts(m, np.array([0.0]), 0.0, np.random.default_rng(0)).tolist() == [True]
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_empty_round_draws_nothing(self, sigma):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        got = sample_accepts(AcceptanceModel(sigma=sigma), np.zeros(0), 5.0, rng)
+        assert got.dtype == bool and got.shape == (0,)
+        assert rng.bit_generator.state == state

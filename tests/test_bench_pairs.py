@@ -122,3 +122,26 @@ def test_a_change_better_in_every_run_is_resolved_despite_the_spread():
     pairs[0] = (pairs[0][0], run(0.30, 14.0, 60.0))
     got = {s["name"]: s for s in bench_pairs.summarize(pairs, METRICS)}
     assert got["setup_s"]["unresolved"] and got["items_per_s"]["unresolved"]
+
+
+def test_a_drifting_box_shows_in_the_ratios_but_leaves_the_claim_rule_alone():
+    # the box slows 2x over the ten pairs while the change is 5-14 % faster in each: every ratio is above 1, yet the
+    # medians' gap stays inside the parent's drift, so no gain may be claimed
+    speed = [200.0 / 2 ** (k / 9) for k in range(10)]
+    pairs = [(run(0.2, v, 60.0), run(0.2, v * (1.05 + 0.01 * k), 60.0)) for k, v in enumerate(speed)]
+    got = {s["name"]: s for s in bench_pairs.summarize(pairs, METRICS)}
+    rate = got["items_per_s"]
+    assert max(speed) == 2 * min(speed)
+    assert rate["wins"] == 10 and 0 < rate["gap"] < rate["parent_iqr"]
+    assert not rate["resolved"] and not rate["claimable"]
+    assert rate["ratio"] == pytest.approx((1.0725, 1.095, 1.1175))  # linear quartiles of 1.05..1.14
+    assert got["setup_s"]["ratio"] == (1.0, 1.0, 1.0)
+    line = bench_pairs.report(list(got.values()))[1]
+    assert "change wins 10/10, change/parent per pair 1.095 [1.073-1.118] (informational), " in line
+    assert "gain claimable: no" in line
+
+
+def test_no_ratio_without_a_nonzero_parent():
+    got = bench_pairs.summarize([(run(0.0, 100.0, 60.0), run(0.1, 100.0, 60.0))], METRICS)
+    assert got[0]["ratio"] is None
+    assert "change/parent per pair null [null-null] (informational)" in bench_pairs.report(got)[0]

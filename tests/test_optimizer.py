@@ -36,6 +36,7 @@ from ridecast.optimizer import (
     collect_training_data,
     composite_score,
     dataset_from_windows,
+    normalize_features,
 )
 from ridecast.nn.model import ModelConfig, TransformerRegressor
 from ridecast.sim import RandomRadius, SimConfig, Simulation, WindowSnapshot, run
@@ -529,6 +530,37 @@ class TestIndexColumnsPassThrough:
         want = np.where(real[..., None], np.stack([grids, tods], axis=1)[:, None, :], -1.0).astype(np.float32)
         assert x[:, :, COL_GRID:].tobytes() == want.tobytes()
         assert x[~real, :N_BASE_FEATURES].tobytes() == np.zeros((np.sum(~real), N_BASE_FEATURES), np.float32).tobytes()
+
+
+class TestTrainServeParity:
+    """A decision batch is the training example of its window: the snapshot of window w, taken from that window's
+    log rows, beside the log before w gives example g*W + w's normalized sequence for each grid g, byte for byte,
+    except that each candidate's final radius is z-scored from its float64 value."""
+
+    def test_decision_batch_is_the_training_example(self):
+        layout, n_windows = FeatureLayout(seq_len=4, side_count=3), 7  # more windows than T
+        n_grids = layout.n_cells
+        rng = np.random.default_rng(35)
+        tods = rng.integers(0, N_TOD, n_windows)
+        log = [mkwindow(grid=g, window=w, ofr=rng.uniform(), apd=rng.uniform(0, 3), dur=rng.uniform(),
+                        rev=rng.uniform(0, 50), radius=float(rng.choice([0.5, 1.0, 2.0])),
+                        n_idle=int(rng.integers(0, 9)), n_open=int(rng.integers(0, 9)),
+                        n_total=int(rng.integers(9, 20)), tod=TimeOfDay(tods[w]))
+               for w in range(n_windows) for g in range(n_grids)]
+        stats = NormStats(mean=rng.normal(size=N_BASE_FEATURES), std=rng.uniform(0.3, 3.0, N_BASE_FEATURES))
+        cands = CandidateSet((0.5, 1.0, 2.0))
+        src = PredictorRadiusSource(PinnedRadiusPredictor(1.0), cands, layout, stats, IDENT)
+        examples = normalize_features(dataset_from_windows(log, layout).features, stats)
+        for w in range(n_windows):
+            rows = log[w * n_grids:(w + 1) * n_grids]
+            counts = {name: np.array([getattr(r, name) for r in rows]) for name in ("n_idle", "n_open", "n_total")}
+            snapshot = WindowSnapshot(window=w, start_s=w * 300.0, tod=int(tods[w]), **counts)
+            got = src._batch(snapshot, log[:w * n_grids]).reshape(n_grids, len(cands), layout.seq_len, -1)
+            for g in range(n_grids):
+                for j, r in enumerate(cands.radii):
+                    want = examples[g * n_windows + w].copy()
+                    want[-1, COL_RADIUS] = np.float32((r - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS])
+                    assert got[g, j].tobytes() == want.tobytes(), (w, g, r)
 
 
 def golden_day():

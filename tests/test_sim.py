@@ -499,3 +499,20 @@ class TestIdleWalk:
         for _ in range(30):
             sim.step()
         np.testing.assert_array_equal(sim.fleet.x, x0)
+
+    def test_no_idle_driver_draws_nothing(self):
+        # every driver is 1 km from its drop-off, so none idles this tick: the walking sim must draw nothing and
+        # end the tick where its walk-free twin does
+        walking, still = (Simulation(mkconfig(drivers=5, idle_walk_kmh=walk), EMPTY) for walk in (5.0, 0.0))
+        for sim in (walking, still):
+            fleet = sim.fleet
+            fleet.status[:] = int(DriverStatus.IN_SERVICE)
+            fleet.target_x[:] = np.where(fleet.x < sim.proj.x_max / 2, fleet.x + 1.0, fleet.x - 1.0)
+            fleet.target_y[:] = fleet.y
+        state = walking.rng.bit_generator.state
+        walking.step()
+        still.step()
+        assert walking.rng.bit_generator.state == state
+        assert np.all(walking.fleet.status == int(DriverStatus.IN_SERVICE))
+        np.testing.assert_array_equal(walking.fleet.x, still.fleet.x)
+        np.testing.assert_array_equal(walking.fleet.y, still.fleet.y)

@@ -4,12 +4,14 @@ Runs the benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``)
 untraced in two checkouts, one pair of runs per seed, alternating which side
 runs first, and reads each run's last line.  It prints the per-run table, then
 for each end-to-end metric of ``BENCHMARK.json``: each side's median and
-quartiles, how many pairs the change wins (ties count for neither), whether
-the medians differ by more than the parent's interquartile range, whether
-the change's median stays within the metric's ``bound``, and whether the
-parent's spread leaves that verdict unresolved.  A run whose
-last line has ``correct: false``, a failed operation, or no such line is
-flagged.  Standard library only; run from anywhere:
+quartiles, how many pairs the change wins (ties count for neither), the
+median and quartiles of the per-pair change/parent ratio (informational: a
+drift of the box's speed across pairs does not spread it, but no verdict
+reads it), whether the medians differ by more than the parent's
+interquartile range, whether the change's median stays within the metric's
+``bound``, and whether the parent's spread leaves that verdict unresolved.
+A run whose last line has ``correct: false``, a failed operation, or no such
+line is flagged.  Standard library only; run from anywhere:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload decide --pairs 10 --seconds 20 --first-seed 11
 
@@ -64,7 +66,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
     median, and ``within_bound`` says that the change's median is not worse than the parent's, in the ``better``
     direction, by more than ``bound`` times the parent's median.  ``unresolved`` says that the parent's interquartile
     range is wider than ``bound`` times its median, so the runs cannot show a change of the bound's size, unless every
-    change run is better than every parent run."""
+    change run is better than every parent run.  ``ratio`` holds the quartiles of change over parent in each pair
+    with a nonzero parent, or None; it is informational."""
     out = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -76,6 +79,7 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         runs = dict(zip(SIDES, zip(*both)))
         sides = {side: quartiles(runs[side]) for side in SIDES}
         wins = sum(c < p if lower else c > p for p, c in both)
+        ratios = [c / p for p, c in both if p]
         gap = sides["change"][1] - sides["parent"][1]
         iqr = sides["parent"][2] - sides["parent"][0]
         resolved = abs(gap) > iqr
@@ -85,7 +89,8 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]
         separated = max(runs["change"]) < min(runs["parent"]) if lower else min(runs["change"]) > max(runs["parent"])
         unresolved = iqr > m["bound"] * abs(base) and not separated
         out.append({"name": name, "pairs": len(both), "parent": sides["parent"], "change": sides["change"],
-                    "wins": wins, "gap": gap, "parent_iqr": iqr, "resolved": resolved, "claimable": claimable,
+                    "wins": wins, "ratio": quartiles(ratios) if ratios else None, "gap": gap, "parent_iqr": iqr,
+                    "resolved": resolved, "claimable": claimable,
                     "rel_change": gap / base if base else float("nan"), "bound": m["bound"],
                     "within_bound": within, "unresolved": unresolved})
     return out
@@ -113,9 +118,10 @@ def report(summary: list[dict]) -> list[str]:
         if not s["pairs"]:
             lines.append(f"{s['name']}: no pair reports it")
             continue
-        p, c = s["parent"], s["change"]
+        p, c, r = s["parent"], s["change"], s["ratio"] or (None,) * 3
         lines.append(f"{s['name']}: parent {_fmt(p[1])} [{_fmt(p[0])}-{_fmt(p[2])}], "
                      f"change {_fmt(c[1])} [{_fmt(c[0])}-{_fmt(c[2])}], change wins {s['wins']}/{s['pairs']}, "
+                     f"change/parent per pair {_fmt(r[1])} [{_fmt(r[0])}-{_fmt(r[2])}] (informational), "
                      f"gap {s['gap']:+.4g} vs parent IQR {s['parent_iqr']:.4g} "
                      f"({'exceeds' if s['resolved'] else 'within'}), "
                      f"gain claimable: {'yes' if s['claimable'] else 'no'}, "
