@@ -2,15 +2,15 @@
 the order stream, match records, the per-grid window row and their checks.
 
 ``GridSpec`` is a frozen value type and ``OrderStream`` a read-only table.
-The two log rows, ``MatchRecord`` and ``MarketWindow``, are slotted records
-that the simulator writes once.  They are not frozen: a frozen dataclass's
-``__init__`` sets every field through ``object.__setattr__`` into a
-per-instance dict, which made a day's window rows take more than twice as long
-to build and more memory to hold, and the logs that hold them are plain lists,
-which were never read-only.  Nothing here holds simulator state: the
-simulator keeps its fleet and its per-order run state column-wise
-(``sim.DriverFleet``, ``sim.Simulation``), and derives each window row's
-metrics from its match log (``Simulation._close_window``).
+The two log rows, ``MatchRecord`` and ``MarketWindow``, are slotted records.
+They are not frozen: a frozen dataclass's ``__init__`` sets every field
+through ``object.__setattr__`` into a per-instance dict, which made a day's
+window rows take more than twice as long to build and more memory to hold,
+and the logs that hold them are plain lists, which were never read-only.
+Nothing here holds simulator state: the simulator keeps its fleet and each
+order's match column-wise (``sim.DriverFleet``, ``sim.Simulation``), derives
+each window row's metrics from the match columns (``_close_window``) and
+builds match records from them only when its match log is read (``matches``).
 """
 from __future__ import annotations
 
@@ -120,7 +120,7 @@ class DriverStatus(IntEnum):
 class OrderStream:
     """Trip requests as read-only columns; row ``i`` is order id ``i``, ``cell``
     its origin cell and ``ox, oy`` / ``dx, dy`` its origin / destination in km.
-    What happens to an order is recorded by the run (a MatchRecord, or an
+    What happens to an order is recorded by the run (its match columns, or an
     expiry count), so one stream can be replayed under several radius policies.
     """
 
@@ -159,9 +159,8 @@ class OrderStream:
 
 @dataclass(slots=True)
 class MatchRecord:
-    """One order won by one driver; the only record of a match.
-
-    A slotted log row, written once per match (see the module docstring)."""
+    """One order won by one driver: a slotted row of the match log, built
+    from a run's match columns (see the module docstring)."""
 
     order_id: int
     driver_id: int
@@ -176,8 +175,10 @@ class MatchRecord:
 _TOD_CODES = frozenset(TimeOfDay)
 
 
-def check_window_start(tod, n_idle, n_open, n_total) -> None:
-    """Raise unless tod is a ``TimeOfDay`` code and the counts, numbers or arrays, are finite, >= 0, idle <= total."""
+def check_window_start(start_s, tod, n_idle, n_open, n_total) -> None:
+    """Raise unless start_s is finite and >= 0, tod a ``TimeOfDay`` code, the counts finite, >= 0, idle <= total."""
+    if not 0.0 <= start_s < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"start_s must be finite and >= 0, got {start_s!r}")
     if tod not in _TOD_CODES:
         raise ValueError(f"tod must be a TimeOfDay code, got {tod!r}")
     # NaN fails every comparison, and inf the upper bound; & joins Python bools as it joins numpy ones
@@ -220,4 +221,4 @@ class MarketWindow:
         if not (0.0 <= self.apd_km < math.inf and 0.0 <= self.revenue < math.inf
                 and 0.0 <= self.radius_km < math.inf):
             raise ValueError("distance, revenue and radius must be finite and >= 0")
-        check_window_start(self.tod, self.n_idle, self.n_open, self.n_total)
+        check_window_start(self.start_s, self.tod, self.n_idle, self.n_open, self.n_total)

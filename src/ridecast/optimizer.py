@@ -356,6 +356,7 @@ def dataset_from_windows(
     plus its actual radius as the final row, and its realized metrics as the
     label.
     """
+    check_count("episode", episode, 0)
     block = _window_block(windows, layout.n_cells)
     n_windows, n_grids, width = block.shape
     rows = _windows(block, layout.seq_len).swapaxes(0, 1).reshape(-1, layout.seq_len, width)  # grid-major

@@ -6,10 +6,10 @@ decision; one winner is drawn among accepters), moving drivers advance along
 straight segments, and time accounting is updated.  The broadcast computes
 one reach matrix per tick, open orders by idle drivers, and walks only the
 orders that reach some driver, oldest first.  At metric-window boundaries,
-per-grid market rows are derived from the orders injected in the window, its
-slice of the match log and its driver time, and the radius source is asked
-for the next window's radii.  Orders come from a read-only
-``market.OrderStream``, and the run keeps its per-order state in arrays over it.
+per-grid market rows are derived from the orders injected and matched in the
+window and its driver time, and the radius source is asked for the next
+window's radii.  Orders come from a read-only ``market.OrderStream``; the run
+records each order's match (time, driver, pickup, radius) in columns over it.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ class WindowSnapshot:
         n_idle, n_open, n_total = (np.asarray(c) for c in (self.n_idle, self.n_open, self.n_total))
         if not (n_idle.ndim == 1 and n_idle.shape == n_open.shape == n_total.shape):
             raise ValueError(f"counts must be 1-D and of one length, got {n_idle.shape, n_open.shape, n_total.shape}")
-        check_window_start(self.tod, n_idle, n_open, n_total)
+        check_window_start(self.start_s, self.tod, n_idle, n_open, n_total)
 
 
 class RadiusSource(Protocol):
@@ -166,12 +166,14 @@ class Simulation:
     The stream is never modified: every per-run fact about its orders lives
     here, so one stream can be run any number of times.  Creation times
     ascend, so ``injected`` is the stream cursor: orders ``[0, injected)`` are
-    the injected ones, ``[0, _front)`` those past their patience, and
-    ``_open`` marks the ones still open.  Each match has one record, so
-    ``matched == len(matches)``.  The current window injected orders
-    ``[_win_first_order, injected)`` and made matches
-    ``matches[_win_first_match:]``, and ``snapshot`` holds its number, start
-    and time of day.  ``occupied_s`` is the run's occupied driver time.
+    the injected ones and ``[0, _front)`` those past their patience.  The
+    match columns ``_t_match``, ``_driver``, ``_pickup_km`` and ``_radius_km``
+    are written once, when an order matches, and ``_t_match`` is NaN until
+    then: an order is open exactly when it lies in ``[_front, injected)`` with
+    a NaN ``_t_match``, and ``matched`` counts the others.  The current window
+    injected orders ``[_win_first_order, injected)`` and its matches are among
+    ``[_win_front, injected)``; ``snapshot`` holds its number, start and time
+    of day.  ``occupied_s`` is the run's occupied driver time.
     """
 
     def __init__(self, config: SimConfig, stream: OrderStream):
@@ -183,7 +185,10 @@ class Simulation:
         self.rng = np.random.default_rng(config.seed)
         self.injected = 0
         self._front = 0
-        self._open = np.zeros(len(stream), dtype=bool)
+        self._t_match = np.full(len(stream), np.nan)
+        self._driver = np.full(len(stream), -1, dtype=np.int64)
+        self._pickup_km = np.full(len(stream), np.nan)
+        self._radius_km = np.full(len(stream), np.nan)
 
         lon = self.rng.uniform(config.grid.lon_min, config.grid.lon_max, size=config.n_drivers)
         lat = self.rng.uniform(config.grid.lat_min, config.grid.lat_max, size=config.n_drivers)
@@ -193,7 +198,7 @@ class Simulation:
         self.clock = 0.0
         self.tick_count = 0
         self.windows: list[MarketWindow] = []
-        self.matches: list[MatchRecord] = []
+        self.matched = 0
         self.expired = 0
         self.occupied_s = 0.0
         self._begin_window()
@@ -201,11 +206,15 @@ class Simulation:
     @property
     def open(self) -> np.ndarray:
         """Ids of the open orders, oldest first."""
-        return self._front + np.flatnonzero(self._open[self._front:self.injected])
+        return self._front + np.flatnonzero(np.isnan(self._t_match[self._front:self.injected]))
 
     @property
-    def matched(self) -> int:
-        return len(self.matches)
+    def matches(self) -> list[MatchRecord]:
+        """The match log, one record per matched order, built from the match columns in match order."""
+        s, ids = self.stream, self._matched_since(0, -math.inf)
+        columns = (ids, self._driver[ids], s.cell[ids], self._t_match[ids], self._pickup_km[ids], s.fare[ids],
+                   self._radius_km[ids])
+        return [MatchRecord(*row) for row in zip(*(c.tolist() for c in columns))]
 
     # -- helpers -------------------------------------------------------------
 
@@ -214,6 +223,11 @@ class Simulation:
         col = np.clip((self.fleet.x / (self.proj.x_max / n)).astype(int), 0, n - 1)
         row = np.clip((self.fleet.y / (self.proj.y_max / n)).astype(int), 0, n - 1)
         return row * n + col
+
+    def _matched_since(self, front: int, t: float) -> np.ndarray:
+        """Orders in ``[front, injected)`` matched at ``t`` or later, by match time then id: the broadcast's order."""
+        ids = front + np.flatnonzero(self._t_match[front:self.injected] >= t)
+        return ids[np.argsort(self._t_match[ids], kind="stable")]
 
     def _take_snapshot(self) -> WindowSnapshot:
         cfg, g = self.config, self.config.grid.n_cells
@@ -234,11 +248,11 @@ class Simulation:
         )
 
     def _begin_window(self) -> None:
-        """Mark the window's first order and first match, zero its driver
-        time, take its snapshot and query its radii."""
+        """Mark the window's first order and the first order that can still
+        match, zero its driver time, take its snapshot and query its radii."""
         g = self.config.grid.n_cells
         self._win_first_order = self.injected
-        self._win_first_match = len(self.matches)
+        self._win_front = self._front
         self._win_occupied = np.zeros(g)
         self._win_online = np.zeros(g)
         self.snapshot = self._take_snapshot()
@@ -256,16 +270,14 @@ class Simulation:
 
         # 1. inject orders created in [t0, t0 + tick)
         s = self.stream
-        pos = int(np.searchsorted(s.t_create, t0 + tick, side="left"))
-        self._open[self.injected:pos] = True
-        self.injected = pos
+        self.injected = pos = int(np.searchsorted(s.t_create, t0 + tick, side="left"))
 
         # 2. expire orders past their patience; t0 - t_create falls as t_create
-        #    rises, so they are a prefix of the orders not yet expired
+        #    rises, so they are a prefix of the orders not yet expired; the
+        #    unmatched ones in that prefix expire
         front = self._front
         self._front += int(np.count_nonzero(t0 - s.t_create[front:pos] >= cfg.patience_s))
-        self.expired += int(np.count_nonzero(self._open[front:self._front]))
-        self._open[front:self._front] = False
+        self.expired += int(np.count_nonzero(np.isnan(self._t_match[front:self._front])))
 
         # 3. broadcast rounds, oldest order first; a driver gets one bid per tick
         self._broadcast(t0)
@@ -290,27 +302,19 @@ class Simulation:
             self._close_window()
 
     def _match(self, order_id: int, driver: int, pickup_km: float, t: float) -> None:
-        """Hand an open order to a driver; an order leaves the open set exactly once."""
-        if not self._open[order_id]:
+        """Hand an open order to a driver and write its match columns; it leaves the open set exactly once."""
+        if not (self._front <= order_id < self.injected and math.isnan(self._t_match[order_id])):
             raise ValueError(f"order {order_id} is not open")
-        self._open[order_id] = False
         s, fleet = self.stream, self.fleet
         fleet.status[driver] = int(DriverStatus.PICKUP)
         fleet.target_x[driver] = s.ox[order_id]
         fleet.target_y[driver] = s.oy[order_id]
         fleet.order_id[driver] = order_id
-        g = int(s.cell[order_id])
-        self.matches.append(
-            MatchRecord(
-                order_id=order_id,
-                driver_id=driver,
-                grid=g,
-                t_match=t,
-                pickup_km=pickup_km,
-                fare=float(s.fare[order_id]),
-                radius_km=float(self.radii[g]),
-            )
-        )
+        self._t_match[order_id] = t
+        self._driver[order_id] = driver
+        self._pickup_km[order_id] = pickup_km
+        self._radius_km[order_id] = self.radii[s.cell[order_id]]
+        self.matched += 1
 
     def _broadcast(self, t0: float) -> None:
         """Offer each open order, oldest first, to the idle drivers within its
@@ -380,55 +384,47 @@ class Simulation:
     def _close_window(self) -> None:
         """Append one row per grid for the window now ending.
 
-        Created orders are those injected during the window, and every match
-        in its slice of the match log counts towards pickup distance and
-        revenue.  The fulfilment rate counts only the matches of orders created
-        inside the window (``t_create >= snapshot.start_s``), which keeps it
-        in [0, 1] when orders carried over from earlier windows match here.
-        Empty denominators give zeros.  Pickup distance is ``np.mean`` over a
-        grid's pickups in match order, and revenue sums its fares in that order.
+        Created orders are those injected during the window, and every order
+        matched from its first tick on (all within ``[_win_front, injected)``)
+        counts towards pickup distance and revenue.  The fulfilment rate
+        counts only the matches of orders created inside the window
+        (``t_create >= snapshot.start_s``), which keeps it in [0, 1] when
+        orders carried over from earlier windows match here.  Empty
+        denominators give zeros.  Pickup distance is ``np.mean`` over a grid's
+        pickups in match order, and revenue sums its fares in that order.
         """
-        s, snap, n = self.stream, self.snapshot, self.config.grid.n_cells
-        created = np.bincount(s.cell[self._win_first_order:self.injected], minlength=n)
-        matches = self.matches[self._win_first_match:]
-        oid = np.array([m.order_id for m in matches], dtype=np.int64)
-        pickup_km = np.array([m.pickup_km for m in matches], dtype=float)
+        cfg, s, snap, n = self.config, self.stream, self.snapshot, self.config.grid.n_cells
+        # the clock at the window's first tick, as step computes it; start_s may differ in the last bit
+        oid = self._matched_since(self._win_front, (self.tick_count - cfg.ticks_per_window) * cfg.tick_s)
         grid = s.cell[oid]
+        created = np.bincount(s.cell[self._win_first_order:self.injected], minlength=n)
         cohort = np.bincount(grid[s.t_create[oid] >= snap.start_s], minlength=n)
-        revenue = np.bincount(grid, weights=s.fare[oid], minlength=n)
         n_matched = np.bincount(grid, minlength=n)
-        pickups = np.split(pickup_km[np.argsort(grid, kind="stable")], np.cumsum(n_matched)[:-1])
-        for g in range(n):
-            occupied, online = float(self._win_occupied[g]), float(self._win_online[g])
-            self.windows.append(
-                MarketWindow(
-                    grid=g,
-                    window=snap.window,
-                    start_s=snap.start_s,
-                    n_idle=int(snap.n_idle[g]),
-                    n_open=int(snap.n_open[g]),
-                    n_total=int(snap.n_total[g]),
-                    ofr=int(cohort[g]) / int(created[g]) if created[g] else 0.0,
-                    apd_km=float(np.mean(pickups[g])) if n_matched[g] else 0.0,
-                    dur=occupied / online if online > 0 else 0.0,
-                    revenue=float(revenue[g]),
-                    radius_km=float(self.radii[g]),
-                    tod=snap.tod,
-                )
-            )
+        pickups = np.split(self._pickup_km[oid][np.argsort(grid, kind="stable")], np.cumsum(n_matched)[:-1])
+        columns = dict(
+            n_idle=snap.n_idle, n_open=snap.n_open, n_total=snap.n_total,
+            ofr=np.divide(cohort, created, out=np.zeros(n), where=created > 0),
+            apd_km=np.array([np.mean(p) if len(p) else 0.0 for p in pickups]),
+            dur=np.divide(self._win_occupied, self._win_online, out=np.zeros(n), where=self._win_online > 0),
+            revenue=np.bincount(grid, weights=s.fare[oid], minlength=n).astype(float),  # int when nothing matched
+            radius_km=self.radii,
+        )
+        for g, row in enumerate(zip(*(c.tolist() for c in columns.values()))):
+            self.windows.append(MarketWindow(grid=g, window=snap.window, start_s=snap.start_s, tod=snap.tod,
+                                             **dict(zip(columns, row))))
         self._begin_window()
 
     # -- episode -------------------------------------------------------------
 
     def summary(self) -> EpisodeSummary:
-        """Episode totals; every driver is online for the whole clock."""
-        pickups = [m.pickup_km for m in self.matches]
+        """Episode totals from the match columns; every driver is online for the whole clock."""
+        ids = self._matched_since(0, -math.inf)
         online = self.config.n_drivers * self.clock
         return EpisodeSummary(
             ofr=self.matched / self.injected if self.injected else 0.0,
             dur=self.occupied_s / online if online > 0 else 0.0,
-            revenue=float(sum(m.fare for m in self.matches)),
-            apd_km=float(np.mean(pickups)) if pickups else 0.0,
+            revenue=float(sum(self.stream.fare[ids].tolist())),  # a running sum in match order
+            apd_km=float(np.mean(self._pickup_km[ids])) if self.matched else 0.0,
             created=self.injected,
             matched=self.matched,
             expired=self.expired,

@@ -325,6 +325,9 @@ class TestOrderDriverInvariants:
         ("grid", -1, ">= 0"), ("grid", math.nan, ">= 0"), ("window", -5, ">= 0"),
         ("tod", -1, "a TimeOfDay code"), ("tod", len(TimeOfDay), "a TimeOfDay code"), ("tod", 9, "a TimeOfDay code"),
         ("tod", 2.5, "a TimeOfDay code"),
+        # the simulator counts the orders created from the window start on towards its fulfilment rate
+        ("start_s", math.nan, "finite and >= 0"), ("start_s", math.inf, "finite and >= 0"),
+        ("start_s", -math.inf, "finite and >= 0"), ("start_s", -300.0, "finite and >= 0"),
     ])
     def test_market_window_key_out_of_range_rejected(self, name, value, rule):
         # the bad value is named where the row is made, not later where the optimizer reads the log

@@ -229,6 +229,12 @@ class TestDatasetFromWindows:
             assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
         assert got.labels.flags.c_contiguous
 
+    @pytest.mark.parametrize("episode", [1.5, np.float64(2.0), True, -1])
+    def test_episode_that_is_no_count_rejected(self, episode):
+        # an int array would store 1.5 and True as 1, and split_by_episode would group those rows wrongly
+        with pytest.raises(ValueError, match="episode must be an integer >= 0"):
+            dataset_from_windows(whole([0]), LAYOUT, episode=episode)
+
     def test_raw_features_are_float32(self):
         data = dataset_from_windows([mkwindow(grid=g, window=w, apd=1.2, dur=0.1 * w)
                                      for w in range(6) for g in range(16)], LAYOUT)

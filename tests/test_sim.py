@@ -357,6 +357,10 @@ class TestWindowSnapshot:
         ({"n_open": np.array([-1, 0])}, "finite and >= 0"),
         ({"n_idle": np.array([np.inf, 0.0]), "n_total": np.array([np.inf, 0.0])}, "finite and >= 0"),
         ({"n_idle": np.array([4, 0])}, "idle cannot exceed total"),
+        ({"start_s": np.nan}, "start_s must be finite and >= 0"),
+        ({"start_s": np.inf}, "start_s must be finite and >= 0"),
+        ({"start_s": -np.inf}, "start_s must be finite and >= 0"),
+        ({"start_s": -300.0}, "start_s must be finite and >= 0"),
     ])
     def test_rejects(self, changes, match):
         with pytest.raises(ValueError, match=match):

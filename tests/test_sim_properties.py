@@ -99,6 +99,21 @@ def test_episode_invariants(sc):
     assert max(Counter((m.t_match, m.driver_id) for m in res.matches).values(), default=0) <= 1
     assert len({m.order_id for m in res.matches}) == len(res.matches)
 
+    # the match log is in match order, which the broadcast's oldest-first walk
+    # makes (match time, order id), and each record restates its order's cell and fare
+    keys = [(m.t_match, m.order_id) for m in res.matches]
+    assert keys == sorted(keys)
+    for m in res.matches:
+        assert (m.grid, m.fare) == (stream.cell[m.order_id], stream.fare[m.order_id])
+
+    # the unmatched injected orders are exactly the expired ones, those past
+    # their patience at the last tick, plus the open ones
+    unmatched = set(range(s.created)) - {m.order_id for m in res.matches}
+    last_tick = sim.clock - sim.config.tick_s
+    expired = {i for i in unmatched if last_tick - stream.t_create[i] >= sc["patience_s"]}
+    open_ids = set(sim.open.tolist())
+    assert len(expired) == s.expired and not expired & open_ids and unmatched == expired | open_ids
+
     # the window log is whole windows: grid 0..G-1 in every window, numbered
     # 0, 1, 2, ..., which is what training reads
     n_cells = sc["grid"].n_cells
@@ -111,9 +126,10 @@ def test_episode_invariants(sc):
     np.testing.assert_array_equal(data.pad_rows, marked.sum(axis=1))
     np.testing.assert_array_equal(marked, np.arange(layout.seq_len) < data.pad_rows[:, None])
 
-    # rates in [0, 1]
+    # rates in [0, 1]; every metric is a Python float, also in a window with no match
     for w in res.windows:
         assert 0.0 <= w.ofr <= 1.0 and 0.0 <= w.dur <= 1.0
+        assert all(type(v) is float for v in (w.ofr, w.apd_km, w.dur, w.revenue, w.radius_km))
     assert 0.0 <= s.ofr <= 1.0 and 0.0 <= s.dur <= 1.0
 
     # each row's ofr, pickup distance and revenue equal the oracle's exactly
