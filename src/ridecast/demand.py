@@ -106,8 +106,8 @@ def synth_demand(
     Each (grid, clock-hour slice) draws a Poisson count, then one row of six
     uniforms per order: creation time, origin lon and lat, destination cell,
     destination lon and lat.  Each fare is ``FARE_BASE`` plus ``FARE_PER_KM``
-    per straight-line trip km.  Orders are sorted by creation time, then origin
-    cell, ties kept in draw order.
+    per straight-line trip km.  Orders are sorted by creation time, then the
+    cell their origin was drawn in, ties kept in draw order.
     """
     if not (math.isfinite(duration_s) and duration_s >= 0):
         raise ValueError("duration must be finite and >= 0")
@@ -127,7 +127,7 @@ def synth_demand(
         slices.append((t, end - t, int(((day_start_s + t) % 86400.0) // 3600)))
         t = end
     if not slices:
-        return OrderStream(grid, *[()] * 7)
+        return OrderStream(grid, *[()] * 6)
     blocks, cells = [], []
     for g in range(grid.n_cells):
         for t, width, hour in slices:
@@ -148,7 +148,7 @@ def synth_demand(
                               ((dlat - olat) * proj.km_per_deg_lat).tolist()), float, len(u))
     fare = FARE_BASE + FARE_PER_KM * trip_km
     order = np.lexsort((cell, u[:, 0]))
-    return OrderStream(grid, *(c[order] for c in (u[:, 0], cell, olon, olat, dlon, dlat, fare)))
+    return OrderStream(grid, *(c[order] for c in (u[:, 0], olon, olat, dlon, dlat, fare)))
 
 
 # ---------------------------------------------------------------------------

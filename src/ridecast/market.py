@@ -2,6 +2,7 @@
 the order stream, match records, the per-grid window row and their checks.
 
 ``GridSpec`` is a frozen value type and ``OrderStream`` a read-only table.
+``LocalProjection.cells`` alone places a km point (order or driver) in a cell.
 The two log rows, ``MatchRecord`` and ``MarketWindow``, are slotted records.
 They are not frozen: a frozen dataclass's ``__init__`` sets every field
 through ``object.__setattr__`` into a per-instance dict, which made a day's
@@ -94,7 +95,7 @@ class LocalProjection:
     """Equirectangular lon/lat -> km projection anchored at a grid's box.
 
     The projection is affine, so grid cells stay uniform rectangles in km
-    space and cell indexing can be done on either side consistently.
+    space, and ``cells`` bins km points as the lon/lat cells would.
     """
 
     def __init__(self, spec: GridSpec):
@@ -110,6 +111,13 @@ class LocalProjection:
         y = (np.asarray(lat) - self.spec.lat_min) * self.km_per_deg_lat
         return x, y
 
+    def cells(self, x, y) -> np.ndarray:
+        """Row-major cell index of each km point; a point past an edge counts in the edge cell."""
+        n = self.spec.side_count
+        col = np.clip((x / (self.x_max / n)).astype(int), 0, n - 1)
+        row = np.clip((y / (self.y_max / n)).astype(int), 0, n - 1)
+        return row * n + col
+
 
 class DriverStatus(IntEnum):
     IDLE = 0
@@ -118,38 +126,34 @@ class DriverStatus(IntEnum):
 
 
 class OrderStream:
-    """Trip requests as read-only columns; row ``i`` is order id ``i``, ``cell``
-    its origin cell and ``ox, oy`` / ``dx, dy`` its origin / destination in km.
-    What happens to an order is recorded by the run (its match columns, or an
-    expiry count), so one stream can be replayed under several radius policies.
+    """Trip requests as read-only columns; row ``i`` is order id ``i``, created
+    ``t_create`` s after the episode start, ``ox, oy`` / ``dx, dy`` its origin /
+    destination in km and ``cell`` the cell of its origin.  What happens to an
+    order is recorded by the run (its match columns, or an expiry count), so
+    one stream can be replayed under several radius policies.
     """
 
-    def __init__(self, grid: GridSpec, t_create, cell, origin_lon, origin_lat, dest_lon, dest_lat, fare):
+    def __init__(self, grid: GridSpec, t_create, origin_lon, origin_lat, dest_lon, dest_lat, fare):
         self.grid = grid
-        self.t_create = np.array(t_create, dtype=float)
-        cell = np.asarray(cell)
-        if cell.dtype.kind == "f":
-            bad = np.flatnonzero(~(np.isfinite(cell) & (cell == np.floor(cell))))
-            if len(bad):
-                raise ValueError(f"order {bad[0]} has cell {cell[bad[0]]}, not a whole number")
-        self.cell = np.array(cell, dtype=np.int64)
+        self.t_create = t = np.array(t_create, dtype=float)
         self.fare = np.array(fare, dtype=float)
-        lonlat = [np.array(c, dtype=float) for c in (origin_lon, origin_lat, dest_lon, dest_lat)]
-        cols = [self.t_create, self.cell, self.fare, *lonlat]
-        if any(c.ndim != 1 or len(c) != len(self.t_create) for c in cols):
+        olon, olat, dlon, dlat = (np.array(c, dtype=float) for c in (origin_lon, origin_lat, dest_lon, dest_lat))
+        if any(c.ndim != 1 or len(c) != len(t) for c in (t, self.fare, olon, olat, dlon, dlat)):
             raise ValueError("order columns must be 1-D and of equal length")
-        if not (np.all(np.isfinite(self.t_create)) and all(np.all(np.isfinite(c)) for c in lonlat)):
-            raise ValueError("creation times and coordinates must be finite")
-        if np.any(self.t_create[1:] < self.t_create[:-1]):
+        if not (np.all(np.isfinite(t) & (t >= 0)) and all(np.all(np.isfinite(c)) for c in (olon, olat, dlon, dlat))):
+            raise ValueError("creation times must be finite and >= 0, and coordinates finite")
+        if np.any(t[1:] < t[:-1]):
             raise ValueError("orders must be sorted by creation time")
-        bad = np.flatnonzero((self.cell < 0) | (self.cell >= grid.n_cells))
+        bad = np.flatnonzero((olon < grid.lon_min) | (olon >= grid.lon_max) | (olat < grid.lat_min)
+                             | (olat >= grid.lat_max))
         if len(bad):
-            raise ValueError(f"order {bad[0]} has cell {self.cell[bad[0]]}, outside the {grid.n_cells} cells")
+            raise ValueError(f"order {bad[0]} starts at ({olon[bad[0]]}, {olat[bad[0]]}), outside the grid's box")
         if not np.all(np.isfinite(self.fare) & (self.fare >= 0)):
             raise ValueError("fares must be finite and >= 0")
         proj = LocalProjection(grid)
-        self.ox, self.oy = proj.to_xy(lonlat[0], lonlat[1])
-        self.dx, self.dy = proj.to_xy(lonlat[2], lonlat[3])
+        self.ox, self.oy = proj.to_xy(olon, olat)
+        self.dx, self.dy = proj.to_xy(dlon, dlat)
+        self.cell = proj.cells(self.ox, self.oy)
         for c in (self.t_create, self.cell, self.fare, self.ox, self.oy, self.dx, self.dy):
             c.flags.writeable = False
 

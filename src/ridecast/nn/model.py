@@ -280,6 +280,9 @@ def save_checkpoint(
     label_stats: NormStats,
     meta: Optional[dict] = None,
 ) -> None:
+    for k, p in model.params.items():  # JSON has no NaN or inf, and load_checkpoint refuses them
+        if not np.all(np.isfinite(p)):
+            raise CheckpointError(f"non-finite values in {k}: the checkpoint could not be loaded")
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),

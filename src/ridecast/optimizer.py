@@ -100,8 +100,8 @@ def _window_block(windows: Sequence[MarketWindow], n_grids: int) -> np.ndarray:
     its window number at ``COL_WINDOW``.
 
     The log must hold G rows per window: row k is grid k % G, the G rows of a
-    window share its window number, and window numbers rise, with gaps
-    allowed.  Any other log is rejected."""
+    window share its window number, and window numbers are whole and rise,
+    with gaps allowed.  Any other log is rejected."""
     block = np.array([_WINDOW_FIELDS(w) for w in windows], dtype=float).reshape(-1, COL_WINDOW + 1)
     if len(block) % n_grids:
         raise ValueError(f"window log has {len(block)} rows, not whole windows of {n_grids} grids")
@@ -113,6 +113,9 @@ def _window_block(windows: Sequence[MarketWindow], n_grids: int) -> np.ndarray:
         raise ValueError(f"window log row {w * n_grids + g} is grid {grids[w, g]:g}, expected grid {g}")
     if np.any(wins != wins[:, :1]):
         raise ValueError("the rows of one window must share its window number")
+    bad = np.flatnonzero(~(np.isfinite(wins[:, 0]) & (wins[:, 0] == np.floor(wins[:, 0]))))
+    if len(bad):  # an integer cast would store window 0.5 as 0 and 1.5 as 1
+        raise ValueError(f"window numbers must be whole numbers, got {wins[bad[0], 0]:g}")
     if np.any(wins[1:, 0] <= wins[:-1, 0]):
         raise ValueError("window numbers must rise from window to window")
     return block
@@ -387,6 +390,7 @@ def collect_training_data(
     episode's demand.  Episode seeds are spawned from base_seed so streams
     are disjoint.
     """
+    check_count("episodes", episodes)
     ss = np.random.SeedSequence(base_seed)
     parts: list[TrainingData] = []
     results: list[EpisodeResult] = []
@@ -401,8 +405,6 @@ def collect_training_data(
 
 
 def _concat_datasets(parts: list[TrainingData]) -> TrainingData:
-    if not parts:
-        raise ValueError("no episodes collected")
     return TrainingData(
         features=np.concatenate([p.features for p in parts]),
         labels=np.concatenate([p.labels for p in parts]),

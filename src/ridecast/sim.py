@@ -1,15 +1,16 @@
 """Discrete-time simulator of the broadcasting matching mode.
 
 Every tick: new orders are injected, stale ones expire, each open order is
-broadcast to idle drivers within its grid's radius (drivers sample a grab
-decision; one winner is drawn among accepters), moving drivers advance along
-straight segments, and time accounting is updated.  The broadcast computes
-one reach matrix per tick, open orders by idle drivers, and walks only the
-orders that reach some driver, oldest first.  At metric-window boundaries,
-per-grid market rows are derived from the orders injected and matched in the
-window and its driver time, and the radius source is asked for the next
-window's radii.  Orders come from a read-only ``market.OrderStream``; the run
-records each order's match (time, driver, pickup, radius) in columns over it.
+broadcast to idle drivers within the radius of the cell it starts in (drivers
+sample a grab decision; one winner is drawn among accepters), busy drivers
+advance straight toward the order each holds, and time accounting is updated.
+The broadcast computes one reach matrix per tick, open orders by idle drivers,
+and walks only the orders that reach some driver, oldest first.  At
+metric-window boundaries, per-grid market rows are derived from the orders
+injected and matched in the window and its driver time, and the radius source
+is asked for the next window's radii.  Orders come from a read-only
+``market.OrderStream``; the run records each order's match (time, driver,
+pickup, radius) in columns over it.
 """
 from __future__ import annotations
 
@@ -146,17 +147,16 @@ class EpisodeSummary:
 class DriverFleet:
     """Column-wise driver state in projected km coordinates.
 
-    A driver holds an order (``order_id >= 0``) exactly when it is not idle.
-    Every driver is online every tick, so its online time is the run's clock;
-    the fleet's occupied time is one run total, ``Simulation.occupied_s``.
+    A driver holds an order (``order_id >= 0``) exactly when it is not idle,
+    and heads for its origin while ``PICKUP``, else for its destination.  Every
+    driver is online every tick, so its online time is the run's clock; the
+    fleet's occupied time is one run total, ``Simulation.occupied_s``.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x = x.astype(float)
         self.y = y.astype(float)
         self.status = np.full(len(x), int(DriverStatus.IDLE), dtype=np.int8)
-        self.target_x = np.zeros_like(self.x)
-        self.target_y = np.zeros_like(self.x)
         self.order_id = np.full(len(x), -1, dtype=np.int64)
 
 
@@ -218,12 +218,6 @@ class Simulation:
 
     # -- helpers -------------------------------------------------------------
 
-    def _driver_cells(self) -> np.ndarray:
-        n = self.config.grid.side_count
-        col = np.clip((self.fleet.x / (self.proj.x_max / n)).astype(int), 0, n - 1)
-        row = np.clip((self.fleet.y / (self.proj.y_max / n)).astype(int), 0, n - 1)
-        return row * n + col
-
     def _matched_since(self, front: int, t: float) -> np.ndarray:
         """Orders in ``[front, injected)`` matched at ``t`` or later, by match time then id: the broadcast's order."""
         ids = front + np.flatnonzero(self._t_match[front:self.injected] >= t)
@@ -231,7 +225,7 @@ class Simulation:
 
     def _take_snapshot(self) -> WindowSnapshot:
         cfg, g = self.config, self.config.grid.n_cells
-        cells = self._driver_cells()
+        cells = self.proj.cells(self.fleet.x, self.fleet.y)
         idle_mask = self.fleet.status == int(DriverStatus.IDLE)
         n_idle = np.bincount(cells[idle_mask], minlength=g)
         n_total = np.bincount(cells, minlength=g)
@@ -288,7 +282,7 @@ class Simulation:
             self._idle_walk(cfg.idle_walk_kmh * tick / 3600.0)
 
         # 5. accumulate occupied / online driver time, attributed by position
-        cells = self._driver_cells()
+        cells = self.proj.cells(self.fleet.x, self.fleet.y)
         occupied_mask = self.fleet.status != int(DriverStatus.IDLE)
         self.occupied_s += np.count_nonzero(occupied_mask) * tick
         self._win_online += np.bincount(cells, minlength=cfg.grid.n_cells) * tick
@@ -302,13 +296,11 @@ class Simulation:
             self._close_window()
 
     def _match(self, order_id: int, driver: int, pickup_km: float, t: float) -> None:
-        """Hand an open order to a driver and write its match columns; it leaves the open set exactly once."""
+        """Hand an open order to a driver, who heads for its origin, and write its match columns, once per order."""
         if not (self._front <= order_id < self.injected and math.isnan(self._t_match[order_id])):
             raise ValueError(f"order {order_id} is not open")
         s, fleet = self.stream, self.fleet
         fleet.status[driver] = int(DriverStatus.PICKUP)
-        fleet.target_x[driver] = s.ox[order_id]
-        fleet.target_y[driver] = s.oy[order_id]
         fleet.order_id[driver] = order_id
         self._t_match[order_id] = t
         self._driver[order_id] = driver
@@ -344,24 +336,22 @@ class Simulation:
                 self._match(int(orders[row]), int(idle[winner]), float(dist[row, winner]), t0)
 
     def _move(self, step_km: float) -> None:
-        """Step busy drivers; at its target a pickup heads for the destination, a drop-off idles."""
-        fleet = self.fleet
+        """Step busy drivers toward their order's origin (``PICKUP``), to board, or its destination, to idle."""
+        s, fleet = self.stream, self.fleet
         busy = np.flatnonzero(fleet.status != int(DriverStatus.IDLE))
-        dx = fleet.target_x[busy] - fleet.x[busy]
-        dy = fleet.target_y[busy] - fleet.y[busy]
+        oid = fleet.order_id[busy]
+        pickup = fleet.status[busy] == int(DriverStatus.PICKUP)
+        tx = np.where(pickup, s.ox[oid], s.dx[oid])
+        ty = np.where(pickup, s.oy[oid], s.dy[oid])
+        dx, dy = tx - fleet.x[busy], ty - fleet.y[busy]
         dist = np.hypot(dx, dy)
         going = dist > step_km
         fleet.x[busy[going]] += dx[going] / dist[going] * step_km
         fleet.y[busy[going]] += dy[going] / dist[going] * step_km
-        arrived = busy[~going]
-        fleet.x[arrived] = fleet.target_x[arrived]
-        fleet.y[arrived] = fleet.target_y[arrived]
-        pickup = fleet.status[arrived] == int(DriverStatus.PICKUP)
-        boarded, dropped = arrived[pickup], arrived[~pickup]
-        oid = fleet.order_id[boarded]
+        fleet.x[busy[~going]] = tx[~going]
+        fleet.y[busy[~going]] = ty[~going]
+        boarded, dropped = busy[~going & pickup], busy[~going & ~pickup]
         fleet.status[boarded] = int(DriverStatus.IN_SERVICE)
-        fleet.target_x[boarded] = self.stream.dx[oid]
-        fleet.target_y[boarded] = self.stream.dy[oid]
         fleet.status[dropped] = int(DriverStatus.IDLE)
         fleet.order_id[dropped] = -1
 

@@ -131,10 +131,10 @@ def grid_index(lon: float, lat: float, spec: GridSpec) -> int:
 
 
 def stream_from_rows(grid: GridSpec, rows: Iterable[tuple]) -> OrderStream:
-    """OrderStream from (t_create, cell, origin_lon, origin_lat, dest_lon,
-    dest_lat, fare) rows; row i becomes order id i."""
+    """OrderStream from (t_create, origin_lon, origin_lat, dest_lon, dest_lat,
+    fare) rows; row i becomes order id i."""
     rows = list(rows)
-    return OrderStream(grid, *(zip(*rows) if rows else [()] * 7))
+    return OrderStream(grid, *(zip(*rows) if rows else [()] * 6))
 
 
 class WindowMetrics(NamedTuple):

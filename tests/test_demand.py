@@ -56,7 +56,7 @@ def per_order_synth_demand(profile, grid, seed, duration_s, day_start_s=0.0):
                 draws.append((tc, g, olon, olat, dlon, dlat, FARE_BASE + FARE_PER_KM * trip_km))
             t = slice_end
     draws.sort(key=lambda r: (r[0], r[1]))
-    return stream_from_rows(grid, draws)
+    return stream_from_rows(grid, [(tc, *rest) for tc, g, *rest in draws])
 
 
 @st.composite
@@ -119,7 +119,7 @@ class TestSynthDemand:
         assert np.all(np.diff(stream.t_create) >= 0)
         assert np.all((0 <= stream.cell) & (stream.cell < 16))
         assert np.all((0.0 <= stream.t_create) & (stream.t_create < 4 * 3600.0))
-        # each order lies in the cell it was drawn for
+        # each order's cell is the cell its origin lies in
         proj = LocalProjection(BOX)
         n = BOX.side_count
         col = (stream.ox / (proj.x_max / n)).astype(int)

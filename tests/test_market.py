@@ -145,8 +145,7 @@ def run_small(orders, drivers, windows=1, acceptance=FORCED, seed=0):
     ``orders`` are (t_create, lon, lat, dest_lon, dest_lat, fare) rows in
     creation order, and ``drivers`` the drivers' (lon, lat) positions.
     """
-    stream = stream_from_rows(SMALL, [(t, grid_index(lon, lat, SMALL), lon, lat, dlon, dlat, fare)
-                                      for t, lon, lat, dlon, dlat, fare in orders])
+    stream = stream_from_rows(SMALL, orders)
     sim = Simulation(SimConfig(grid=SMALL, n_drivers=len(drivers), speed_kmh=20.0,
                                radius_source=FixedRadius(2.0, SMALL.n_cells), acceptance=acceptance,
                                seed=seed), stream)
@@ -214,7 +213,7 @@ class TestWindowMetrics:
             assert (w.ofr, w.apd_km, w.dur, w.revenue) == (0.0, 0.0, 0.0, 0.0)
 
     def test_revenue_recognized_at_match(self):
-        stream = stream_from_rows(BOX, [(10.0, 0, 0.5, 0.5, 1.5, 1.5, 4.0), (20.0, 0, 0.5, 0.5, 1.5, 1.5, 6.0)])
+        stream = stream_from_rows(BOX, [(10.0, 0.5, 0.5, 1.5, 1.5, 4.0), (20.0, 0.5, 0.5, 1.5, 1.5, 6.0)])
         matches = [
             MatchRecord(order_id=0, driver_id=0, grid=0, t_match=50.0, pickup_km=1.0, fare=4.0, radius_km=2.0),
             # order 1 matches in the *next* window: its fare is not counted here
@@ -241,7 +240,7 @@ class TestWindowMetrics:
         assert carried > 0
 
 
-ROW = (0.0, 0, 0.5, 0.5, 1.5, 1.5, 3.0)  # t_create, cell, origin lon/lat, destination lon/lat, fare
+ROW = (0.0, 0.5, 0.5, 1.5, 1.5, 3.0)  # t_create, origin lon/lat, destination lon/lat, fare
 
 
 def with_value(column, value):
@@ -258,21 +257,21 @@ class TestOrderDriverInvariants:
     def test_order_is_frozen(self):
         # the columns are read-only, and the stream keeps its own copy of its inputs
         t = np.array([0.0, 5.0])
-        stream = OrderStream(BOX, t, [0, 1], [0.5, 1.5], [0.5, 0.5], [1.5, 1.5], [1.5, 1.5], [3.0, 4.0])
+        stream = OrderStream(BOX, t, [0.5, 1.5], [0.5, 0.5], [1.5, 1.5], [1.5, 1.5], [3.0, 4.0])
         t[0] = 9.0
-        assert stream.t_create[0] == 0.0
+        assert stream.t_create[0] == 0.0 and stream.cell.tolist() == [0, 1]
         for name in ("t_create", "cell", "fare", "ox", "oy", "dx", "dy"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(stream, name)[0] = 1
 
     def test_negative_fare_rejected(self):
         with pytest.raises(ValueError, match="fare"):
-            stream_from_rows(BOX, [with_value(6, -1.0)])
+            stream_from_rows(BOX, [with_value(5, -1.0)])
 
     def test_non_finite_fare_rejected(self):
         for fare in (math.nan, math.inf):
             with pytest.raises(ValueError, match="fare"):
-                stream_from_rows(BOX, [with_value(6, fare)])
+                stream_from_rows(BOX, [with_value(5, fare)])
 
     def test_non_finite_creation_time_rejected(self):
         # NaN compares False both ways, so a sort check alone would let it
@@ -282,8 +281,12 @@ class TestOrderDriverInvariants:
             stream_from_rows(BOX, rows)
         with pytest.raises(ValueError, match="finite"):
             stream_from_rows(BOX, [with_value(0, math.inf)])
+        # creation times are seconds from the episode start: an order created
+        # before it would count as created in window 0 but never in its cohort
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            stream_from_rows(BOX, [with_value(0, -5.0), ROW])
 
-    @pytest.mark.parametrize("column", [2, 3, 4, 5])
+    @pytest.mark.parametrize("column", [1, 2, 3, 4])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_rejected(self, column, value):
         with pytest.raises(ValueError, match="finite"):
@@ -291,17 +294,9 @@ class TestOrderDriverInvariants:
 
     def test_ragged_or_nested_columns_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
-            OrderStream(BOX, [0.0, 1.0], [0], [0.5], [0.5], [1.5], [1.5], [3.0])
+            OrderStream(BOX, [0.0, 1.0], [0.5], [0.5], [1.5], [1.5], [3.0])
         with pytest.raises(ValueError, match="1-D"):
-            OrderStream(BOX, [[0.0]], [[0]], [[0.5]], [[0.5]], [[1.5]], [[1.5]], [[3.0]])
-
-    @pytest.mark.parametrize("cell", [2.7, -0.5, math.nan, math.inf])
-    def test_fractional_cell_rejected(self, cell):
-        with pytest.raises(ValueError, match="whole number"):
-            OrderStream(BOX, [0.0], [cell], [0.5], [0.5], [1.5], [1.5], [3.0])
-
-    def test_whole_float_cell_accepted(self):
-        assert OrderStream(BOX, [0.0], [2.0], [2.5], [0.5], [1.5], [1.5], [3.0]).cell.tolist() == [2]
+            OrderStream(BOX, [[0.0]], [[0.5]], [[0.5]], [[1.5]], [[1.5]], [[3.0]])
 
     def test_market_window_invariants(self):
         with pytest.raises(ValueError):
@@ -364,13 +359,14 @@ class TestProjection:
         assert math.isclose(BOX.lat_min + y / proj.km_per_deg_lat, 1.7, abs_tol=1e-12)
 
     def test_cell_index_matches_degree_space(self):
-        # the simulator bins drivers in km space; that must agree with grid_index in degrees
+        # orders and drivers are binned in km space; that must agree with grid_index in degrees
         rng = np.random.default_rng(11)
         for box in (BOX, GridSpec(0.0, 0.0, 0.1, 0.1, side_count=4),
                     GridSpec(-74.02, 40.70, -73.93, 40.80, side_count=10)):
             lon = rng.uniform(box.lon_min, box.lon_max, 2000)
             lat = rng.uniform(box.lat_min, box.lat_max, 2000)
-            sim = Simulation(SimConfig(grid=box, n_drivers=2000, speed_kmh=20.0,
-                                       radius_source=FixedRadius(1.0, box.n_cells)), stream_from_rows(box, []))
-            sim.fleet.x, sim.fleet.y = sim.proj.to_xy(lon, lat)
-            assert sim._driver_cells().tolist() == [grid_index(a, b, box) for a, b in zip(lon, lat)]
+            want = [grid_index(a, b, box) for a, b in zip(lon, lat)]
+            proj = LocalProjection(box)
+            assert proj.cells(*proj.to_xy(lon, lat)).tolist() == want
+            stream = OrderStream(box, np.zeros(2000), lon, lat, lon, lat, np.ones(2000))
+            assert stream.cell.tolist() == want

@@ -831,6 +831,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="embed.b1"):
             load_checkpoint(path)
 
+    def test_non_finite_params_not_saved(self, tmp_path):
+        # JSON has no NaN: the file would hold a non-standard token, and load_checkpoint would refuse it
+        model = TransformerRegressor(TINY, seed=12)
+        model.params["head.b2"][1] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(CheckpointError, match="head.b2"):
+            save_checkpoint(path, model, identity_stats(N_BASE_FEATURES), identity_stats(4))
+        assert not path.exists()
+
     def test_refuses_values_beyond_float32_range(self, tmp_path):
         # finite in the float64 the JSON parses to, inf once cast to float32
         def overflow(p):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     compute_window_metrics,
-    grid_index,
     identity_stats,
     reference_dataset,
     reference_features,
@@ -178,6 +178,9 @@ BROKEN_LOGS = {
     "split window": (lambda: [mkwindow(grid=g, window=int(g == 7)) for g in range(16)], "share its window number"),
     "falling windows": (lambda: whole([1, 0]), "must rise"),
     "repeated window": (lambda: whole([3, 3]), "must rise"),
+    "fractional windows": (lambda: whole([0.5, 1.5]), "whole numbers, got 0.5"),
+    "infinite window": (lambda: whole([0]) + [dataclasses.replace(w, window=math.inf) for w in whole([1])],
+                        "whole numbers, got inf"),
 }
 
 
@@ -707,8 +710,7 @@ def small_stream(seed):
         dlon, dlat = rng.uniform(0.01, 0.09, size=2)
         draws.append((float(rng.uniform(0, 1700)), lon, lat, dlon, dlat))
     draws.sort(key=lambda d: d[0])
-    return stream_from_rows(BOX, [(t, grid_index(lon, lat, BOX), lon, lat, dlon, dlat, 6.0)
-                                  for t, lon, lat, dlon, dlat in draws])
+    return stream_from_rows(BOX, [(*d, 6.0) for d in draws])
 
 
 class TestCollect:
@@ -771,6 +773,16 @@ class TestCollect:
         d1, _ = collect_training_data(base_seed=0, **kw)
         d2, _ = collect_training_data(base_seed=1, **kw)
         assert not np.array_equal(d1.features, d2.features)
+
+    @pytest.mark.parametrize("episodes", [True, 0, -1, 1.5, np.float64(2.0)])
+    def test_episodes_that_are_no_count_rejected(self, episodes):
+        # True used to run one episode, -1 to raise an OverflowError and 1.5 a TypeError
+        def no_episode(*args):
+            raise AssertionError("no episode may run")
+
+        with pytest.raises(ValueError, match="episodes must be an integer >= 1"):
+            collect_training_data(make_config=no_episode, make_stream=no_episode, episodes=episodes,
+                                  horizon_s=900.0, layout=LAYOUT)
 
     def test_split_by_episode_is_disjoint(self):
         data, _ = collect_training_data(

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import grid_index, stream_from_rows
+from conftest import stream_from_rows
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import default_profile, synth_demand
@@ -43,8 +43,7 @@ def mkconfig(radius=1.0, drivers=1, accept=None, seed=0, **kw):
 
 def mkrow(t, lon, lat, dlon=None, dlat=None, fare=5.0):
     """One stream row; a trip without a destination ends where it starts."""
-    return (t, grid_index(lon, lat, BOX), lon, lat,
-            dlon if dlon is not None else lon, dlat if dlat is not None else lat, fare)
+    return (t, lon, lat, dlon if dlon is not None else lon, dlat if dlat is not None else lat, fare)
 
 
 def sorted_stream(draws):
@@ -195,20 +194,21 @@ class TestLifecycleAndConservation:
         def reference_move(fleet, stream, step_km):
             arrivals = 0
             for i in np.flatnonzero(fleet.status != int(DriverStatus.IDLE)):
-                dx = fleet.target_x[i] - fleet.x[i]
-                dy = fleet.target_y[i] - fleet.y[i]
+                # the held order's origin on the way to a pickup, else its destination
+                oid, pickup = fleet.order_id[i], fleet.status[i] == int(DriverStatus.PICKUP)
+                tx, ty = (stream.ox[oid], stream.oy[oid]) if pickup else (stream.dx[oid], stream.dy[oid])
+                dx = tx - fleet.x[i]
+                dy = ty - fleet.y[i]
                 dist = float(np.hypot(dx, dy))
                 if dist > step_km:
                     fleet.x[i] += dx / dist * step_km
                     fleet.y[i] += dy / dist * step_km
                     continue
                 arrivals += 1
-                fleet.x[i] = fleet.target_x[i]
-                fleet.y[i] = fleet.target_y[i]
-                if fleet.status[i] == int(DriverStatus.PICKUP):
+                fleet.x[i] = tx
+                fleet.y[i] = ty
+                if pickup:
                     fleet.status[i] = int(DriverStatus.IN_SERVICE)
-                    fleet.target_x[i] = stream.dx[fleet.order_id[i]]
-                    fleet.target_y[i] = stream.dy[fleet.order_id[i]]
                 else:
                     fleet.status[i] = int(DriverStatus.IDLE)
                     fleet.order_id[i] = -1
@@ -221,7 +221,7 @@ class TestLifecycleAndConservation:
             twin = copy.deepcopy(sim.fleet)
             arrivals += reference_move(twin, sim.stream, 0.04)
             sim._move(0.04)
-            for name in ("x", "y", "status", "target_x", "target_y", "order_id"):
+            for name in ("x", "y", "status", "order_id"):
                 assert getattr(sim.fleet, name).tobytes() == getattr(twin, name).tobytes(), name
         assert arrivals > 20
 
@@ -313,12 +313,13 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="sorted"):
             stream_from_rows(BOX, [mkrow(100.0, 0.05, 0.05), mkrow(50.0, 0.05, 0.05)])
 
-    @pytest.mark.parametrize("grid", [-1, BOX.n_cells])
-    def test_order_outside_the_grid_rejected(self, grid):
-        # -1 is OUT_OF_AREA; either value would index a per-cell tally wrongly
+    @pytest.mark.parametrize("lon, lat", [(-0.01, 0.05), (0.1, 0.05), (0.05, -1e-9), (0.05, 0.1)])
+    def test_order_outside_the_grid_rejected(self, lon, lat):
+        # the box is half-open like its cells, so its high edges are outside; km binning would clip such an
+        # origin into an edge cell and broadcast it there
         rows = [mkrow(10.0 * i, 0.05, 0.05) for i in range(8)]
-        rows[7] = (70.0, grid, *rows[7][2:])
-        with pytest.raises(ValueError, match="order 7"):
+        rows[7] = mkrow(70.0, lon, lat, 0.05, 0.05)
+        with pytest.raises(ValueError, match="order 7 starts at .* outside the grid's box"):
             stream_from_rows(BOX, rows)
 
     def test_stream_for_another_grid_rejected(self):
@@ -505,14 +506,18 @@ class TestIdleWalk:
         np.testing.assert_array_equal(sim.fleet.x, x0)
 
     def test_no_idle_driver_draws_nothing(self):
-        # every driver is 1 km from its drop-off, so none idles this tick: the walking sim must draw nothing and
-        # end the tick where its walk-free twin does
-        walking, still = (Simulation(mkconfig(drivers=5, idle_walk_kmh=walk), EMPTY) for walk in (5.0, 0.0))
+        # each driver wins the order at its spot in the first tick and boards it there, 1 km from its drop-off,
+        # so none idles in the second tick: the walking sim must draw nothing then and end that tick where its
+        # walk-free twin does
+        spots = [(0.02 + 0.015 * i, 0.05) for i in range(5)]
+        stream = sorted_stream([(0.0, lon, lat, lon, lat + KM_LAT) for lon, lat in spots])
+        walking, still = (Simulation(mkconfig(radius=0.5, drivers=5, idle_walk_kmh=walk), stream)
+                          for walk in (5.0, 0.0))
         for sim in (walking, still):
-            fleet = sim.fleet
-            fleet.status[:] = int(DriverStatus.IN_SERVICE)
-            fleet.target_x[:] = np.where(fleet.x < sim.proj.x_max / 2, fleet.x + 1.0, fleet.x - 1.0)
-            fleet.target_y[:] = fleet.y
+            place(sim, spots)
+            sim.step()
+            assert sim.fleet.order_id.tolist() == list(range(5))
+            assert np.all(sim.fleet.status == int(DriverStatus.IN_SERVICE))
         state = walking.rng.bit_generator.state
         walking.step()
         still.step()

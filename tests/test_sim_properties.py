@@ -3,7 +3,7 @@ import math
 from collections import Counter
 
 import numpy as np
-from conftest import compute_window_metrics, grid_index
+from conftest import compute_window_metrics
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -41,8 +41,7 @@ def build_stream(sc):
     t = np.sort(rng.uniform(0.0, 1.1 * horizon, sc["n_orders"]))
     pts = rng.uniform(0.0, BOX_DEG, size=(sc["n_orders"], 4))
     fares = rng.uniform(0.0, 30.0, sc["n_orders"])
-    cells = [grid_index(float(p[0]), float(p[1]), sc["grid"]) for p in pts]
-    return OrderStream(sc["grid"], t, cells, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], fares)
+    return OrderStream(sc["grid"], t, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], fares)
 
 
 def build_config(sc):
@@ -73,10 +72,13 @@ def test_episode_invariants(sc):
     sim = Simulation(build_config(sc), stream)
     for _ in range(int(round(horizon / sim.config.tick_s))):
         sim.step()
-        # a driver holds an order exactly when it is not idle, and the
-        # fleet's occupied time lies within its online time
+        # a driver holds an order exactly when it is not idle, the order it
+        # holds was matched to it (it heads for that order's origin or
+        # destination), and the fleet's occupied time lies within its online time
         fleet = sim.fleet
+        busy = np.flatnonzero(fleet.status != int(DriverStatus.IDLE))
         assert np.array_equal(fleet.order_id >= 0, fleet.status != int(DriverStatus.IDLE))
+        assert np.array_equal(sim._driver[fleet.order_id[busy]], busy)
         assert 0.0 <= sim.occupied_s <= sim.config.n_drivers * sim.clock
     res = EpisodeResult(windows=sim.windows, summary=sim.summary(), matches=sim.matches)
     s = res.summary
