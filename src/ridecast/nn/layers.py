@@ -43,6 +43,8 @@ import numpy as np
 
 from ..demand import COL_GRID, N_BASE_FEATURES, N_TOD
 
+LN_EPS = 1e-5  # LayerNorm's variance floor, under the root
+
 
 def _rows(a: np.ndarray) -> np.ndarray:
     """View the leading axes of a as one row axis."""
@@ -121,11 +123,11 @@ def embed(x, w1, b1, w2, b2):
     return y.reshape(*x.shape[:-1], -1), back
 
 
-def add_layer_norm(x, gamma, beta, eps: float = 1e-5):
+def add_layer_norm(x, gamma, beta):
     """x + LayerNorm(x) over the last axis, as one layer: the residual input of a block's sublayer.
 
     LayerNorm scales each row to zero mean and unit spread, then by gamma and
-    beta; the denominator is sqrt(var + eps), i.e. eps sits under the root.
+    beta; the denominator is sqrt(var + LN_EPS).
     Keeps the normalized rows xhat and the (R, 1) column of 1/sigma.
     """
     shape, x2d = x.shape, _rows(x)
@@ -133,7 +135,7 @@ def add_layer_norm(x, gamma, beta, eps: float = 1e-5):
     row_mean = np.full(n, 1.0 / n, dtype=x2d.dtype)
     xhat = x2d - (x2d @ row_mean)[:, None]
     y = xhat * xhat
-    rstd = (1.0 / np.sqrt(y @ row_mean + eps))[:, None]
+    rstd = (1.0 / np.sqrt(y @ row_mean + LN_EPS))[:, None]
     xhat *= rstd
     np.multiply(xhat, gamma, out=y)
     y += beta

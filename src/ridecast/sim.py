@@ -5,12 +5,14 @@ broadcast to idle drivers within the radius of the cell it starts in (drivers
 sample a grab decision; one winner is drawn among accepters), busy drivers
 advance straight toward the order each holds, and time accounting is updated.
 The broadcast computes one reach matrix per tick, open orders by idle drivers,
-and walks only the orders that reach some driver, oldest first.  At
-metric-window boundaries, per-grid market rows are derived from the orders
-injected and matched in the window and its driver time, and the radius source
-is asked for the next window's radii.  Orders come from a read-only
-``market.OrderStream``; the run records each order's match (time, driver,
-pickup, radius) in columns over it.
+and walks only the orders that reach some driver, oldest first.  Time is one
+clock, ``tick_count * tick_s``: a tick injects the orders created before the
+next clock, and a metric window is ``[start_s, next start_s)`` on it.  At a
+window's end, per-grid market rows are derived from the orders created and
+matched in it and its driver time, and the radius source is asked for the
+next window's radii.  Orders come from a read-only ``market.OrderStream``;
+the run records each order's match (time, driver, pickup, radius) in columns
+over it.
 """
 from __future__ import annotations
 
@@ -150,7 +152,7 @@ class DriverFleet:
     A driver holds an order (``order_id >= 0``) exactly when it is not idle,
     and heads for its origin while ``PICKUP``, else for its destination.  Every
     driver is online every tick, so its online time is the run's clock; the
-    fleet's occupied time is one run total, ``Simulation.occupied_s``.
+    fleet's occupied time is one run total, ``Simulation.occupied_ticks``.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -166,14 +168,14 @@ class Simulation:
     The stream is never modified: every per-run fact about its orders lives
     here, so one stream can be run any number of times.  Creation times
     ascend, so ``injected`` is the stream cursor: orders ``[0, injected)`` are
-    the injected ones and ``[0, _front)`` those past their patience.  The
-    match columns ``_t_match``, ``_driver``, ``_pickup_km`` and ``_radius_km``
-    are written once, when an order matches, and ``_t_match`` is NaN until
-    then: an order is open exactly when it lies in ``[_front, injected)`` with
-    a NaN ``_t_match``, and ``matched`` counts the others.  The current window
-    injected orders ``[_win_first_order, injected)`` and its matches are among
-    ``[_win_front, injected)``; ``snapshot`` holds its number, start and time
-    of day.  ``occupied_s`` is the run's occupied driver time.
+    the injected ones, those created before ``clock``, and ``[0, _front)``
+    those past their patience.  The match columns ``_t_match``, ``_driver``,
+    ``_pickup_km`` and ``_radius_km`` are written once, when an order
+    matches, and ``_t_match`` is NaN until then: an order is open exactly when
+    it lies in ``[_front, injected)`` with a NaN ``_t_match``, and ``matched``
+    and ``expired`` are counted from that column.  ``snapshot`` holds the
+    current window's number, start clock and time of day.  Driver time is
+    counted in ticks: ``occupied_ticks`` is the run's occupied driver-ticks.
     """
 
     def __init__(self, config: SimConfig, stream: OrderStream):
@@ -198,9 +200,7 @@ class Simulation:
         self.clock = 0.0
         self.tick_count = 0
         self.windows: list[MarketWindow] = []
-        self.matched = 0
-        self.expired = 0
-        self.occupied_s = 0.0
+        self.occupied_ticks = 0
         self._begin_window()
 
     @property
@@ -209,18 +209,28 @@ class Simulation:
         return self._front + np.flatnonzero(np.isnan(self._t_match[self._front:self.injected]))
 
     @property
+    def matched(self) -> int:
+        """How many orders have matched: the injected ones with a match time."""
+        return int(np.count_nonzero(~np.isnan(self._t_match[:self.injected])))
+
+    @property
+    def expired(self) -> int:
+        """How many orders have expired: those past their patience that never matched."""
+        return int(np.count_nonzero(np.isnan(self._t_match[:self._front])))
+
+    @property
     def matches(self) -> list[MatchRecord]:
         """The match log, one record per matched order, built from the match columns in match order."""
-        s, ids = self.stream, self._matched_since(0, -math.inf)
+        s, ids = self.stream, self._matched_since(-math.inf)
         columns = (ids, self._driver[ids], s.cell[ids], self._t_match[ids], self._pickup_km[ids], s.fare[ids],
                    self._radius_km[ids])
         return [MatchRecord(*row) for row in zip(*(c.tolist() for c in columns))]
 
     # -- helpers -------------------------------------------------------------
 
-    def _matched_since(self, front: int, t: float) -> np.ndarray:
-        """Orders in ``[front, injected)`` matched at ``t`` or later, by match time then id: the broadcast's order."""
-        ids = front + np.flatnonzero(self._t_match[front:self.injected] >= t)
+    def _matched_since(self, t: float) -> np.ndarray:
+        """Orders matched at ``t`` or later, by match time then id: the broadcast's order."""
+        ids = np.flatnonzero(self._t_match[:self.injected] >= t)
         return ids[np.argsort(self._t_match[ids], kind="stable")]
 
     def _take_snapshot(self) -> WindowSnapshot:
@@ -230,25 +240,20 @@ class Simulation:
         n_idle = np.bincount(cells[idle_mask], minlength=g)
         n_total = np.bincount(cells, minlength=g)
         n_open = np.bincount(self.stream.cell[self.open], minlength=g)
-        window = self.tick_count // cfg.ticks_per_window
-        start = window * cfg.window_s
         return WindowSnapshot(
-            window=window,
-            start_s=start,
-            tod=time_of_day(cfg.day_start_s + start),
+            window=self.tick_count // cfg.ticks_per_window,
+            start_s=self.clock,
+            tod=time_of_day(cfg.day_start_s + self.clock),
             n_idle=n_idle,
             n_open=n_open,
             n_total=n_total,
         )
 
     def _begin_window(self) -> None:
-        """Mark the window's first order and the first order that can still
-        match, zero its driver time, take its snapshot and query its radii."""
+        """Zero the window's driver time, take its snapshot and query its radii."""
         g = self.config.grid.n_cells
-        self._win_first_order = self.injected
-        self._win_front = self._front
-        self._win_occupied = np.zeros(g)
-        self._win_online = np.zeros(g)
+        self._win_occupied = np.zeros(g, dtype=np.int64)
+        self._win_online = np.zeros(g, dtype=np.int64)
         self.snapshot = self._take_snapshot()
         radii = np.asarray(self.config.radius_source.radii(self.snapshot, self.windows), dtype=float)
         if radii.shape != (g,) or not np.all(np.isfinite(radii) & (radii > 0)):
@@ -261,17 +266,16 @@ class Simulation:
         cfg = self.config
         t0 = self.clock
         tick = cfg.tick_s
+        t1 = (self.tick_count + 1) * tick  # the next clock
 
-        # 1. inject orders created in [t0, t0 + tick)
+        # 1. inject orders created in [t0, t1)
         s = self.stream
-        self.injected = pos = int(np.searchsorted(s.t_create, t0 + tick, side="left"))
+        self.injected = pos = int(np.searchsorted(s.t_create, t1, side="left"))
 
         # 2. expire orders past their patience; t0 - t_create falls as t_create
         #    rises, so they are a prefix of the orders not yet expired; the
         #    unmatched ones in that prefix expire
-        front = self._front
-        self._front += int(np.count_nonzero(t0 - s.t_create[front:pos] >= cfg.patience_s))
-        self.expired += int(np.count_nonzero(np.isnan(self._t_match[front:self._front])))
+        self._front += int(np.count_nonzero(t0 - s.t_create[self._front:pos] >= cfg.patience_s))
 
         # 3. broadcast rounds, oldest order first; a driver gets one bid per tick
         self._broadcast(t0)
@@ -281,17 +285,16 @@ class Simulation:
         if cfg.idle_walk_kmh > 0:
             self._idle_walk(cfg.idle_walk_kmh * tick / 3600.0)
 
-        # 5. accumulate occupied / online driver time, attributed by position
+        # 5. count occupied / online driver-ticks, attributed by position
         cells = self.proj.cells(self.fleet.x, self.fleet.y)
         occupied_mask = self.fleet.status != int(DriverStatus.IDLE)
-        self.occupied_s += np.count_nonzero(occupied_mask) * tick
-        self._win_online += np.bincount(cells, minlength=cfg.grid.n_cells) * tick
-        self._win_occupied += np.bincount(cells[occupied_mask], minlength=cfg.grid.n_cells) * tick
+        self.occupied_ticks += int(np.count_nonzero(occupied_mask))
+        self._win_online += np.bincount(cells, minlength=cfg.grid.n_cells)
+        self._win_occupied += np.bincount(cells[occupied_mask], minlength=cfg.grid.n_cells)
 
         # 6. advance the clock; close the window on a boundary
         self.tick_count += 1
-        self.clock = self.tick_count * tick
-        self._check_conservation()
+        self.clock = t1
         if self.tick_count % cfg.ticks_per_window == 0:
             self._close_window()
 
@@ -306,7 +309,6 @@ class Simulation:
         self._driver[order_id] = driver
         self._pickup_km[order_id] = pickup_km
         self._radius_km[order_id] = self.radii[s.cell[order_id]]
-        self.matched += 1
 
     def _broadcast(self, t0: float) -> None:
         """Offer each open order, oldest first, to the idle drivers within its
@@ -364,30 +366,23 @@ class Simulation:
         fleet.x[idle] = nx
         fleet.y[idle] = ny
 
-    def _check_conservation(self) -> None:
-        if self.matched + self.expired + len(self.open) != self.injected:
-            raise AssertionError(
-                f"order conservation violated at tick {self.tick_count}: "
-                f"{self.matched}+{self.expired}+{len(self.open)} != {self.injected}"
-            )
-
     def _close_window(self) -> None:
-        """Append one row per grid for the window now ending.
+        """Append one row per grid for the window ``[snapshot.start_s, clock)`` now ending.
 
-        Created orders are those injected during the window, and every order
-        matched from its first tick on (all within ``[_win_front, injected)``)
-        counts towards pickup distance and revenue.  The fulfilment rate
-        counts only the matches of orders created inside the window
-        (``t_create >= snapshot.start_s``), which keeps it in [0, 1] when
-        orders carried over from earlier windows match here.  Empty
-        denominators give zeros.  Pickup distance is ``np.mean`` over a grid's
-        pickups in match order, and revenue sums its fares in that order.
+        Created orders are those injected in it, from the first created at
+        ``start_s`` on, and every order matched from its first tick on counts
+        towards pickup distance and revenue.  The fulfilment rate counts only
+        the matches of orders created in the window (``t_create >= start_s``,
+        the injection rule on the same clock), which keeps it in [0, 1] when
+        orders carried over from earlier windows match here.  Utilisation is
+        occupied over online driver-ticks.  Empty denominators give zeros.
+        Pickup distance is ``np.mean`` over a grid's pickups in match order,
+        and revenue sums its fares in that order.
         """
-        cfg, s, snap, n = self.config, self.stream, self.snapshot, self.config.grid.n_cells
-        # the clock at the window's first tick, as step computes it; start_s may differ in the last bit
-        oid = self._matched_since(self._win_front, (self.tick_count - cfg.ticks_per_window) * cfg.tick_s)
+        s, snap, n = self.stream, self.snapshot, self.config.grid.n_cells
+        oid = self._matched_since(snap.start_s)
         grid = s.cell[oid]
-        created = np.bincount(s.cell[self._win_first_order:self.injected], minlength=n)
+        created = np.bincount(s.cell[np.searchsorted(s.t_create, snap.start_s):self.injected], minlength=n)
         cohort = np.bincount(grid[s.t_create[oid] >= snap.start_s], minlength=n)
         n_matched = np.bincount(grid, minlength=n)
         pickups = np.split(self._pickup_km[oid][np.argsort(grid, kind="stable")], np.cumsum(n_matched)[:-1])
@@ -407,12 +402,12 @@ class Simulation:
     # -- episode -------------------------------------------------------------
 
     def summary(self) -> EpisodeSummary:
-        """Episode totals from the match columns; every driver is online for the whole clock."""
-        ids = self._matched_since(0, -math.inf)
-        online = self.config.n_drivers * self.clock
+        """Episode totals from the match columns; every driver is online every tick."""
+        ids = self._matched_since(-math.inf)
+        online = self.config.n_drivers * self.tick_count
         return EpisodeSummary(
             ofr=self.matched / self.injected if self.injected else 0.0,
-            dur=self.occupied_s / online if online > 0 else 0.0,
+            dur=self.occupied_ticks / online if online > 0 else 0.0,
             revenue=float(sum(self.stream.fare[ids].tolist())),  # a running sum in match order
             apd_km=float(np.mean(self._pickup_km[ids])) if self.matched else 0.0,
             created=self.injected,

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # The digest of every self-check operation, per workload, untraced and traced:
@@ -13,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SELF_CHECK_DIGESTS = {"explore": "f105f2203ae5f87d", "decide": "c6c87ff7968caa58", "train": "d68ad186bedca02e"}
 
 
+@pytest.mark.one_blas_thread
 def test_bench_self_check_passes_without_failed_operations():
     # the bench times the model through a proxy of zero_grad, task_losses,
     # backward_weighted and predict.  Its self-check exits 0 even when every

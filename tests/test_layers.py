@@ -121,24 +121,26 @@ class TestAddLayerNorm:
     def test_constant_row_returns_x_plus_beta(self):
         x = np.full((2, 5), 3.7)
         beta = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
-        y = add_layer_norm(x, np.ones(5), beta, eps=1e-5)[0]
+        y = add_layer_norm(x, np.ones(5), beta)[0]
         np.testing.assert_allclose(y, x + beta, atol=1e-12)
 
     def test_already_standardized_row(self):
-        y = add_layer_norm(np.array([[-1.0, 1.0]]), np.ones(2), np.zeros(2), eps=0.0)[0]
-        np.testing.assert_allclose(y, [[-2.0, 2.0]], atol=1e-12)
+        # unit variance, so LayerNorm only divides by sqrt(1 + LN_EPS)
+        x = np.array([[-1.0, 1.0]])
+        y = add_layer_norm(x, np.ones(2), np.zeros(2))[0]
+        np.testing.assert_allclose(y, x + x / np.sqrt(1.0 + 1e-5), atol=1e-12)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 7)) * 3
         gamma, beta = rng.normal(size=7), rng.normal(size=7)
-        y = add_layer_norm(x, gamma, beta, eps=1e-5)[0]
+        y = add_layer_norm(x, gamma, beta)[0]
         np.testing.assert_allclose(y, x + brute_layer_norm(x, gamma, beta, 1e-5), atol=1e-12)
 
     def test_output_moments(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(6, 32)) * 5
-        y = add_layer_norm(x, np.ones(32), np.zeros(32), eps=1e-5)[0] - x
+        y = add_layer_norm(x, np.ones(32), np.zeros(32))[0] - x
         assert np.max(np.abs(y.mean(axis=-1))) < 1e-9
         np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-5)
 

@@ -301,6 +301,7 @@ class TestPredictIsOneWholePass:
         assert peak - start < 3 * 2**20
 
 
+@pytest.mark.one_blas_thread
 class TestTrainingHoldsOneTape:
     def test_two_steps_peak_under_one_and_a_half_tapes(self):
         # a training step as train runs it, keeping its tape variable into the next step's forward;
@@ -342,6 +343,7 @@ def warm_minor_faults(call) -> int:
 
 
 @pytest.mark.skipif(not (libc_version() or "").startswith("glibc"), reason="the pinned malloc thresholds are glibc's")
+@pytest.mark.one_blas_thread
 class TestWarmCallsReuseTheHeap:
     """With glibc's thresholds pinned on import, a warmed training step or ``predict`` allocates from the heap
     the last call freed; with glibc's defaults each call page-faulted it back, thousands of faults a step."""
@@ -398,6 +400,7 @@ class TestKeepFreedHeap:
         assert calls == [MALLOC_THRESHOLDS[0]]
 
 
+@pytest.mark.one_blas_thread
 class TestIndexLookupMatchesOneHots:
     """The embedding's lookup of the grid and time-of-day rows gives the bytes of the one-hot product it
     replaced: predictions, per-task losses and every gradient equal those of ``one_hot_reference``, which

@@ -608,6 +608,7 @@ def golden_day():
     return np.concatenate(chosen), np.array([d.predictions for d in src.decisions])
 
 
+@pytest.mark.one_blas_thread
 class TestGoldenDecisionTrace:
     """Pins the bytes of a fixed-seed day's decisions.  A change that moves
     them must say why in CHANGES.md and re-pin.  The pins were taken with

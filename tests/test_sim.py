@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import stream_from_rows
+from conftest import compute_window_metrics, stream_from_rows
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import default_profile, synth_demand
@@ -178,15 +178,49 @@ class TestLifecycleAndConservation:
         assert sim.fleet.status[0] == int(DriverStatus.IDLE)
         assert sim.fleet.order_id[0] == -1
         assert sim.fleet.y[0] == pytest.approx(sim.proj.to_xy(0.05, 0.05 + KM_LAT)[1], abs=1e-9)
-        assert 0 < sim.occupied_s <= sim.clock  # the one driver's occupied time
+        assert 0 < sim.occupied_ticks <= sim.tick_count  # the one driver's occupied ticks
 
     def test_conservation_every_tick(self):
+        # the counts against a recount from the match log and the stream: an
+        # unmatched injected order has expired once the tick's start clock is
+        # its patience past its creation
         rng = np.random.default_rng(1)
         stream = sorted_stream((float(rng.uniform(0, 1500)), *rng.uniform(0.01, 0.09, 2)) for _ in range(80))
         sim = Simulation(mkconfig(radius=1.0, drivers=6, accept=AcceptanceModel(), patience_s=200.0), stream)
+        expired_any = False
         for _ in range(180):
+            t0 = sim.clock
             sim.step()
+            matched = {m.order_id for m in sim.matches}
+            injected = np.flatnonzero(stream.t_create < sim.clock).tolist()
+            expired = [i for i in injected if i not in matched and t0 - stream.t_create[i] >= 200.0]
+            assert sim.injected == len(injected)
+            assert (sim.matched, sim.expired) == (len(matched), len(expired))
             assert sim.matched + sim.expired + len(sim.open) == sim.injected
+            expired_any |= bool(expired)
+        assert expired_any and sim.matched > 0
+
+    @pytest.mark.parametrize("window_s, times", [(0.3, [3 * 0.3, 0.95]), (0.2, [0.6, 0.65])])
+    def test_window_is_its_interval_on_the_tick_clock(self, window_s, times):
+        # a tick of 0.1 s is no binary fraction, so k * window_s, the clock at
+        # a window's first tick and that clock plus a tick can differ in the
+        # last bit; an order created between them belongs to one window, both
+        # in its created count and in its cohort.  Nothing matches until the
+        # last window, whose wide radius matches both orders.
+        grid = dataclasses.replace(BOX, side_count=1)
+        n_windows = 4
+        table = np.vstack([np.full((n_windows - 1, 1), 1e-6), [[100.0]]])
+        config = SimConfig(grid=grid, n_drivers=2, speed_kmh=20.0, radius_source=ScheduleRadius(table),
+                           acceptance=AcceptanceModel(beta0=50.0, sigma=0.0), tick_s=0.1, window_s=window_s)
+        stream = stream_from_rows(grid, [mkrow(t, 0.05, 0.05) for t in times])
+        sim = Simulation(config, stream)
+        for _ in range(n_windows * config.ticks_per_window):
+            sim.step()
+        assert [m.order_id for m in sim.matches] == [0, 1]
+        ends = [w.start_s for w in sim.windows[1:]] + [sim.clock]
+        for w, end in zip(sim.windows, ends):
+            m = compute_window_metrics(stream, [0, 1], sim.matches, w.start_s, end, occupied_s=0.0, online_s=0.0)
+            assert (w.ofr, w.apd_km, w.revenue) == (m.ofr, m.apd_km, m.revenue)
 
     def test_move_matches_per_driver_loop(self):
         # _move is array code; the per-driver loop it replaced is the reference,

@@ -1,4 +1,5 @@
 """Property tests: the simulator's stated invariants over random small scenarios."""
+import bisect
 import math
 from collections import Counter
 
@@ -12,7 +13,7 @@ from ridecast.market import DriverStatus, GridSpec, OrderStream
 from ridecast.optimizer import COL_GRID, FeatureLayout, dataset_from_windows
 from ridecast.sim import EpisodeResult, FixedRadius, RandomRadius, SimConfig, Simulation, run
 
-WINDOW_S = 300.0
+TICKS_PER_WINDOW = 30
 BOX_DEG = 0.03  # a ~3 km square, so drivers finish trips and win again within an episode
 
 
@@ -20,6 +21,8 @@ BOX_DEG = 0.03  # a ~3 km square, so drivers finish trips and win again within a
 def scenarios(draw):
     side = draw(st.integers(1, 4))
     radii = draw(st.lists(st.sampled_from([0.3, 0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=3, unique=True))
+    # 0.1 s is no binary fraction, so k * window_s and the tick clock can differ in the last bit
+    tick = draw(st.sampled_from([10.0, 0.1]))
     return dict(
         grid=GridSpec(lon_min=0.0, lat_min=0.0, lon_max=BOX_DEG, lat_max=BOX_DEG, side_count=side),
         n_drivers=draw(st.integers(1, 20)),
@@ -28,17 +31,23 @@ def scenarios(draw):
         radii=sorted(radii),
         fixed=draw(st.booleans()),
         acceptance=AcceptanceModel(beta0=draw(st.floats(-2.0, 4.0)), sigma=draw(st.sampled_from([0.0, 1.0]))),
-        patience_s=10.0 * draw(st.integers(1, 40)),
+        tick_s=tick,
+        window_s=TICKS_PER_WINDOW * tick,
+        patience_s=tick * draw(st.integers(1, 40)),
         idle_walk_kmh=draw(st.sampled_from([0.0, 5.0])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
 def build_stream(sc):
-    """Orders over the whole horizon plus a little beyond it, ids in creation order."""
+    """Orders over the whole horizon plus a little beyond it, ids in creation order; about a
+    fifth are created exactly at some k * window_s."""
     rng = np.random.default_rng(sc["seed"])
-    horizon = sc["windows"] * WINDOW_S
-    t = np.sort(rng.uniform(0.0, 1.1 * horizon, sc["n_orders"]))
+    horizon = sc["windows"] * sc["window_s"]
+    t = rng.uniform(0.0, 1.1 * horizon, sc["n_orders"])
+    on_edge = rng.random(sc["n_orders"]) < 0.2
+    t[on_edge] = rng.integers(0, sc["windows"] + 1, np.count_nonzero(on_edge)) * sc["window_s"]
+    t.sort()
     pts = rng.uniform(0.0, BOX_DEG, size=(sc["n_orders"], 4))
     fares = rng.uniform(0.0, 30.0, sc["n_orders"])
     return OrderStream(sc["grid"], t, pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], fares)
@@ -48,8 +57,8 @@ def build_config(sc):
     n_cells = sc["grid"].n_cells
     source = FixedRadius(sc["radii"][0], n_cells) if sc["fixed"] else RandomRadius(sc["radii"], n_cells, sc["seed"])
     return SimConfig(grid=sc["grid"], n_drivers=sc["n_drivers"], speed_kmh=25.0, radius_source=source,
-                     acceptance=sc["acceptance"], window_s=WINDOW_S, patience_s=sc["patience_s"],
-                     seed=sc["seed"], idle_walk_kmh=sc["idle_walk_kmh"])
+                     acceptance=sc["acceptance"], tick_s=sc["tick_s"], window_s=sc["window_s"],
+                     patience_s=sc["patience_s"], seed=sc["seed"], idle_walk_kmh=sc["idle_walk_kmh"])
 
 
 # One cell, one radius covering the box and twenty drivers: one match a tick
@@ -59,7 +68,8 @@ def build_config(sc):
 # reach, and the broadcast recounts its live rows.
 DENSE = dict(grid=GridSpec(lon_min=0.0, lat_min=0.0, lon_max=BOX_DEG, lat_max=BOX_DEG, side_count=1),
              n_drivers=20, n_orders=100, windows=2, radii=[4.0], fixed=True,
-             acceptance=AcceptanceModel(beta0=4.0, sigma=0.0), patience_s=400.0, idle_walk_kmh=0.0, seed=4)
+             acceptance=AcceptanceModel(beta0=4.0, sigma=0.0), tick_s=10.0, window_s=300.0, patience_s=400.0,
+             idle_walk_kmh=0.0, seed=4)
 
 
 # derandomized so that the tier-1 suite gives the same verdict on every run
@@ -67,19 +77,19 @@ DENSE = dict(grid=GridSpec(lon_min=0.0, lat_min=0.0, lon_max=BOX_DEG, lat_max=BO
 @given(scenarios())
 @example(DENSE)
 def test_episode_invariants(sc):
-    horizon = sc["windows"] * WINDOW_S
+    horizon = sc["windows"] * sc["window_s"]
     stream = build_stream(sc)
     sim = Simulation(build_config(sc), stream)
     for _ in range(int(round(horizon / sim.config.tick_s))):
         sim.step()
         # a driver holds an order exactly when it is not idle, the order it
         # holds was matched to it (it heads for that order's origin or
-        # destination), and the fleet's occupied time lies within its online time
+        # destination), and the fleet's occupied driver-ticks lie within its online ones
         fleet = sim.fleet
         busy = np.flatnonzero(fleet.status != int(DriverStatus.IDLE))
         assert np.array_equal(fleet.order_id >= 0, fleet.status != int(DriverStatus.IDLE))
         assert np.array_equal(sim._driver[fleet.order_id[busy]], busy)
-        assert 0.0 <= sim.occupied_s <= sim.config.n_drivers * sim.clock
+        assert 0 <= sim.occupied_ticks <= sim.config.n_drivers * sim.tick_count
     res = EpisodeResult(windows=sim.windows, summary=sim.summary(), matches=sim.matches)
     s = res.summary
 
@@ -91,10 +101,16 @@ def test_episode_invariants(sc):
     # every match's fare is in exactly one window row's revenue
     assert math.isclose(sum(w.revenue for w in res.windows), s.revenue, rel_tol=1e-12)
 
+    # a window is [start_s, next start_s) on the tick clock, and the last one ends at the final clock
+    n_cells = sc["grid"].n_cells
+    starts = [w.start_s for w in res.windows[::n_cells]]
+    ends = starts[1:] + [sim.clock]
+
     # pickup within the radius the order's grid had in that window
     radius = {(w.grid, w.window): w.radius_km for w in res.windows}
     for m in res.matches:
-        assert m.radius_km == radius[(m.grid, int(m.t_match // WINDOW_S))]
+        window = bisect.bisect_right(starts, m.t_match) - 1
+        assert m.radius_km == radius[(m.grid, window)]
         assert 0.0 <= m.pickup_km <= m.radius_km
 
     # at most one win per driver per tick, and no order matched twice
@@ -111,14 +127,13 @@ def test_episode_invariants(sc):
     # the unmatched injected orders are exactly the expired ones, those past
     # their patience at the last tick, plus the open ones
     unmatched = set(range(s.created)) - {m.order_id for m in res.matches}
-    last_tick = sim.clock - sim.config.tick_s
+    last_tick = (sim.tick_count - 1) * sim.config.tick_s
     expired = {i for i in unmatched if last_tick - stream.t_create[i] >= sc["patience_s"]}
     open_ids = set(sim.open.tolist())
     assert len(expired) == s.expired and not expired & open_ids and unmatched == expired | open_ids
 
     # the window log is whole windows: grid 0..G-1 in every window, numbered
     # 0, 1, 2, ..., which is what training reads
-    n_cells = sc["grid"].n_cells
     assert [(w.window, w.grid) for w in res.windows] == [(i, g) for i in range(sc["windows"]) for g in range(n_cells)]
     layout = FeatureLayout(seq_len=3, side_count=sc["grid"].side_count)
     data = dataset_from_windows(res.windows, layout)
@@ -138,7 +153,7 @@ def test_episode_invariants(sc):
     for w in res.windows:
         m = compute_window_metrics(stream, np.flatnonzero(stream.cell == w.grid).tolist(),
                                    [x for x in res.matches if x.grid == w.grid],
-                                   w.start_s, w.start_s + WINDOW_S, occupied_s=0.0, online_s=0.0)
+                                   w.start_s, ends[w.window], occupied_s=0.0, online_s=0.0)
         assert (w.ofr, w.apd_km, w.revenue) == (m.ofr, m.apd_km, m.revenue)
 
     # the ticks stepped here are run's, deterministic per seed, and the same

@@ -358,6 +358,7 @@ def golden_run():
                  TrainConfig(batch_size=64, epochs=2, seed=31))
 
 
+@pytest.mark.one_blas_thread
 class TestGoldenTrainingTrace:
     """Pins the bytes of a fixed-seed training run's loss curves and task
     weights.  A change that moves them must say why in CHANGES.md and re-pin.
