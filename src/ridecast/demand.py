@@ -1,7 +1,8 @@
 """Demand: synthetic Poisson order generation and feature normalization
 statistics.
 
-A feature row holds ``N_INPUT_COLUMNS`` columns: the ``N_BASE_FEATURES``
+A feature row holds ``N_INPUT_COLUMNS`` columns, one per ``FEATURE_FIELDS``
+entry, the ``MarketWindow`` field it is read from: the ``N_BASE_FEATURES``
 measured ones (counts, realized metrics and radius), then the grid index
 (``COL_GRID``) and the ``TimeOfDay`` code (``COL_TOD``) as exact whole
 numbers, -1 in both on padding rows.  Feature statistics cover only the
@@ -18,10 +19,12 @@ import numpy as np
 
 from .market import GridSpec, LocalProjection, OrderStream, TimeOfDay
 
-# the feature row: the measured columns, then the two index columns
-COL_IDLE, COL_OPEN, COL_TOTAL, COL_OFR, COL_APD, COL_DUR, COL_REV, COL_RADIUS, COL_GRID, COL_TOD = range(10)
+# the feature row's MarketWindow fields in column order: the measured columns, then the two index columns
+FEATURE_FIELDS = ("n_idle", "n_open", "n_total", "ofr", "apd_km", "dur", "revenue", "radius_km", "grid", "tod")
+N_INPUT_COLUMNS = len(FEATURE_FIELDS)
+(COL_IDLE, COL_OPEN, COL_TOTAL, COL_OFR, COL_APD, COL_DUR, COL_REV, COL_RADIUS,
+ COL_GRID, COL_TOD) = range(N_INPUT_COLUMNS)
 N_BASE_FEATURES = COL_GRID  # measured feature columns, the only ones feature NormStats cover
-N_INPUT_COLUMNS = COL_TOD + 1
 N_TOD = len(TimeOfDay)  # time-of-day codes
 FARE_BASE = 2.5         # flag-fall of every fare, in currency units
 FARE_PER_KM = 1.0       # fare per km of straight-line trip distance
@@ -172,6 +175,11 @@ class NormStats:
             raise ValueError("stats shapes must match")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std)) and np.all(std > 0)):
             raise ValueError("mean must be finite and std finite and positive")
+
+    def check_width(self, name: str, width: int) -> None:
+        """Raise ``ValueError`` unless these stats cover ``width`` columns; ``name`` says which stats they are."""
+        if self.mean.shape != (width,):
+            raise ValueError(f"{name} stats have shape {self.mean.shape}, expected ({width},)")
 
     def as_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}

@@ -316,12 +316,10 @@ def load_checkpoint(path: str | Path, expect: Optional[dict] = None) -> Checkpoi
         arrays = {k: np.array(v, dtype=np.float64) for k, v in payload["params"].items()}
         feature_stats = NormStats.from_dict(payload["feature_stats"])
         label_stats = NormStats.from_dict(payload["label_stats"])
+        feature_stats.check_width("feature", N_BASE_FEATURES)
+        label_stats.check_width("label", config.n_tasks)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint {path}: {e!r}") from e
-    widths = (("feature", feature_stats, N_BASE_FEATURES), ("label", label_stats, config.n_tasks))
-    for name, stats, width in widths:
-        if stats.mean.shape != (width,):
-            raise CheckpointError(f"{name} stats have shape {stats.mean.shape}, model needs ({width},)")
     have = asdict(config)
     for key, want in (expect or {}).items():
         if key not in have:

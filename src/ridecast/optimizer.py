@@ -6,8 +6,9 @@ that turns simulator window logs into supervised training examples.
 Both read a window log as whole windows: G rows per window, grid 0..G-1 in
 order, with rising window numbers.  ``_window_block`` checks that and returns
 the log as one (W, G, 11) block of window rows.  A row's first
-``N_INPUT_COLUMNS`` columns are the feature row (the eight measured columns,
-grid index, time-of-day code), and ``COL_WINDOW`` holds the window number.
+``N_INPUT_COLUMNS`` columns are the feature row, the ``FEATURE_FIELDS`` of
+its ``MarketWindow`` (the eight measured columns, grid index, time-of-day
+code), and ``COL_WINDOW`` holds the window number.
 ``_windows`` cuts the block into sequences of T rows down one grid's column,
 with T zero windows of grid -1 in front.  A training example's sequence ends
 at its own window, and a decision's at the snapshot's row appended to the
@@ -27,6 +28,7 @@ would mean nothing.  Labels and candidate radii stay float64.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -35,8 +37,8 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from .demand import (COL_GRID, COL_OFR, COL_RADIUS, COL_TOD, COL_TOTAL, N_BASE_FEATURES, N_INPUT_COLUMNS, N_TOD,
-                     NormStats, apply_norm, invert_norm)
+from .demand import (COL_GRID, COL_OFR, COL_RADIUS, COL_TOD, COL_TOTAL, FEATURE_FIELDS, N_BASE_FEATURES,
+                     N_INPUT_COLUMNS, N_TOD, NormStats, apply_norm, invert_norm)
 from .market import MarketWindow, OrderStream, check_count
 from .nn.model import PARAM_DTYPE
 from .sim import EpisodeResult, SimConfig, WindowSnapshot, run
@@ -89,8 +91,7 @@ class FeatureLayout:
         return N_BASE_FEATURES + self.n_cells + N_TOD
 
 
-_WINDOW_FIELDS = attrgetter("n_idle", "n_open", "n_total", "ofr", "apd_km", "dur", "revenue", "radius_km",
-                            "grid", "tod", "window")
+_WINDOW_FIELDS = attrgetter(*FEATURE_FIELDS, "window")
 COL_WINDOW = N_INPUT_COLUMNS  # the window table's one column past the feature row
 
 
@@ -211,8 +212,7 @@ def normalize_features(features: np.ndarray, stats: NormStats) -> np.ndarray:
     The ``N_BASE_FEATURES`` measured columns of the real rows are z-scored in float64 and then cast; padding
     rows, those whose grid index is negative, get +0.0 there.  The index columns are only cast, so they keep
     their whole numbers and the padding rows' -1.  One float64 temporary covers the measured columns."""
-    if stats.mean.shape != (N_BASE_FEATURES,):
-        raise ValueError(f"feature stats have shape {stats.mean.shape}, expected ({N_BASE_FEATURES},)")
+    stats.check_width("feature", N_BASE_FEATURES)
     out = features.astype(PARAM_DTYPE)
     z = features[:, :, :N_BASE_FEATURES] - stats.mean
     z /= stats.std
@@ -233,10 +233,8 @@ class PredictorRadiusSource:
         feature_stats: NormStats,
         label_stats: NormStats,
     ):
-        widths = (("feature", feature_stats, N_BASE_FEATURES), ("label", label_stats, len(METRIC_NAMES)))
-        for name, stats, width in widths:
-            if stats.mean.shape != (width,):
-                raise ValueError(f"{name} stats have shape {stats.mean.shape}, expected ({width},)")
+        feature_stats.check_width("feature", N_BASE_FEATURES)
+        label_stats.check_width("label", len(METRIC_NAMES))
         self.predictor = predictor
         self.candidates = candidates
         self.layout = layout
@@ -256,7 +254,7 @@ class PredictorRadiusSource:
             raise ValueError(f"snapshot counts have shape {shape}, expected ({n_grids},)")
         tail = _window_block(history[-(t - 1) * n_grids:], n_grids)
         now = np.zeros((1, n_grids, COL_WINDOW + 1))  # the snapshot's row: counts, grid and time of day
-        now[0, :, :COL_TOTAL + 1] = np.stack([snapshot.n_idle, snapshot.n_open, snapshot.n_total], axis=1)
+        now[0, :, :COL_TOTAL + 1] = np.stack(attrgetter(*FEATURE_FIELDS[:COL_TOTAL + 1])(snapshot), axis=1)
         now[0, :, COL_GRID], now[0, :, COL_TOD] = np.arange(n_grids), snapshot.tod
         base = _sequences(_windows(np.concatenate([tail, now]), t)[-1])
         stats = self.feature_stats
@@ -269,6 +267,9 @@ class PredictorRadiusSource:
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
         n_grids, k, radii = self.layout.n_cells, len(self.candidates), self.candidates.as_array()
         preds = self.predictor.predict_for(self._batch(snapshot, history), np.tile(radii, n_grids))
+        want = (n_grids * k, len(METRIC_NAMES))
+        if np.shape(preds) != want:  # a (G*K, 1) column would broadcast against the four label stats
+            raise ValueError(f"predictions have shape {np.shape(preds)}, expected {want}")
         scores = composite_score(preds, self.label_stats)
         preds, scores = preds.reshape(n_grids, k, -1), scores.reshape(n_grids, k)
         bad = ~(np.isfinite(preds).all(axis=2) & np.isfinite(scores)).all(axis=1)
@@ -401,16 +402,10 @@ def collect_training_data(
         result = run(config, stream, horizon_s)
         results.append(result)
         parts.append(dataset_from_windows(result.windows, layout, episode=i))
-    return _concat_datasets(parts), results
+    return concat_datasets(parts), results
 
 
-def _concat_datasets(parts: list[TrainingData]) -> TrainingData:
-    return TrainingData(
-        features=np.concatenate([p.features for p in parts]),
-        labels=np.concatenate([p.labels for p in parts]),
-        pad_rows=np.concatenate([p.pad_rows for p in parts]),
-        grids=np.concatenate([p.grids for p in parts]),
-        windows=np.concatenate([p.windows for p in parts]),
-        episodes=np.concatenate([p.episodes for p in parts]),
-        layout=parts[0].layout,
-    )
+def concat_datasets(parts: Sequence[TrainingData]) -> TrainingData:
+    """The examples of ``parts`` in order: each array field concatenated, under the first part's layout."""
+    arrays = (f.name for f in dataclasses.fields(TrainingData) if f.name != "layout")
+    return TrainingData(**{k: np.concatenate([getattr(p, k) for p in parts]) for k in arrays}, layout=parts[0].layout)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 from operator import attrgetter
 
@@ -35,6 +36,7 @@ from ridecast.optimizer import (
     TrainingData,
     collect_training_data,
     composite_score,
+    concat_datasets,
     dataset_from_windows,
     normalize_features,
 )
@@ -403,6 +405,19 @@ class TestPredictorRadiusSource:
             PredictorRadiusSource(PinnedRadiusPredictor(1.0), CandidateSet((1.0, 2.0)), LAYOUT,
                                   identity_stats(feature_width), identity_stats(label_width))
 
+    # one metric column per row would broadcast against the four label stats and still pick radii
+    @pytest.mark.parametrize("shape", [lambda n: (n, 1), lambda n: (n,), lambda n: (4, n)],
+                             ids=["one_column", "flat", "transposed"])
+    def test_rejects_predictions_of_the_wrong_shape(self, shape):
+        class ShapedPredictor:
+            def predict_for(self, features, candidates):
+                return np.zeros(shape(len(features)))
+
+        src = PredictorRadiusSource(ShapedPredictor(), CandidateSet((1.0, 2.0)), LAYOUT, FEATURE_IDENT, IDENT)
+        with pytest.raises(ValueError, match=re.escape(f"predictions have shape {shape(32)}, expected (32, 4)")):
+            src.radii(mksnapshot(n_cells=LAYOUT.n_cells), [])
+        assert len(src.decisions) == 0
+
     @pytest.mark.parametrize("with_stats", [False, True])
     @pytest.mark.parametrize("shape", sorted(HISTORIES))
     def test_batched_matches_per_grid_reference(self, shape, with_stats):
@@ -715,6 +730,18 @@ def small_stream(seed):
 
 
 class TestCollect:
+    def test_concat_datasets_joins_every_example_in_order(self):
+        parts = [dataset_from_windows(whole(range(3), rev=1.0), LAYOUT, episode=0),
+                 dataset_from_windows(whole(range(2), rev=2.0), LAYOUT, episode=4)]
+        data = concat_datasets(parts)
+        assert data.layout == LAYOUT and len(data) == 16 * 5
+        np.testing.assert_array_equal(data.episodes, [0] * 48 + [4] * 32)
+        np.testing.assert_array_equal(data.labels[:, 3], [1.0] * 48 + [2.0] * 32)
+        np.testing.assert_array_equal(data.windows, np.r_[np.tile(range(3), 16), np.tile(range(2), 16)])
+        np.testing.assert_array_equal(data.grids, np.r_[np.repeat(range(16), 3), np.repeat(range(16), 2)])
+        np.testing.assert_array_equal(data.pad_rows, np.r_[np.tile([3, 2, 1], 16), np.tile([3, 2], 16)])
+        np.testing.assert_array_equal(data.features, np.concatenate([parts[0].features, parts[1].features]))
+
     def test_row_count_and_label_identity(self):
         data, results = collect_training_data(
             make_config=lambda i, s, rs: small_scenario_config(rs, s, [1.0, 2.0]),
