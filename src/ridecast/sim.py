@@ -65,10 +65,11 @@ class RadiusSource(Protocol):
 
 
 class ScheduleRadius:
-    """Per-window, per-grid radius table; windows beyond the table reuse the last row."""
+    """Per-window, per-grid radius table, kept as a read-only copy; windows beyond the table reuse the last row."""
 
     def __init__(self, table: np.ndarray):
-        table = np.asarray(table, dtype=float)
+        table = np.array(table, dtype=float)
+        table.flags.writeable = False  # so that the check below holds for the source's life
         if table.ndim != 2 or table.size == 0 or not np.all(np.isfinite(table) & (table > 0)):
             raise ValueError("schedule must be a nonempty (n_windows, n_cells) table of finite radii > 0")
         self._table = table

@@ -448,6 +448,17 @@ class TestRadiusSources:
             with pytest.raises(ValueError):
                 Simulation(dataclasses.replace(mkconfig(), radius_source=ConstantRadius(bad)), EMPTY)
 
+    def test_schedule_table_is_a_read_only_copy(self):
+        # the check made at construction holds for the source's life
+        table = np.vstack([np.full(16, 1.0), np.full(16, 3.0)])
+        source = ScheduleRadius(table)
+        table[0, 0], table[1] = 9.0, np.nan
+        snap = Simulation(mkconfig(), EMPTY).snapshot
+        np.testing.assert_array_equal(source.radii(snap, []), np.full(16, 1.0))
+        np.testing.assert_array_equal(source.radii(dataclasses.replace(snap, window=1), []), np.full(16, 3.0))
+        with pytest.raises(ValueError, match="read-only"):
+            source.radii(snap, [])[0] = 0.5
+
     def test_schedule_rows_apply_per_window(self):
         table = np.vstack([np.full(16, 1.0), np.full(16, 3.0)])
         sim = Simulation(dataclasses.replace(mkconfig(), radius_source=ScheduleRadius(table)), EMPTY)
