@@ -1,14 +1,13 @@
 """Demand: synthetic Poisson order generation and feature normalization
 statistics.
 
-A feature row holds ``N_INPUT_COLUMNS`` columns, one per ``FEATURE_FIELDS``
-entry, the ``MarketWindow`` field it is read from: the ``N_BASE_FEATURES``
-measured ones (counts, realized metrics and radius), then the grid index
-(``COL_GRID``) and the ``TimeOfDay`` code (``COL_TOD``) as exact whole
-numbers, -1 in both on padding rows.  Feature statistics cover only the
-measured columns.  The forecaster's embedding turns each index into a learned
-row of its first layer, which is what a linear layer over a one-hot computes,
-so the indices are never z-scored.
+A feature row holds one column per ``FEATURE_FIELDS`` entry, the
+``MarketWindow`` field it is read from: the ``N_BASE_FEATURES`` measured ones
+(counts, realized metrics and radius), then the grid index and the
+``TimeOfDay`` code as exact whole numbers, -1 in both on padding rows.
+Feature statistics cover only the measured columns.  The forecaster's
+embedding turns each index into a learned row of its first layer, which is
+what a linear layer over a one-hot computes, so the indices are never z-scored.
 """
 from __future__ import annotations
 
@@ -177,7 +176,7 @@ class NormStats:
             raise ValueError("mean must be finite and std finite and positive")
 
     def check_width(self, name: str, width: int) -> None:
-        """Raise ``ValueError`` unless these stats cover ``width`` columns; ``name`` says which stats they are."""
+        """Raise ``ValueError``, naming these as ``name`` stats, unless they cover ``width`` columns."""
         if self.mean.shape != (width,):
             raise ValueError(f"{name} stats have shape {self.mean.shape}, expected ({width},)")
 

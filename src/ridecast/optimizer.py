@@ -6,9 +6,8 @@ that turns simulator window logs into supervised training examples.
 Both read a window log as whole windows: G rows per window, grid 0..G-1 in
 order, with rising window numbers.  ``_window_block`` checks that and returns
 the log as one (W, G, 11) block of window rows.  A row's first
-``N_INPUT_COLUMNS`` columns are the feature row, the ``FEATURE_FIELDS`` of
-its ``MarketWindow`` (the eight measured columns, grid index, time-of-day
-code), and ``COL_WINDOW`` holds the window number.
+``N_INPUT_COLUMNS`` columns are its ``MarketWindow``'s ``FEATURE_FIELDS``, the
+feature row, and ``COL_WINDOW`` holds the window number.
 ``_windows`` cuts the block into sequences of T rows down one grid's column,
 with T zero windows of grid -1 in front.  A training example's sequence ends
 at its own window, and a decision's at the snapshot's row appended to the
