@@ -406,5 +406,5 @@ def collect_training_data(
 
 def concat_datasets(parts: Sequence[TrainingData]) -> TrainingData:
     """The examples of ``parts`` in order: each array field concatenated, under the first part's layout."""
-    arrays = (f.name for f in dataclasses.fields(TrainingData) if f.name != "layout")
-    return TrainingData(**{k: np.concatenate([getattr(p, k) for p in parts]) for k in arrays}, layout=parts[0].layout)
+    names = (f.name for f in dataclasses.fields(TrainingData) if f.name != "layout")
+    return TrainingData(**{k: np.concatenate([getattr(p, k) for p in parts]) for k in names}, layout=parts[0].layout)
