@@ -57,7 +57,7 @@ class WindowSnapshot:
 
 
 class RadiusSource(Protocol):
-    """Supplies per-grid radii (km) for the window about to begin."""
+    """Supplies per-grid radii (km) for the window about to begin, and keeps no state that moves them between runs."""
 
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
         """``history`` is the run's window log so far, whole windows oldest first: one row per grid,
@@ -85,19 +85,18 @@ def FixedRadius(radius_km: float, n_cells: int) -> ScheduleRadius:
 
 
 class RandomRadius:
-    """Uniform draw from a candidate set, per grid per window (exploration)."""
+    """Uniform draw from a candidate set, per grid per window (exploration): window w draws from its own generator,
+    seeded with (seed, w), so every run of one config draws the same radii, and a bad seed fails at construction."""
 
     def __init__(self, candidates: Sequence[float], n_cells: int, seed: int):
         c = np.array(candidates, dtype=float)
         if c.ndim != 1 or not len(c) or not np.all(np.isfinite(c) & (c > 0)):
             raise ValueError("candidates must be a non-empty 1-D list of finite radii > 0")
         check_count("n_cells", n_cells)
-        self._candidates = c
-        self._n_cells = n_cells
-        self._rng = np.random.default_rng(seed)
+        self._candidates, self._n_cells, self._seed = c, n_cells, np.random.SeedSequence(seed).entropy
 
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
-        return self._rng.choice(self._candidates, size=self._n_cells)
+        return np.random.default_rng([self._seed, snapshot.window]).choice(self._candidates, size=self._n_cells)
 
 
 @dataclass(frozen=True)

@@ -303,18 +303,36 @@ class TestDeterminism:
     def test_golden_trace(self):
         # pinned match and window log of one fixed-seed episode; a refactor
         # that is meant to keep behaviour must keep this digest
-        def config():  # RandomRadius draws from its own generator, so each run needs a fresh one
-            return dataclasses.replace(
-                mkconfig(drivers=30, accept=AcceptanceModel(), seed=21, idle_walk_kmh=5.0),
-                radius_source=RandomRadius([0.5, 1.0, 2.0], BOX.n_cells, seed=4),
-            )
-
+        config = dataclasses.replace(mkconfig(drivers=30, accept=AcceptanceModel(), seed=21, idle_walk_kmh=5.0),
+                                     radius_source=RandomRadius([0.5, 1.0, 2.0], BOX.n_cells, seed=4))
         stream = random_stream(9, 150, 1750.0)
-        res = run(config(), stream, horizon_s=1800.0)
+        res = run(config, stream, horizon_s=1800.0)
         assert 0 < res.summary.matched < res.summary.created
-        assert trace_digest(res) == "f1430f4f44211be439eb43c77a4ceab69d7c8c27c5d9d825c1fcd89489871904"
-        # the stream is not consumed: a second run over the same objects replays the episode
-        assert run(config(), stream, horizon_s=1800.0) == res
+        assert trace_digest(res) == "8e41d2adc5ed3cb90f576f9dfd9e324bc10409fdf37bc87d9f1f63f2a3819896"
+        # neither the stream nor the config is consumed: a second run over the same objects replays the episode
+        assert run(config, stream, horizon_s=1800.0) == res
+
+    def _exploring_config(self):
+        return dataclasses.replace(mkconfig(drivers=8, accept=AcceptanceModel(), seed=11),
+                                   radius_source=RandomRadius([0.5, 1.0, 2.0], BOX.n_cells, seed=4))
+
+    def test_one_config_replays_its_episode(self):
+        config, stream = self._exploring_config(), self._stream()
+        first = run(config, stream, 1500.0)
+        assert 0 < first.summary.matched < first.summary.created
+        for _ in range(2):
+            assert run(config, stream, 1500.0) == first
+
+    def test_interleaved_runs_of_one_config_agree(self):
+        # two simulations of one config stepped in turn share its radius source
+        config, stream = self._exploring_config(), self._stream()
+        a, b = Simulation(config, stream), Simulation(config, stream)
+        for _ in range(150):
+            a.step()
+            b.step()
+            np.testing.assert_array_equal(a.radii, b.radii)
+        assert a.windows == b.windows and a.matches == b.matches
+        assert len({w.radius_km for w in a.windows}) == 3  # every candidate was drawn
 
     def test_golden_trace_from_synth_demand(self):
         # pinned match and window log of a fixed-seed episode over synthetic
@@ -327,7 +345,7 @@ class TestDeterminism:
         )
         res = run(config, stream, horizon_s=1800.0)
         assert 0 < res.summary.matched < res.summary.created == 152
-        assert trace_digest(res) == "d423875e50d79c3bdb43bc4fc73e94e0e70fa3da45f37e30795e0ca74cedd01d"
+        assert trace_digest(res) == "9911b2c952555b1ff8e585c773d9aa4ae54b4147410eb93ebabacb06776ea35b"
 
     def test_golden_trace_at_production_scale(self):
         # the exploration scenario at full size: a 10x10 grid, 1,000 drivers
@@ -340,8 +358,8 @@ class TestDeterminism:
                            radius_source=RandomRadius([0.5, 1.0, 1.5, 2.0, 3.0], grid.n_cells, seed=3),
                            day_start_s=8 * 3600.0, seed=2)
         res = run(config, stream, horizon_s=3600.0)
-        assert (res.summary.created, res.summary.matched) == (15612, 4958)
-        assert trace_digest(res) == "b02853ea0191f7ad49c04b4f458877462482b4d3a90751e9a0a4fe5733a009b1"
+        assert (res.summary.created, res.summary.matched) == (15612, 4953)
+        assert trace_digest(res) == "115564f08d33f0d41fd2c2ae6552bf640d2b5bfb07ebd0aa38bd02de0df98189"
 
     def test_unsorted_stream_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -487,6 +505,13 @@ class TestRadiusSources:
     def test_random_source_rejects_bad_candidates(self, candidates):
         with pytest.raises(ValueError, match="finite radii > 0"):
             RandomRadius(candidates, 16, seed=0)
+
+    def test_random_source_checks_its_seed_when_built(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            RandomRadius([1.0, 2.0], 16, seed=-1)
+        # no seed draws fresh entropy once, so the source still replays
+        src, snap = RandomRadius([1.0, 2.0, 3.0], 16, seed=None), Simulation(mkconfig(), EMPTY).snapshot
+        np.testing.assert_array_equal(src.radii(snap, []), src.radii(snap, []))
 
     @pytest.mark.parametrize("n_cells", [2.5, 16.0, 0, -1])
     def test_random_source_rejects_a_cell_count_that_is_not_a_whole_number_above_zero(self, n_cells):
