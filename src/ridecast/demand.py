@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import GridSpec, LocalProjection, OrderStream, TimeOfDay
+from .market import KM_PER_DEG_LAT, GridSpec, OrderStream, TimeOfDay
 
 # the feature row's MarketWindow fields in column order: the measured columns, then the two index columns
 FEATURE_FIELDS = ("n_idle", "n_open", "n_total", "ofr", "apd_km", "dur", "revenue", "radius_km", "grid", "tod")
@@ -145,9 +145,8 @@ def synth_demand(
     dlon = grid.lon_min + (u[:, 3] % side + u[:, 4]) * cw
     dlat = grid.lat_min + (u[:, 3] // side + u[:, 5]) * ch
     # math.hypot, not np.hypot: the two differ in the last bit on some pairs
-    proj = LocalProjection(grid)
-    trip_km = np.fromiter(map(math.hypot, ((dlon - olon) * proj.km_per_deg_lon).tolist(),
-                              ((dlat - olat) * proj.km_per_deg_lat).tolist()), float, len(u))
+    trip_km = np.fromiter(map(math.hypot, ((dlon - olon) * grid.km_per_deg_lon).tolist(),
+                              ((dlat - olat) * KM_PER_DEG_LAT).tolist()), float, len(u))
     fare = FARE_BASE + FARE_PER_KM * trip_km
     order = np.lexsort((cell, u[:, 0]))
     return OrderStream(grid, *(c[order] for c in (u[:, 0], olon, olat, dlon, dlat, fare)))

@@ -1,8 +1,10 @@
-"""Core market domain types: grids, time-of-day codes, driver status codes,
-the order stream, match records, the per-grid window row and their checks.
+"""Core market domain types: grids, candidate radii, time-of-day codes,
+driver status codes, the order stream, match records, the per-grid window row
+and their checks.
 
-``GridSpec`` is a frozen value type and ``OrderStream`` a read-only table.
-``LocalProjection.cells`` alone places a km point (order or driver) in a cell.
+``GridSpec`` and ``CandidateSet`` are frozen value types and ``OrderStream`` a
+read-only table.  ``GridSpec`` also projects lon/lat to km (``to_xy``), and
+``GridSpec.cells`` alone places a km point (order or driver) in a cell.
 The two log rows, ``MatchRecord`` and ``MarketWindow``, are slotted records.
 They are not frozen: a frozen dataclass's ``__init__`` sets every field
 through ``object.__setattr__`` into a per-instance dict, which made a day's
@@ -19,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -57,7 +60,10 @@ def time_of_day(clock_s: float) -> TimeOfDay:
 class GridSpec:
     """Axis-aligned lon/lat service rectangle split into ``side_count`` x
     ``side_count`` half-open cells, indexed row-major from the south-west
-    corner (row = latitude band, column = longitude band)."""
+    corner (row = latitude band, column = longitude band).  ``to_xy`` projects
+    lon/lat to km east and north of that corner, equirectangular at the box's
+    middle latitude; the map is affine, so ``cells`` bins km points as the
+    lon/lat cells would."""
 
     lon_min: float
     lat_min: float
@@ -90,33 +96,49 @@ class GridSpec:
             self.lat_min + (row + 0.5) * self.cell_height,
         )
 
+    @cached_property
+    def km_per_deg_lon(self) -> float:
+        return KM_PER_DEG_LON_EQ * math.cos(math.radians(0.5 * (self.lat_min + self.lat_max)))
 
-class LocalProjection:
-    """Equirectangular lon/lat -> km projection anchored at a grid's box.
+    @property
+    def x_max(self) -> float:
+        return (self.lon_max - self.lon_min) * self.km_per_deg_lon
 
-    The projection is affine, so grid cells stay uniform rectangles in km
-    space, and ``cells`` bins km points as the lon/lat cells would.
-    """
+    @property
+    def y_max(self) -> float:
+        return (self.lat_max - self.lat_min) * KM_PER_DEG_LAT
 
-    def __init__(self, spec: GridSpec):
-        self.spec = spec
-        lat_ref = 0.5 * (spec.lat_min + spec.lat_max)
-        self.km_per_deg_lon = KM_PER_DEG_LON_EQ * math.cos(math.radians(lat_ref))
-        self.km_per_deg_lat = KM_PER_DEG_LAT
-        self.x_max = (spec.lon_max - spec.lon_min) * self.km_per_deg_lon
-        self.y_max = (spec.lat_max - spec.lat_min) * self.km_per_deg_lat
-
-    def to_xy(self, lon, lat):
-        x = (np.asarray(lon) - self.spec.lon_min) * self.km_per_deg_lon
-        y = (np.asarray(lat) - self.spec.lat_min) * self.km_per_deg_lat
-        return x, y
+    def to_xy(self, lon, lat) -> tuple[np.ndarray, np.ndarray]:
+        x = (np.asarray(lon) - self.lon_min) * self.km_per_deg_lon
+        return x, (np.asarray(lat) - self.lat_min) * KM_PER_DEG_LAT
 
     def cells(self, x, y) -> np.ndarray:
         """Row-major cell index of each km point; a point past an edge counts in the edge cell."""
-        n = self.spec.side_count
+        n = self.side_count
         col = np.clip((x / (self.x_max / n)).astype(int), 0, n - 1)
         row = np.clip((y / (self.y_max / n)).astype(int), 0, n - 1)
         return row * n + col
+
+
+@dataclass(frozen=True)
+class CandidateSet:
+    """Strictly increasing, finite, positive candidate radii (km), from any 1-D sequence or array."""
+
+    radii: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        r = np.asarray(self.radii, dtype=float)
+        if r.ndim != 1 or not len(r) or not np.all(np.isfinite(r) & (r > 0)):
+            raise ValueError("candidates must be a non-empty 1-D sequence of finite radii > 0 (each finite and > 0)")
+        object.__setattr__(self, "radii", tuple(r.tolist()))
+        if np.any(r[1:] <= r[:-1]):
+            raise ValueError(f"candidate radii must be strictly increasing, got {self.radii}")
+
+    def __len__(self) -> int:
+        return len(self.radii)
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.radii)
 
 
 class DriverStatus(IntEnum):
@@ -150,10 +172,9 @@ class OrderStream:
             raise ValueError(f"order {bad[0]} starts at ({olon[bad[0]]}, {olat[bad[0]]}), outside the grid's box")
         if not np.all(np.isfinite(self.fare) & (self.fare >= 0)):
             raise ValueError("fares must be finite and >= 0")
-        proj = LocalProjection(grid)
-        self.ox, self.oy = proj.to_xy(olon, olat)
-        self.dx, self.dy = proj.to_xy(dlon, dlat)
-        self.cell = proj.cells(self.ox, self.oy)
+        self.ox, self.oy = grid.to_xy(olon, olat)
+        self.dx, self.dy = grid.to_xy(dlon, dlat)
+        self.cell = grid.cells(self.ox, self.oy)
         for c in (self.t_create, self.cell, self.fare, self.ox, self.oy, self.dx, self.dy):
             c.flags.writeable = False
 
@@ -223,6 +244,6 @@ class MarketWindow:
             raise ValueError("rates must lie in [0, 1]")
         # NaN fails every comparison, and inf the upper bound
         if not (0.0 <= self.apd_km < math.inf and 0.0 <= self.revenue < math.inf
-                and 0.0 <= self.radius_km < math.inf):
-            raise ValueError("distance, revenue and radius must be finite and >= 0")
+                and 0.0 < self.radius_km < math.inf):
+            raise ValueError("distance and revenue must be finite and >= 0, and radius finite and > 0")
         check_window_start(self.start_s, self.tod, self.n_idle, self.n_open, self.n_total)

@@ -28,7 +28,6 @@ would mean nothing.  Labels and candidate radii stay float64.
 from __future__ import annotations
 
 import dataclasses
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -38,34 +37,13 @@ import numpy as np
 
 from .demand import (COL_GRID, COL_OFR, COL_RADIUS, COL_TOD, COL_TOTAL, FEATURE_FIELDS, N_BASE_FEATURES,
                      N_INPUT_COLUMNS, N_TOD, NormStats, apply_norm, invert_norm)
-from .market import MarketWindow, OrderStream, check_count
+from .market import CandidateSet, MarketWindow, OrderStream, check_count
 from .nn.model import PARAM_DTYPE
 from .sim import EpisodeResult, SimConfig, WindowSnapshot, run
 
 METRIC_NAMES = ("ofr", "apd", "dur", "revenue")
 # composite sense: pickup distance is minimized, everything else maximized
 METRIC_SENSE = np.array([1.0, -1.0, 1.0, 1.0])
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Strictly increasing, finite, positive candidate radii (km)."""
-
-    radii: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        r = tuple(float(v) for v in self.radii)
-        object.__setattr__(self, "radii", r)
-        if not r or not all(0 < v < math.inf for v in r):
-            raise ValueError("candidate radii must be finite and > 0")
-        if any(a >= b for a, b in zip(r, r[1:])):
-            raise ValueError("candidate radii must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.radii)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.radii)
 
 
 @dataclass(frozen=True)
@@ -186,8 +164,8 @@ class RadiusDecision:
 
 
 class DecisionLog(Sequence[RadiusDecision]):
-    """A radius source's grid decisions, oldest first: ``calls`` keeps one (window, best,
-    predictions, scores) record per ``radii`` call; item i, grid i % G of call i // G, is built on access."""
+    """A radius source's grid decisions, oldest first: ``calls`` keeps one (window, best, predictions, scores)
+    record per ``radii`` call of the latest run; item i, grid i % G of call i // G, is built on access."""
 
     def __init__(self, candidates: tuple[float, ...], n_grids: int):
         self.candidates, self.n_grids = candidates, n_grids
@@ -221,8 +199,9 @@ def normalize_features(features: np.ndarray, stats: NormStats) -> np.ndarray:
 
 
 class PredictorRadiusSource:
-    """Radius source driven by a predictor, one batched prediction per
-    window; keeps a full decision audit log in ``decisions``."""
+    """Radius source driven by a predictor, one batched prediction per window.  ``decisions`` is the audit log of
+    the latest run: a call for window w first drops the calls logged for window w and later, so a run's first
+    call starts the log afresh, and a run that starts at a later window keeps the calls before it."""
 
     def __init__(
         self,
@@ -275,7 +254,10 @@ class PredictorRadiusSource:
         if np.any(bad):
             raise ValueError(f"non-finite predictions or scores for grids {np.flatnonzero(bad).tolist()}")
         best = np.argmax(scores, axis=1)  # first max wins: candidates ascend, so ties pick the smallest
-        self.decisions.calls.append((snapshot.window, best, preds, scores))
+        calls = self.decisions.calls
+        while calls and calls[-1][0] >= snapshot.window:
+            calls.pop()
+        calls.append((snapshot.window, best, preds, scores))
         return radii[best]
 
 
@@ -405,6 +387,8 @@ def collect_training_data(
 
 
 def concat_datasets(parts: Sequence[TrainingData]) -> TrainingData:
-    """The examples of ``parts`` in order: each array field concatenated, under the first part's layout."""
+    """The examples of ``parts`` in order: each array field concatenated, under the one layout they share."""
+    if other := [p.layout for p in parts if p.layout != parts[0].layout]:
+        raise ValueError(f"cannot join examples of {parts[0].layout} and {other[0]}")
     names = (f.name for f in dataclasses.fields(TrainingData) if f.name != "layout")
     return TrainingData(**{k: np.concatenate([getattr(p, k) for p in parts]) for k in names}, layout=parts[0].layout)

@@ -24,9 +24,9 @@ import numpy as np
 
 from .behavior import AcceptanceModel, sample_accepts
 from .market import (
+    CandidateSet,
     DriverStatus,
     GridSpec,
-    LocalProjection,
     MarketWindow,
     MatchRecord,
     OrderStream,
@@ -85,15 +85,13 @@ def FixedRadius(radius_km: float, n_cells: int) -> ScheduleRadius:
 
 
 class RandomRadius:
-    """Uniform draw from a candidate set, per grid per window (exploration): window w draws from its own generator,
+    """Uniform draw from a ``CandidateSet``, per grid per window (exploration): window w draws from its own generator,
     seeded with (seed, w), so every run of one config draws the same radii, and a bad seed fails at construction."""
 
     def __init__(self, candidates: Sequence[float], n_cells: int, seed: int):
-        c = np.array(candidates, dtype=float)
-        if c.ndim != 1 or not len(c) or not np.all(np.isfinite(c) & (c > 0)):
-            raise ValueError("candidates must be a non-empty 1-D list of finite radii > 0")
         check_count("n_cells", n_cells)
-        self._candidates, self._n_cells, self._seed = c, n_cells, np.random.SeedSequence(seed).entropy
+        self._candidates = CandidateSet(candidates).as_array()
+        self._n_cells, self._seed = n_cells, np.random.SeedSequence(seed).entropy
 
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
         return np.random.default_rng([self._seed, snapshot.window]).choice(self._candidates, size=self._n_cells)
@@ -122,8 +120,8 @@ class SimConfig:
         ratio = self.window_s / self.tick_s
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ValueError("tick must divide the metric window")
-        if not (self.patience_s >= self.tick_s):
-            raise ValueError("patience must be at least one tick")
+        if not self.tick_s <= self.patience_s < math.inf:
+            raise ValueError("patience must be finite and at least one tick")
         if not (math.isfinite(self.idle_walk_kmh) and self.idle_walk_kmh >= 0):
             raise ValueError("idle walk speed must be finite and >= 0")
         if not math.isfinite(self.day_start_s):
@@ -183,7 +181,6 @@ class Simulation:
             raise ValueError("order stream was built for another grid")
         self.stream = stream
         self.config = config
-        self.proj = LocalProjection(config.grid)
         self.rng = np.random.default_rng(config.seed)
         self.injected = 0
         self._front = 0
@@ -194,8 +191,7 @@ class Simulation:
 
         lon = self.rng.uniform(config.grid.lon_min, config.grid.lon_max, size=config.n_drivers)
         lat = self.rng.uniform(config.grid.lat_min, config.grid.lat_max, size=config.n_drivers)
-        x, y = self.proj.to_xy(lon, lat)
-        self.fleet = DriverFleet(x, y)
+        self.fleet = DriverFleet(*config.grid.to_xy(lon, lat))
 
         self.clock = 0.0
         self.tick_count = 0
@@ -235,7 +231,7 @@ class Simulation:
 
     def _take_snapshot(self) -> WindowSnapshot:
         cfg, g = self.config, self.config.grid.n_cells
-        cells = self.proj.cells(self.fleet.x, self.fleet.y)
+        cells = cfg.grid.cells(self.fleet.x, self.fleet.y)
         idle_mask = self.fleet.status == int(DriverStatus.IDLE)
         n_idle = np.bincount(cells[idle_mask], minlength=g)
         n_total = np.bincount(cells, minlength=g)
@@ -286,7 +282,7 @@ class Simulation:
             self._idle_walk(cfg.idle_walk_kmh * tick / 3600.0)
 
         # 5. count occupied / online driver-ticks, attributed by position
-        cells = self.proj.cells(self.fleet.x, self.fleet.y)
+        cells = cfg.grid.cells(self.fleet.x, self.fleet.y)
         occupied_mask = self.fleet.status != int(DriverStatus.IDLE)
         self.occupied_ticks += int(np.count_nonzero(occupied_mask))
         self._win_online += np.bincount(cells, minlength=cfg.grid.n_cells)
@@ -358,13 +354,11 @@ class Simulation:
         fleet.order_id[dropped] = -1
 
     def _idle_walk(self, step_km: float) -> None:
-        fleet = self.fleet
+        fleet, grid = self.fleet, self.config.grid
         idle = np.flatnonzero(fleet.status == int(DriverStatus.IDLE))
         theta = self.rng.uniform(0.0, 2 * np.pi, size=len(idle))
-        nx = np.clip(fleet.x[idle] + step_km * np.cos(theta), 0.0, np.nextafter(self.proj.x_max, 0))
-        ny = np.clip(fleet.y[idle] + step_km * np.sin(theta), 0.0, np.nextafter(self.proj.y_max, 0))
-        fleet.x[idle] = nx
-        fleet.y[idle] = ny
+        fleet.x[idle] = np.clip(fleet.x[idle] + step_km * np.cos(theta), 0.0, np.nextafter(grid.x_max, 0))
+        fleet.y[idle] = np.clip(fleet.y[idle] + step_km * np.sin(theta), 0.0, np.nextafter(grid.y_max, 0))
 
     def _close_window(self) -> None:
         """Append one row per grid for the window ``[snapshot.start_s, clock)`` now ending.

@@ -19,7 +19,7 @@ from ridecast.demand import (
     invert_norm,
     synth_demand,
 )
-from ridecast.market import GridSpec, LocalProjection
+from ridecast.market import KM_PER_DEG_LAT, GridSpec
 
 BOX = GridSpec(lon_min=0.0, lat_min=0.0, lon_max=4.0, lat_max=4.0, side_count=4)
 
@@ -29,7 +29,6 @@ def per_order_synth_demand(profile, grid, seed, duration_s, day_start_s=0.0):
     ``Generator.choice`` for its destination, and the orders are sorted as
     tuples by (creation time, origin cell)."""
     rng = np.random.default_rng(seed)
-    proj = LocalProjection(grid)
     n_cells = grid.n_cells
     cw, ch = grid.cell_width, grid.cell_height
     draws = []
@@ -52,7 +51,7 @@ def per_order_synth_demand(profile, grid, seed, duration_s, day_start_s=0.0):
                 drow, dcol = divmod(dg, grid.side_count)
                 dlon = grid.lon_min + (dcol + rng.random()) * cw
                 dlat = grid.lat_min + (drow + rng.random()) * ch
-                trip_km = math.hypot((dlon - olon) * proj.km_per_deg_lon, (dlat - olat) * proj.km_per_deg_lat)
+                trip_km = math.hypot((dlon - olon) * grid.km_per_deg_lon, (dlat - olat) * KM_PER_DEG_LAT)
                 draws.append((tc, g, olon, olat, dlon, dlat, FARE_BASE + FARE_PER_KM * trip_km))
             t = slice_end
     draws.sort(key=lambda r: (r[0], r[1]))
@@ -120,10 +119,9 @@ class TestSynthDemand:
         assert np.all((0 <= stream.cell) & (stream.cell < 16))
         assert np.all((0.0 <= stream.t_create) & (stream.t_create < 4 * 3600.0))
         # each order's cell is the cell its origin lies in
-        proj = LocalProjection(BOX)
         n = BOX.side_count
-        col = (stream.ox / (proj.x_max / n)).astype(int)
-        row = (stream.oy / (proj.y_max / n)).astype(int)
+        col = (stream.ox / (BOX.x_max / n)).astype(int)
+        row = (stream.oy / (BOX.y_max / n)).astype(int)
         np.testing.assert_array_equal(row * n + col, stream.cell)
 
     def test_hourly_rates_converge_to_profile(self):
@@ -217,8 +215,7 @@ class TestSynthDemand:
         dest[:, 6] = 1.0
         profile = DemandProfile(rates=np.full((16, 24), 20.0), dest_probs=dest)
         stream = synth_demand(profile, BOX, seed=2, duration_s=3600.0)
-        proj = LocalProjection(BOX)
-        cw, ch = proj.x_max / 4, proj.y_max / 4
+        cw, ch = BOX.x_max / 4, BOX.y_max / 4
         assert len(stream) > 0 and len(np.unique(stream.cell)) > 1
         assert np.all((2 * cw <= stream.dx) & (stream.dx < 3 * cw))
         assert np.all((ch <= stream.dy) & (stream.dy < 2 * ch))

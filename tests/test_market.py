@@ -8,9 +8,9 @@ import pytest
 from conftest import OUT_OF_AREA, compute_window_metrics, grid_index, stream_from_rows
 
 from ridecast.market import (
+    KM_PER_DEG_LAT,
     TOD_BY_HOUR,
     GridSpec,
-    LocalProjection,
     MarketWindow,
     MatchRecord,
     OrderStream,
@@ -99,6 +99,29 @@ def test_a_bool_is_not_a_count(field):
     COUNTS[field](1)
 
 
+# every real-valued setting of a config, with a constructor that takes it by name; patience_s=inf used to pass
+CONFIGS = {
+    SimConfig: lambda **kw: SimConfig(**{"grid": SMALL, "n_drivers": 1, "speed_kmh": 20.0,
+                                         "radius_source": FixedRadius(1.0, SMALL.n_cells), **kw}),
+    AcceptanceModel: AcceptanceModel,
+    TrainConfig: TrainConfig,
+    StrategyConfig: StrategyConfig,
+}
+REAL_SETTINGS = [(cls, f.name) for cls in CONFIGS for f in dataclasses.fields(cls) if f.type == "float"]
+
+
+def test_every_real_valued_setting_is_found():
+    assert len(REAL_SETTINGS) == 12 and (SimConfig, "patience_s") in REAL_SETTINGS
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", REAL_SETTINGS, ids=[f"{c.__name__}.{n}" for c, n in REAL_SETTINGS])
+def test_a_non_finite_setting_is_rejected(cls, name, value):
+    CONFIGS[cls]()
+    with pytest.raises(ValueError):
+        CONFIGS[cls](**{name: value})
+
+
 class TestTimeOfDay:
     def test_default_codes(self):
         assert time_of_day(8 * 3600) == TimeOfDay.MORNING
@@ -149,7 +172,7 @@ def run_small(orders, drivers, windows=1, acceptance=FORCED, seed=0):
     sim = Simulation(SimConfig(grid=SMALL, n_drivers=len(drivers), speed_kmh=20.0,
                                radius_source=FixedRadius(2.0, SMALL.n_cells), acceptance=acceptance,
                                seed=seed), stream)
-    sim.fleet.x, sim.fleet.y = sim.proj.to_xy([d[0] for d in drivers], [d[1] for d in drivers])
+    sim.fleet.x, sim.fleet.y = SMALL.to_xy([d[0] for d in drivers], [d[1] for d in drivers])
     for _ in range(windows * sim.config.ticks_per_window):
         sim.step()
     return sim
@@ -316,6 +339,11 @@ class TestOrderDriverInvariants:
         with pytest.raises(ValueError, match="finite and >= 0"):
             MarketWindow(**{**WINDOW_ROW, name: value})
 
+    def test_market_window_radius_must_be_above_zero(self):
+        # no radius source can deploy 0 km, so a row that logs it is not a simulator's
+        with pytest.raises(ValueError, match="radius finite and > 0"):
+            MarketWindow(**{**WINDOW_ROW, "radius_km": 0.0})
+
     @pytest.mark.parametrize("name, value, rule", [
         ("grid", -1, ">= 0"), ("grid", math.nan, ">= 0"), ("window", -5, ">= 0"),
         ("tod", -1, "a TimeOfDay code"), ("tod", len(TimeOfDay), "a TimeOfDay code"), ("tod", 9, "a TimeOfDay code"),
@@ -353,10 +381,9 @@ class TestOrderDriverInvariants:
 class TestProjection:
     def test_roundtrip(self):
         # the projection is affine in each axis, so its own scales invert it
-        proj = LocalProjection(BOX)
-        x, y = proj.to_xy(2.3, 1.7)
-        assert math.isclose(BOX.lon_min + x / proj.km_per_deg_lon, 2.3, abs_tol=1e-12)
-        assert math.isclose(BOX.lat_min + y / proj.km_per_deg_lat, 1.7, abs_tol=1e-12)
+        x, y = BOX.to_xy(2.3, 1.7)
+        assert math.isclose(BOX.lon_min + x / BOX.km_per_deg_lon, 2.3, abs_tol=1e-12)
+        assert math.isclose(BOX.lat_min + y / KM_PER_DEG_LAT, 1.7, abs_tol=1e-12)
 
     def test_cell_index_matches_degree_space(self):
         # orders and drivers are binned in km space; that must agree with grid_index in degrees
@@ -366,7 +393,6 @@ class TestProjection:
             lon = rng.uniform(box.lon_min, box.lon_max, 2000)
             lat = rng.uniform(box.lat_min, box.lat_max, 2000)
             want = [grid_index(a, b, box) for a, b in zip(lon, lat)]
-            proj = LocalProjection(box)
-            assert proj.cells(*proj.to_xy(lon, lat)).tolist() == want
+            assert box.cells(*box.to_xy(lon, lat)).tolist() == want
             stream = OrderStream(box, np.zeros(2000), lon, lat, lon, lat, np.ones(2000))
             assert stream.cell.tolist() == want

@@ -309,6 +309,12 @@ class TestChooseRadius:
         with pytest.raises(ValueError):
             CandidateSet((-1.0, 2.0))
 
+    def test_candidate_set_takes_a_1d_sequence_or_array(self):
+        assert CandidateSet(np.array([0.5, 1.0])) == CandidateSet([0.5, 1.0]) == CandidateSet((0.5, 1.0))
+        assert CandidateSet(np.array([0.5, 1.0])).radii == (0.5, 1.0)
+        with pytest.raises(ValueError, match="1-D"):
+            CandidateSet(np.ones((2, 2)))
+
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
     def test_non_finite_candidate_rejected(self, radius):
         with pytest.raises(ValueError, match="finite and > 0"):
@@ -683,6 +689,20 @@ class TestDecisionLog:
             with pytest.raises(IndexError):
                 log[bad]
 
+    def test_log_holds_the_latest_run(self):
+        # two runs of one config: the second run's first call starts the log afresh, where the log used to
+        # grow to 224 records with windows 0-6 twice
+        src = PredictorRadiusSource(PinnedRadiusPredictor(2.0), CandidateSet((1.0, 2.0, 3.0)), LAYOUT,
+                                    FEATURE_IDENT, IDENT)
+        cfg, stream = SimConfig(grid=BOX, n_drivers=6, speed_kmh=22.0, radius_source=src), small_stream(3)
+        first = run(cfg, stream, 1800.0)
+        assert run(cfg, stream, 1800.0) == first
+        assert len(src.decisions) == 112  # 16 grids x windows 0..6
+        assert [d.window for d in src.decisions] == np.repeat(range(7), 16).tolist()
+        # a call for window 3 drops windows 3..6 and keeps those before it
+        src.radii(mksnapshot(window=3), [])
+        assert [d.window for d in src.decisions] == np.repeat(range(4), 16).tolist()
+
     def test_retained_memory_per_decision(self):
         layout = FeatureLayout(seq_len=6, side_count=10)
 
@@ -741,6 +761,14 @@ class TestCollect:
         np.testing.assert_array_equal(data.grids, np.r_[np.repeat(range(16), 3), np.repeat(range(16), 2)])
         np.testing.assert_array_equal(data.pad_rows, np.r_[np.tile([3, 2, 1], 16), np.tile([3, 2], 16)])
         np.testing.assert_array_equal(data.features, np.concatenate([parts[0].features, parts[1].features]))
+
+    def test_concat_datasets_rejects_parts_of_different_layouts(self):
+        # this used to join 60 examples under the first part's 2x2 layout, with grid indices up to 15
+        small, large = FeatureLayout(seq_len=3, side_count=2), FeatureLayout(seq_len=3, side_count=4)
+        parts = [dataset_from_windows(whole(range(3), n_cells=4), small),
+                 dataset_from_windows(whole(range(3), n_cells=16), large)]
+        with pytest.raises(ValueError, match=re.escape(f"cannot join examples of {small} and {large}")):
+            concat_datasets(parts)
 
     def test_row_count_and_label_identity(self):
         data, results = collect_training_data(

@@ -70,7 +70,7 @@ def place(sim, positions):
     """Pin driver lon/lat positions and refresh the window-start snapshot."""
     lons = np.array([p[0] for p in positions])
     lats = np.array([p[1] for p in positions])
-    x, y = sim.proj.to_xy(lons, lats)
+    x, y = sim.config.grid.to_xy(lons, lats)
     sim.fleet.x[:] = x
     sim.fleet.y[:] = y
     sim.snapshot = sim._take_snapshot()
@@ -177,7 +177,7 @@ class TestLifecycleAndConservation:
             sim.step()
         assert sim.fleet.status[0] == int(DriverStatus.IDLE)
         assert sim.fleet.order_id[0] == -1
-        assert sim.fleet.y[0] == pytest.approx(sim.proj.to_xy(0.05, 0.05 + KM_LAT)[1], abs=1e-9)
+        assert sim.fleet.y[0] == pytest.approx(sim.config.grid.to_xy(0.05, 0.05 + KM_LAT)[1], abs=1e-9)
         assert 0 < sim.occupied_ticks <= sim.tick_count  # the one driver's occupied ticks
 
     def test_conservation_every_tick(self):
@@ -506,6 +506,12 @@ class TestRadiusSources:
         with pytest.raises(ValueError, match="finite radii > 0"):
             RandomRadius(candidates, 16, seed=0)
 
+    @pytest.mark.parametrize("candidates", [[1.0, 1.0, 2.0], [2.0, 1.0]])
+    def test_random_source_refuses_repeated_or_unordered_candidates(self, candidates):
+        # it draws from a CandidateSet, where a repeated radius would be drawn twice as often
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RandomRadius(candidates, 16, seed=0)
+
     def test_random_source_checks_its_seed_when_built(self):
         with pytest.raises(ValueError, match="non-negative"):
             RandomRadius([1.0, 2.0], 16, seed=-1)
@@ -565,8 +571,8 @@ class TestIdleWalk:
         for _ in range(30):
             sim.step()
         assert np.any(sim.fleet.x != x0)
-        assert np.all((sim.fleet.x >= 0) & (sim.fleet.x < sim.proj.x_max))
-        assert np.all((sim.fleet.y >= 0) & (sim.fleet.y < sim.proj.y_max))
+        assert np.all((sim.fleet.x >= 0) & (sim.fleet.x < cfg.grid.x_max))
+        assert np.all((sim.fleet.y >= 0) & (sim.fleet.y < cfg.grid.y_max))
 
     def test_default_idle_drivers_stationary(self):
         sim = Simulation(mkconfig(drivers=4), EMPTY)
