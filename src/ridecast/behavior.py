@@ -7,9 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# keeps saturated probabilities strictly inside (0, 1)
-PROB_CLAMP = 1e-12
-
 
 @dataclass(frozen=True)
 class AcceptanceModel:
@@ -35,11 +32,10 @@ class AcceptanceModel:
 def accept_probability(model: AcceptanceModel, pickup_km, fare, eps=0.0):
     """Acceptance probability for given pickup distance, fare and noise draw.
 
-    Works elementwise on arrays; output is clamped to the open interval (0, 1).
+    Works elementwise on arrays; the value lies in [0, 1].
     """
     logit = model.beta0 + model.beta1 * np.asarray(pickup_km) + model.beta2 * np.asarray(fare) + eps
-    p = 1.0 / (1.0 + np.exp(-logit))
-    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return 1.0 / (1.0 + np.exp(-logit))
 
 
 def sample_accepts(

@@ -4,8 +4,8 @@ Every tick: new orders are injected, stale ones expire, each open order is
 broadcast to idle drivers within the radius of the cell it starts in (drivers
 sample a grab decision; one winner is drawn among accepters), busy drivers
 advance straight toward the order each holds, and time accounting is updated.
-The broadcast computes one reach matrix per tick, open orders by idle drivers,
-and walks only the orders that reach some driver, oldest first.  Time is one
+The broadcast takes distances a block of open orders at a time, against free
+drivers, and walks only the rows that reach one, oldest first.  Time is one
 clock, ``tick_count * tick_s``: a tick injects the orders created before the
 next clock, and a metric window is ``[start_s, next start_s)`` on it.  At a
 window's end, per-grid market rows are derived from the orders created and
@@ -35,6 +35,8 @@ from .market import (
     check_window_start,
     time_of_day,
 )
+
+BROADCAST_ROWS = 64  # open orders per block of the broadcast's distance matrix
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,8 @@ class SimConfig:
         check_count("n_drivers", self.n_drivers)
         if not (math.isfinite(self.speed_kmh) and self.speed_kmh > 0):
             raise ValueError("vehicle speed must be finite and > 0")
-        if not (self.tick_s > 0 and math.isfinite(self.window_s)):
-            raise ValueError("tick must be > 0 and the metric window finite")
+        if not (0 < self.tick_s < math.inf and math.isfinite(self.window_s)):
+            raise ValueError(f"tick must be finite and > 0, got {self.tick_s}, and the metric window finite")
         ratio = self.window_s / self.tick_s
         if abs(ratio - round(ratio)) > 1e-9 or ratio < 1:
             raise ValueError("tick must divide the metric window")
@@ -307,31 +309,33 @@ class Simulation:
         self._radius_km[order_id] = self.radii[s.cell[order_id]]
 
     def _broadcast(self, t0: float) -> None:
-        """Offer each open order, oldest first, to the idle drivers within its
-        grid's radius; one winner is drawn among its accepters.
+        """Offer each open order, oldest first, to the free drivers in its grid's radius; one of its accepters wins.
 
-        One (open x idle) distance matrix and its ``reach`` mask are taken per
-        tick.  Only the rows that reach a driver get a round: a round without
-        candidates draws no numbers, so skipping it keeps every draw.  Accepters
-        have bid this tick, so their columns are cleared, and the rows still
-        ahead that reach nobody now drop out.  Candidates stay in driver-index
-        order, as in a scan of the whole fleet, and a winner maps back to its
-        driver through ``idle``.
+        Distances are taken ``BROADCAST_ROWS`` open orders at a time against the drivers still free, idle
+        and yet to bid this tick, so the work follows the bids, not open x idle, and stops once no driver
+        is free.  Only the rows that reach a driver get a round: a round without candidates draws no
+        numbers, so skipping it keeps every draw.  Accepters have bid, so their columns are cleared and the
+        rows still ahead that reach nobody drop out.  Candidates stay in driver-index order, as in a scan of
+        the whole fleet, and map back through ``drivers``.
         """
         s, fleet, orders = self.stream, self.fleet, self.open
-        idle = np.flatnonzero(fleet.status == int(DriverStatus.IDLE))
-        dist = np.hypot(fleet.x[idle] - s.ox[orders, None], fleet.y[idle] - s.oy[orders, None])
-        reach = dist <= self.radii[s.cell[orders]][:, None]
-        live = np.flatnonzero(reach.any(axis=1))
-        while len(live):
-            row, live = live[0], live[1:]
-            cand = np.flatnonzero(reach[row])
-            accepters = cand[sample_accepts(self.config.acceptance, dist[row, cand], s.fare[orders[row]], self.rng)]
-            if len(accepters):
-                reach[:, accepters] = False
-                live = live[reach[live].any(axis=1)]
-                winner = int(accepters[int(self.rng.integers(len(accepters)))])
-                self._match(int(orders[row]), int(idle[winner]), float(dist[row, winner]), t0)
+        free = fleet.status == int(DriverStatus.IDLE)
+        for block in np.split(orders, range(BROADCAST_ROWS, len(orders), BROADCAST_ROWS)):
+            drivers = np.flatnonzero(free)
+            if not len(drivers):
+                break
+            dist = np.hypot(fleet.x[drivers] - s.ox[block, None], fleet.y[drivers] - s.oy[block, None])
+            reach = dist <= self.radii[s.cell[block]][:, None]
+            live = np.flatnonzero(reach.any(axis=1))
+            while len(live):
+                row, live = live[0], live[1:]
+                cand = np.flatnonzero(reach[row])
+                accepters = cand[sample_accepts(self.config.acceptance, dist[row, cand], s.fare[block[row]], self.rng)]
+                if len(accepters):
+                    reach[:, accepters], free[drivers[accepters]] = False, False
+                    live = live[reach[live].any(axis=1)]
+                    winner = int(accepters[int(self.rng.integers(len(accepters)))])
+                    self._match(int(block[row]), int(drivers[winner]), float(dist[row, winner]), t0)
 
     def _move(self, step_km: float) -> None:
         """Step busy drivers toward their order's origin (``PICKUP``), to board, or its destination, to idle."""

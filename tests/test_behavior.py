@@ -24,12 +24,11 @@ class TestAcceptProbability:
         for x1, x2 in [(0.1, 3.0), (5.0, 0.0), (2.2, 9.9)]:
             assert accept_probability(m, x1, x2, 0.0) == pytest.approx(0.5)
 
-    def test_open_interval(self):
-        m = AcceptanceModel(beta0=500.0, beta1=0.0, beta2=0.0)
-        p = accept_probability(m, 0.0, 0.0, 0.0)
-        assert 0.0 < p < 1.0
+    def test_saturated_logit_is_the_unclamped_logistic(self):
+        # the draw rng.random() < p is well defined at 0 and 1, so p is the logistic as computed
+        assert accept_probability(AcceptanceModel(beta0=500.0), 0.0, 0.0, 0.0) == 1.0
         p = accept_probability(AcceptanceModel(beta0=-500.0), 0.0, 0.0, 0.0)
-        assert 0.0 < p < 1.0
+        assert p == 1.0 / (1.0 + math.exp(500.0)) and p > 0.0
 
     def test_monotone_in_pickup_distance(self):
         # dp/dx1 carries the sign of beta1, checked by finite differences

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -534,6 +535,12 @@ class TestRadiusSources:
         for horizon_s in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite"):
                 run(mkconfig(), EMPTY, horizon_s=horizon_s)
+
+    @pytest.mark.parametrize("tick_s", [math.inf, math.nan, 0.0])
+    def test_a_tick_that_is_not_finite_and_positive_is_named(self, tick_s):
+        # an infinite tick used to pass this check and fail as one that "must divide the metric window"
+        with pytest.raises(ValueError, match=f"tick must be finite and > 0, got {tick_s}"):
+            mkconfig(tick_s=tick_s)
 
     @pytest.mark.parametrize("drivers", [2.5, 2.0])
     def test_driver_count_must_be_an_integer(self, drivers):

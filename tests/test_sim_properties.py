@@ -2,12 +2,15 @@
 import bisect
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
+import pytest
 from conftest import compute_window_metrics
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ridecast import sim as sim_module
 from ridecast.behavior import AcceptanceModel, sample_accepts
 from ridecast.market import DriverStatus, GridSpec, OrderStream
 from ridecast.optimizer import COL_GRID, FeatureLayout, dataset_from_windows
@@ -113,6 +116,14 @@ def test_episode_invariants(sc):
         assert m.radius_km == radius[(m.grid, window)]
         assert 0.0 <= m.pickup_km <= m.radius_km
 
+    # a match comes within its order's patience, and its order was created
+    # before the next clock of the match's tick: the injection rule on the one clock
+    tick = sim.config.tick_s
+    for m in res.matches:
+        t_create = stream.t_create[m.order_id]
+        assert m.t_match - t_create < sc["patience_s"]
+        assert t_create < (round(m.t_match / tick) + 1) * tick
+
     # at most one win per driver per tick, and no order matched twice
     assert max(Counter((m.t_match, m.driver_id) for m in res.matches).values(), default=0) <= 1
     assert len({m.order_id for m in res.matches}) == len(res.matches)
@@ -183,17 +194,21 @@ class PerOrderBroadcast(Simulation):
             self._match(oid, winner, float(dist[winner]), t0)
 
 
+# the production block size, and blocks of 3, which put block boundaries in
+# every scenario with more than three open orders
+@pytest.mark.parametrize("rows", [sim_module.BROADCAST_ROWS, 3])
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(scenarios())
-@example(DENSE)
-def test_broadcast_matches_per_order_reference(sc):
+@given(sc=scenarios())
+@example(sc=DENSE)
+def test_broadcast_matches_per_order_reference(rows, sc):
     # same matches, driver states and generator state after every tick, so
     # the broadcast draws the same numbers in the same order as the reference
     stream = build_stream(sc)
     sim, ref = Simulation(build_config(sc), stream), PerOrderBroadcast(build_config(sc), stream)
-    for _ in range(sc["windows"] * sim.config.ticks_per_window):
-        sim.step()
-        ref.step()
-        assert sim.matches == ref.matches
-        assert np.array_equal(sim.fleet.status, ref.fleet.status)
-        assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
+    with mock.patch.object(sim_module, "BROADCAST_ROWS", rows):
+        for _ in range(sc["windows"] * sim.config.ticks_per_window):
+            sim.step()
+            ref.step()
+            assert sim.matches == ref.matches
+            assert np.array_equal(sim.fleet.status, ref.fleet.status)
+            assert sim.rng.bit_generator.state == ref.rng.bit_generator.state
