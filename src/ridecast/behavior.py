@@ -14,7 +14,7 @@ class AcceptanceModel:
 
     The per-decision noise eps ~ N(0, sigma^2) models unobserved driver
     idiosyncrasies; sigma=0 makes decisions a deterministic function of the
-    uniform draw, which tests use to force accept/reject.
+    uniform draw.
     """
 
     beta0: float = 1.0
@@ -35,7 +35,8 @@ def accept_probability(model: AcceptanceModel, pickup_km, fare, eps=0.0):
     Works elementwise on arrays; the value lies in [0, 1].
     """
     logit = model.beta0 + model.beta1 * np.asarray(pickup_km) + model.beta2 * np.asarray(fare) + eps
-    return 1.0 / (1.0 + np.exp(-logit))
+    with np.errstate(over="ignore"):  # exp(-logit) is inf below logit -709, where p is 0 as it should be
+        return 1.0 / (1.0 + np.exp(-logit))
 
 
 def sample_accepts(
@@ -44,10 +45,7 @@ def sample_accepts(
     """Independent grab decisions for one broadcast round, one per driver.
 
     Each decision draws its own eps and compares a uniform draw against p;
-    the draws are batched (all eps, then all uniforms) so big rounds stay cheap.
+    the draws are batched (all eps, then all uniforms, at any sigma) so big rounds stay cheap.
     """
-    pickup_kms = np.asarray(pickup_kms, dtype=float)
-    n = pickup_kms.shape[0]
-    eps = rng.normal(0.0, model.sigma, size=n) if model.sigma > 0 else np.zeros(n)
-    p = accept_probability(model, pickup_kms, fare, eps)
-    return rng.random(n) < p
+    eps = rng.normal(0.0, model.sigma, size=len(pickup_kms))
+    return rng.random(len(eps)) < accept_probability(model, pickup_kms, fare, eps)

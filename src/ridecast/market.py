@@ -137,8 +137,8 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.radii)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.radii)
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:  # np.asarray(s) and CandidateSet(s) take a set too
+        return np.asarray(self.radii, dtype=dtype)
 
 
 class DriverStatus(IntEnum):

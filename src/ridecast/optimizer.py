@@ -237,13 +237,13 @@ class PredictorRadiusSource:
         base = _sequences(_windows(np.concatenate([tail, now]), t)[-1])
         stats = self.feature_stats
         # normalize_features' arithmetic on the radius column alone
-        final_radii = (self.candidates.as_array() - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
+        final_radii = (np.asarray(self.candidates) - stats.mean[COL_RADIUS]) / stats.std[COL_RADIUS]
         x = np.repeat(normalize_features(base, stats), len(final_radii), axis=0)
         x[:, -1, COL_RADIUS] = np.tile(final_radii, n_grids)
         return x
 
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:
-        n_grids, k, radii = self.layout.n_cells, len(self.candidates), self.candidates.as_array()
+        n_grids, k, radii = self.layout.n_cells, len(self.candidates), np.asarray(self.candidates)
         preds = self.predictor.predict_for(self._batch(snapshot, history), np.tile(radii, n_grids))
         want = (n_grids * k, len(METRIC_NAMES))
         if np.shape(preds) != want:  # a (G*K, 1) column would broadcast against the four label stats

@@ -90,9 +90,9 @@ class RandomRadius:
     """Uniform draw from a ``CandidateSet``, per grid per window (exploration): window w draws from its own generator,
     seeded with (seed, w), so every run of one config draws the same radii, and a bad seed fails at construction."""
 
-    def __init__(self, candidates: Sequence[float], n_cells: int, seed: int):
+    def __init__(self, candidates: CandidateSet | Sequence[float], n_cells: int, seed: int):
         check_count("n_cells", n_cells)
-        self._candidates = CandidateSet(candidates).as_array()
+        self._candidates = np.asarray(CandidateSet(candidates))
         self._n_cells, self._seed = n_cells, np.random.SeedSequence(seed).entropy
 
     def radii(self, snapshot: WindowSnapshot, history: Sequence[MarketWindow]) -> np.ndarray:

@@ -29,6 +29,8 @@ class TestAcceptProbability:
         assert accept_probability(AcceptanceModel(beta0=500.0), 0.0, 0.0, 0.0) == 1.0
         p = accept_probability(AcceptanceModel(beta0=-500.0), 0.0, 0.0, 0.0)
         assert p == 1.0 / (1.0 + math.exp(500.0)) and p > 0.0
+        # below logit -709 exp(-logit) overflows to inf, silently, and p is exactly 0
+        assert accept_probability(AcceptanceModel(beta0=-800.0), 0.0, 0.0, 0.0) == 0.0
 
     def test_monotone_in_pickup_distance(self):
         # dp/dx1 carries the sign of beta1, checked by finite differences
@@ -59,9 +61,11 @@ class TestSampleAccept:
         assert rate == 1.0
 
     def test_saturated_reject(self):
-        m = AcceptanceModel(beta0=-50.0, beta1=0.0, beta2=0.0, sigma=1.0)
-        rate = np.mean(sample_accepts(m, np.full(1_000_000, 1.0), 5.0, np.random.default_rng(0)))
-        assert rate == 0.0
+        # at beta0=-800 exp(-logit) overflows, and the round must still reject everyone without a warning
+        for beta0 in (-50.0, -800.0):
+            m = AcceptanceModel(beta0=beta0, beta1=0.0, beta2=0.0, sigma=1.0)
+            rate = np.mean(sample_accepts(m, np.full(1_000_000, 1.0), 5.0, np.random.default_rng(0)))
+            assert rate == 0.0
 
     def test_symmetric_marginal_rate(self):
         # with sigma=1 and zero logit the marginal accept rate is exactly 0.5
@@ -85,6 +89,15 @@ class TestSampleAccept:
     def test_sigma_zero_is_noise_free(self):
         m = AcceptanceModel(beta0=50.0, beta1=0.0, beta2=0.0, sigma=0.0)
         assert sample_accepts(m, np.array([0.0]), 0.0, np.random.default_rng(0)).tolist() == [True]
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_one_draw_layout(self, sigma):
+        # every round draws n normals, then n uniforms, whatever sigma
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        sample_accepts(AcceptanceModel(sigma=sigma), np.array([0.5, 1.0, 2.0]), 5.0, rng)
+        twin.normal(size=3)
+        twin.random(3)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_empty_round_draws_nothing(self, sigma):

@@ -312,6 +312,8 @@ class TestChooseRadius:
     def test_candidate_set_takes_a_1d_sequence_or_array(self):
         assert CandidateSet(np.array([0.5, 1.0])) == CandidateSet([0.5, 1.0]) == CandidateSet((0.5, 1.0))
         assert CandidateSet(np.array([0.5, 1.0])).radii == (0.5, 1.0)
+        assert CandidateSet(CandidateSet((0.5, 1.0))) == CandidateSet((0.5, 1.0))
+        np.testing.assert_array_equal(np.asarray(CandidateSet((0.5, 1.0))), [0.5, 1.0])
         with pytest.raises(ValueError, match="1-D"):
             CandidateSet(np.ones((2, 2)))
 
@@ -392,7 +394,7 @@ def reference_radii(predictor, cands, layout, feature_stats, label_stats, snapsh
             x[n_pad:, :N_BASE_FEATURES] = apply_norm(x[n_pad:, :N_BASE_FEATURES], feature_stats)
             feats.append(x)
         feats = np.stack(feats)
-        p = predictor.predict_for(feats, cands.as_array())
+        p = predictor.predict_for(feats, np.asarray(cands))
         chosen.append(cands.radii[int(np.argmax(composite_score(p, label_stats)))])
         preds.append(p)
     return np.array(chosen), np.array(preds)

@@ -9,7 +9,7 @@ from conftest import compute_window_metrics, stream_from_rows
 
 from ridecast.behavior import AcceptanceModel
 from ridecast.demand import default_profile, synth_demand
-from ridecast.market import DriverStatus, GridSpec, TimeOfDay
+from ridecast.market import CandidateSet, DriverStatus, GridSpec, TimeOfDay
 from ridecast.sim import (
     EpisodeSummary,
     FixedRadius,
@@ -496,8 +496,10 @@ class TestRadiusSources:
         np.testing.assert_array_equal(a.radii(snap, []), b.radii(snap, []))
         assert set(np.unique(a.radii(snap, []))) <= {1.0, 2.0, 3.0}
 
-    def test_random_source_takes_a_numpy_candidate_array(self):
-        src = RandomRadius(np.array([1.0, 2.0, 3.0]), 16, seed=5)
+    @pytest.mark.parametrize("candidates", [np.array([1.0, 2.0, 3.0]), CandidateSet([1.0, 2.0, 3.0])],
+                             ids=["array", "CandidateSet"])
+    def test_random_source_takes_a_numpy_candidate_array(self, candidates):
+        src = RandomRadius(candidates, 16, seed=5)
         snap = Simulation(mkconfig(), EMPTY).snapshot
         np.testing.assert_array_equal(src.radii(snap, []), RandomRadius([1.0, 2.0, 3.0], 16, seed=5).radii(snap, []))
 
